@@ -8,6 +8,11 @@ given on the command line win over config values.  Every output file gets a
 sibling ``.meta.json`` echoing the effective configuration (schema versioned,
 no timestamps), so identical inputs produce byte-identical outputs.
 
+Every command runs in a single thread: files, days and fit starts are
+processed one after another.  ``simulate`` reads its curve with
+:func:`liqimpact.impact.curve_from_dict`; path mode takes the sshape and
+linear families, panel mode all three.
+
 Verbosity comes from the LIQIMPACT_LOG environment variable (DEBUG, INFO,
 WARNING, ERROR; default WARNING).
 """
@@ -19,25 +24,14 @@ import json
 import logging
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
 from ._common import SCHEMA_VERSION, fmt, write_json
-from .impact import (
-    LinearParams,
-    ParameterError,
-    SqrtParams,
-    SShapeParams,
-    StructuralParams,
-    f_linear,
-    f_sqrt,
-    f_sshape,
-    feasibility_margin,
-)
-from .ingest import ParseError, build_bars, flow_descriptives, read_bars_csv, read_ticks, write_bars_csv
-from .sde import OUParams, SimConfig, read_panel_csv, simulate_path, synth_regression_panel
+from .impact import ParameterError, SShapeParams, StructuralParams, curve_from_dict, feasibility_margin
+from .ingest import ParseError, build_bars, read_bars_csv, read_ticks, write_bars_csv
+from .sde import OUParams, SimConfig, _impact_f, simulate_path, synth_regression_panel
 from .estimation import (
     EstimationError,
     FitResult,
@@ -45,6 +39,7 @@ from .estimation import (
     fit_ols,
     fit_result_to_dict,
     fit_sshape,
+    read_bar_days,
     read_daily_fits_csv,
     write_daily_fits_csv,
 )
@@ -132,7 +127,6 @@ def cmd_ingest(args) -> int:
     bar_seconds = int(_pick(args.bar_seconds, config, "bar_seconds", 60))
     tick_size = float(_pick(args.tick_size, config, "tick_size", 0.01))
     out_dir = _out_dir(args, config)
-    jobs = int(_pick(args.jobs, config, "jobs", 1))
 
     files = [Path(f) for f in args.files]
     for f in files:
@@ -156,11 +150,7 @@ def cmd_ingest(args) -> int:
         return dest, days, signed, unsigned
 
     try:
-        if jobs > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                results = list(pool.map(one, files))
-        else:
-            results = [one(f) for f in files]
+        results = [one(f) for f in files]
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -185,18 +175,6 @@ def _structural_from(config: dict) -> StructuralParams:
     return StructuralParams(**block)
 
 
-def _impact_from(config: dict):
-    block = dict(config.get("impact") or {})
-    family = block.pop("family", "sshape")
-    if family == "sshape":
-        return SShapeParams(**block)
-    if family == "linear":
-        return LinearParams(**block)
-    if family == "sqrt":
-        return SqrtParams(**block)
-    raise ValueError(f"impact family must be sshape, linear, or sqrt, got {family!r}")
-
-
 def cmd_simulate(args) -> int:
     config = _load_config(args.config)
     out_dir = _out_dir(args, config)
@@ -206,7 +184,7 @@ def cmd_simulate(args) -> int:
         if mode == "path":
             sim_cfg = SimConfig(
                 structural=_structural_from(config),
-                impact=_impact_from(config),
+                impact=curve_from_dict(config.get("impact") or {}),
                 n_steps=int(config.get("n_steps", 390)),
                 dt=float(config.get("dt", 1.0)),
                 x0=float(config.get("x0", 0.0)),
@@ -228,7 +206,7 @@ def cmd_simulate(args) -> int:
                 seed = int(np.random.SeedSequence().entropy)
             panel = synth_regression_panel(
                 a=float(block.get("a", 0.0)),
-                impact=_impact_from(config),
+                impact=curve_from_dict(config.get("impact") or {}),
                 flow=flow,
                 n_days=int(block.get("n_days", 1)),
                 bars_per_day=int(block.get("bars_per_day", 360)),
@@ -263,7 +241,6 @@ def cmd_fit(args) -> int:
     model_flag = _pick(args.model, config, "model", "all")
     models = list(MODELS) if model_flag == "all" else [model_flag]
     pooled = bool(args.pooled or config.get("pooled", False))
-    jobs = int(_pick(args.jobs, config, "jobs", 1))
     grid = config.get("grid")
     if grid is not None:
         grid = [tuple(map(float, pair)) for pair in grid]
@@ -276,7 +253,7 @@ def cmd_fit(args) -> int:
             return 1
 
     effective = {
-        "model": model_flag, "pooled": pooled, "jobs": jobs,
+        "model": model_flag, "pooled": pooled,
         "grid": grid, "fit_options": fit_kwargs,
         "out_dir": str(out_dir), "inputs": [str(f) for f in files],
     }
@@ -285,56 +262,33 @@ def cmd_fit(args) -> int:
     failed_days = 0
     for f in files:
         try:
-            with f.open(encoding="utf-8") as fh:
-                first = fh.readline().strip()
+            by_day = read_bar_days(f)
         except OSError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
-        if first.startswith("day,bar,order_flow"):
-            by_day = read_bars_csv(f)
-        else:
-            flat = read_panel_csv(f)
-            by_day = {}
-            for b in flat:
-                by_day.setdefault(b.day, []).append(b)
 
         day_rows: list[tuple[str, FitResult]] = []
         failures: dict[str, str] = {}
-
-        def fit_day(item: tuple[str, list]) -> tuple[str, list[tuple[str, FitResult]], str | None]:
-            day, bars = item
+        json_days: dict[str, dict] = {}
+        for day, bars in sorted(by_day.items()):
+            total_days += 1
             try:
                 panel = RegressionPanel.from_bars({day: bars})
             except EstimationError as exc:
-                return day, [], str(exc)
-            out = []
-            err = None
-            for model in models:
-                try:
-                    out.append((model, _fit_one(panel, model, grid, fit_kwargs)))
-                except EstimationError as exc:
-                    err = f"{model}: {exc}"
-            return day, out, err
-
-        items = sorted(by_day.items())
-        if jobs > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                fit_results = list(pool.map(fit_day, items))
-        else:
-            fit_results = [fit_day(it) for it in items]
-
-        json_days: dict[str, dict] = {}
-        for day, fits, err in fit_results:
-            total_days += 1
-            if err is not None and not fits:
-                failures[day] = err
+                failures[day] = str(exc)
                 failed_days += 1
                 continue
-            if err is not None:
-                failures[day] = err
+            fits = []
+            for model in models:
+                try:
+                    fits.append((model, _fit_one(panel, model, grid, fit_kwargs)))
+                except EstimationError as exc:
+                    failures[day] = f"{model}: {exc}"
+            if not fits:
+                failed_days += 1
+                continue
             json_days[day] = {model: fit_result_to_dict(fr) for model, fr in fits}
-            for model, fr in fits:
-                day_rows.append((day, fr))
+            day_rows.extend((day, fr) for _, fr in fits)
 
         pooled_block = {}
         if pooled:
@@ -357,7 +311,7 @@ def cmd_fit(args) -> int:
             "failures": failures,
         })
         ok_days = len(json_days)
-        print(f"{csv_dest}: {ok_days}/{len(items)} day(s) fit, models {'+'.join(models)}"
+        print(f"{csv_dest}: {ok_days}/{len(by_day)} day(s) fit, models {'+'.join(models)}"
               + (f", {len(failures)} failure(s)" if failures else ""))
         for day, msg in sorted(failures.items()):
             print(f"  failed {day}: {msg}")
@@ -370,21 +324,6 @@ def cmd_fit(args) -> int:
 
 # ---------------------------------------------------------------------------
 # curves
-
-
-def _curve_fn(model: str, params: dict):
-    if model == "sshape":
-        sp = SShapeParams(params["ell"], params["p"], params["q"])
-        if not feasibility_margin(sp) > 0:
-            raise ParameterError("fit parameters are infeasible; curve undefined on the real line")
-        return lambda x: f_sshape(x, sp)
-    if model == "linear":
-        lp = LinearParams(params["alpha"])
-        return lambda x: f_linear(x, lp)
-    if model == "sqrt":
-        qp = SqrtParams(params["alpha"])
-        return lambda x: f_sqrt(x, qp)
-    raise ValueError(f"unknown model {model!r}")
 
 
 def cmd_curves(args) -> int:
@@ -408,10 +347,12 @@ def cmd_curves(args) -> int:
     doc = json.loads(fit_path.read_text(encoding="utf-8"))
     try:
         fit_dict = _select_fit(doc, model, args.date)
-        fn = _curve_fn(model, fit_dict["param_hats"])
+        curve = curve_from_dict({**fit_dict["param_hats"], "family": model})
+        if isinstance(curve, SShapeParams) and not feasibility_margin(curve) > 0:
+            raise ParameterError("fit parameters are infeasible; curve undefined on the real line")
         xs = np.linspace(x_min, x_max, n_points)
-        f_bps = 1e4 * np.asarray(fn(xs))
-    except (ParameterError, ValueError, KeyError) as exc:
+        f_bps = 1e4 * _impact_f(curve, xs)
+    except (ParameterError, ValueError, KeyError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
@@ -559,7 +500,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ing.add_argument("--session-end", help="session close clock time (default 15:00)")
     p_ing.add_argument("--bar-seconds", type=int, help="bar width in seconds (default 60)")
     p_ing.add_argument("--tick-size", type=float, help="price tick for midpoint comparison (default 0.01)")
-    p_ing.add_argument("--jobs", type=int, help="parallel workers across files")
 
     p_sim = sub.add_parser("simulate", help="simulate a price/flow path or synthetic panel")
     common(p_sim)
@@ -571,7 +511,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("files", nargs="+", help="bar CSVs or day,bar,x,r panel CSVs")
     p_fit.add_argument("--model", choices=[*MODELS, "all"], help="model to fit (default all)")
     p_fit.add_argument("--pooled", action="store_true", help="also fit the pooled panel across days")
-    p_fit.add_argument("--jobs", type=int, help="parallel workers across days")
 
     p_cur = sub.add_parser("curves", help="sample a fitted impact curve to CSV")
     common(p_cur)

@@ -18,30 +18,29 @@ from __future__ import annotations
 
 import logging
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.special import log_ndtr
 
 from ._common import fmt
 from .impact import (
-    LinearParams,
     SqrtParams,
     SShapeParams,
     big_phi,
     f_sqrt,
     feasibility_margin,
+    log_feasibility_load,
     phi,
 )
-from .ingest import BAR_HEADER, MinuteBar, read_bars_csv
+from .ingest import BAR_HEADER, MinuteBar, ParseError, read_bars_csv
 from .sde import PANEL_HEADER, SyntheticPanel, read_panel_csv
 
 __all__ = [
     "EstimationError",
     "RegressionPanel",
+    "read_bar_days",
     "FitResult",
     "OUEstimate",
     "fit_ols",
@@ -65,6 +64,25 @@ DAILY_FIT_HEADER = [
 
 class EstimationError(ValueError):
     """Degenerate design or unusable input for an estimator."""
+
+
+def read_bar_days(path: str | Path) -> dict[str, list[MinuteBar]]:
+    """Bars by day from a bar CSV or a day,bar,x,r panel CSV, told apart by header.
+
+    Raises ParseError with the file and line 1 for any other header.
+    """
+    path = Path(path)
+    with path.open(encoding="utf-8") as fh:
+        first = fh.readline().strip()
+    if first == ",".join(BAR_HEADER):
+        return read_bars_csv(path)
+    if first == ",".join(PANEL_HEADER):
+        by_day: dict[str, list[MinuteBar]] = {}
+        for b in read_panel_csv(path):
+            by_day.setdefault(b.day, []).append(b)
+        return by_day
+    raise ParseError(f"{path}:1: unrecognized header {first!r}; expected "
+                     f"{','.join(BAR_HEADER)} or {','.join(PANEL_HEADER)}")
 
 
 @dataclass(frozen=True)
@@ -121,13 +139,8 @@ class RegressionPanel:
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "RegressionPanel":
-        """Load either a bar CSV or a day,bar,x,r panel CSV, sniffed by header."""
-        first = Path(path).open(encoding="utf-8").readline().strip()
-        if first == ",".join(BAR_HEADER):
-            return cls.from_bars(read_bars_csv(path))
-        if first == ",".join(PANEL_HEADER):
-            return cls.from_bars(read_panel_csv(path))
-        raise EstimationError(f"{path}: unrecognized header {first!r}")
+        """Load either a bar CSV or a day,bar,x,r panel CSV; see :func:`read_bar_days`."""
+        return cls.from_bars(read_bar_days(path))
 
 
 @dataclass(frozen=True)
@@ -147,16 +160,6 @@ class FitResult:
     converged: bool
     starts_tried: int = 1
     message: str = ""
-
-    def to_impact(self):
-        """Materialize the fitted curve as an impact parameter object."""
-        if self.model == "sshape":
-            return SShapeParams(self.param_hats["ell"], self.param_hats["p"], self.param_hats["q"])
-        if self.model == "linear":
-            return LinearParams(self.param_hats["alpha"])
-        if self.model == "sqrt":
-            return SqrtParams(self.param_hats["alpha"])
-        raise ValueError(f"unknown model {self.model!r}")
 
 
 def _selection_stats(r: np.ndarray, rss: float, n: int, k: int) -> tuple[float, float]:
@@ -219,12 +222,6 @@ def default_start_grid(flow_sd: float) -> list[tuple[float, float]]:
     ps = [-1e-2 / flow_sd * k for k in range(-3, 4)]
     qs = [1e-2 / flow_sd ** 2 * 10.0 ** j for j in range(-2, 3)]
     return [(p0, q0) for p0 in ps for q0 in qs]
-
-
-def _log_feasibility_load(p: float, q: float) -> float:
-    """log of K(p, q) = sqrt(2 pi / q) e^{p^2/(2q)} N(p/sqrt(q)); margin = 1 - ell K."""
-    b = p / math.sqrt(q)
-    return 0.5 * math.log(2.0 * math.pi / q) + 0.5 * b * b + float(log_ndtr(b))
 
 
 def _sshape_resid_jac(theta: np.ndarray, panel: RegressionPanel, margin_floor: float):
@@ -338,7 +335,6 @@ def fit_sshape(
     rss_rtol: float = 1e-12,
     grad_atol: float = 1e-10,
     margin_floor: float = 1e-6,
-    jobs: int = 1,
 ) -> FitResult:
     """Constrained multi-start nonlinear least squares for the S-shape curve.
 
@@ -369,17 +365,10 @@ def fit_sshape(
     for p0, q0 in starts:
         if q0 <= 0:
             raise EstimationError(f"grid q must be positive, got {q0}")
-        ln_ell = min(math.log(ell_lin), math.log(0.5) - _log_feasibility_load(p0, q0))
+        ln_ell = min(math.log(ell_lin), math.log(0.5) - log_feasibility_load(p0, q0))
         theta0s.append(np.array([a0, ln_ell, p0, math.log(q0)]))
 
-    def run(t0: np.ndarray) -> _StartOutcome | None:
-        return _run_lm(t0, panel, margin_floor, max_iter, rss_rtol, grad_atol)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(run, theta0s))
-    else:
-        outcomes = [run(t0) for t0 in theta0s]
+    outcomes = [_run_lm(t0, panel, margin_floor, max_iter, rss_rtol, grad_atol) for t0 in theta0s]
 
     usable = [o for o in outcomes if o is not None]
     if not usable:

@@ -25,8 +25,8 @@ covers ``q x^2`` vanishing relative to ``|p x|``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import asdict, dataclass
+from typing import Callable, ClassVar
 
 import numpy as np
 from scipy.special import erfcx, log_ndtr, ndtr
@@ -36,6 +36,8 @@ __all__ = [
     "SShapeParams",
     "LinearParams",
     "SqrtParams",
+    "curve_to_dict",
+    "curve_from_dict",
     "StructuralParams",
     "PQDecomposition",
     "phi",
@@ -46,6 +48,7 @@ __all__ = [
     "f_sqrt",
     "inflection_point",
     "feasibility_margin",
+    "log_feasibility_load",
     "linear_alpha_from_ps",
     "structural_to_pq",
     "sigma_p_squared",
@@ -58,6 +61,7 @@ __all__ = [
 ]
 
 _SQRT2 = math.sqrt(2.0)
+_LOG_2PI = math.log(2.0 * math.pi)
 _TAIL_Z = 6.0        # |p|/sqrt(q) beyond which the direct CDF difference degrades
 _TAIL_LOG = 300.0    # p^2/(2q) beyond which exp(p^2/2q) risks overflow
 _SMALLQ_REL = 1e-12  # q x^2 below this fraction of |p x| switches to the q->0 limit
@@ -83,6 +87,7 @@ class SShapeParams:
     the sign of :func:`feasibility_margin`.
     """
 
+    family: ClassVar[str] = "sshape"
     ell: float
     p: float
     q: float
@@ -98,6 +103,7 @@ class SShapeParams:
 class LinearParams:
     """Impact curve f(x) = alpha * x."""
 
+    family: ClassVar[str] = "linear"
     alpha: float
 
     def __post_init__(self) -> None:
@@ -109,11 +115,34 @@ class LinearParams:
 class SqrtParams:
     """Impact curve f(x) = alpha * sign(x) * sqrt(|x|)."""
 
+    family: ClassVar[str] = "sqrt"
     alpha: float
 
     def __post_init__(self) -> None:
         if not self.alpha > 0.0:
             raise ParameterError(f"alpha must be positive, got {self.alpha!r}")
+
+
+_FAMILIES = {cls.family: cls for cls in (SShapeParams, LinearParams, SqrtParams)}
+
+
+def curve_to_dict(params: SShapeParams | LinearParams | SqrtParams) -> dict:
+    """The curve's parameters plus its ``family`` name, as :func:`curve_from_dict` reads them."""
+    return {"family": params.family, **asdict(params)}
+
+
+def curve_from_dict(block: dict) -> SShapeParams | LinearParams | SqrtParams:
+    """Build a curve from its parameters and ``family`` name (default sshape).
+
+    Raises ParameterError for an unknown family; missing or extra parameter
+    names raise TypeError from the constructor.
+    """
+    fields = dict(block)
+    family = fields.pop("family", "sshape")
+    cls = _FAMILIES.get(family)
+    if cls is None:
+        raise ParameterError(f"impact family must be one of {', '.join(_FAMILIES)}, got {family!r}")
+    return cls(**fields)
 
 
 @dataclass(frozen=True)
@@ -289,7 +318,9 @@ def _ell_phi_direct(xv: np.ndarray, params: SShapeParams) -> np.ndarray | None:
 
 
 def _ell_phi_checked(xv: np.ndarray, params: SShapeParams) -> np.ndarray:
-    t = params.ell * big_phi(xv, params)
+    # ell * Phi may overflow to +inf; f_sshape and g_sshape take such points in log space.
+    with np.errstate(over="ignore"):
+        t = params.ell * big_phi(xv, params)
     bad = t <= -1.0
     if bad.any():
         xb = float(xv[bad][0])
@@ -371,21 +402,36 @@ def inflection_point(params: SShapeParams) -> float:
     return -params.p / params.q
 
 
+def log_feasibility_load(p: float, q: float) -> float:
+    """log K(p, q), K = sqrt(2 pi / q) exp(b^2 / 2) N(b) with b = p / sqrt(q).
+
+    The feasibility margin is 1 - ell * K. For b < 0, exp(b^2 / 2) N(b) is
+    taken as erfcx(-b / sqrt 2) / 2: the sum b^2 / 2 + log N(b) cancels
+    completely below about b = -1e8 and turns NaN once b^2 overflows. For
+    b >= 0 the sum does not cancel, and it overflows to +inf exactly when K does.
+    """
+    # A numpy p (the fitter's iterates) would warn where b * b overflows to the right +inf.
+    b = float(p) / math.sqrt(q)
+    if b < 0.0:
+        tail = 0.5 * float(erfcx(-b / _SQRT2))
+        if tail == 0.0:  # b overflowed to -inf, where K tends to 1 / |p|
+            return -math.log(-p)
+        log_tail = math.log(tail)
+    else:
+        log_tail = 0.5 * b * b + float(log_ndtr(b))
+    return 0.5 * (_LOG_2PI - math.log(q)) + log_tail
+
+
 def feasibility_margin(params: SShapeParams) -> float:
     """1 - ell * sqrt(2 pi / q) * exp(p^2 / 2q) * N(p / sqrt(q)).
 
     Positive iff 1 + ell * Phi(x) > 0 for every real x, i.e. iff f_sshape
-    is defined on the whole line. Evaluated through logs so p^2/(2q) in
-    the thousands cannot overflow the intermediate product; -inf is
-    returned when the subtracted term genuinely exceeds the float range.
+    is defined on the whole line. Evaluated through logs (see
+    :func:`log_feasibility_load`) so p^2/(2q) in the thousands cannot
+    overflow the intermediate product; -inf is returned when the
+    subtracted term genuinely exceeds the float range.
     """
-    b = params.p / math.sqrt(params.q)
-    log_term = (
-        math.log(params.ell)
-        + 0.5 * math.log(2.0 * math.pi / params.q)
-        + 0.5 * b * b
-        + float(log_ndtr(b))
-    )
+    log_term = math.log(params.ell) + log_feasibility_load(params.p, params.q)
     if log_term > _LOG_DBL_MAX:
         return -math.inf
     return 1.0 - math.exp(log_term)

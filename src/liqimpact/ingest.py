@@ -398,31 +398,3 @@ def read_bars_csv(path: str | Path) -> dict[str, list[MinuteBar]]:
             )
     return out
 
-
-def synthetic_ticks_from_bars(
-    day: str,
-    flows: Sequence[float],
-    session_start: time | str = "09:00",
-    bar_seconds: int = 60,
-    base_price: float = 100.0,
-    tick_size: float = DEFAULT_TICK_SIZE,
-) -> list[TickRecord]:
-    """Build a tick stream that reproduces the given per-bar flows exactly.
-
-    Inverse construction used by round-trip tests: each nonzero flow becomes a
-    wide straddling quote followed by one trade priced on the buy or sell side
-    of the midpoint, placed at the bar's opening second.
-    """
-    start = _as_time(session_start)
-    d = datetime.fromisoformat(day)
-    open_dt = datetime.combine(d.date(), start)
-    ticks: list[TickRecord] = []
-    bid, ask = base_price - 1.0, base_price + 1.0
-    ticks.append(TickRecord(open_dt - timedelta(seconds=1), "Q", bid=bid, ask=ask, bid_size=10.0, ask_size=10.0))
-    for k, x in enumerate(flows):
-        if x == 0.0:
-            continue
-        ts = open_dt + timedelta(seconds=k * bar_seconds)
-        price = ask if x > 0 else bid
-        ticks.append(TickRecord(ts, "T", price=price, size=abs(float(x))))
-    return ticks

@@ -46,9 +46,12 @@ from ._common import SCHEMA_VERSION, fmt
 from .impact import (
     LinearParams,
     ParameterError,
+    SqrtParams,
     SShapeParams,
     StructuralParams,
+    curve_to_dict,
     f_linear,
+    f_sqrt,
     f_sshape,
     feasibility_margin,
     g_sshape,
@@ -157,9 +160,11 @@ class PathSample:
     p: float
 
 
-def _impact_f(impact: SShapeParams | LinearParams, x: np.ndarray) -> np.ndarray:
+def _impact_f(impact: SShapeParams | LinearParams | SqrtParams, x: np.ndarray) -> np.ndarray:
     if isinstance(impact, SShapeParams):
         return np.asarray(f_sshape(x, impact))
+    if isinstance(impact, SqrtParams):
+        return np.asarray(f_sqrt(x, impact))
     return np.asarray(f_linear(x, impact))
 
 
@@ -171,12 +176,6 @@ def _impact_g_gprime(impact: SShapeParams | LinearParams, x: np.ndarray) -> tupl
         return g, gp
     g = np.full_like(x, impact.alpha, dtype=float)
     return g, np.zeros_like(g)
-
-
-def _impact_meta(impact: SShapeParams | LinearParams) -> dict:
-    d = asdict(impact)
-    d["family"] = "sshape" if isinstance(impact, SShapeParams) else "linear"
-    return d
 
 
 class SimPath:
@@ -208,7 +207,7 @@ class SimPath:
             "rng": {"algorithm": RNG_ALGORITHM, "seed": self.seed_used},
             "config": {
                 "structural": asdict(cfg.structural),
-                "impact": _impact_meta(cfg.impact),
+                "impact": curve_to_dict(cfg.impact),
                 "n_steps": cfg.n_steps,
                 "dt": cfg.dt,
                 "x0": cfg.x0,
@@ -346,7 +345,7 @@ class SyntheticPanel:
 
 def synth_regression_panel(
     a: float,
-    impact: SShapeParams | LinearParams,
+    impact: SShapeParams | LinearParams | SqrtParams,
     flow: OUParams,
     n_days: int,
     bars_per_day: int,
@@ -401,7 +400,7 @@ def synth_regression_panel(
             )
     truth = {
         "a": a,
-        "impact": _impact_meta(impact),
+        "impact": curve_to_dict(impact),
         "flow": asdict(flow),
         "n_days": n_days,
         "bars_per_day": bars_per_day,

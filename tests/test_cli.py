@@ -158,6 +158,35 @@ def test_simulate_bad_configs(tmp_path, capsys):
     assert main(["simulate", "--config", str(bad_mode), "--out-dir", str(tmp_path)]) == 1
     assert "mode" in capsys.readouterr().err
 
+    for mode in ("path", "panel"):
+        bad_family = write_config(tmp_path, {**SIM_CONFIG, "mode": mode,
+                                             "panel": {"flow": {"c": 0.1, "m": 5.0, "eta": 100.0}},
+                                             "impact": {"family": "cubic", "alpha": 1e-4}}, "family.json")
+        assert main(["simulate", "--config", str(bad_family), "--out-dir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "family" in err
+
+
+def test_simulate_square_root_family(tmp_path, capsys):
+    sqrt_impact = {"family": "sqrt", "alpha": 1e-4}
+    cfg = write_config(tmp_path, {
+        "mode": "panel", "seed": 9, "impact": sqrt_impact,
+        "panel": {"a": 0.0, "flow": {"c": 0.1, "m": 5.0, "eta": 100.0}, "n_days": 2, "bars_per_day": 20},
+    })
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg), "--out-dir", str(out)]) == 0
+    assert json.loads((out / "panel.meta.json").read_text())["truth"]["impact"] == sqrt_impact
+    with open(out / "panel.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    x0, x1 = float(rows[0]["x"]), float(rows[1]["x"])
+    root = lambda v: np.sign(v) * np.sqrt(abs(v))
+    assert float(rows[1]["r"]) == pytest.approx(1e-4 * (root(x1) - root(x0)), rel=1e-12)
+
+    # Path mode needs g and g', so it takes only the sshape and linear families.
+    path_cfg = write_config(tmp_path, {**SIM_CONFIG, "impact": sqrt_impact}, "path.json")
+    assert main(["simulate", "--config", str(path_cfg), "--out-dir", str(tmp_path / "path")]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
 
 # ---------------------------------------------------------------------------
 # fit and curves

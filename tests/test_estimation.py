@@ -1,11 +1,13 @@
 """Tests for panel assembly, curve fitting, and the flow-process estimator."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 from scipy.signal import lfilter
 
+from liqimpact.cli import main
 from liqimpact.estimation import (
     EstimationError,
     FitResult,
@@ -21,12 +23,13 @@ from liqimpact.estimation import (
 from liqimpact.impact import (
     LinearParams,
     SShapeParams,
+    curve_from_dict,
     f_linear,
     f_sqrt,
     f_sshape,
     feasibility_margin,
 )
-from liqimpact.ingest import MinuteBar, write_bars_csv
+from liqimpact.ingest import MinuteBar, ParseError, write_bars_csv
 from liqimpact.sde import OUParams, synth_regression_panel, write_panel_csv
 
 TRUTH = dict(a=1e-6, ell=1e-5, p=-3e-3, q=8e-5)
@@ -80,7 +83,7 @@ def test_from_bars_does_not_pair_across_days():
     assert set(panel.r.tolist()) == {1e-4, 2e-4}
 
 
-def test_from_csv_sniffs_bar_and_panel_layouts(tmp_path):
+def test_from_csv_sniffs_bar_and_panel_layouts(tmp_path, capsys):
     synth = synth_regression_panel(a=1e-6, impact=SShapeParams(1e-5, -3e-3, 8e-5),
                                    flow=FLOW, n_days=2, bars_per_day=30, seed=5)
     p_bar = tmp_path / "bars.csv"
@@ -92,6 +95,20 @@ def test_from_csv_sniffs_bar_and_panel_layouts(tmp_path):
     assert np.array_equal(a.x, b.x)
     assert np.array_equal(a.r, b.r)
     assert a.n == 2 * 29
+
+    # The fit command reads both layouts through the same reader and fits them alike.
+    for src in (p_bar, p_panel):
+        assert main(["fit", str(src), "--model", "linear", "--out-dir", str(tmp_path / src.stem)]) == 0
+    assert (tmp_path / "bars" / "bars.fits.csv").read_bytes() == \
+        (tmp_path / "panel" / "panel.fits.csv").read_bytes()
+    capsys.readouterr()
+
+    bad = tmp_path / "bad.csv"
+    bad.write_text("day,bar,flow,r\n0,0,1.0,\n", encoding="utf-8")
+    with pytest.raises(ParseError, match=re.escape(f"{bad}:1: unrecognized header")):
+        RegressionPanel.from_csv(bad)
+    assert main(["fit", str(bad), "--out-dir", str(tmp_path / "bad")]) == 1
+    assert f"error: {bad}:1: unrecognized header" in capsys.readouterr().err
 
 
 def test_panel_validation():
@@ -247,7 +264,7 @@ def test_fit_sshape_result_is_local_minimum():
 def test_fit_sshape_fitted_curve_is_feasible():
     panel = make_panel(n_days=5, bars_per_day=100, noise_sd=2e-4, seed=13)
     fit = fit_sshape(panel, scale_grid(panel))
-    assert feasibility_margin(fit.to_impact()) > 0.0
+    assert feasibility_margin(curve_from_dict({"family": fit.model, **fit.param_hats})) > 0.0
 
 
 def test_fit_sshape_degenerate_flow_raises():
@@ -264,14 +281,6 @@ def test_fit_sshape_more_noise_more_rss():
     hi = fit_sshape(make_panel(n_days=4, bars_per_day=90, noise_sd=1e-3, seed=17),
                     grid=[(-3e-3, 8e-5)])
     assert hi.rss > 10.0 * lo.rss
-
-
-def test_fit_sshape_jobs_matches_serial():
-    panel = make_panel(n_days=3, bars_per_day=60, noise_sd=2e-4, seed=19)
-    serial = fit_sshape(panel, scale_grid(panel), jobs=1)
-    parallel = fit_sshape(panel, scale_grid(panel), jobs=4)
-    assert serial.param_hats == parallel.param_hats
-    assert serial.rss == parallel.rss
 
 
 def test_near_linear_curve_matches_linear_slope():

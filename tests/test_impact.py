@@ -1,6 +1,7 @@
 """Tests for the closed-form impact curves and their supporting identities."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +21,8 @@ from liqimpact.impact import (
     StructuralParams,
     bernoulli_residual,
     big_phi,
+    curve_from_dict,
+    curve_to_dict,
     f_linear,
     f_sqrt,
     f_sshape,
@@ -27,6 +30,7 @@ from liqimpact.impact import (
     g_sshape,
     inflection_point,
     linear_alpha_from_ps,
+    log_feasibility_load,
     mu_p,
     phi,
     sigma_p_squared,
@@ -230,6 +234,34 @@ def test_feasibility_margin_no_overflow_far_tail():
     assert feasibility_margin(SShapeParams(ell=1e-6, p=p, q=q)) == -math.inf
 
 
+def test_feasibility_margin_far_negative_b():
+    # b = p / sqrt(q) far below -1e8, where K tends to 1 / |p| and the
+    # margin to 1 - ell / |p|; q = 1e-320 is subnormal.
+    for q in (1e-300, 1e-320):
+        assert feasibility_margin(SShapeParams(ell=1e-5, p=-0.01, q=q)) == pytest.approx(0.999, rel=1e-12)
+    # b itself overflows to -inf.
+    assert feasibility_margin(SShapeParams(ell=1e-5, p=-1e200, q=1e-300)) == 1.0
+
+
+def test_log_feasibility_load_matches_sum_form():
+    # Where b^2/2 + log N(b) does not cancel, both forms agree.
+    for q in (1e-8, 8.15e-5, 1.0, 1e4):
+        for b in np.linspace(-30.0, 30.0, 241):
+            old = 0.5 * math.log(2.0 * math.pi / q) + 0.5 * b * b + float(log_ndtr(b))
+            new = log_feasibility_load(b * math.sqrt(q), q)
+            assert abs(new - old) <= 1e-12 * max(1.0, abs(old)), (q, b)
+
+
+def test_curve_dict_round_trip():
+    for curve in (NK, LinearParams(alpha=2e-5), SqrtParams(alpha=1e-4)):
+        block = curve_to_dict(curve)
+        assert block["family"] == curve.family
+        assert curve_from_dict(block) == curve
+    assert curve_from_dict({"ell": NK.ell, "p": NK.p, "q": NK.q}) == NK  # sshape by default
+    with pytest.raises(ParameterError, match="family"):
+        curve_from_dict({"family": "cubic", "alpha": 1.0})
+
+
 def test_feasibility_margin_boundary():
     q = 8.15e-5
     p = -0.0034
@@ -347,6 +379,8 @@ def test_curve_stays_finite_where_ell_phi_overflows_in_the_direct_band():
     x = np.array([1.0, 3.0])
     with np.errstate(over="ignore"):
         assert not np.isfinite(params.ell * big_phi(3.0, params))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
         f = f_sshape(x, params)
         g = g_sshape(x, params)
     np.testing.assert_allclose(f, math.log(params.ell) + np.log(big_phi(x, params)), rtol=1e-12)

@@ -9,8 +9,10 @@ import pytest
 from liqimpact.impact import (
     LinearParams,
     ParameterError,
+    SqrtParams,
     SShapeParams,
     StructuralParams,
+    f_sqrt,
     f_sshape,
     g_sshape,
     sigma_p_squared,
@@ -383,6 +385,17 @@ def test_panel_shape_days_and_truth():
     assert bars[0].last_price == pytest.approx(100.0, rel=1e-12)
     ratio = bars[5].last_price / bars[4].last_price
     assert math.log(ratio) == pytest.approx(bars[5].log_return, rel=1e-9)
+
+
+def test_panel_with_square_root_impact():
+    imp = SqrtParams(alpha=1e-4)
+    panel = synth_regression_panel(a=1e-6, impact=imp, flow=OUParams(c=0.2, m=0.0, eta=50.0),
+                                   n_days=3, bars_per_day=20, noise_sd=0.0, seed=6)
+    assert panel.truth["impact"] == {"family": "sqrt", "alpha": 1e-4}
+    for bars in panel.by_day().values():
+        x = np.array([b.order_flow for b in bars])
+        r = np.array([b.log_return for b in bars[1:]])
+        assert np.array_equal(r, 1e-6 + f_sqrt(x[1:], imp) - f_sqrt(x[:-1], imp))
 
 
 def test_panel_day_open_draws_are_stationary():
