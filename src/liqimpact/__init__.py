@@ -7,8 +7,8 @@ The package is organized by pipeline stage:
   independent Runge-Kutta oracle for the defining Bernoulli equation.
 - :mod:`liqimpact.sde` -- coupled price/flow simulation and synthetic
   regression panels with recorded ground truth.
-- :mod:`liqimpact.ingest` -- tick-file parsing, trade signing, and
-  minute-bar construction.
+- :mod:`liqimpact.ingest` -- columnar tick-file parsing, trade signing,
+  and minute-bar construction.
 - :mod:`liqimpact.estimation` -- per-day and pooled curve fitting
   (OLS for the linear/sqrt curves, damped least squares for the S-shape)
   and the AR(1)-based flow-process estimator.
@@ -47,6 +47,7 @@ from .ingest import (
     MinuteBar,
     ParseError,
     TickRecord,
+    TickTable,
     build_bars,
     flow_descriptives,
     read_bars_csv,

@@ -116,6 +116,11 @@ def _stem(path: Path) -> str:
     return path.stem
 
 
+def _contract(path: Path) -> str:
+    """Contract name of a fits or bars file: es.bars.fits.csv, es.fits.csv and es.bars.csv give es."""
+    return _stem(path).removesuffix(".fits").removesuffix(".bars")
+
+
 # ---------------------------------------------------------------------------
 # ingest
 
@@ -411,11 +416,11 @@ def cmd_compare(args) -> int:
 
     bars_by_contract: dict[str, dict] = {}
     for f in bar_files:
-        bars_by_contract[_stem(f).removesuffix(".bars")] = read_bars_csv(f)
+        bars_by_contract[_contract(f)] = read_bars_csv(f)
 
     try:
         for f in fit_files:
-            contract = _stem(f).removesuffix(".fits")
+            contract = _contract(f)
             rows = read_daily_fits_csv(f)
             models_present = sorted({r["model"] for r in rows})
             series = {m: DailyMetricSeries.from_fit_rows(contract, m, rows) for m in models_present}

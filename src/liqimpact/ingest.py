@@ -7,6 +7,26 @@ seller-initiated, exactly at it unsigned).  Signed sizes are then summed into
 fixed-width intraday bars, producing per-bar order flow, the last traded price,
 and its log return.
 
+Ticks are held as columns: ``read_ticks`` returns a :class:`TickTable`, and
+``build_bars`` works on one with array operations, never a Python loop per
+tick.  ``build_bars`` also takes a plain sequence of :class:`TickRecord`,
+converted once by :meth:`TickTable.from_records`; a table has a length and
+iterates as ``TickRecord``.
+
+Rules a tick row must follow (breaking one raises ParseError with the file and
+physical line, or the record index for records):
+
+* the header is ``ts,kind,price,size,bid,ask,bid_size,ask_size``; cells may be
+  quoted (a quoted cell ends on its own line), and ``\\r\\n`` line endings and
+  blank lines are accepted;
+* timestamps are ISO 8601 and naive, read as exchange-local wall-clock time; a
+  timestamp with a UTC offset is rejected, even when every row has the same
+  offset;
+* every numeric cell that is present must be a finite number: ``nan`` and
+  ``inf`` are rejected in all six fields;
+* a trade (kind ``T``) needs price > 0 and size > 0; a quote (``Q``) needs a
+  bid and an ask with bid <= ask, and its sizes, when given, must be >= 0.
+
 Conventions the stream format leaves open, fixed here:
 
 * prices are normalized to integer multiples of a configured tick size before
@@ -28,15 +48,20 @@ import io
 import logging
 import math
 from dataclasses import dataclass
-from datetime import datetime, time, timedelta
+from datetime import date, datetime, time, timedelta
+from itertools import compress, repeat
+from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 from ._common import fmt
 
 __all__ = [
     "ParseError",
     "TickRecord",
+    "TickTable",
     "MinuteBar",
     "FlowDescriptives",
     "read_ticks",
@@ -53,6 +78,14 @@ TICK_HEADER = ["ts", "kind", "price", "size", "bid", "ask", "bid_size", "ask_siz
 BAR_HEADER = ["day", "bar", "order_flow", "last_price", "log_return", "open_bid_size", "open_ask_size"]
 
 DEFAULT_TICK_SIZE = 0.01
+
+_NUMERIC = tuple(TICK_HEADER[2:])
+_EPOCH = datetime(1970, 1, 1)
+_ONE_US = timedelta(microseconds=1)
+_US_PER_DAY = 86_400 * 10**6
+# Characters parsed per chunk, about 5,000 rows: whole-file splitting would
+# hold millions of cell strings at once.
+_CHUNK_CHARS = 1 << 18
 
 
 class ParseError(ValueError):
@@ -76,6 +109,124 @@ class TickRecord:
     bid_size: float | None = None
     ask_size: float | None = None
     lineno: int = 0
+
+
+def _nan_to_none(values: np.ndarray) -> list:
+    return np.where(np.isnan(values), None, values).tolist()
+
+
+def _as_datetime(us: int) -> datetime:
+    return _EPOCH + timedelta(microseconds=int(us))
+
+
+@dataclass(frozen=True, eq=False)
+class TickTable:
+    """Ticks as columns, one entry per tick in input order.
+
+    ``ts_us`` holds the naive timestamps as int64 microseconds since
+    1970-01-01; ``is_trade`` is False for quotes.  The six numeric columns are
+    float64, NaN where the cell is empty (present values are always finite).
+    ``lineno`` is the 1-based source line (0 when unknown) and ``source`` the
+    file the rows came from; both serve only error messages.
+    """
+
+    ts_us: np.ndarray
+    is_trade: np.ndarray
+    price: np.ndarray
+    size: np.ndarray
+    bid: np.ndarray
+    ask: np.ndarray
+    bid_size: np.ndarray
+    ask_size: np.ndarray
+    lineno: np.ndarray
+    source: str = ""
+
+    def __len__(self) -> int:
+        return self.ts_us.size
+
+    def __iter__(self) -> Iterator[TickRecord]:
+        return self._records(slice(None))
+
+    def __getitem__(self, i: int) -> TickRecord:
+        i = range(len(self))[i]
+        return next(self._records(slice(i, i + 1)))
+
+    def _records(self, rows: slice) -> Iterator[TickRecord]:
+        stamps = map(_as_datetime, self.ts_us[rows].tolist())
+        kinds = np.where(self.is_trade[rows], "T", "Q").tolist()
+        numbers = [_nan_to_none(c[rows]) for c in self.numbers()]
+        return map(TickRecord, stamps, kinds, *numbers, self.lineno[rows].tolist())
+
+    def numbers(self) -> tuple[np.ndarray, ...]:
+        """The six numeric columns, in header order."""
+        return self.price, self.size, self.bid, self.ask, self.bid_size, self.ask_size
+
+    def columns(self) -> tuple[np.ndarray, ...]:
+        """Every array field, in declaration order."""
+        return self.ts_us, self.is_trade, *self.numbers(), self.lineno
+
+    def where(self, i: int) -> str:
+        """Location of row ``i`` for messages: file and line, line, or record index."""
+        return _where(self.source, int(self.lineno[i]), i)
+
+    def validate(self) -> None:
+        """Raise ParseError at the first row that breaks a trade or quote rule."""
+        trade, quote = self.is_trade, ~self.is_trade
+        bid, ask = self.bid, self.ask
+        broken = (  # in the order the rules are checked on one row
+            trade & ~((self.price > 0) & (self.size > 0)),
+            quote & (np.isnan(bid) | np.isnan(ask)),
+            quote & (bid > ask),
+            quote & ((self.bid_size < 0) | (self.ask_size < 0)),
+        )
+        firsts = [int(np.argmax(rows)) if rows.any() else len(self) for rows in broken]
+        i = min(firsts)
+        if i == len(self):
+            return
+        messages = ("trade needs price > 0 and size > 0", "quote needs bid and ask",
+                    f"crossed quote bid {bid[i]} > ask {ask[i]}", "negative quote size")
+        raise ParseError(f"{self.where(i)}: {messages[firsts.index(i)]}")
+
+    @classmethod
+    def from_records(cls, records: Iterable[TickRecord]) -> TickTable:
+        """Columns from TickRecords, checked by the same rules as a tick file.
+
+        Locations in messages are ``line N`` for records with a line number
+        and ``record I`` (the position in ``records``) otherwise.
+        """
+        recs = list(records)
+        stop = next((i for i, rec in enumerate(recs) if _record_problem(rec)), len(recs))
+        kept = recs[:stop]
+        table = cls(
+            np.array([(r.timestamp - _EPOCH) // _ONE_US for r in kept], dtype=np.int64),
+            np.array([r.kind == "T" for r in kept], dtype=bool),
+            *(np.array([getattr(r, name) for r in kept], dtype=np.float64) for name in _NUMERIC),
+            np.array([r.lineno for r in kept], dtype=np.int64),
+        )
+        table.validate()
+        if stop < len(recs):
+            rec = recs[stop]
+            raise ParseError(f"{_where('', rec.lineno, stop)}: {_record_problem(rec)}")
+        return table
+
+
+def _record_problem(rec: TickRecord) -> str | None:
+    """What keeps one record out of the columns, if anything (the row rules of a file)."""
+    if rec.timestamp.tzinfo is not None:
+        return f"timestamp {rec.timestamp} has a UTC offset; tick times must be naive"
+    for name in _NUMERIC:
+        value = getattr(rec, name)
+        if value is not None and not math.isfinite(value):
+            return f"{name} must be finite, got {value!r}"
+    if rec.kind not in ("T", "Q"):
+        return f"kind must be T or Q, got {rec.kind!r}"
+    return None
+
+
+def _where(source: str, lineno: int, index: int) -> str:
+    if source:
+        return f"{source}:{lineno}"
+    return f"line {lineno}" if lineno else f"record {index}"
 
 
 @dataclass(frozen=True)
@@ -113,8 +264,8 @@ class FlowDescriptives:
     n_bars: int
 
 
-def _parse_float(cell: str, *, where: str) -> float | None:
-    if cell == "":
+def _parse_float(cell: str, *, where: str, required: bool = False) -> float | None:
+    if cell == "" and not required:
         return None
     try:
         return float(cell)
@@ -122,61 +273,178 @@ def _parse_float(cell: str, *, where: str) -> float | None:
         raise ParseError(f"{where}: bad number {cell!r}") from exc
 
 
-def read_ticks(path: str | Path) -> list[TickRecord]:
-    """Parse a tick CSV (plain or gzip, sniffed by magic bytes) into records.
+def _parse_int(cell: str, *, where: str) -> int:
+    try:
+        return int(cell)
+    except ValueError as exc:
+        raise ParseError(f"{where}: bad integer {cell!r}") from exc
 
-    Validates the header, the per-kind required fields, and the basic record
-    invariants (positive trade price/size, bid <= ask, non-negative quote
-    sizes).  Ordering is checked later by build_bars, which knows about days.
+
+# ---------------------------------------------------------------------------
+# tick files
+
+
+class _Malformed(Exception):
+    """A chunk holds a row the column parser cannot take; the row rules say which."""
+
+
+def _open_text(path: Path) -> io.TextIOBase:
+    with path.open("rb") as fh:
+        magic = fh.read(2)
+    if magic == b"\x1f\x8b":
+        return gzip.open(path, "rt", encoding="utf-8")
+    return path.open(encoding="utf-8")
+
+
+def _cells(line: str) -> list[str]:
+    return next(csv.reader([line])) if '"' in line else line.split(",")
+
+
+def _row_problem(cells: list[str]) -> str | None:
+    """What keeps one row out of the columns, if anything (checked in field order).
+
+    The column parser applies the same checks to whole chunks; this scalar
+    form only runs on a chunk the column parser refused, to name the row.
+    """
+    if len(cells) != len(TICK_HEADER):
+        return f"expected {len(TICK_HEADER)} fields, got {len(cells)}"
+    try:
+        ts = datetime.fromisoformat(cells[0])
+    except ValueError:
+        return f"bad timestamp {cells[0]!r}"
+    if ts.tzinfo is not None:
+        return f"timestamp {cells[0]!r} has a UTC offset; tick times must be naive"
+    for name, cell in zip(_NUMERIC, cells[2:]):
+        if cell:
+            try:
+                value = float(cell)
+            except ValueError:
+                return f"bad number {cell!r}"
+            if not math.isfinite(value):
+                return f"{name} must be finite, got {cell!r}"
+    if cells[1] not in ("T", "Q"):
+        return f"kind must be T or Q, got {cells[1]!r}"
+    return None
+
+
+def _float_column(cells: list[str], mine: list[bool], others: list[bool], mask: np.ndarray) -> np.ndarray:
+    """float64 column with NaN for empty cells; _Malformed on a bad or non-finite number.
+
+    A column filled on exactly the rows of its own kind (``mine``; ``mask`` is
+    the same as an array) is converted on that subset alone.
+    """
+    values = list(compress(cells, mine))
+    if "" in values or any(compress(cells, others)):
+        present = list(map(bool, cells))
+        values = list(compress(cells, present))
+        mask = np.array(present, dtype=bool)
+    try:
+        numbers = np.array(values, dtype=np.float64)
+    except ValueError:
+        raise _Malformed from None
+    if not np.isfinite(numbers).all():
+        raise _Malformed
+    out = np.full(len(cells), np.nan)
+    out[mask] = numbers
+    return out
+
+
+def _table(lines: list[str], lineno: np.ndarray, source: str) -> TickTable:
+    """Columns of non-blank data lines, checked; _Malformed if a row cannot be parsed."""
+    n = len(lines)
+    if not n:
+        return TickTable.from_records([])
+    text = ",".join(lines)
+    if '"' in text:
+        rows = [_cells(line) for line in lines]
+        if any(len(row) != len(TICK_HEADER) for row in rows):
+            raise _Malformed
+        cols = [list(col) for col in zip(*rows)]
+    else:
+        if list(map(str.count, lines, repeat(",", n))).count(len(TICK_HEADER) - 1) != n:
+            raise _Malformed
+        flat = text.split(",")
+        cols = [flat[k::len(TICK_HEADER)] for k in range(len(TICK_HEADER))]
+
+    stamps, kinds = cols[0], cols[1]
+    distinct = list(dict.fromkeys(stamps))  # each distinct timestamp string is parsed once
+    try:
+        parsed = list(map(datetime.fromisoformat, distinct))
+    except ValueError:
+        raise _Malformed from None
+    if any(map(attrgetter("tzinfo"), parsed)):
+        raise _Malformed
+    us = dict(zip(distinct, [(ts - _EPOCH) // _ONE_US for ts in parsed]))
+    if not {"T", "Q"}.issuperset(kinds):
+        raise _Malformed
+    trades = list(map("T".__eq__, kinds))
+    quotes = list(map("Q".__eq__, kinds))
+    is_trade = np.array(trades, dtype=bool)
+    of_trades = (trades, quotes, is_trade)    # price and size
+    of_quotes = (quotes, trades, ~is_trade)   # bid, ask and their sizes
+    table = TickTable(
+        np.fromiter(map(us.__getitem__, stamps), np.int64, n),
+        is_trade,
+        *(_float_column(c, *(of_trades if k < 2 else of_quotes)) for k, c in enumerate(cols[2:])),
+        lineno,
+        source=source,
+    )
+    table.validate()
+    return table
+
+
+def _parse_chunk(lines: list[str], first_lineno: int, source: str) -> TickTable:
+    lineno = np.arange(first_lineno, first_lineno + len(lines), dtype=np.int64)
+    if "" in lines:  # blank lines hold no tick but keep their line numbers
+        keep = [i for i, line in enumerate(lines) if line]
+        lines = [lines[i] for i in keep]
+        lineno = lineno[keep]
+    try:
+        return _table(lines, lineno, source)
+    except _Malformed:
+        pass
+    for i, line in enumerate(lines):
+        problem = _row_problem(_cells(line))
+        if problem:
+            _table(lines[:i], lineno[:i], source)  # a row before it may break a trade or quote rule
+            raise ParseError(f"{source}:{lineno[i]}: {problem}")
+    raise AssertionError("the column parser refused a chunk the row rules accept")
+
+
+def read_ticks(path: str | Path) -> TickTable:
+    """Parse a tick CSV (plain or gzip, sniffed by magic bytes) into a TickTable.
+
+    The file is read in chunks of whole lines; each chunk is split once and
+    converted column by column, and the first bad row of the file raises
+    ParseError with ``<path>:<line>``.  Ordering is checked later by
+    build_bars, which knows about days.
     """
     path = Path(path)
-    raw = path.open("rb")
-    magic = raw.read(2)
-    raw.seek(0)
-    if magic == b"\x1f\x8b":
-        stream: io.TextIOBase = io.TextIOWrapper(gzip.GzipFile(fileobj=raw), encoding="utf-8")
-    else:
-        stream = io.TextIOWrapper(raw, encoding="utf-8")
-
-    records: list[TickRecord] = []
-    with stream:
-        reader = csv.reader(stream)
-        header = next(reader, None)
-        if header != TICK_HEADER:
+    source = str(path)
+    chunks: list[TickTable] = []
+    with _open_text(path) as stream:
+        if _cells(stream.readline().rstrip("\n")) != TICK_HEADER:
             raise ParseError(f"{path}:1: expected header {','.join(TICK_HEADER)}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
+        first_lineno, rest = 2, ""
+        for block in iter(lambda: stream.read(_CHUNK_CHARS), ""):
+            text = rest + block
+            cut = text.rfind("\n")
+            if cut < 0:
+                rest = text
                 continue
-            where = f"{path}:{lineno}"
-            if len(row) != len(TICK_HEADER):
-                raise ParseError(f"{where}: expected {len(TICK_HEADER)} fields, got {len(row)}")
-            try:
-                ts = datetime.fromisoformat(row[0])
-            except ValueError as exc:
-                raise ParseError(f"{where}: bad timestamp {row[0]!r}") from exc
-            kind = row[1]
-            price = _parse_float(row[2], where=where)
-            size = _parse_float(row[3], where=where)
-            bid = _parse_float(row[4], where=where)
-            ask = _parse_float(row[5], where=where)
-            bid_size = _parse_float(row[6], where=where)
-            ask_size = _parse_float(row[7], where=where)
-            if kind == "T":
-                if price is None or size is None or price <= 0 or size <= 0:
-                    raise ParseError(f"{where}: trade needs price > 0 and size > 0")
-            elif kind == "Q":
-                if bid is None or ask is None:
-                    raise ParseError(f"{where}: quote needs bid and ask")
-                if bid > ask:
-                    raise ParseError(f"{where}: crossed quote bid {bid} > ask {ask}")
-                if (bid_size is not None and bid_size < 0) or (ask_size is not None and ask_size < 0):
-                    raise ParseError(f"{where}: negative quote size")
-            else:
-                raise ParseError(f"{where}: kind must be T or Q, got {kind!r}")
-            records.append(
-                TickRecord(ts, kind, price, size, bid, ask, bid_size, ask_size, lineno=lineno)
-            )
-    return records
+            rest = text[cut + 1:]
+            lines = text[:cut].split("\n")
+            chunks.append(_parse_chunk(lines, first_lineno, source))
+            first_lineno += len(lines)
+        if rest:
+            chunks.append(_parse_chunk([rest], first_lineno, source))
+    if not chunks:
+        return TickTable.from_records([])
+    return TickTable(*(np.concatenate(col) for col in zip(*(c.columns() for c in chunks))), source=source)
+
+
+# ---------------------------------------------------------------------------
+# signing and bars
 
 
 def sign_trade(
@@ -189,7 +457,8 @@ def sign_trade(
 
     The comparison runs on integer tick counts: 2*price vs bid+ask, so a trade
     exactly at the midpoint is unsigned without floating-point surprises.  A
-    missing quote side leaves the trade unsigned.
+    missing quote side leaves the trade unsigned.  ``build_bars`` applies the
+    same rule to whole columns.
     """
     if freshest_bid is None or freshest_ask is None:
         return 0
@@ -209,8 +478,34 @@ def _as_time(value: time | str) -> time:
     return value if isinstance(value, time) else time.fromisoformat(value)
 
 
+def _session(session_start: time | str, session_end: time | str, bar_seconds: int) -> tuple[int, int, int]:
+    """(session open as microseconds into the day, bar width in microseconds, bars per session)."""
+    start = _as_time(session_start)
+    end = _as_time(session_end)
+    if start.tzinfo is not None or end.tzinfo is not None:
+        raise ValueError("session times must be naive, like tick timestamps")
+    if bar_seconds <= 0:
+        raise ValueError("bar_seconds must be positive")
+    total_seconds = (end.hour - start.hour) * 3600 + (end.minute - start.minute) * 60 + end.second - start.second
+    if total_seconds <= 0:
+        raise ValueError("session_end must be after session_start")
+    if total_seconds % bar_seconds:
+        raise ValueError(f"bar width {bar_seconds}s does not divide the {total_seconds:.0f}s session")
+    open_us = ((start.hour * 60 + start.minute) * 60 + start.second) * 10**6 + start.microsecond
+    return open_us, int(bar_seconds * 10**6), int(total_seconds // bar_seconds)
+
+
+def _day_bars(day: str, flow, last, signed, unsigned, open_bid, open_ask) -> list[MinuteBar]:
+    last = _nan_to_none(last)
+    returns = [None] + [math.log(b) - math.log(a) if a is not None and b is not None else None
+                        for a, b in zip(last, last[1:])]
+    return [MinuteBar(day, k, *fields) for k, fields in enumerate(zip(
+        flow.tolist(), last, returns, signed.tolist(), unsigned.tolist(),
+        _nan_to_none(open_bid), _nan_to_none(open_ask)))]
+
+
 def build_bars(
-    ticks: Sequence[TickRecord],
+    ticks: TickTable | Sequence[TickRecord],
     session_start: time | str = "09:00",
     session_end: time | str = "15:00",
     bar_seconds: int = 60,
@@ -218,102 +513,92 @@ def build_bars(
 ) -> dict[str, list[MinuteBar]]:
     """Aggregate an ordered tick stream into per-day bar sequences.
 
-    One ordered pass per day: quotes update the freshest-quote state, trades in
-    session hours are signed against it and summed into the bar their timestamp
-    falls in.  Timestamps running backwards within a day raise ParseError with
-    the offending line.  A day whose ticks contain no in-session trade is
-    emitted as an empty list with a warning.
+    Quotes set the freshest-quote state, and trades in session hours are
+    signed against it and summed into the bar their timestamp falls in, all
+    as array operations over the whole stream.  Timestamps running backwards
+    within a day raise ParseError with the offending row's location.  A day
+    whose ticks contain no in-session trade is emitted as an empty list with a
+    warning.
 
     Returns a dict keyed by ISO day string, in order of first appearance.
     """
-    start = _as_time(session_start)
-    end = _as_time(session_end)
-    if bar_seconds <= 0:
-        raise ValueError("bar_seconds must be positive")
-    day0 = datetime(2000, 1, 3)
-    session_len = (day0.replace(hour=end.hour, minute=end.minute, second=end.second)
-                   - day0.replace(hour=start.hour, minute=start.minute, second=start.second))
-    total_seconds = session_len.total_seconds()
-    if total_seconds <= 0:
-        raise ValueError("session_end must be after session_start")
-    if total_seconds % bar_seconds:
-        raise ValueError(f"bar width {bar_seconds}s does not divide the {total_seconds:.0f}s session")
-    n_bars = int(total_seconds) // bar_seconds
+    open_us, bar_us, n_bars = _session(session_start, session_end, bar_seconds)
+    if not (math.isfinite(tick_size) and tick_size > 0):
+        raise ValueError("tick_size must be a positive number")
+    t = ticks if isinstance(ticks, TickTable) else TickTable.from_records(ticks)
+    if not len(t):
+        return {}
 
-    by_day: dict[str, list[TickRecord]] = {}
-    for rec in ticks:
-        by_day.setdefault(rec.timestamp.date().isoformat(), []).append(rec)
+    # Days in order of first appearance; the stable sort keeps input order inside each day.
+    days, first, inverse = np.unique(t.ts_us // _US_PER_DAY, return_index=True, return_inverse=True)
+    by_first = np.argsort(first)
+    days = days[by_first]
+    rank = np.empty_like(by_first)
+    rank[by_first] = np.arange(days.size)
+    d = rank[inverse]
+    order = np.argsort(d, kind="stable")
+    d = d[order]
+    ts = t.ts_us[order]
+    back = np.flatnonzero((d[1:] == d[:-1]) & (ts[1:] < ts[:-1]))
+    if back.size:
+        j = back[0] + 1
+        raise ParseError(f"{t.where(order[j])}: timestamp {_as_datetime(ts[j])} precedes "
+                         f"{_as_datetime(ts[j - 1])}")
+    day_first = np.searchsorted(d, np.arange(days.size))
+    tod = ts - days[d] * _US_PER_DAY
 
+    # Freshest quote at or before each row, in file order, forgotten at day boundaries.
+    trade = t.is_trade[order]
+    quote = np.maximum.accumulate(np.where(trade, -1, np.arange(ts.size)))
+    quote[quote < day_first[d]] = -1
+
+    since_open = tod - open_us
+    live = np.flatnonzero(trade & (since_open >= 0) & (since_open < n_bars * bar_us))
+    slot = d[live] * n_bars + since_open[live] // bar_us  # bar over all days; never decreases
+    rows = order[live]
+    q = quote[live]
+    quoted = q >= 0
+    quote_rows = order[q[quoted]]
+    # sign_trade on whole columns: tick counts rounded half to even, exact below 2**53.
+    sign = np.zeros(live.size)
+    sign[quoted] = np.sign(2 * np.rint(t.price[rows[quoted]] / tick_size)
+                           - (np.rint(t.bid[quote_rows] / tick_size) + np.rint(t.ask[quote_rows] / tick_size)))
+
+    slots = days.size * n_bars
+    signed = sign != 0
+    flow = np.bincount(slot[signed], weights=sign[signed] * t.size[rows[signed]], minlength=slots)
+    flow = flow.astype(np.float64, copy=False)  # bincount of no weights is int64
+    n_signed = np.bincount(slot[signed], minlength=slots)
+    n_unsigned = np.bincount(slot[~signed], minlength=slots)
+    ends = np.ones(live.size, dtype=bool)  # the last trade of each bar
+    ends[:-1] = slot[1:] != slot[:-1]
+    close = np.full(slots, np.nan)
+    close[slot[ends]] = t.price[rows[ends]]
+    close = close.reshape(days.size, n_bars)
+    seen = np.where(np.isnan(close), -1, np.arange(n_bars))
+    np.maximum.accumulate(seen, axis=1, out=seen)
+    last = np.where(seen >= 0, np.take_along_axis(close, np.maximum(seen, 0), axis=1), np.nan)
+
+    # Quote state strictly before each bar opens: the rows stamped earlier are a prefix of the day.
+    # Keys are day rank * stride + time of day; two days' width keeps every bar open inside its day.
+    stride = 2 * _US_PER_DAY
+    bar_open = (np.arange(days.size)[:, None] * stride + open_us + np.arange(n_bars) * bar_us).ravel()
+    before = np.searchsorted(d * stride + tod, bar_open)
+    snap = np.where(before > np.repeat(day_first, n_bars), quote[before - 1], -1)
+    snap_rows = order[np.maximum(snap, 0)]
+    open_bid = np.where(snap >= 0, t.bid_size[snap_rows], np.nan).reshape(days.size, n_bars)
+    open_ask = np.where(snap >= 0, t.ask_size[snap_rows], np.nan).reshape(days.size, n_bars)
+
+    trades_per_day = np.bincount(d[live], minlength=days.size)
+    flow, n_signed, n_unsigned = (a.reshape(days.size, n_bars) for a in (flow, n_signed, n_unsigned))
     out: dict[str, list[MinuteBar]] = {}
-    for day, day_ticks in by_day.items():
-        open_dt = datetime.combine(day_ticks[0].timestamp.date(), start)
-        close_dt = open_dt + timedelta(seconds=total_seconds)
-
-        flow = [0.0] * n_bars
-        signed = [0] * n_bars
-        unsigned = [0] * n_bars
-        bar_price: list[float | None] = [None] * n_bars
-        opens: list[tuple[float | None, float | None]] = []
-
-        bid = ask = bid_size = ask_size = None
-        prev_ts: datetime | None = None
-        any_trade = False
-
-        for i, rec in enumerate(day_ticks):
-            if prev_ts is not None and rec.timestamp < prev_ts:
-                where = f"line {rec.lineno}" if rec.lineno else f"record {i}"
-                raise ParseError(f"{day} {where}: timestamp {rec.timestamp} precedes {prev_ts}")
-            prev_ts = rec.timestamp
-            # Snapshot bar-open quote state for every boundary passed or reached.
-            while len(opens) < n_bars and rec.timestamp >= open_dt + timedelta(seconds=len(opens) * bar_seconds):
-                opens.append((bid_size, ask_size))
-            if rec.kind == "Q":
-                bid, ask = rec.bid, rec.ask
-                bid_size, ask_size = rec.bid_size, rec.ask_size
-                continue
-            if not (open_dt <= rec.timestamp < close_dt):
-                continue
-            any_trade = True
-            k = int((rec.timestamp - open_dt).total_seconds()) // bar_seconds
-            sign = sign_trade(rec.price, bid, ask, tick_size)
-            if sign:
-                flow[k] += sign * rec.size
-                signed[k] += 1
-            else:
-                unsigned[k] += 1
-            bar_price[k] = rec.price
-
-        if not any_trade:
+    for r, day_number in enumerate(days.tolist()):
+        day = date.fromordinal(_EPOCH.toordinal() + day_number).isoformat()
+        if not trades_per_day[r]:
             logger.warning("day %s has no in-session trades; emitting empty day", day)
             out[day] = []
             continue
-
-        while len(opens) < n_bars:
-            opens.append((bid_size, ask_size))
-
-        bars: list[MinuteBar] = []
-        last: float | None = None
-        for k in range(n_bars):
-            prev_last = last
-            if bar_price[k] is not None:
-                last = bar_price[k]
-            lr = None
-            if k > 0 and last is not None and prev_last is not None:
-                lr = math.log(last) - math.log(prev_last)
-            bars.append(
-                MinuteBar(
-                    day=day,
-                    bar_index=k,
-                    order_flow=flow[k],
-                    last_price=last,
-                    log_return=lr,
-                    signed_count=signed[k],
-                    unsigned_count=unsigned[k],
-                    open_bid_size=opens[k][0],
-                    open_ask_size=opens[k][1],
-                )
-            )
-        out[day] = bars
+        out[day] = _day_bars(day, flow[r], last[r], n_signed[r], n_unsigned[r], open_bid[r], open_ask[r])
     return out
 
 
@@ -388,8 +673,8 @@ def read_bars_csv(path: str | Path) -> dict[str, list[MinuteBar]]:
             out.setdefault(row[0], []).append(
                 MinuteBar(
                     day=row[0],
-                    bar_index=int(row[1]),
-                    order_flow=float(row[2]),
+                    bar_index=_parse_int(row[1], where=where),
+                    order_flow=_parse_float(row[2], where=where, required=True),
                     last_price=_parse_float(row[3], where=where),
                     log_return=_parse_float(row[4], where=where),
                     open_bid_size=_parse_float(row[5], where=where),

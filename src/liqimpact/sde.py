@@ -56,7 +56,7 @@ from .impact import (
     feasibility_margin,
     g_sshape,
 )
-from .ingest import MinuteBar
+from .ingest import MinuteBar, ParseError, _parse_float, _parse_int
 
 __all__ = [
     "RNG_ALGORITHM",
@@ -421,7 +421,10 @@ def write_panel_csv(bars: list[MinuteBar], dest: str | Path) -> None:
 
 
 def read_panel_csv(path: str | Path) -> list[MinuteBar]:
-    """Read a day,bar,x,r panel back as MinuteBar records (no price fields)."""
+    """Read a day,bar,x,r panel back as MinuteBar records (no price fields).
+
+    A bad header, row length or number raises ParseError with the file and line.
+    """
     import csv
 
     path = Path(path)
@@ -430,17 +433,20 @@ def read_panel_csv(path: str | Path) -> list[MinuteBar]:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != PANEL_HEADER:
-            raise ValueError(f"{path}:1: expected header {','.join(PANEL_HEADER)}")
-        for row in reader:
+            raise ParseError(f"{path}:1: expected header {','.join(PANEL_HEADER)}")
+        for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
+            where = f"{path}:{lineno}"
+            if len(row) != len(PANEL_HEADER):
+                raise ParseError(f"{where}: expected {len(PANEL_HEADER)} fields")
             bars.append(
                 MinuteBar(
                     day=row[0],
-                    bar_index=int(row[1]),
-                    order_flow=float(row[2]),
+                    bar_index=_parse_int(row[1], where=where),
+                    order_flow=_parse_float(row[2], where=where, required=True),
                     last_price=None,
-                    log_return=float(row[3]) if row[3] != "" else None,
+                    log_return=_parse_float(row[3], where=where),
                 )
             )
     return bars

@@ -390,6 +390,49 @@ def test_compare_end_to_end(tmp_path, capsys):
         assert (out / name).read_bytes() == before[name]
 
 
+def _model_ticks(path, n_days=2, bars=240):
+    """A tick file whose bars reproduce a synthetic S-shape panel.
+
+    Each bar holds one quote and one trade of size |x| at the panel price:
+    a buy prints at the ask and a sell at the bid, two ticks (of 1e-6) away
+    from the other side.
+    """
+    panel = synth_regression_panel(a=1e-6, impact=SShapeParams(1.3e-5, -0.0034, 8.15e-5),
+                                   flow=OUParams(c=0.1, m=5.0, eta=100.0), n_days=n_days,
+                                   bars_per_day=bars, noise_sd=5e-4, seed=8)
+    lines = ["ts,kind,price,size,bid,ask,bid_size,ask_size"]
+    for d, day_bars in enumerate(panel.by_day().values()):
+        for b in day_bars:
+            stamp = f"2024-05-{6 + d:02d} {9 + b.bar_index // 60:02d}:{b.bar_index % 60:02d}"
+            price, size = b.last_price, abs(b.order_flow)
+            bid, ask = (price - 2e-6, price) if b.order_flow > 0 else (price, price + 2e-6)
+            lines.append(f"{stamp}:10,Q,,,{bid!r},{ask!r},{10 + d},{20 + d}")
+            lines.append(f"{stamp}:20,T,{price!r},{size!r},,,,")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def test_ingest_fit_compare_with_default_names(tmp_path, capsys):
+    """compare files es.bars.fits.csv and es.bars.csv, as ingest and fit name
+    them, under one contract, so the depth report gets its quote sizes."""
+    _model_ticks(tmp_path / "es.csv")
+    bars, fits, reports = (tmp_path / d for d in ("bars", "fits", "reports"))
+    assert main(["ingest", str(tmp_path / "es.csv"), "--out-dir", str(bars), "--session-end", "13:00",
+                 "--tick-size", "1e-6"]) == 0
+    assert main(["fit", str(bars / "es.bars.csv"), "--model", "sshape", "--out-dir", str(fits),
+                 "--config", str(write_config(tmp_path, {"grid": [[-3e-3, 8e-5]]}))]) == 0
+    assert main(["compare", "--fits", str(fits / "es.bars.fits.csv"), "--bars", str(bars / "es.bars.csv"),
+                 "--out-dir", str(reports)]) == 0
+    assert "0.0% unsigned" in capsys.readouterr().out
+
+    with open(reports / "depth.csv", newline="") as fh:
+        depth = list(csv.DictReader(fh))
+    assert [(r["contract"], r["series"]) for r in depth] == [
+        ("es", "inflection"), ("es", "bid_size"), ("es", "ask_size")]
+    assert depth[0]["days_included"] == "2"
+    assert [float(depth[1]["mean"]), float(depth[2]["mean"])] == [10.5, 20.5]
+    assert list(json.loads((reports / "report.json").read_text())["contracts"]) == ["es"]
+
+
 def test_compare_single_model_no_ttests(tmp_path):
     days = [f"2024-02-{i:02d}" for i in range(1, 4)]
     rows = [(d, make_fit("sshape")) for d in days]

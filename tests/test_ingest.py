@@ -3,18 +3,25 @@
 import gzip
 import logging
 import math
-from datetime import datetime
+import tempfile
+from datetime import datetime, time, timedelta, timezone
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ingest_oracle import loop_build_bars, loop_read_ticks
+from liqimpact import ingest
 from liqimpact.ingest import (
     BAR_HEADER,
     MinuteBar,
     ParseError,
     TICK_HEADER,
     TickRecord,
+    TickTable,
     build_bars,
     flow_descriptives,
     read_bars_csv,
@@ -22,6 +29,7 @@ from liqimpact.ingest import (
     sign_trade,
     write_bars_csv,
 )
+from liqimpact.sde import read_panel_csv
 
 DATA = Path(__file__).parent / "data"
 
@@ -236,6 +244,10 @@ def test_bar_width_must_divide_session():
         build_bars(ticks, session_start="09:00", session_end="09:05", bar_seconds=90)
     with pytest.raises(ValueError):
         build_bars(ticks, session_start="10:00", session_end="09:00", bar_seconds=60)
+    with pytest.raises(ValueError, match="naive"):
+        build_bars(ticks, session_start="09:00+01:00", session_end="10:00", bar_seconds=60)
+    with pytest.raises(ValueError, match="tick_size"):
+        build_bars(ticks, session_start="09:00", session_end="09:05", tick_size=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +276,11 @@ def test_read_ticks_gzip(tmp_path):
     raw = (DATA / "golden_ticks.csv").read_bytes()
     gz = tmp_path / "ticks.csv.gz"
     gz.write_bytes(gzip.compress(raw))
-    assert read_ticks(gz) == read_ticks(DATA / "golden_ticks.csv")
+    zipped, plain = read_ticks(gz), read_ticks(DATA / "golden_ticks.csv")
+    assert len(zipped) == len(plain) == 20
+    for a, b in zip(zipped.columns(), plain.columns()):
+        assert a.dtype == b.dtype
+        np.testing.assert_array_equal(a, b)
 
 
 def test_read_ticks_error_carries_location(tmp_path):
@@ -336,3 +352,271 @@ def test_flow_descriptives_accepts_day_dict():
     assert desc.sd_flow == pytest.approx(np.std(flows, ddof=1), rel=1e-14)
     assert desc.daily_positive == {"2024-03-15": 15.0}
     assert desc.daily_negative == {"2024-03-15": 1.0}
+
+
+# ---------------------------------------------------------------------------
+# columnar ingest against the per-row loops of ingest_oracle
+
+DAY0 = datetime(2024, 5, 6)
+OPEN_US = 9 * 3600 * 10**6
+SESSION = ("09:00", "09:05")
+# Bar opens (09:00 through the 09:05 close and past it), the last microsecond
+# of the session and a pre-open second: the instants the conventions turn on.
+EDGE_US = [OPEN_US + k * 60 * 10**6 for k in range(7)] + [OPEN_US + 300 * 10**6 - 1, OPEN_US - 10**6]
+SPAN = (OPEN_US - 120 * 10**6, OPEN_US + 420 * 10**6)
+
+offsets_us = st.one_of(
+    st.sampled_from(EDGE_US),
+    st.integers(*SPAN).map(lambda us: us - us % 10**6),  # whole seconds, so seconds repeat
+    st.integers(*SPAN),                                  # fractional seconds
+)
+quote_sizes = st.one_of(st.none(), st.integers(0, 99).map(float))
+quote_events = st.builds(
+    lambda bid, spread, bid_size, ask_size: dict(kind="Q", bid=round(0.01 * bid, 2),
+                                                 ask=round(0.01 * (bid + spread), 2),
+                                                 bid_size=bid_size, ask_size=ask_size),
+    st.integers(9990, 10010), st.integers(0, 3), quote_sizes, quote_sizes)
+trade_events = st.builds(
+    lambda price, size: dict(kind="T", price=price, size=size),
+    st.one_of(st.integers(9988, 10012).map(lambda k: round(0.01 * k, 2)),
+              st.integers(19976, 20024).map(lambda k: k * 0.005)),  # half ticks: midpoint trades
+    st.one_of(st.integers(1, 30).map(float), st.sampled_from([0.5, 2.25])))
+
+
+@st.composite
+def tick_streams(draw):
+    """TickRecords over one to three days, each day ordered, the days interleaved.
+
+    Interleaving makes a day reappear later in the stream; a day may hold no
+    in-session trade at all.
+    """
+    day_numbers = draw(st.lists(st.integers(0, 6), min_size=1, max_size=3, unique=True))
+    days = []
+    for n in day_numbers:
+        events = draw(st.lists(st.tuples(offsets_us, st.one_of(quote_events, trade_events)), max_size=25))
+        events.sort(key=lambda e: e[0])  # stable: equal stamps keep their drawn order
+        days.append([TickRecord(DAY0 + timedelta(days=n, microseconds=us), **ev) for us, ev in events])
+    order = draw(st.permutations([i for i, day in enumerate(days) for _ in day]))
+    streams = [iter(day) for day in days]
+    return [next(streams[i]) for i in order]
+
+
+bar_widths = st.sampled_from([30, 60, 100, 300])
+
+
+def _write_records(path, records, sep=" "):
+    cell = lambda v: "" if v is None else repr(v)
+    lines = [",".join(TICK_HEADER)]
+    for r in records:
+        lines.append(",".join([r.timestamp.isoformat(sep=sep), r.kind,
+                               *(cell(getattr(r, name)) for name in TICK_HEADER[2:])]))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+@settings(max_examples=200, deadline=None)
+@given(tick_streams(), bar_widths)
+def test_columnar_bars_equal_the_loop(stream, bar_seconds):
+    new = build_bars(stream, *SESSION, bar_seconds)
+    old = loop_build_bars(stream, *SESSION, bar_seconds)
+    assert list(new) == list(old)
+    assert repr(new) == repr(old)  # field for field, float reprs (and signs of zero) included
+
+
+@settings(max_examples=100, deadline=None)
+@given(tick_streams())
+def test_bar_flow_sums_to_signed_in_session_size(stream):
+    quotes: dict = {}
+    expected = 0.0
+    for r in stream:
+        if r.kind == "Q":
+            quotes[r.timestamp.date()] = (r.bid, r.ask)
+        elif time(9) <= r.timestamp.time() < time(9, 5):
+            expected += sign_trade(r.price, *quotes.get(r.timestamp.date(), (None, None))) * r.size
+    days = build_bars(stream, *SESSION)
+    # sizes are multiples of 1/4, so every partial sum is exact
+    assert sum(b.order_flow for bars in days.values() for b in bars) == expected
+
+
+@settings(max_examples=50, deadline=None)
+@given(tick_streams(), st.sampled_from([" ", "T"]))
+def test_records_and_their_csv_give_identical_bars(stream, sep):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "ticks.csv"
+        _write_records(path, stream, sep)
+        table = read_ticks(path)
+    from_records = TickTable.from_records(stream)
+    for a, b in zip(table.columns()[:-1], from_records.columns()[:-1]):  # all but the line numbers
+        np.testing.assert_array_equal(a, b)
+    assert table.lineno.tolist() == list(range(2, len(stream) + 2))
+    assert repr(build_bars(table, *SESSION)) == repr(build_bars(stream, *SESSION))
+
+
+# Whole rows that break one rule each, and valid rows that take a slower path.
+ROW_VARIANTS = [
+    "2024-05-06 09:00:01,T,nan,1,,,,",
+    "2024-05-06 09:00:01,T,100.0,inf,,,,",
+    "2024-05-06 09:00:01,Q,,,NaN,100.0,1,1",
+    "2024-05-06 09:00:01,Q,,,99.0,100.0,-inf,1",
+    "2024-05-06 09:00:01,T,100.0,1,-Infinity,,,",
+    "2024-05-06T09:00:01+00:00,T,100.0,1,,,,",
+    "2024-05-06 09:00:01,X,100.0,1,,,,",
+    "2024-05-06 09:00:01,T,abc,1,,,,",
+    "2024-05-06 09:00:01,T,100.0,1,,,",
+    "2024-05-06 09:00:01,T,100.0,1,,,,,",
+    " ",
+    "2024-05-06 09:00:01,T,,1,,,,",
+    "2024-05-06 09:00:01,T,100.0,0,,,,",
+    "2024-05-06 09:00:01,Q,,,100.02,100.0,1,1",
+    "2024-05-06 09:00:01,Q,,,100.0,,1,1",
+    "2024-05-06 09:00:01,Q,,,100.0,100.02,-1,1",
+    "not-a-time,T,100.0,1,,,,",
+    '"2024-05-06 09:00:01","T","99.98","3",,,,',
+    '2024-05-06 09:00:01,Q,,,"99,98",100.02,1,1',
+    "2024-05-06 09:00:01,T,100.0,1,99.0,,,",
+    "2024-05-06 09:00:01,Q,,,99.98,100.02,,",
+    "2024-05-06 09:00:01,Q,1.5,,99.98,100.02,1,1",
+    "2024-05-06 09:00:01.250000,T,100.0,1,,,,",
+    "",
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(tick_streams(),
+       st.lists(st.tuples(st.integers(0, 60), st.sampled_from(ROW_VARIANTS)), max_size=4),
+       st.sampled_from(["\n", "\r\n"]), st.booleans(), st.sampled_from([16, 100, ingest._CHUNK_CHARS]))
+def test_read_ticks_matches_the_row_reader(stream, variants, eol, zipped, chunk_chars):
+    """Same records, or the same first ParseError with the same file and line,
+    whatever the chunk size, line endings or compression."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "ticks.csv"
+        _write_records(path, stream)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        for at, row in variants:
+            lines.insert(1 + at % len(lines), row)
+        data = eol.join(lines).encode() + eol.encode()
+        path.write_bytes(gzip.compress(data) if zipped else data)
+        try:
+            expected = loop_read_ticks(path)
+        except ParseError as exc:
+            expected = exc
+        with mock.patch.object(ingest, "_CHUNK_CHARS", chunk_chars):
+            if isinstance(expected, ParseError):
+                with pytest.raises(ParseError) as got:
+                    read_ticks(path)
+                assert str(got.value) == str(expected)
+            else:
+                assert list(read_ticks(path)) == expected
+
+
+# ---------------------------------------------------------------------------
+# tick rules: non-finite values, time zones, and the cells the reader accepts
+
+
+@pytest.mark.parametrize("row, hint", [
+    ("2024-05-06 09:00:05,T,nan,3.0,,,,", "price must be finite"),
+    ("2024-05-06 09:00:05,T,inf,3.0,,,,", "price must be finite"),
+    ("2024-05-06 09:00:05,T,100.0,-inf,,,,", "size must be finite"),
+    ("2024-05-06 09:00:05,Q,,,nan,100.01,1.0,1.0", "bid must be finite"),
+    ("2024-05-06 09:00:05,Q,,,99.99,100.01,1.0,NaN", "ask_size must be finite"),
+    ("2024-05-06 09:00:05+00:00,T,100.0,3.0,,,,", "UTC offset"),
+    ("2024-05-06T09:00:05-05:00,T,100.0,3.0,,,,", "UTC offset"),
+])
+def test_read_ticks_rejects_non_finite_and_offsets(tmp_path, row, hint):
+    path = _write_tick_file(tmp_path, ["2024-05-06 09:00:00,Q,,,99.99,100.01,10.0,12.0", row])
+    with pytest.raises(ParseError, match=rf"ticks\.csv:3: .*{hint}"):
+        read_ticks(path)
+
+
+def test_read_ticks_rejects_a_file_all_in_one_offset(tmp_path):
+    path = _write_tick_file(tmp_path, [
+        "2024-05-06 09:00:00+02:00,Q,,,99.99,100.01,10.0,12.0",
+        "2024-05-06 09:00:05+02:00,T,100.01,3.0,,,,",
+    ])
+    with pytest.raises(ParseError, match=r"ticks\.csv:2: .*UTC offset"):
+        read_ticks(path)
+
+
+@pytest.mark.parametrize("field, value", [("price", math.nan), ("price", math.inf), ("size", -math.inf)])
+def test_build_bars_rejects_non_finite_records(field, value):
+    ticks = [quote("2024-05-06 09:00:00", 99.99, 100.01),
+             TickRecord(timestamp=_ts("2024-05-06 09:00:10"), kind="T",
+                        **{"price": 100.01, "size": 1.0, field: value})]
+    with pytest.raises(ParseError, match=rf"record 1: {field} must be finite"):
+        build_bars(ticks, session_start="09:00", session_end="09:01")
+
+
+def test_build_bars_rejects_records_with_offsets():
+    utc = timezone.utc
+    ticks = [TickRecord(timestamp=_ts("2024-05-06 09:00:00").replace(tzinfo=utc), kind="Q",
+                        bid=99.99, ask=100.01),
+             TickRecord(timestamp=_ts("2024-05-06 09:00:10").replace(tzinfo=utc), kind="T",
+                        price=100.01, size=1.0)]
+    with pytest.raises(ParseError, match="record 0: .*UTC offset"):
+        build_bars(ticks, session_start="09:00", session_end="09:01")
+
+
+def test_read_ticks_accepts_quoted_cells_crlf_and_blank_lines(tmp_path):
+    path = tmp_path / "ticks.csv"
+    path.write_bytes(b"ts,kind,price,size,bid,ask,bid_size,ask_size\r\n"
+                     b"\r\n"
+                     b'2024-05-06 09:00:00,Q,,,"99.98",100.02,10.0,12.0\r\n'
+                     b"\r\n"
+                     b"2024-05-06 09:00:05,T,100.02,3.0,,,,\r\n"
+                     b"2024-05-06 09:00:06,T,100.02,x,,,,\r\n")
+    with pytest.raises(ParseError, match=r"ticks\.csv:6: bad number 'x'"):
+        read_ticks(path)
+    path.write_bytes(path.read_bytes().rsplit(b"\r\n", 2)[0] + b"\r\n")
+    ticks = read_ticks(path)
+    assert [t.lineno for t in ticks] == [3, 5]
+    assert ticks[0].bid == 99.98 and ticks[1].price == 100.02
+
+
+def test_out_of_order_error_names_file_and_line(tmp_path):
+    path = _write_tick_file(tmp_path, [
+        "2024-05-06 09:00:30,T,100.01,5.0,,,,",
+        "2024-05-07 09:00:10,T,100.01,5.0,,,,",
+        "2024-05-06 09:00:10,T,100.01,5.0,,,,",
+    ])
+    with pytest.raises(ParseError, match=r"ticks\.csv:4: timestamp 2024-05-06 09:00:10 precedes"):
+        build_bars(read_ticks(path))
+
+
+def test_table_iterates_and_indexes_as_records():
+    records = [quote("2024-05-06 09:00:00", 99.99, 100.01, None, 4.0),
+               trade("2024-05-06 09:00:10", 100.01, 2.0)]
+    table = TickTable.from_records(records)
+    assert len(table) == 2
+    assert list(table) == records
+    assert table[-1] == records[1]
+    with pytest.raises(IndexError):
+        table[2]
+
+
+# ---------------------------------------------------------------------------
+# bar and panel readers name the file and line of a bad cell
+
+
+@pytest.mark.parametrize("row, hint", [
+    ("2024-01-02,x,1.0,100.0,,,", "bad integer 'x'"),
+    ("2024-01-02,0,abc,100.0,,,", "bad number 'abc'"),
+    ("2024-01-02,0,,100.0,,,", "bad number ''"),
+    ("2024-01-02,0,1.0,1o0,,,", "bad number '1o0'"),
+])
+def test_read_bars_csv_bad_cell_location(tmp_path, row, hint):
+    path = tmp_path / "es.bars.csv"
+    path.write_text(",".join(BAR_HEADER) + "\n2024-01-02,0,1.0,100.0,,,\n" + row + "\n", encoding="utf-8")
+    with pytest.raises(ParseError, match=rf"es\.bars\.csv:3: {hint}"):
+        read_bars_csv(path)
+
+
+@pytest.mark.parametrize("row, hint", [
+    ("0,0,abc,", "bad number 'abc'"),
+    ("0,x,1.0,", "bad integer 'x'"),
+    ("0,1,1.0,zz", "bad number 'zz'"),
+    ("0,1,1.0", "expected 4 fields"),
+])
+def test_read_panel_csv_bad_cell_location(tmp_path, row, hint):
+    path = tmp_path / "panel.csv"
+    path.write_text("day,bar,x,r\n0,0,1.0,\n" + row + "\n", encoding="utf-8")
+    with pytest.raises(ParseError, match=rf"panel\.csv:3: {hint}"):
+        read_panel_csv(path)
