@@ -1,11 +1,24 @@
-"""Small shared plumbing: schema tag and deterministic serialization helpers."""
+"""Small shared plumbing: schema tag, deterministic serialization and the CSV table dialect.
+
+Every CSV the package writes or reads apart from tick files (bars, panels,
+daily fits, paths, curves and the comparison reports) is a table: a fixed
+header line, then one comma-separated row per record, cells rendered by
+:func:`fmt`, ``\\n`` line endings.  :func:`write_table` and :func:`read_table`
+are the one place that knows this.
+"""
 
 from __future__ import annotations
 
+import csv
 import json
 from pathlib import Path
+from typing import Iterable, Iterator
 
 SCHEMA_VERSION = 1
+
+
+class ParseError(ValueError):
+    """Malformed or mis-ordered input; the message carries file/line context."""
 
 
 def fmt(value: object) -> str:
@@ -21,3 +34,48 @@ def write_json(path: str | Path, payload: dict) -> None:
     """Write a JSON document deterministically (sorted keys, no timestamps)."""
     text = json.dumps(payload, sort_keys=True, indent=2)
     Path(path).write_text(text + "\n", encoding="utf-8")
+
+
+def write_table(dest: str | Path, header: list[str], rows: Iterable[Iterable[object]]) -> None:
+    """Write the header line, then one line per row with each cell rendered by fmt."""
+    lines = [",".join(header)]
+    lines.extend(",".join(map(fmt, row)) for row in rows)
+    Path(dest).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def read_table(path: str | Path, header: list[str]) -> Iterator[tuple[str, list[str]]]:
+    """Yield ``(location, cells)`` for each non-blank data row of a CSV table.
+
+    ``location`` is ``<path>:<line>`` for messages.  A first line other than
+    ``header``, or a row with another number of fields, raises ParseError.
+    """
+    path = Path(path)
+    with path.open(newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        if next(reader, None) != header:
+            raise ParseError(f"{path}:1: expected header {','.join(header)}")
+        for row in reader:
+            if not row:
+                continue
+            where = f"{path}:{reader.line_num}"
+            if len(row) != len(header):
+                raise ParseError(f"{where}: expected {len(header)} fields")
+            yield where, row
+
+
+def parse_float(cell: str, *, where: str, required: bool = False) -> float | None:
+    """A float cell; empty gives None unless required.  ParseError names ``where``."""
+    if cell == "" and not required:
+        return None
+    try:
+        return float(cell)
+    except ValueError as exc:
+        raise ParseError(f"{where}: bad number {cell!r}") from exc
+
+
+def parse_int(cell: str, *, where: str) -> int:
+    """An integer cell; ParseError names ``where``."""
+    try:
+        return int(cell)
+    except ValueError as exc:
+        raise ParseError(f"{where}: bad integer {cell!r}") from exc

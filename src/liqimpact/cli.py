@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._common import SCHEMA_VERSION, fmt, write_json
+from ._common import SCHEMA_VERSION, write_json, write_table
 from .impact import ParameterError, SShapeParams, StructuralParams, curve_from_dict, feasibility_margin
 from .ingest import ParseError, build_bars, read_bars_csv, read_ticks, write_bars_csv
 from .sde import OUParams, SimConfig, _impact_f, simulate_path, synth_regression_panel
@@ -362,8 +362,7 @@ def cmd_curves(args) -> int:
         return 1
 
     dest = out_dir / "curve.csv"
-    lines = ["x,f_bps"] + [f"{fmt(float(x))},{fmt(float(v))}" for x, v in zip(xs, f_bps)]
-    dest.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_table(dest, ["x", "f_bps"], zip(xs.tolist(), f_bps.tolist()))
     _write_meta(dest, "curves", {
         "fit_json": str(fit_path), "model": model, "date": args.date,
         "x_min": x_min, "x_max": x_max, "n_points": n_points,

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._common import fmt
+from ._common import write_table
 from .impact import SShapeParams, inflection_point
 from .ingest import MinuteBar
 from .estimation import FitResult
@@ -203,37 +203,29 @@ DEPTH_HEADER = ["contract", "series", "days_included", "days_excluded", "n", "me
 
 def write_ttest_csv(rows: list[tuple[str, str, str, PairedTResult]], dest: str | Path) -> None:
     """rows: (contract, model_a, model_b, result)."""
-    lines = [",".join(TTEST_HEADER)]
-    for contract, model_a, model_b, res in rows:
-        lines.append(",".join([
-            contract, res.metric, model_a, model_b,
-            fmt(res.mean_difference),
-            fmt(res.t_statistic),
-            str(res.n),
-            "1" if res.degenerate else "0",
-        ]))
-    Path(dest).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_table(dest, TTEST_HEADER, (
+        (contract, res.metric, model_a, model_b, res.mean_difference, res.t_statistic, res.n,
+         "1" if res.degenerate else "0")
+        for contract, model_a, model_b, res in rows
+    ))
 
 
-def _desc_cells(desc: Descriptives) -> list[str]:
-    return [str(desc.n), fmt(desc.mean), fmt(desc.sd)] + [fmt(desc.percentiles[l]) for l in PERCENTILE_LEVELS]
+def _desc_cells(desc: Descriptives) -> list:
+    return [desc.n, desc.mean, desc.sd] + [desc.percentiles[l] for l in PERCENTILE_LEVELS]
 
 
 def write_descriptives_csv(rows: list[tuple[str, str, Descriptives]], dest: str | Path) -> None:
     """rows: (contract, statistic label, descriptives)."""
-    lines = [",".join(DESCRIPTIVES_HEADER)]
-    for contract, label, desc in rows:
-        lines.append(",".join([contract, label] + _desc_cells(desc)))
-    Path(dest).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_table(dest, DESCRIPTIVES_HEADER, (
+        [contract, label] + _desc_cells(desc)
+        for contract, label, desc in rows
+    ))
 
 
 def write_depth_csv(reports: list[DepthReport], dest: str | Path) -> None:
-    lines = [",".join(DEPTH_HEADER)]
-    for rep in reports:
-        for label, desc in (("inflection", rep.inflection), ("bid_size", rep.bid_size), ("ask_size", rep.ask_size)):
-            if desc is None:
-                continue
-            lines.append(",".join(
-                [rep.contract, label, str(rep.n_included), str(rep.n_excluded)] + _desc_cells(desc)
-            ))
-    Path(dest).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_table(dest, DEPTH_HEADER, (
+        [rep.contract, label, rep.n_included, rep.n_excluded] + _desc_cells(desc)
+        for rep in reports
+        for label, desc in (("inflection", rep.inflection), ("bid_size", rep.bid_size), ("ask_size", rep.ask_size))
+        if desc is not None
+    ))

@@ -18,13 +18,13 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._common import fmt
+from ._common import ParseError, parse_float, parse_int, read_table, write_table
 from .impact import (
     SqrtParams,
     SShapeParams,
@@ -34,7 +34,7 @@ from .impact import (
     log_feasibility_load,
     phi,
 )
-from .ingest import BAR_HEADER, MinuteBar, ParseError, read_bars_csv
+from .ingest import BAR_HEADER, MinuteBar, read_bars_csv
 from .sde import PANEL_HEADER, SyntheticPanel, read_panel_csv
 
 __all__ = [
@@ -60,6 +60,8 @@ DAILY_FIT_HEADER = [
     "a_hat", "ell", "p", "q", "alpha",
     "rss", "adj_r2", "bic",
 ]
+# The parameter columns each model's converged rows must fill.
+_MODEL_PARAMS = {"sshape": ("ell", "p", "q"), "linear": ("alpha",), "sqrt": ("alpha",)}
 
 
 class EstimationError(ValueError):
@@ -537,64 +539,34 @@ def estimate_ou(flows, dt: float = 1.0) -> OUEstimate:
 
 
 def fit_result_to_dict(fr: FitResult) -> dict:
-    return {
-        "model": fr.model,
-        "a_hat": fr.a_hat,
-        "param_hats": dict(fr.param_hats),
-        "ses": dict(fr.ses),
-        "t_stats": dict(fr.t_stats),
-        "rss": fr.rss,
-        "adj_r2": fr.adj_r2,
-        "bic": fr.bic,
-        "n": fr.n,
-        "k": fr.k,
-        "converged": fr.converged,
-        "starts_tried": fr.starts_tried,
-        "message": fr.message,
-    }
+    return asdict(fr)
 
 
 def write_daily_fits_csv(rows: list[tuple[str, FitResult]], dest: str | Path) -> None:
     """One row per (date, fit): shared columns plus the union of model parameters."""
-    lines = [",".join(DAILY_FIT_HEADER)]
-    for date, fr in rows:
-        ph = fr.param_hats
-        lines.append(",".join([
-            date,
-            fr.model,
-            "1" if fr.converged else "0",
-            str(fr.n),
-            str(fr.k),
-            fmt(fr.a_hat),
-            fmt(ph.get("ell")),
-            fmt(ph.get("p")),
-            fmt(ph.get("q")),
-            fmt(ph.get("alpha")),
-            fmt(fr.rss),
-            fmt(fr.adj_r2),
-            fmt(fr.bic),
-        ]))
-    Path(dest).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_table(dest, DAILY_FIT_HEADER, (
+        (date, fr.model, "1" if fr.converged else "0", fr.n, fr.k, fr.a_hat,
+         *(fr.param_hats.get(name) for name in ("ell", "p", "q", "alpha")), fr.rss, fr.adj_r2, fr.bic)
+        for date, fr in rows
+    ))
 
 
 def read_daily_fits_csv(path: str | Path) -> list[dict]:
-    """Rows of the daily-fit CSV as dicts with floats parsed and '' -> None."""
-    import csv
+    """Rows of the daily-fit CSV as dicts with floats parsed and '' -> None.
 
+    A bad header, row length, number or integer, or a converged row without
+    its model's parameters, raises ParseError with the file and line.
+    """
     out: list[dict] = []
-    with Path(path).open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != DAILY_FIT_HEADER:
-            raise EstimationError(f"{path}:1: expected header {','.join(DAILY_FIT_HEADER)}")
-        for row in reader:
-            if not row:
-                continue
-            rec = dict(zip(DAILY_FIT_HEADER, row))
-            for key in ("a_hat", "ell", "p", "q", "alpha", "rss", "adj_r2", "bic"):
-                rec[key] = float(rec[key]) if rec[key] != "" else None
-            rec["converged"] = rec["converged"] == "1"
-            rec["n"] = int(rec["n"])
-            rec["k"] = int(rec["k"])
-            out.append(rec)
+    for where, row in read_table(path, DAILY_FIT_HEADER):
+        rec = dict(zip(DAILY_FIT_HEADER, row))
+        for key in ("a_hat", "ell", "p", "q", "alpha", "rss", "adj_r2", "bic"):
+            rec[key] = parse_float(rec[key], where=where)
+        rec["converged"] = rec["converged"] == "1"
+        rec["n"] = parse_int(rec["n"], where=where)
+        rec["k"] = parse_int(rec["k"], where=where)
+        missing = [name for name in _MODEL_PARAMS.get(rec["model"], ()) if rec[name] is None]
+        if rec["converged"] and missing:
+            raise ParseError(f"{where}: converged {rec['model']} fit lacks {', '.join(missing)}")
+        out.append(rec)
     return out

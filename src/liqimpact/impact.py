@@ -225,12 +225,13 @@ def big_phi(x, params: SShapeParams):
     """
     p, q = params.p, params.q
     xv, scalar = _vec(x)
-    out = np.empty(xv.shape)
     small = _small_q(xv, p, q)
-    if small.any():
-        us = p * xv[small]
-        lim = -np.expm1(-us) / p
-        out[small] = np.where(np.abs(us) < 1e-12, xv[small], lim)
+    if not small.any():  # the usual case: no routing, no gather or scatter
+        return _devec(_big_phi_gaussian(xv, p, q), scalar)
+    out = np.empty(xv.shape)
+    us = p * xv[small]
+    lim = -np.expm1(-us) / p
+    out[small] = np.where(np.abs(us) < 1e-12, xv[small], lim)
     rest = ~small
     if rest.any():
         out[rest] = _big_phi_gaussian(xv[rest], p, q)

@@ -56,7 +56,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from ._common import fmt
+from ._common import ParseError, parse_float, parse_int, read_table, write_table
 
 __all__ = [
     "ParseError",
@@ -86,10 +86,6 @@ _US_PER_DAY = 86_400 * 10**6
 # Characters parsed per chunk, about 5,000 rows: whole-file splitting would
 # hold millions of cell strings at once.
 _CHUNK_CHARS = 1 << 18
-
-
-class ParseError(ValueError):
-    """Malformed or mis-ordered tick input; the message carries file/line context."""
 
 
 @dataclass(frozen=True)
@@ -262,22 +258,6 @@ class FlowDescriptives:
     daily_positive: dict[str, float]
     daily_negative: dict[str, float]
     n_bars: int
-
-
-def _parse_float(cell: str, *, where: str, required: bool = False) -> float | None:
-    if cell == "" and not required:
-        return None
-    try:
-        return float(cell)
-    except ValueError as exc:
-        raise ParseError(f"{where}: bad number {cell!r}") from exc
-
-
-def _parse_int(cell: str, *, where: str) -> int:
-    try:
-        return int(cell)
-    except ValueError as exc:
-        raise ParseError(f"{where}: bad integer {cell!r}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -636,50 +616,26 @@ def write_bars_csv(bars: dict[str, list[MinuteBar]] | Iterable[MinuteBar], dest:
     Floats are written with repr so identical inputs produce byte-identical
     files; trade counts are in-memory diagnostics and are not serialized.
     """
-    flat = _flatten(bars)
-    lines = [",".join(BAR_HEADER)]
-    for b in flat:
-        lines.append(
-            ",".join(
-                [
-                    b.day,
-                    str(b.bar_index),
-                    fmt(float(b.order_flow)),
-                    fmt(b.last_price),
-                    fmt(b.log_return),
-                    fmt(b.open_bid_size),
-                    fmt(b.open_ask_size),
-                ]
-            )
-        )
-    Path(dest).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_table(dest, BAR_HEADER, (
+        (b.day, b.bar_index, float(b.order_flow), b.last_price, b.log_return, b.open_bid_size, b.open_ask_size)
+        for b in _flatten(bars)
+    ))
 
 
 def read_bars_csv(path: str | Path) -> dict[str, list[MinuteBar]]:
-    """Read a bar CSV back into per-day MinuteBar lists (counts come back as 0)."""
-    path = Path(path)
-    out: dict[str, list[MinuteBar]] = {}
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != BAR_HEADER:
-            raise ParseError(f"{path}:1: expected header {','.join(BAR_HEADER)}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(BAR_HEADER):
-                raise ParseError(f"{path}:{lineno}: expected {len(BAR_HEADER)} fields")
-            where = f"{path}:{lineno}"
-            out.setdefault(row[0], []).append(
-                MinuteBar(
-                    day=row[0],
-                    bar_index=_parse_int(row[1], where=where),
-                    order_flow=_parse_float(row[2], where=where, required=True),
-                    last_price=_parse_float(row[3], where=where),
-                    log_return=_parse_float(row[4], where=where),
-                    open_bid_size=_parse_float(row[5], where=where),
-                    open_ask_size=_parse_float(row[6], where=where),
-                )
-            )
-    return out
+    """Read a bar CSV back into per-day MinuteBar lists (counts come back as 0).
 
+    A bad header, row length or number raises ParseError with the file and line.
+    """
+    out: dict[str, list[MinuteBar]] = {}
+    for where, (day, bar, flow, last, ret, bid, ask) in read_table(path, BAR_HEADER):
+        out.setdefault(day, []).append(MinuteBar(
+            day=day,
+            bar_index=parse_int(bar, where=where),
+            order_flow=parse_float(flow, where=where, required=True),
+            last_price=parse_float(last, where=where),
+            log_return=parse_float(ret, where=where),
+            open_bid_size=parse_float(bid, where=where),
+            open_ask_size=parse_float(ask, where=where),
+        ))
+    return out

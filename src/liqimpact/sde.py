@@ -42,7 +42,7 @@ from scipy.signal import lfilter
 # lfilter's argument handling, which costs several times a one-step path.
 from scipy.signal._sigtools import _linear_filter
 
-from ._common import SCHEMA_VERSION, fmt
+from ._common import SCHEMA_VERSION, parse_float, parse_int, read_table, write_table
 from .impact import (
     LinearParams,
     ParameterError,
@@ -56,7 +56,7 @@ from .impact import (
     feasibility_margin,
     g_sshape,
 )
-from .ingest import MinuteBar, ParseError, _parse_float, _parse_int
+from .ingest import MinuteBar
 
 __all__ = [
     "RNG_ALGORITHM",
@@ -217,10 +217,8 @@ class SimPath:
         }
 
     def write_csv(self, dest: str | Path) -> None:
-        lines = [",".join(PATH_HEADER)]
-        for i in range(len(self)):
-            lines.append(",".join(fmt(float(v)) for v in (self.t[i], self.s[i], self.x[i], self.p[i])))
-        Path(dest).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        columns = (np.asarray(a, dtype=float).tolist() for a in (self.t, self.s, self.x, self.p))
+        write_table(dest, PATH_HEADER, zip(*columns))
 
 
 def correlated_increments(
@@ -412,12 +410,7 @@ def synth_regression_panel(
 
 def write_panel_csv(bars: list[MinuteBar], dest: str | Path) -> None:
     """Write a regression panel as CSV with header day,bar,x,r (empty r on day-open bars)."""
-    lines = [",".join(PANEL_HEADER)]
-    for b in bars:
-        lines.append(
-            ",".join([b.day, str(b.bar_index), fmt(float(b.order_flow)), fmt(b.log_return)])
-        )
-    Path(dest).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_table(dest, PANEL_HEADER, ((b.day, b.bar_index, float(b.order_flow), b.log_return) for b in bars))
 
 
 def read_panel_csv(path: str | Path) -> list[MinuteBar]:
@@ -425,28 +418,13 @@ def read_panel_csv(path: str | Path) -> list[MinuteBar]:
 
     A bad header, row length or number raises ParseError with the file and line.
     """
-    import csv
-
-    path = Path(path)
-    bars: list[MinuteBar] = []
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != PANEL_HEADER:
-            raise ParseError(f"{path}:1: expected header {','.join(PANEL_HEADER)}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            where = f"{path}:{lineno}"
-            if len(row) != len(PANEL_HEADER):
-                raise ParseError(f"{where}: expected {len(PANEL_HEADER)} fields")
-            bars.append(
-                MinuteBar(
-                    day=row[0],
-                    bar_index=_parse_int(row[1], where=where),
-                    order_flow=_parse_float(row[2], where=where, required=True),
-                    last_price=None,
-                    log_return=_parse_float(row[3], where=where),
-                )
-            )
-    return bars
+    return [
+        MinuteBar(
+            day=day,
+            bar_index=parse_int(bar, where=where),
+            order_flow=parse_float(x, where=where, required=True),
+            last_price=None,
+            log_return=parse_float(r, where=where),
+        )
+        for where, (day, bar, x, r) in read_table(path, PANEL_HEADER)
+    ]

@@ -446,6 +446,24 @@ def test_compare_single_model_no_ttests(tmp_path):
     assert doc["contracts"]["cl"]["t_tests"] == []
 
 
+@pytest.mark.parametrize("edit, hint", [
+    (lambda cells: cells[:5], "expected 13 fields"),
+    (lambda cells: cells[:10] + ["abc"] + cells[11:], "bad number 'abc'"),
+    (lambda cells: cells[:6] + [""] + cells[7:], "converged sshape fit lacks ell"),
+], ids=["short-row", "bad-number", "sshape-without-ell"])
+def test_compare_malformed_fits_row(tmp_path, capsys, edit, hint):
+    days = [f"2024-02-{i:02d}" for i in range(1, 4)]
+    fits_csv = tmp_path / "cl.fits.csv"
+    write_daily_fits_csv([(d, make_fit(m)) for d in days for m in ("sshape", "linear")], fits_csv)
+    lines = fits_csv.read_text().splitlines()
+    lines[3] = ",".join(edit(lines[3].split(",")))  # line 4: the second day's S-shape fit
+    fits_csv.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert main(["compare", "--fits", str(fits_csv), "--out-dir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {fits_csv}:4: {hint}" in err
+    assert "Traceback" not in err
+
+
 def test_compare_missing_file(tmp_path, capsys):
     assert main(["compare", "--fits", str(tmp_path / "nope.fits.csv"),
                  "--out-dir", str(tmp_path)]) == 1

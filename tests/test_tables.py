@@ -1,0 +1,111 @@
+"""The CSV tables the package writes and reads back: bars, panels and daily fits.
+
+All three go through one dialect (liqimpact._common.write_table/read_table),
+so a file read back and written again is the same bytes, and a bad row is a
+ParseError that names the file and line.
+"""
+
+import re
+import tempfile
+from datetime import date
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from liqimpact.estimation import DAILY_FIT_HEADER, FitResult, read_daily_fits_csv, write_daily_fits_csv
+from liqimpact.ingest import MinuteBar, ParseError, read_bars_csv, write_bars_csv
+from liqimpact.sde import read_panel_csv, write_panel_csv
+
+DAYS = st.dates().map(date.isoformat)
+CELL = st.none() | st.floats()  # empty, finite, inf or nan
+FLOW = st.integers(-10**6, 10**6) | st.floats()  # integer flows are written as floats
+
+
+def _rewrites_identically(write, read, value, rebuild=lambda rows: rows):
+    """write, read back, write again: the two files hold the same bytes."""
+    with tempfile.TemporaryDirectory() as d:
+        first, second = Path(d, "first.csv"), Path(d, "second.csv")
+        write(value, first)
+        write(rebuild(read(first)), second)
+        assert second.read_bytes() == first.read_bytes()
+
+
+def _bar(day: str):
+    return st.builds(MinuteBar, day=st.just(day), bar_index=st.integers(0, 10**6), order_flow=FLOW,
+                     last_price=CELL, log_return=CELL, open_bid_size=CELL, open_ask_size=CELL)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(DAYS, unique=True, max_size=4).flatmap(
+    lambda days: st.fixed_dictionaries({d: st.lists(_bar(d), max_size=5) for d in days})))
+def test_bars_csv_rewrites_identically(bars):
+    _rewrites_identically(write_bars_csv, read_bars_csv, bars)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(DAYS.flatmap(_bar), max_size=12))
+def test_panel_csv_rewrites_identically(bars):
+    _rewrites_identically(write_panel_csv, read_panel_csv, bars)
+
+
+PARAMS = {"sshape": ("ell", "p", "q"), "linear": ("alpha",), "sqrt": ("alpha",)}
+
+
+@st.composite
+def fit_rows(draw):
+    model = draw(st.sampled_from(sorted(PARAMS)))
+    converged = draw(st.booleans())
+    # A converged fit has all its parameters; an unconverged one may lack any.
+    hats = {name: draw(st.floats()) for name in PARAMS[model] if converged or draw(st.booleans())}
+    fit = FitResult(model=model, a_hat=draw(st.floats()), param_hats=hats, ses={}, t_stats={},
+                    rss=draw(st.floats()), adj_r2=draw(st.floats()), bic=draw(st.floats()),
+                    n=draw(st.integers(0, 10**6)), k=draw(st.integers(1, 4)), converged=converged)
+    return draw(DAYS), fit
+
+
+def _as_fits(records: list[dict]) -> list[tuple[str, FitResult]]:
+    return [(r["date"], FitResult(
+        model=r["model"], a_hat=r["a_hat"],
+        param_hats={name: r[name] for name in ("ell", "p", "q", "alpha") if r[name] is not None},
+        ses={}, t_stats={}, rss=r["rss"], adj_r2=r["adj_r2"], bic=r["bic"],
+        n=r["n"], k=r["k"], converged=r["converged"],
+    )) for r in records]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(fit_rows(), max_size=8))
+def test_daily_fits_csv_rewrites_identically(rows):
+    _rewrites_identically(write_daily_fits_csv, read_daily_fits_csv, rows, _as_fits)
+
+
+# ---------------------------------------------------------------------------
+# malformed daily fits name the file and line
+
+HEADER = ",".join(DAILY_FIT_HEADER)
+SSHAPE = "2024-01-02,sshape,1,240,4,1e-06,1.3e-05,-0.0034,8.15e-05,,1e-08,0.4,-3000.0"
+LINEAR = "2024-01-02,linear,1,240,2,1e-06,,,,0.0001,2e-08,0.3,-2900.0"
+
+
+@pytest.mark.parametrize("text, hint", [
+    ("date,model\n" + SSHAPE + "\n", f":1: expected header {HEADER}"),
+    (f"{HEADER}\n{SSHAPE}\n{SSHAPE.rsplit(',', 1)[0]}\n", ":3: expected 13 fields"),
+    (f"{HEADER}\n{SSHAPE}\n{SSHAPE.replace('1e-08', 'abc')}\n", ":3: bad number 'abc'"),
+    (f"{HEADER}\n{SSHAPE}\n{SSHAPE.replace(',240,', ',2x0,')}\n", ":3: bad integer '2x0'"),
+    (f"{HEADER}\n{SSHAPE}\n{SSHAPE.replace('1.3e-05', '')}\n", ":3: converged sshape fit lacks ell"),
+    (f"{HEADER}\n{SSHAPE}\n\n{LINEAR.replace('0.0001', '')}\n", ":4: converged linear fit lacks alpha"),
+], ids=["header", "short-row", "bad-number", "bad-integer", "sshape-without-ell", "linear-without-alpha"])
+def test_read_daily_fits_csv_bad_row_location(tmp_path, text, hint):
+    path = tmp_path / "es.fits.csv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ParseError, match=re.escape(f"{path}{hint}")):
+        read_daily_fits_csv(path)
+
+
+def test_read_daily_fits_csv_takes_unconverged_row_without_parameters(tmp_path):
+    path = tmp_path / "es.fits.csv"
+    path.write_text(f"{HEADER}\n{SSHAPE.replace(',1,240,', ',0,240,').replace('1.3e-05', '')}\n",
+                    encoding="utf-8")
+    (row,) = read_daily_fits_csv(path)
+    assert row["converged"] is False and row["ell"] is None and row["p"] == -0.0034
