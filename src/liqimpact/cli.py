@@ -284,11 +284,14 @@ def cmd_fit(args) -> int:
                 failed_days += 1
                 continue
             fits = []
+            errors = []
             for model in models:
                 try:
                     fits.append((model, _fit_one(panel, model, grid, fit_kwargs)))
                 except EstimationError as exc:
-                    failures[day] = f"{model}: {exc}"
+                    errors.append(f"{model}: {exc}")
+            if errors:
+                failures[day] = "; ".join(errors)
             if not fits:
                 failed_days += 1
                 continue

@@ -7,7 +7,12 @@ Gauss-Newton (Levenberg-Marquardt) with the positivity constraints folded into
 the parameterization (ell = e^u, q = e^v) and the domain constraint enforced
 by rejecting trial steps whose feasibility margin drops below a safety floor.
 Searches start from a grid of (p, q) initial conditions scaled to the panel's
-flow dispersion and the lowest-RSS feasible optimum wins.
+flow dispersion and the lowest-RSS feasible optimum wins.  The curve and its
+derivatives are evaluated once per distinct flow, since x_prev mostly repeats
+the previous bar's x.  The starts advance in lockstep, one iteration each per
+round; after each round a live start is retired when it lies within one
+standard error of a start with lower RSS, in that start's Gauss-Newton metric
+(J'J): the two searches cannot yet be told apart, so only one goes on.
 
 Flow dynamics are estimated by AR(1) regression over day-contiguous segments,
 mapped back to continuous-time mean reversion; standard errors come from the
@@ -19,6 +24,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import asdict, dataclass
+from functools import partial
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -215,6 +221,10 @@ def fit_ols(panel: RegressionPanel, model: str) -> FitResult:
 # ---------------------------------------------------------------------------
 # S-shape nonlinear fit
 
+# A live start within this many standard errors of a kept start with lower
+# RSS, in that start's Gauss-Newton metric, is retired as a duplicate.
+_MERGE_RADIUS = 1.0
+
 
 def default_start_grid(flow_sd: float) -> list[tuple[float, float]]:
     """Scale-adaptive (p0, q0) start grid: p = -1e-2/s_x * k for k in -3..3
@@ -226,107 +236,220 @@ def default_start_grid(flow_sd: float) -> list[tuple[float, float]]:
     return [(p0, q0) for p0 in ps for q0 in qs]
 
 
-def _sshape_resid_jac(theta: np.ndarray, panel: RegressionPanel, margin_floor: float):
-    """Residuals and Jacobian wrt (a, u=ln ell, p, v=ln q); None when infeasible."""
-    a, u, p, v = theta
-    if not (math.isfinite(u) and math.isfinite(p) and math.isfinite(v)):
-        return None
-    # exp overflows past ~709.78; such trial steps are hopeless anyway.
-    if u > 700.0 or v > 700.0:
-        return None
-    ell = math.exp(u)
-    q = math.exp(v)
-    if ell == 0.0 or q == 0.0:
-        return None
-    params = SShapeParams(ell, p, q)
-    if feasibility_margin(params) < margin_floor:
-        return None
+def _start_thetas(panel: RegressionPanel,
+                  grid: Sequence[tuple[float, float]] | None) -> list[np.ndarray]:
+    """(a, ln ell, p, ln q) for each grid point (default: the panel's flow-scaled grid).
 
+    a starts at the mean return and ell at the linear fit's slope, lowered
+    where needed so the start's feasibility margin is at least 1/2.
+    """
+    s_x = float(np.std(panel.x, ddof=1))
+    starts = list(grid) if grid is not None else default_start_grid(s_x)
+    if not starts:
+        raise EstimationError("empty start grid")
+    a0 = float(np.mean(panel.r))
+    try:
+        ell_lin = abs(fit_ols(panel, "linear").param_hats["alpha"])
+    except EstimationError:
+        ell_lin = 0.0
+    if not ell_lin > 0.0:
+        ell_lin = 1e-6 / max(s_x, 1.0)
+    theta0s = []
+    for p0, q0 in starts:
+        if q0 <= 0:
+            raise EstimationError(f"grid q must be positive, got {q0}")
+        ln_ell = min(math.log(ell_lin), math.log(0.5) - log_feasibility_load(p0, q0))
+        theta0s.append(np.array([a0, ln_ell, p0, math.log(q0)]))
+    return theta0s
+
+
+def _sshape_residuals(panel: RegressionPanel):
+    """``resid_jac(theta, margin_floor)`` for the panel: residuals and Jacobian
+    wrt (a, u=ln ell, p, v=ln q), or None when theta is infeasible.
+
+    Most x_prev equal the previous bar's x, so the curve and its derivatives
+    are evaluated once per distinct flow and gathered for both terms.
+    """
     n = panel.n
-    xs = np.concatenate([panel.x, panel.x_prev])
-    # Saturating trial parameters produce infs here; they are rejected below,
-    # so the intermediate overflow is expected and silenced.
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        Phi = np.asarray(big_phi(xs, params))
-        ph = np.asarray(phi(xs, params))
-        den = 1.0 + ell * Phi
-        if not np.all(np.isfinite(den)) or np.any(den <= 0.0):
-            return None
-        f = np.log1p(ell * Phi)
-        df_du = ell * Phi / den
-        dPhi_dp = (p * Phi + ph - 1.0) / q
-        dPhi_dq = -0.5 * ((p * p * Phi + p * (ph - 1.0)) / (q * q) + (Phi - xs * ph) / q)
-        df_dp = ell * dPhi_dp / den
-        df_dv = q * ell * dPhi_dq / den
+    r = panel.r
+    flows, where = np.unique(np.concatenate([panel.x, panel.x_prev]), return_inverse=True)
+    i_cur, i_prev = where[:n], where[n:]
 
-        e = panel.r - a - (f[:n] - f[n:])
-        J = np.empty((n, 4))
-        J[:, 0] = -1.0
-        J[:, 1] = -(df_du[:n] - df_du[n:])
-        J[:, 2] = -(df_dp[:n] - df_dp[n:])
-        J[:, 3] = -(df_dv[:n] - df_dv[n:])
-    if not (np.all(np.isfinite(e)) and np.all(np.isfinite(J))):
-        return None
-    return e, J
+    def resid_jac(theta: np.ndarray, margin_floor: float):
+        a, u, p, v = theta
+        if not (math.isfinite(u) and math.isfinite(p) and math.isfinite(v)):
+            return None
+        # exp overflows past ~709.78; such trial steps are hopeless anyway.
+        if u > 700.0 or v > 700.0:
+            return None
+        ell = math.exp(u)
+        q = math.exp(v)
+        if ell == 0.0 or q == 0.0:
+            return None
+        params = SShapeParams(ell, p, q)
+        if feasibility_margin(params) < margin_floor:
+            return None
+
+        # Saturating trial parameters produce infs here; they are rejected below,
+        # so the intermediate overflow is expected and silenced.
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            Phi = np.asarray(big_phi(flows, params))
+            ph = np.asarray(phi(flows, params))
+            den = 1.0 + ell * Phi
+            if not np.all(np.isfinite(den)) or np.any(den <= 0.0):
+                return None
+            f = np.log1p(ell * Phi)
+            df_du = ell * Phi / den
+            dPhi_dp = (p * Phi + ph - 1.0) / q
+            dPhi_dq = -0.5 * ((p * p * Phi + p * (ph - 1.0)) / (q * q) + (Phi - flows * ph) / q)
+            df_dp = ell * dPhi_dp / den
+            df_dv = q * ell * dPhi_dq / den
+
+            e = r - a - (f[i_cur] - f[i_prev])
+            J = np.empty((n, 4))
+            J[:, 0] = -1.0
+            J[:, 1] = -(df_du[i_cur] - df_du[i_prev])
+            J[:, 2] = -(df_dp[i_cur] - df_dp[i_prev])
+            J[:, 3] = -(df_dv[i_cur] - df_dv[i_prev])
+        if not (np.all(np.isfinite(e)) and np.all(np.isfinite(J))):
+            return None
+        return e, J
+
+    return resid_jac
 
 
 @dataclass
-class _StartOutcome:
+class _Start:
+    """One Levenberg-Marquardt start: its state while live, its outcome once stopped.
+
+    ``stop`` is None while live, then one of ``ftol`` (relative RSS drop below
+    rss_rtol), ``gtol`` (max |gradient| below grad_atol), ``max_iter``,
+    ``lambda_limit`` (damping above 1e15) or ``merged`` (retired into the start
+    ``merged_into``).  ``evaluations`` counts residual/Jacobian evaluations,
+    infeasible trial points included.
+    """
+
+    index: int
     theta: np.ndarray
     rss: float
-    converged: bool
-    iterations: int
+    JtJ: np.ndarray
+    g: np.ndarray
+    lam: float
+    nu: float = 2.0
+    iterations: int = 0
+    evaluations: int = 1
+    stop: str | None = None
+    merged_into: int | None = None
+
+    @property
+    def converged(self) -> bool:
+        return self.stop in ("ftol", "gtol")
 
 
-def _run_lm(theta0: np.ndarray, panel: RegressionPanel, margin_floor: float,
-            max_iter: int, rss_rtol: float, grad_atol: float) -> _StartOutcome | None:
-    out = _sshape_resid_jac(theta0, panel, margin_floor)
+def _open_start(index: int, theta0: np.ndarray, evaluate, max_iter: int,
+                grad_atol: float) -> _Start | None:
+    out = evaluate(theta0)
     if out is None:
         return None
     e, J = out
-    theta = theta0.copy()
-    rss = float(e @ e)
     JtJ = J.T @ J
-    g = J.T @ e
     lam = 1e-3 * float(np.max(np.diag(JtJ)))
     if lam <= 0 or not math.isfinite(lam):
         lam = 1e-3
-    nu = 2.0
-    converged = bool(np.max(np.abs(g)) < grad_atol)
-    it = 0
-    while it < max_iter and not converged:
-        it += 1
-        D = np.diag(np.maximum(np.diag(JtJ), 1e-300))
-        try:
-            delta = np.linalg.solve(JtJ + lam * D, -g)
-        except np.linalg.LinAlgError:
-            lam *= nu
-            nu *= 2.0
-            continue
-        trial = theta + delta
-        res = _sshape_resid_jac(trial, panel, margin_floor)
+    s = _Start(index=index, theta=theta0.copy(), rss=float(e @ e), JtJ=JtJ, g=J.T @ e, lam=lam)
+    if np.max(np.abs(s.g)) < grad_atol:
+        s.stop = "gtol"
+    elif max_iter <= 0:
+        s.stop = "max_iter"
+    return s
+
+
+def _lm_step(s: _Start, evaluate, max_iter: int, rss_rtol: float, grad_atol: float) -> None:
+    """One iteration with Nielsen's damping update (Madsen, Nielsen & Tingleff,
+    "Methods for non-linear least squares problems", 2004); sets ``s.stop``
+    when the start is done."""
+    s.iterations += 1
+    D = np.diag(np.maximum(np.diag(s.JtJ), 1e-300))
+    try:
+        delta = np.linalg.solve(s.JtJ + s.lam * D, -s.g)
+    except np.linalg.LinAlgError:
+        s.lam *= s.nu
+        s.nu *= 2.0
+    else:
+        trial = s.theta + delta
+        res = evaluate(trial)
+        s.evaluations += 1
         accepted = False
         if res is not None:
-            e_t, J_t = res
-            rss_t = float(e_t @ e_t)
-            if math.isfinite(rss_t) and rss_t < rss:
-                pred = float(delta @ (lam * (D @ delta) - g))
-                ratio = (rss - rss_t) / pred if pred > 0 else 1.0
-                lam *= max(1.0 / 3.0, 1.0 - (2.0 * ratio - 1.0) ** 3)
-                nu = 2.0
-                rel_drop = (rss - rss_t) / max(rss, 1e-300)
-                theta, e, J, rss = trial, e_t, J_t, rss_t
-                JtJ = J.T @ J
-                g = J.T @ e
+            e, J = res
+            rss_t = float(e @ e)
+            if math.isfinite(rss_t) and rss_t < s.rss:
+                pred = float(delta @ (s.lam * (D @ delta) - s.g))
+                ratio = (s.rss - rss_t) / pred if pred > 0 else 1.0
+                s.lam *= max(1.0 / 3.0, 1.0 - (2.0 * ratio - 1.0) ** 3)
+                s.nu = 2.0
+                rel_drop = (s.rss - rss_t) / max(s.rss, 1e-300)
+                s.theta, s.rss, s.JtJ, s.g = trial, rss_t, J.T @ J, J.T @ e
                 accepted = True
-                if rel_drop < rss_rtol or np.max(np.abs(g)) < grad_atol:
-                    converged = True
+                if rel_drop < rss_rtol:
+                    s.stop = "ftol"
+                elif np.max(np.abs(s.g)) < grad_atol:
+                    s.stop = "gtol"
         if not accepted:
-            lam *= nu
-            nu *= 2.0
-            if lam > 1e15:
-                break
-    return _StartOutcome(theta=theta, rss=rss, converged=converged, iterations=it)
+            s.lam *= s.nu
+            s.nu *= 2.0
+            if s.lam > 1e15:
+                s.stop = "lambda_limit"
+    if s.stop is None and s.iterations >= max_iter:
+        s.stop = "max_iter"
+
+
+def _retire_merged(kept: list[_Start], n: int) -> None:
+    """Retire each live start i that lies within _MERGE_RADIUS standard errors of
+    a kept start j with lower RSS: (theta_i - theta_j)' JtJ_j (theta_i - theta_j)
+    <= _MERGE_RADIUS^2 RSS_j / (n - 4).  Equal RSS goes to the lower index; a
+    start with zero RSS (a noise-free panel) absorbs nothing."""
+    live = np.array([s.stop is None for s in kept])
+    theta = np.array([s.theta for s in kept])
+    rss = np.array([s.rss for s in kept])
+    diff = theta[:, None, :] - theta[None, :, :]
+    d2 = np.einsum("ijk,jkl,ijl->ij", diff, np.array([s.JtJ for s in kept]), diff)
+    reach = _MERGE_RADIUS ** 2 * rss / (n - 4)
+    rank = np.empty(len(kept), dtype=int)
+    rank[np.argsort(rss, kind="stable")] = np.arange(len(kept))
+    near = live[:, None] & (rank[None, :] < rank[:, None]) & (reach > 0.0) & (d2 <= reach)
+    for i in np.flatnonzero(near.any(axis=1)):
+        j = min(np.flatnonzero(near[i]), key=rank.__getitem__)
+        kept[i].stop = "merged"
+        kept[i].merged_into = kept[j].index
+
+
+def _lm_starts(theta0s: Sequence[np.ndarray], evaluate, n: int, *, max_iter: int,
+               rss_rtol: float, grad_atol: float) -> list[_Start | None]:
+    """Run every start in lockstep, one iteration per live start per round.
+
+    After each round, starts that have merged into a lower-RSS start are
+    retired (see :func:`_retire_merged`).  Returns one outcome per start, None
+    where the start point itself is infeasible.
+    """
+    starts = [_open_start(i, t0, evaluate, max_iter, grad_atol) for i, t0 in enumerate(theta0s)]
+    kept = [s for s in starts if s is not None]
+    live = [s for s in kept if s.stop is None]
+    while live:
+        for s in live:
+            _lm_step(s, evaluate, max_iter, rss_rtol, grad_atol)
+        _retire_merged(kept, n)
+        kept = [s for s in kept if s.stop != "merged"]
+        live = [s for s in kept if s.stop is None]
+    return starts
+
+
+def _best_start(starts: Sequence[_Start | None]) -> _Start:
+    """The lowest-RSS converged start that was not retired, else the lowest-RSS one."""
+    kept = [s for s in starts if s is not None and s.stop != "merged"]
+    if not kept:
+        raise EstimationError("no feasible start point; widen the grid or rescale flows")
+    return min([s for s in kept if s.converged] or kept, key=lambda s: s.rss)
 
 
 def fit_sshape(
@@ -346,44 +469,26 @@ def fit_sshape(
     converged start.  If no start converges the best endpoint is returned with
     ``converged`` False.  t statistics come from the Gauss-Newton covariance
     in the original (a, ell, p, q) parameterization.
+
+    The starts advance in lockstep, one iteration each per round.  After every
+    round a live start is retired when its iterate lies within one standard
+    error of a start with lower RSS, measured in that start's Gauss-Newton
+    metric, and makes no more evaluations.  Retired starts are never chosen.
+    On a panel the model fits exactly (RSS 0) nothing is retired.
     """
     d = panel.x - panel.x_prev
     if np.ptp(d) == 0.0:
         raise EstimationError("flow never changes between bars; impact slope not identified")
-    s_x = float(np.std(panel.x, ddof=1))
-    starts = list(grid) if grid is not None else default_start_grid(s_x)
-    if not starts:
-        raise EstimationError("empty start grid")
-
-    a0 = float(np.mean(panel.r))
-    try:
-        ell_lin = abs(fit_ols(panel, "linear").param_hats["alpha"])
-    except EstimationError:
-        ell_lin = 0.0
-    if not ell_lin > 0.0:
-        ell_lin = 1e-6 / max(s_x, 1.0)
-
-    theta0s = []
-    for p0, q0 in starts:
-        if q0 <= 0:
-            raise EstimationError(f"grid q must be positive, got {q0}")
-        ln_ell = min(math.log(ell_lin), math.log(0.5) - log_feasibility_load(p0, q0))
-        theta0s.append(np.array([a0, ln_ell, p0, math.log(q0)]))
-
-    outcomes = [_run_lm(t0, panel, margin_floor, max_iter, rss_rtol, grad_atol) for t0 in theta0s]
-
-    usable = [o for o in outcomes if o is not None]
-    if not usable:
-        raise EstimationError("no feasible start point; widen the grid or rescale flows")
-    converged_set = [o for o in usable if o.converged]
-    pool_set = converged_set if converged_set else usable
-    best = min(pool_set, key=lambda o: o.rss)
+    theta0s = _start_thetas(panel, grid)
+    resid_jac = _sshape_residuals(panel)
+    best = _best_start(_lm_starts(theta0s, partial(resid_jac, margin_floor=margin_floor), panel.n,
+                                  max_iter=max_iter, rss_rtol=rss_rtol, grad_atol=grad_atol))
 
     a, u, p, v = best.theta
     ell = math.exp(u)
     q = math.exp(v)
     n = panel.n
-    e, J = _sshape_resid_jac(best.theta, panel, 0.0)
+    e, J = resid_jac(best.theta, 0.0)
     # covariance in original units: d/d ell = (1/ell) d/du, d/dq = (1/q) d/dv
     J_orig = J.copy()
     J_orig[:, 1] /= ell
@@ -402,7 +507,7 @@ def fit_sshape(
     adj, bic = _selection_stats(panel.r, best.rss, n, 4)
     names = ["a", "ell", "p", "q"]
     message = "" if best.converged else "no start converged within max_iter; best endpoint returned"
-    if not converged_set:
+    if not best.converged:
         logger.warning("fit_sshape: %s", message)
     return FitResult(
         model="sshape",

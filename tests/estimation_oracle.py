@@ -1,0 +1,130 @@
+"""Sequential reference implementation of the multi-start S-shape fit.
+
+``resid_jac`` evaluates the residuals and Jacobian on all 2n flows of a panel,
+``run_lm`` runs one start's Levenberg-Marquardt search to its end, and
+``fit_starts`` runs every start one after another and picks the lowest-RSS
+converged endpoint.  The library evaluates each distinct flow once and steps
+the starts together, retiring starts that merge; the tests check its fits
+against these.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from liqimpact.estimation import EstimationError, RegressionPanel
+from liqimpact.impact import SShapeParams, big_phi, feasibility_margin, phi
+
+
+def resid_jac(theta: np.ndarray, panel: RegressionPanel, margin_floor: float):
+    """Residuals and Jacobian wrt (a, u=ln ell, p, v=ln q); None when infeasible."""
+    a, u, p, v = theta
+    if not (math.isfinite(u) and math.isfinite(p) and math.isfinite(v)):
+        return None
+    if u > 700.0 or v > 700.0:
+        return None
+    ell = math.exp(u)
+    q = math.exp(v)
+    if ell == 0.0 or q == 0.0:
+        return None
+    params = SShapeParams(ell, p, q)
+    if feasibility_margin(params) < margin_floor:
+        return None
+
+    n = panel.n
+    xs = np.concatenate([panel.x, panel.x_prev])
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        Phi = np.asarray(big_phi(xs, params))
+        ph = np.asarray(phi(xs, params))
+        den = 1.0 + ell * Phi
+        if not np.all(np.isfinite(den)) or np.any(den <= 0.0):
+            return None
+        f = np.log1p(ell * Phi)
+        df_du = ell * Phi / den
+        dPhi_dp = (p * Phi + ph - 1.0) / q
+        dPhi_dq = -0.5 * ((p * p * Phi + p * (ph - 1.0)) / (q * q) + (Phi - xs * ph) / q)
+        df_dp = ell * dPhi_dp / den
+        df_dv = q * ell * dPhi_dq / den
+
+        e = panel.r - a - (f[:n] - f[n:])
+        J = np.empty((n, 4))
+        J[:, 0] = -1.0
+        J[:, 1] = -(df_du[:n] - df_du[n:])
+        J[:, 2] = -(df_dp[:n] - df_dp[n:])
+        J[:, 3] = -(df_dv[:n] - df_dv[n:])
+    if not (np.all(np.isfinite(e)) and np.all(np.isfinite(J))):
+        return None
+    return e, J
+
+
+@dataclass
+class StartOutcome:
+    theta: np.ndarray
+    rss: float
+    converged: bool
+    iterations: int
+
+
+def run_lm(theta0: np.ndarray, panel: RegressionPanel, margin_floor: float,
+           max_iter: int, rss_rtol: float, grad_atol: float) -> StartOutcome | None:
+    out = resid_jac(theta0, panel, margin_floor)
+    if out is None:
+        return None
+    e, J = out
+    theta = theta0.copy()
+    rss = float(e @ e)
+    JtJ = J.T @ J
+    g = J.T @ e
+    lam = 1e-3 * float(np.max(np.diag(JtJ)))
+    if lam <= 0 or not math.isfinite(lam):
+        lam = 1e-3
+    nu = 2.0
+    converged = bool(np.max(np.abs(g)) < grad_atol)
+    it = 0
+    while it < max_iter and not converged:
+        it += 1
+        D = np.diag(np.maximum(np.diag(JtJ), 1e-300))
+        try:
+            delta = np.linalg.solve(JtJ + lam * D, -g)
+        except np.linalg.LinAlgError:
+            lam *= nu
+            nu *= 2.0
+            continue
+        trial = theta + delta
+        res = resid_jac(trial, panel, margin_floor)
+        accepted = False
+        if res is not None:
+            e_t, J_t = res
+            rss_t = float(e_t @ e_t)
+            if math.isfinite(rss_t) and rss_t < rss:
+                pred = float(delta @ (lam * (D @ delta) - g))
+                ratio = (rss - rss_t) / pred if pred > 0 else 1.0
+                lam *= max(1.0 / 3.0, 1.0 - (2.0 * ratio - 1.0) ** 3)
+                nu = 2.0
+                rel_drop = (rss - rss_t) / max(rss, 1e-300)
+                theta, e, J, rss = trial, e_t, J_t, rss_t
+                JtJ = J.T @ J
+                g = J.T @ e
+                accepted = True
+                if rel_drop < rss_rtol or np.max(np.abs(g)) < grad_atol:
+                    converged = True
+        if not accepted:
+            lam *= nu
+            nu *= 2.0
+            if lam > 1e15:
+                break
+    return StartOutcome(theta=theta, rss=rss, converged=converged, iterations=it)
+
+
+def fit_starts(theta0s, panel: RegressionPanel, *, max_iter: int = 500, rss_rtol: float = 1e-12,
+               grad_atol: float = 1e-10, margin_floor: float = 1e-6):
+    """(every start's outcome, the chosen one): lowest-RSS converged, else lowest-RSS."""
+    outcomes = [run_lm(t0, panel, margin_floor, max_iter, rss_rtol, grad_atol) for t0 in theta0s]
+    usable = [o for o in outcomes if o is not None]
+    if not usable:
+        raise EstimationError("no feasible start point; widen the grid or rescale flows")
+    converged_set = [o for o in usable if o.converged]
+    return outcomes, min(converged_set or usable, key=lambda o: o.rss)

@@ -321,6 +321,22 @@ def test_fit_all_days_failing_exits_nonzero(tmp_path, capsys):
     assert "all days failed to fit" in capsys.readouterr().err
 
 
+def test_fit_keeps_every_failing_models_message(tmp_path, capsys):
+    day = "2024-01-01"
+    bars = {day: [MinuteBar(day=day, bar_index=i, order_flow=5.0, last_price=100.0,
+                            log_return=None if i == 0 else 1e-4 * (-1) ** i)
+                  for i in range(40)]}
+    src = tmp_path / "flat.bars.csv"
+    write_bars_csv(bars, src)
+    assert main(["fit", str(src), "--out-dir", str(tmp_path / "out")]) == 1
+    want = ("sshape: flow never changes between bars; impact slope not identified; "
+            "linear: design column delta_f(linear) is constant; slope not identified; "
+            "sqrt: design column delta_f(sqrt) is constant; slope not identified")
+    doc = json.loads((tmp_path / "out" / "flat.bars.fits.json").read_text(encoding="utf-8"))
+    assert doc["failures"] == {day: want}
+    assert f"  failed {day}: {want}" in capsys.readouterr().out
+
+
 def test_fit_missing_file(tmp_path, capsys):
     assert main(["fit", str(tmp_path / "nope.csv"), "--out-dir", str(tmp_path)]) == 1
     assert "not found" in capsys.readouterr().err
