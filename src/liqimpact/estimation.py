@@ -12,7 +12,9 @@ derivatives are evaluated once per distinct flow, since x_prev mostly repeats
 the previous bar's x.  The starts advance in lockstep, one iteration each per
 round; after each round a live start is retired when it lies within one
 standard error of a start with lower RSS, in that start's Gauss-Newton metric
-(J'J): the two searches cannot yet be told apart, so only one goes on.
+(J'J): the two searches cannot yet be told apart, so only one goes on.  Only
+a start whose J'J is stiff enough for the stopping tolerances to pin its
+optimum down absorbs others, so short panels run every start to its end.
 
 Flow dynamics are estimated by AR(1) regression over day-contiguous segments,
 mapped back to continuous-time mean reversion; standard errors come from the
@@ -404,24 +406,42 @@ def _lm_step(s: _Start, evaluate, max_iter: int, rss_rtol: float, grad_atol: flo
         s.stop = "max_iter"
 
 
-def _retire_merged(kept: list[_Start], n: int) -> None:
+def _retire_merged(kept: list[_Start], n: int, rss_rtol: float, grad_atol: float) -> None:
     """Retire each live start i that lies within _MERGE_RADIUS standard errors of
-    a kept start j with lower RSS: (theta_i - theta_j)' JtJ_j (theta_i - theta_j)
-    <= _MERGE_RADIUS^2 RSS_j / (n - 4).  Equal RSS goes to the lower index; a
-    start with zero RSS (a noise-free panel) absorbs nothing."""
-    live = np.array([s.stop is None for s in kept])
-    theta = np.array([s.theta for s in kept])
+    a start j with lower RSS that is kept this round:
+    (theta_i - theta_j)' JtJ_j (theta_i - theta_j) <= _MERGE_RADIUS^2 RSS_j / (n - 4).
+    Equal RSS goes to the lower index; a start with zero RSS (a noise-free
+    panel) absorbs nothing.
+
+    Only a start whose metric pins its optimum down absorbs others.  Where the
+    gradient test passes (|g|^2 <= 4 grad_atol^2) the RSS can still lie up to
+    4 grad_atol^2 / lambda_min(JtJ) above the optimum; unless that is within
+    rss_rtol of the RSS, searches into one basin stop at scattered points, and
+    retiring one of them can drop the lowest.  Short panels, whose J'J is
+    nearly singular, therefore run every start to its end.
+    """
     rss = np.array([s.rss for s in kept])
+    JtJ = np.array([s.JtJ for s in kept])
+    finite = np.isfinite(JtJ).all(axis=(1, 2))
+    lam_min = np.zeros(len(kept))
+    lam_min[finite] = np.linalg.eigvalsh(JtJ[finite])[:, 0]
+    absorbs = (rss > 0.0) & (4.0 * grad_atol ** 2 <= rss_rtol * rss * lam_min)
+    if not absorbs.any():
+        return
+    theta = np.array([s.theta for s in kept])
     diff = theta[:, None, :] - theta[None, :, :]
-    d2 = np.einsum("ijk,jkl,ijl->ij", diff, np.array([s.JtJ for s in kept]), diff)
+    d2 = np.einsum("ijk,jkl,ijl->ij", diff, JtJ, diff)
     reach = _MERGE_RADIUS ** 2 * rss / (n - 4)
     rank = np.empty(len(kept), dtype=int)
     rank[np.argsort(rss, kind="stable")] = np.arange(len(kept))
-    near = live[:, None] & (rank[None, :] < rank[:, None]) & (reach > 0.0) & (d2 <= reach)
-    for i in np.flatnonzero(near.any(axis=1)):
-        j = min(np.flatnonzero(near[i]), key=rank.__getitem__)
-        kept[i].stop = "merged"
-        kept[i].merged_into = kept[j].index
+    live = np.array([s.stop is None for s in kept])
+    near = live[:, None] & absorbs[None, :] & (rank[None, :] < rank[:, None]) & (d2 <= reach)
+    # In ascending RSS, so every candidate j is already kept or retired this round.
+    for i in sorted(np.flatnonzero(near.any(axis=1)), key=rank.__getitem__):
+        js = [j for j in np.flatnonzero(near[i]) if kept[j].stop != "merged"]
+        if js:
+            kept[i].stop = "merged"
+            kept[i].merged_into = kept[min(js, key=rank.__getitem__)].index
 
 
 def _lm_starts(theta0s: Sequence[np.ndarray], evaluate, n: int, *, max_iter: int,
@@ -438,7 +458,7 @@ def _lm_starts(theta0s: Sequence[np.ndarray], evaluate, n: int, *, max_iter: int
     while live:
         for s in live:
             _lm_step(s, evaluate, max_iter, rss_rtol, grad_atol)
-        _retire_merged(kept, n)
+        _retire_merged(kept, n, rss_rtol, grad_atol)
         kept = [s for s in kept if s.stop != "merged"]
         live = [s for s in kept if s.stop is None]
     return starts
@@ -474,7 +494,10 @@ def fit_sshape(
     round a live start is retired when its iterate lies within one standard
     error of a start with lower RSS, measured in that start's Gauss-Newton
     metric, and makes no more evaluations.  Retired starts are never chosen.
-    On a panel the model fits exactly (RSS 0) nothing is retired.
+    A start absorbs others only where its J'J pins the optimum down to the
+    stopping tolerances: 4 grad_atol^2 / lambda_min(J'J) <= rss_rtol * RSS.
+    On short panels no start passes, and on a panel the model fits exactly
+    (RSS 0) nothing is retired; there every start runs to its end.
     """
     d = panel.x - panel.x_prev
     if np.ptp(d) == 0.0:
