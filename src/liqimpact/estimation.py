@@ -9,12 +9,13 @@ by rejecting trial steps whose feasibility margin drops below a safety floor.
 Searches start from a grid of (p, q) initial conditions scaled to the panel's
 flow dispersion and the lowest-RSS feasible optimum wins.  The curve and its
 derivatives are evaluated once per distinct flow, since x_prev mostly repeats
-the previous bar's x.  The starts advance in lockstep, one iteration each per
-round; after each round a live start is retired when it lies within one
-standard error of a start with lower RSS, in that start's Gauss-Newton metric
-(J'J): the two searches cannot yet be told apart, so only one goes on.  Only
-a start whose J'J is stiff enough for the stopping tolerances to pin its
-optimum down absorbs others, so short panels run every start to its end.
+the previous bar's x, into work arrays allocated once per fit.  The starts
+advance in lockstep, one iteration each per round; after each round a live
+start is retired when it lies within one standard error of a start with lower
+RSS, in that start's Gauss-Newton metric (J'J): the two searches cannot yet be
+told apart, so only one goes on.  Only a start whose J'J is stiff enough for
+the stopping tolerances to pin its optimum down absorbs others, so short
+panels run every start to its end.
 
 Flow dynamics are estimated by AR(1) regression over day-contiguous segments,
 mapped back to continuous-time mean reversion; standard errors come from the
@@ -271,11 +272,30 @@ def _sshape_residuals(panel: RegressionPanel):
 
     Most x_prev equal the previous bar's x, so the curve and its derivatives
     are evaluated once per distinct flow and gathered for both terms.
+
+    Every evaluation writes into the same work arrays, allocated here once per
+    panel, and the e and J it returns are overwritten by the next call.  A fit
+    makes hundreds of evaluations, and fresh panel-sized temporaries in each
+    are returned to the OS and faulted in again, or not, depending on the
+    allocator's state, and the fit time with them.
     """
     n = panel.n
     r = panel.r
     flows, where = np.unique(np.concatenate([panel.x, panel.x_prev]), return_inverse=True)
     i_cur, i_prev = where[:n], where[n:]
+    m = flows.size
+    ell_phi, den, f, df_du, dphi_dp, dphi_dq, tmp = (np.empty(m) for _ in range(7))
+    ok_m = np.empty(m, dtype=bool)
+    e, g_cur, g_prev = np.empty(n), np.empty(n), np.empty(n)
+    J = np.empty((n, 4))
+    J[:, 0] = -1.0
+    ok_e, ok_J = np.empty(n, dtype=bool), np.empty((n, 4), dtype=bool)
+
+    def gathered_difference(values: np.ndarray) -> np.ndarray:
+        """values[i_cur] - values[i_prev], in g_cur."""
+        np.take(values, i_cur, out=g_cur)
+        np.take(values, i_prev, out=g_prev)
+        return np.subtract(g_cur, g_prev, out=g_cur)
 
     def resid_jac(theta: np.ndarray, margin_floor: float):
         a, u, p, v = theta
@@ -293,27 +313,50 @@ def _sshape_residuals(panel: RegressionPanel):
             return None
 
         # Saturating trial parameters produce infs here; they are rejected below,
-        # so the intermediate overflow is expected and silenced.
+        # so the intermediate overflow is expected and silenced.  Each step is
+        # one ufunc into a work array, in the order of the plain expressions
+        #   f = log1p(ell Phi), df_du = ell Phi / den, den = 1 + ell Phi,
+        #   dPhi_dp = (p Phi + phi - 1) / q,
+        #   dPhi_dq = -(1/2) ((p^2 Phi + p (phi - 1)) / q^2 + (Phi - x phi) / q),
+        #   df_dp = ell dPhi_dp / den, df_dv = q ell dPhi_dq / den,
+        # so the results are the same to the bit.
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             Phi = np.asarray(big_phi(flows, params))
             ph = np.asarray(phi(flows, params))
-            den = 1.0 + ell * Phi
-            if not np.all(np.isfinite(den)) or np.any(den <= 0.0):
+            np.multiply(ell, Phi, out=ell_phi)
+            np.add(1.0, ell_phi, out=den)
+            if not np.isfinite(den, out=ok_m).all() or np.less_equal(den, 0.0, out=ok_m).any():
                 return None
-            f = np.log1p(ell * Phi)
-            df_du = ell * Phi / den
-            dPhi_dp = (p * Phi + ph - 1.0) / q
-            dPhi_dq = -0.5 * ((p * p * Phi + p * (ph - 1.0)) / (q * q) + (Phi - flows * ph) / q)
-            df_dp = ell * dPhi_dp / den
-            df_dv = q * ell * dPhi_dq / den
+            np.log1p(ell_phi, out=f)
+            np.divide(ell_phi, den, out=df_du)
 
-            e = r - a - (f[i_cur] - f[i_prev])
-            J = np.empty((n, 4))
-            J[:, 0] = -1.0
-            J[:, 1] = -(df_du[i_cur] - df_du[i_prev])
-            J[:, 2] = -(df_dp[i_cur] - df_dp[i_prev])
-            J[:, 3] = -(df_dv[i_cur] - df_dv[i_prev])
-        if not (np.all(np.isfinite(e)) and np.all(np.isfinite(J))):
+            np.multiply(p, Phi, out=dphi_dp)
+            np.add(dphi_dp, ph, out=dphi_dp)
+            np.subtract(dphi_dp, 1.0, out=dphi_dp)
+            np.divide(dphi_dp, q, out=dphi_dp)
+
+            np.multiply(p * p, Phi, out=dphi_dq)
+            np.subtract(ph, 1.0, out=tmp)
+            np.multiply(p, tmp, out=tmp)
+            np.add(dphi_dq, tmp, out=dphi_dq)
+            np.divide(dphi_dq, q * q, out=dphi_dq)
+            np.multiply(flows, ph, out=tmp)
+            np.subtract(Phi, tmp, out=tmp)
+            np.divide(tmp, q, out=tmp)
+            np.add(dphi_dq, tmp, out=dphi_dq)
+            np.multiply(-0.5, dphi_dq, out=dphi_dq)
+
+            df_dp = np.multiply(ell, dphi_dp, out=dphi_dp)
+            np.divide(df_dp, den, out=df_dp)
+            df_dv = np.multiply(q * ell, dphi_dq, out=dphi_dq)
+            np.divide(df_dv, den, out=df_dv)
+
+            np.subtract(r, a, out=e)
+            np.subtract(e, gathered_difference(f), out=e)
+            np.negative(gathered_difference(df_du), out=J[:, 1])
+            np.negative(gathered_difference(df_dp), out=J[:, 2])
+            np.negative(gathered_difference(df_dv), out=J[:, 3])
+        if not (np.isfinite(e, out=ok_e).all() and np.isfinite(J, out=ok_J).all()):
             return None
         return e, J
 
