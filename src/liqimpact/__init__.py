@@ -8,7 +8,7 @@ The package is organized by pipeline stage:
 - :mod:`liqimpact.sde` -- coupled price/flow simulation and synthetic
   regression panels with recorded ground truth.
 - :mod:`liqimpact.ingest` -- columnar tick-file parsing, trade signing,
-  and minute-bar construction.
+  minute-bar construction, and the columnar bar table.
 - :mod:`liqimpact.estimation` -- per-day and pooled curve fitting
   (OLS for the linear/sqrt curves, damped least squares for the S-shape)
   and the AR(1)-based flow-process estimator.
@@ -43,6 +43,7 @@ from .impact import (
     structural_to_pq,
 )
 from .ingest import (
+    BarTable,
     FlowDescriptives,
     MinuteBar,
     ParseError,

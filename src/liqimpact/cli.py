@@ -240,6 +240,19 @@ def _fit_one(panel: RegressionPanel, model: str, grid, fit_kwargs) -> FitResult:
     return fit_ols(panel, model)
 
 
+def _fit_models(panel: RegressionPanel, models: list[str], grid, fit_kwargs: dict
+                ) -> tuple[list[tuple[str, FitResult]], str]:
+    """Fit each model on its own: the fits that succeed, and the others' errors as one message."""
+    fits = []
+    errors = []
+    for model in models:
+        try:
+            fits.append((model, _fit_one(panel, model, grid, fit_kwargs)))
+        except EstimationError as exc:
+            errors.append(f"{model}: {exc}")
+    return fits, "; ".join(errors)
+
+
 def cmd_fit(args) -> int:
     config = _load_config(args.config)
     out_dir = _out_dir(args, config)
@@ -283,15 +296,9 @@ def cmd_fit(args) -> int:
                 failures[day] = str(exc)
                 failed_days += 1
                 continue
-            fits = []
-            errors = []
-            for model in models:
-                try:
-                    fits.append((model, _fit_one(panel, model, grid, fit_kwargs)))
-                except EstimationError as exc:
-                    errors.append(f"{model}: {exc}")
+            fits, errors = _fit_models(panel, models, grid, fit_kwargs)
             if errors:
-                failures[day] = "; ".join(errors)
+                failures[day] = errors
             if not fits:
                 failed_days += 1
                 continue
@@ -302,10 +309,13 @@ def cmd_fit(args) -> int:
         if pooled:
             try:
                 panel_all = RegressionPanel.from_bars(by_day)
-                for model in models:
-                    pooled_block[model] = fit_result_to_dict(_fit_one(panel_all, model, grid, fit_kwargs))
             except EstimationError as exc:
                 failures["pooled"] = str(exc)
+            else:
+                fits, errors = _fit_models(panel_all, models, grid, fit_kwargs)
+                pooled_block = {model: fit_result_to_dict(fr) for model, fr in fits}
+                if errors:
+                    failures["pooled"] = errors
 
         stem = _stem(f)
         csv_dest = out_dir / f"{stem}.fits.csv"

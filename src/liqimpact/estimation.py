@@ -43,7 +43,7 @@ from .impact import (
     log_feasibility_load,
     phi,
 )
-from .ingest import BAR_HEADER, MinuteBar, read_bars_csv
+from .ingest import BAR_HEADER, BarTable, MinuteBar, read_bars_csv
 from .sde import PANEL_HEADER, SyntheticPanel, read_panel_csv
 
 __all__ = [
@@ -123,26 +123,23 @@ class RegressionPanel:
         return int(self.r.size)
 
     @classmethod
-    def from_bars(cls, bars: dict[str, list[MinuteBar]] | Iterable[MinuteBar]) -> "RegressionPanel":
-        """Build observations from consecutive same-day bar pairs with a defined return."""
-        if isinstance(bars, dict):
-            by_day = {d: list(v) for d, v in bars.items()}
-        else:
-            by_day = {}
-            for b in bars:
-                by_day.setdefault(b.day, []).append(b)
-        rs: list[float] = []
-        xs: list[float] = []
-        xps: list[float] = []
-        for day_bars in by_day.values():
-            ordered = sorted(day_bars, key=lambda b: b.bar_index)
-            for prev, cur in zip(ordered, ordered[1:]):
-                if cur.log_return is None or cur.bar_index != prev.bar_index + 1:
-                    continue
-                rs.append(cur.log_return)
-                xs.append(cur.order_flow)
-                xps.append(prev.order_flow)
-        return cls(np.array(rs), np.array(xs), np.array(xps))
+    def from_bars(cls, bars: BarTable | dict[str, list[MinuteBar]] | Iterable[MinuteBar]
+                  ) -> "RegressionPanel":
+        """Build observations from consecutive same-day bar pairs with a defined return.
+
+        Bars are ordered by day, then stably by bar index; a bar pairs with the
+        one before it when both are on the same day, its index is one more and
+        its return is given.  Days group by key for a dict and by ``day``
+        otherwise (see :meth:`BarTable.from_bars`).
+        """
+        t = bars if isinstance(bars, BarTable) else BarTable.from_bars(bars)
+        order = np.lexsort((t.bar_index, t.day))
+        day = t.day[order]
+        bar = t.bar_index[order]
+        paired = (day[1:] == day[:-1]) & (bar[1:] == bar[:-1] + 1) & t.has_return[order[1:]]
+        cur = order[1:][paired]
+        prev = order[:-1][paired]
+        return cls(t.log_return[cur], t.order_flow[cur], t.order_flow[prev])
 
     @classmethod
     def from_synthetic(cls, panel: SyntheticPanel) -> "RegressionPanel":
@@ -555,25 +552,32 @@ def fit_sshape(
     q = math.exp(v)
     n = panel.n
     e, J = resid_jac(best.theta, 0.0)
-    # covariance in original units: d/d ell = (1/ell) d/du, d/dq = (1/q) d/dv
-    J_orig = J.copy()
-    J_orig[:, 1] /= ell
-    J_orig[:, 3] /= q
+    # covariance in original units: d/d ell = (1/ell) d/du, d/dq = (1/q) d/dv;
+    # at a degenerate optimum (ell or q near e^-700) these overflow
+    with np.errstate(over="ignore"):
+        J_orig = J.copy()
+        J_orig[:, 1] /= ell
+        J_orig[:, 3] /= q
+        JtJ = J_orig.T @ J_orig
     dof = max(n - 4, 1)
     s2 = best.rss / dof
-    JtJ = J_orig.T @ J_orig
-    try:
-        cov = s2 * np.linalg.inv(JtJ)
-    except np.linalg.LinAlgError:
-        cov = s2 * np.linalg.pinv(JtJ)
-    se = np.sqrt(np.maximum(np.diag(cov), 0.0))
+    notes = [] if best.converged else ["no start converged within max_iter; best endpoint returned"]
+    if np.isfinite(JtJ).all():
+        try:
+            cov = s2 * np.linalg.inv(JtJ)
+        except np.linalg.LinAlgError:
+            cov = s2 * np.linalg.pinv(JtJ)
+        se = np.sqrt(np.maximum(np.diag(cov), 0.0))
+    else:
+        se = np.full(4, np.nan)
+        notes.append("J'J overflows at the optimum; standard errors and t statistics are NaN")
     ests = np.array([a, ell, p, q])
     with np.errstate(divide="ignore", invalid="ignore"):
         t = np.where(se > 0, ests / se, np.nan)
     adj, bic = _selection_stats(panel.r, best.rss, n, 4)
     names = ["a", "ell", "p", "q"]
-    message = "" if best.converged else "no start converged within max_iter; best endpoint returned"
-    if not best.converged:
+    message = "; ".join(notes)
+    if message:
         logger.warning("fit_sshape: %s", message)
     return FitResult(
         model="sshape",

@@ -11,7 +11,8 @@ Ticks are held as columns: ``read_ticks`` returns a :class:`TickTable`, and
 ``build_bars`` works on one with array operations, never a Python loop per
 tick.  ``build_bars`` also takes a plain sequence of :class:`TickRecord`,
 converted once by :meth:`TickTable.from_records`; a table has a length and
-iterates as ``TickRecord``.
+iterates as ``TickRecord``.  Bars have a columnar form too, :class:`BarTable`,
+which the synthetic panels and the regression pairing use.
 
 Rules a tick row must follow (breaking one raises ParseError with the file and
 physical line, or the record index for records):
@@ -63,6 +64,7 @@ __all__ = [
     "TickRecord",
     "TickTable",
     "MinuteBar",
+    "BarTable",
     "FlowDescriptives",
     "read_ticks",
     "sign_trade",
@@ -246,6 +248,88 @@ class MinuteBar:
     unsigned_count: int = 0
     open_bid_size: float | None = None
     open_ask_size: float | None = None
+
+
+@dataclass(frozen=True, eq=False)
+class BarTable:
+    """Bars as columns, one entry per bar.
+
+    ``days`` holds the day labels in order of first appearance, a day with no
+    bars included, and ``day`` each row's position in it (int64).  The float64
+    columns hold NaN where a :class:`MinuteBar` field is None.  A return is the
+    one field where None and NaN differ, since a regression skips a missing
+    return but rejects a NaN one, so ``has_return`` marks the rows whose
+    ``log_return`` is given.  A table has a length and indexes and iterates as
+    ``MinuteBar``.
+    """
+
+    days: tuple[str, ...]
+    day: np.ndarray
+    bar_index: np.ndarray
+    order_flow: np.ndarray
+    last_price: np.ndarray
+    log_return: np.ndarray
+    has_return: np.ndarray
+    signed_count: np.ndarray
+    unsigned_count: np.ndarray
+    open_bid_size: np.ndarray
+    open_ask_size: np.ndarray
+
+    def __len__(self) -> int:
+        return self.day.size
+
+    def __iter__(self) -> Iterator[MinuteBar]:
+        return self._bars(slice(None))
+
+    def __getitem__(self, i: int) -> MinuteBar:
+        i = range(len(self))[i]
+        return next(self._bars(slice(i, i + 1)))
+
+    def _bars(self, rows: slice) -> Iterator[MinuteBar]:
+        labels = map(self.days.__getitem__, self.day[rows].tolist())
+        returns = np.where(self.has_return[rows], self.log_return[rows], None).tolist()
+        return map(MinuteBar, labels, self.bar_index[rows].tolist(), self.order_flow[rows].tolist(),
+                   _nan_to_none(self.last_price[rows]), returns, self.signed_count[rows].tolist(),
+                   self.unsigned_count[rows].tolist(), _nan_to_none(self.open_bid_size[rows]),
+                   _nan_to_none(self.open_ask_size[rows]))
+
+    def by_day(self) -> dict[str, list[MinuteBar]]:
+        """Bars per day label, every day of ``days`` included, rows in table order."""
+        out: dict[str, list[MinuteBar]] = {day: [] for day in self.days}
+        for b in self:
+            out[b.day].append(b)
+        return out
+
+    @classmethod
+    def from_bars(cls, bars: dict[str, list[MinuteBar]] | Iterable[MinuteBar]) -> BarTable:
+        """Columns from MinuteBars, grouped by key for a dict and by ``b.day`` otherwise.
+
+        A dict's rows take their key as day label, whatever their ``day``
+        field says; a flat iterable keeps its rows in input order, days
+        interleaved or not.
+        """
+        if isinstance(bars, dict):
+            groups = [list(v) for v in bars.values()]
+            days = tuple(bars)
+            rows = [b for group in groups for b in group]
+            sizes = np.array(list(map(len, groups)), dtype=np.int64)
+            day = np.repeat(np.arange(len(days), dtype=np.int64), sizes)
+        else:
+            rows = list(bars)
+            codes: dict[str, int] = {}
+            day = np.array([codes.setdefault(b.day, len(codes)) for b in rows], dtype=np.int64)
+            days = tuple(codes)
+
+        def column(name: str, dtype) -> np.ndarray:
+            return np.array(list(map(attrgetter(name), rows)), dtype=dtype)
+
+        return cls(
+            days, day, column("bar_index", np.int64),
+            column("order_flow", np.float64), column("last_price", np.float64),
+            column("log_return", np.float64), np.array([b.log_return is not None for b in rows], dtype=bool),
+            column("signed_count", np.int64), column("unsigned_count", np.int64),
+            column("open_bid_size", np.float64), column("open_ask_size", np.float64),
+        )
 
 
 @dataclass(frozen=True)

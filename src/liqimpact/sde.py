@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 from scipy.signal import lfilter
@@ -56,7 +56,7 @@ from .impact import (
     feasibility_margin,
     g_sshape,
 )
-from .ingest import MinuteBar
+from .ingest import BarTable, MinuteBar
 
 __all__ = [
     "RNG_ALGORITHM",
@@ -318,21 +318,15 @@ def simulate_path(config: SimConfig) -> SimPath:
 class SyntheticPanel:
     """Day-structured regression panel with the generating truth attached."""
 
-    bars: list[MinuteBar] = field(repr=False)
+    bars: BarTable = field(repr=False)
     truth: dict
 
     @property
     def days(self) -> list[str]:
-        seen: dict[str, None] = {}
-        for b in self.bars:
-            seen.setdefault(b.day, None)
-        return list(seen)
+        return list(self.bars.days)
 
     def by_day(self) -> dict[str, list[MinuteBar]]:
-        out: dict[str, list[MinuteBar]] = {}
-        for b in self.bars:
-            out.setdefault(b.day, []).append(b)
-        return out
+        return self.bars.by_day()
 
     def write_csv(self, dest: str | Path) -> None:
         write_panel_csv(self.bars, dest)
@@ -383,19 +377,21 @@ def synth_regression_panel(
     )
     p = np.exp(log_p)
 
-    bars: list[MinuteBar] = []
-    for d in range(n_days):
-        day = str(d)
-        for j in range(bars_per_day):
-            bars.append(
-                MinuteBar(
-                    day=day,
-                    bar_index=j,
-                    order_flow=float(x[d, j]),
-                    last_price=float(p[d, j]),
-                    log_return=None if j == 0 else float(r[d, j - 1]),
-                )
-            )
+    zeros = np.zeros(x.size, dtype=np.int64)
+    missing = np.full(x.size, np.nan)
+    bars = BarTable(
+        days=tuple(map(str, range(n_days))),
+        day=np.repeat(np.arange(n_days, dtype=np.int64), bars_per_day),
+        bar_index=np.tile(np.arange(bars_per_day, dtype=np.int64), n_days),
+        order_flow=x.ravel(),
+        last_price=p.ravel(),
+        log_return=np.concatenate([np.full((n_days, 1), np.nan), r], axis=1).ravel(),
+        has_return=np.tile(np.arange(bars_per_day) > 0, n_days),
+        signed_count=zeros,
+        unsigned_count=zeros,
+        open_bid_size=missing,
+        open_ask_size=missing,
+    )
     truth = {
         "a": a,
         "impact": curve_to_dict(impact),
@@ -408,9 +404,12 @@ def synth_regression_panel(
     return SyntheticPanel(bars=bars, truth=truth)
 
 
-def write_panel_csv(bars: list[MinuteBar], dest: str | Path) -> None:
-    """Write a regression panel as CSV with header day,bar,x,r (empty r on day-open bars)."""
-    write_table(dest, PANEL_HEADER, ((b.day, b.bar_index, float(b.order_flow), b.log_return) for b in bars))
+def write_panel_csv(bars: BarTable | Iterable[MinuteBar], dest: str | Path) -> None:
+    """Write a regression panel as CSV with header day,bar,x,r (empty r on bars without a return)."""
+    t = bars if isinstance(bars, BarTable) else BarTable.from_bars(bars)
+    write_table(dest, PANEL_HEADER, zip(
+        map(t.days.__getitem__, t.day.tolist()), t.bar_index.tolist(), t.order_flow.tolist(),
+        np.where(t.has_return, t.log_return, None).tolist()))
 
 
 def read_panel_csv(path: str | Path) -> list[MinuteBar]:

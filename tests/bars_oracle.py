@@ -1,0 +1,81 @@
+"""Per-bar reference implementations of the synthetic panel and of bar pairing.
+
+``synth_regression_panel`` builds one ``MinuteBar`` per simulated bar,
+``write_panel_csv`` writes such a list row by row, and ``from_bars`` pairs
+bars in a Python loop.  The library fills a ``BarTable`` from the simulated
+arrays and pairs by index arithmetic over it; the tests check it against
+these.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+from scipy.signal import lfilter
+
+from liqimpact._common import write_table
+from liqimpact.estimation import RegressionPanel
+from liqimpact.ingest import MinuteBar
+from liqimpact.sde import PANEL_HEADER, _impact_f
+
+
+def synth_regression_panel(a, impact, flow, n_days, bars_per_day, noise_sd=0.0, seed=0) -> list[MinuteBar]:
+    """The bars of ``sde.synth_regression_panel`` for the same arguments, built one at a time."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    decay, trans_sd = flow.transition(1.0)
+    x0 = flow.m + flow.stationary_sd * rng.standard_normal(n_days)
+    shocks = trans_sd * rng.standard_normal((n_days, bars_per_day - 1))
+    eps = noise_sd * rng.standard_normal((n_days, bars_per_day - 1))
+
+    zi = (decay * (x0 - flow.m))[:, None]
+    dev, _ = lfilter([1.0], [1.0, -decay], shocks, axis=1, zi=zi)
+    x = np.concatenate([x0[:, None], flow.m + dev], axis=1)
+
+    fx = _impact_f(impact, x)
+    r = a + fx[:, 1:] - fx[:, :-1] + eps
+    log_p = math.log(100.0) + np.concatenate([np.zeros((n_days, 1)), np.cumsum(r, axis=1)], axis=1)
+    p = np.exp(log_p)
+
+    bars: list[MinuteBar] = []
+    for d in range(n_days):
+        day = str(d)
+        for j in range(bars_per_day):
+            bars.append(MinuteBar(
+                day=day,
+                bar_index=j,
+                order_flow=float(x[d, j]),
+                last_price=float(p[d, j]),
+                log_return=None if j == 0 else float(r[d, j - 1]),
+            ))
+    return bars
+
+
+def write_panel_csv(bars: list[MinuteBar], dest) -> None:
+    write_table(dest, PANEL_HEADER, ((b.day, b.bar_index, float(b.order_flow), b.log_return) for b in bars))
+
+
+def from_bars(bars) -> RegressionPanel:
+    """Observations from consecutive same-day bar pairs with a defined return.
+
+    Days group by key for a dict and by ``b.day`` otherwise, in order of first
+    appearance; inside a day bars are sorted stably by index.
+    """
+    if isinstance(bars, dict):
+        by_day = {d: list(v) for d, v in bars.items()}
+    else:
+        by_day = {}
+        for b in bars:
+            by_day.setdefault(b.day, []).append(b)
+    rs: list[float] = []
+    xs: list[float] = []
+    xps: list[float] = []
+    for day_bars in by_day.values():
+        ordered = sorted(day_bars, key=lambda b: b.bar_index)
+        for prev, cur in zip(ordered, ordered[1:]):
+            if cur.log_return is None or cur.bar_index != prev.bar_index + 1:
+                continue
+            rs.append(cur.log_return)
+            xs.append(cur.order_flow)
+            xps.append(prev.order_flow)
+    return RegressionPanel(np.array(rs), np.array(xs), np.array(xps))

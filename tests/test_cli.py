@@ -337,6 +337,23 @@ def test_fit_keeps_every_failing_models_message(tmp_path, capsys):
     assert f"  failed {day}: {want}" in capsys.readouterr().out
 
 
+def test_fit_pooled_tries_every_model_and_names_each_failure(tmp_path, capsys):
+    bars = {day: [MinuteBar(day=day, bar_index=i, order_flow=5.0, last_price=100.0,
+                            log_return=None if i == 0 else 1e-4 * (-1) ** i)
+                  for i in range(40)]
+            for day in ("2024-01-01", "2024-01-02")}
+    src = tmp_path / "flat.bars.csv"
+    write_bars_csv(bars, src)
+    assert main(["fit", str(src), "--pooled", "--out-dir", str(tmp_path / "out")]) == 1
+    want = ("sshape: flow never changes between bars; impact slope not identified; "
+            "linear: design column delta_f(linear) is constant; slope not identified; "
+            "sqrt: design column delta_f(sqrt) is constant; slope not identified")
+    doc = json.loads((tmp_path / "out" / "flat.bars.fits.json").read_text(encoding="utf-8"))
+    assert doc["failures"]["pooled"] == want
+    assert doc["pooled"] == {}
+    assert f"  failed pooled: {want}" in capsys.readouterr().out
+
+
 def test_fit_missing_file(tmp_path, capsys):
     assert main(["fit", str(tmp_path / "nope.csv"), "--out-dir", str(tmp_path)]) == 1
     assert "not found" in capsys.readouterr().err

@@ -1,9 +1,11 @@
 """Tests for panel assembly, curve fitting, and the flow-process estimator."""
 
+import dataclasses
 import logging
 import math
 import re
 import tracemalloc
+import warnings
 from functools import partial
 from unittest import mock
 
@@ -14,6 +16,7 @@ from hypothesis import strategies as st
 from scipy.optimize import least_squares
 from scipy.signal import lfilter
 
+import bars_oracle
 import estimation_oracle
 from liqimpact import estimation
 from liqimpact.cli import main
@@ -38,7 +41,7 @@ from liqimpact.impact import (
     f_sshape,
     feasibility_margin,
 )
-from liqimpact.ingest import MinuteBar, ParseError, write_bars_csv
+from liqimpact.ingest import BarTable, MinuteBar, ParseError, write_bars_csv
 from liqimpact.sde import OUParams, synth_regression_panel, write_panel_csv
 
 TRUTH = dict(a=1e-6, ell=1e-5, p=-3e-3, q=8e-5)
@@ -90,6 +93,62 @@ def test_from_bars_does_not_pair_across_days():
     panel = RegressionPanel.from_bars({"d1": d1, "d2": d2})
     assert panel.n == 12
     assert set(panel.r.tolist()) == {1e-4, 2e-4}
+
+
+DAYS = ("d0", "d1", "d2")
+
+
+@st.composite
+def bar_inputs(draw):
+    """Bars in runs of consecutive indices, shuffled, with duplicates, gaps and
+    missing or non-finite returns and flows; as a flat list or a dict by key."""
+    value = st.floats(-1e3, 1e3)
+    if draw(st.integers(0, 3)) == 0:
+        value = st.one_of(*[value] * 20, st.sampled_from((math.nan, math.inf, -math.inf)))
+    ret = st.one_of(st.none(), value, value, value)
+    bars = []
+    for _ in range(draw(st.integers(0, 4))):
+        day = draw(st.sampled_from(DAYS))
+        start = draw(st.integers(-3, 10))
+        for k in range(start, start + draw(st.integers(1, 25))):
+            bars.append(MinuteBar(day=day, bar_index=k, order_flow=draw(value), last_price=None,
+                                  log_return=draw(ret)))
+    bars.extend(draw(st.lists(st.builds(
+        MinuteBar, day=st.sampled_from(DAYS), bar_index=st.integers(-3, 12), order_flow=value,
+        last_price=st.none(), log_return=ret), max_size=6)))
+    bars = draw(st.permutations(bars)) if draw(st.booleans()) else bars
+    if not draw(st.booleans()):
+        return bars
+    # Dicts group by key, which need not match b.day, and may hold empty days.
+    keys = draw(st.lists(st.sampled_from(DAYS + ("e",)), min_size=1, max_size=4, unique=True))
+    out = {key: [] for key in keys}
+    for b in bars:
+        out[draw(st.sampled_from(keys))].append(b)
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(bar_inputs())
+def test_from_bars_matches_pair_loop_oracle(bars):
+    try:
+        want = bars_oracle.from_bars(bars)
+    except EstimationError as exc:
+        with pytest.raises(EstimationError, match=re.escape(str(exc))):
+            RegressionPanel.from_bars(bars)
+        return
+    for got in (RegressionPanel.from_bars(bars), RegressionPanel.from_bars(BarTable.from_bars(bars))):
+        for name in ("r", "x", "x_prev"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+
+
+def test_from_bars_nan_return_is_non_finite_not_missing():
+    rows = _bars("d", [(i, None if i == 0 else 1e-4) for i in range(12)])
+    rows[5] = MinuteBar(day="d", bar_index=5, order_flow=1.0, last_price=100.0, log_return=math.nan)
+    for bars in (rows, {"d": rows}, BarTable.from_bars(rows)):
+        with pytest.raises(EstimationError, match="non-finite"):
+            RegressionPanel.from_bars(bars)
+    rows[5] = dataclasses.replace(rows[5], log_return=None)
+    assert RegressionPanel.from_bars(rows).n == 10
 
 
 def test_from_csv_sniffs_bar_and_panel_layouts(tmp_path, capsys):
@@ -302,6 +361,20 @@ def test_fit_sshape_max_iter_one_reports_unconverged(caplog):
     warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
     assert len(warnings) == 1
     assert fit.message in warnings[0].getMessage()
+
+
+def test_fit_sshape_overflowing_covariance_gives_nan_ses_without_warnings():
+    # On pure noise this start ends at q near 1e-107, where d/dq = (1/q) d/dv overflows J'J.
+    rng = np.random.default_rng(1)
+    x = rng.normal(0.0, 30.0, 17)
+    panel = RegressionPanel(r=rng.normal(0.0, 1e-4, 16), x=x[1:], x_prev=x[:-1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fit = fit_sshape(panel, [(-5e-4, 1e-6)])
+    assert fit.param_hats["q"] < 1e-100
+    assert all(math.isnan(v) for v in (*fit.ses.values(), *fit.t_stats.values()))
+    assert "J'J overflows" in fit.message
+    assert math.isfinite(fit.rss) and fit.converged
 
 
 def test_fit_sshape_bad_grids_raise():

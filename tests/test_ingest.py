@@ -17,6 +17,7 @@ from ingest_oracle import loop_build_bars, loop_read_ticks
 from liqimpact import ingest
 from liqimpact.ingest import (
     BAR_HEADER,
+    BarTable,
     MinuteBar,
     ParseError,
     TICK_HEADER,
@@ -590,6 +591,35 @@ def test_table_iterates_and_indexes_as_records():
     assert table[-1] == records[1]
     with pytest.raises(IndexError):
         table[2]
+
+
+@settings(max_examples=50, deadline=None)
+@given(tick_streams())
+def test_bar_table_round_trips_built_bars(stream):
+    days = build_bars(stream, *SESSION)
+    table = BarTable.from_bars(days)
+    assert table.days == tuple(days)  # days without trades included
+    assert len(table) == sum(map(len, days.values()))
+    assert repr(table.by_day()) == repr(days)
+    flat = [b for bars in days.values() for b in bars]
+    assert repr(list(BarTable.from_bars(flat))) == repr(flat)
+
+
+def test_bar_table_indexes_as_bars_and_groups_dicts_by_key():
+    bars = [MinuteBar("b", 1, 2.0, 100.0, math.nan, 3, 1, None, 4.0),
+            MinuteBar("a", 0, -1.0, None, None),
+            MinuteBar("b", 0, 0.5, 99.0, 1e-3)]
+    table = BarTable.from_bars(bars)
+    assert table.days == ("b", "a")
+    assert table.day.tolist() == [0, 1, 0]
+    assert len(table) == 3
+    assert repr(table[0]) == repr(bars[0])  # a NaN return stays NaN, a missing one None
+    assert table[-2] == bars[1]
+    with pytest.raises(IndexError):
+        table[3]
+    assert BarTable.from_bars({"e": [], "x": bars[1:]}).by_day() == {
+        "e": [], "x": [MinuteBar("x", 0, -1.0, None, None), MinuteBar("x", 0, 0.5, 99.0, 1e-3)]}
+    assert len(BarTable.from_bars({})) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,21 @@
 """Tests for the coupled price/flow simulator and synthetic regression panels."""
 
 import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
 
+import bars_oracle
+from liqimpact.cli import main
 from liqimpact.impact import (
     LinearParams,
     ParameterError,
     SqrtParams,
     SShapeParams,
     StructuralParams,
+    curve_to_dict,
     f_sqrt,
     f_sshape,
     g_sshape,
@@ -28,6 +32,7 @@ from liqimpact.sde import (
     read_panel_csv,
     simulate_path,
     synth_regression_panel,
+    write_panel_csv,
 )
 
 NK = SShapeParams(ell=1.3e-5, p=-0.0034, q=8.15e-5)
@@ -430,6 +435,49 @@ def test_panel_csv_round_trip(tmp_path):
         assert (a.day, a.bar_index) == (b.day, b.bar_index)
         assert b.order_flow == a.order_flow
         assert b.log_return == a.log_return
+
+
+PANEL_CASES = [  # (seed, impact, n_days, bars_per_day, noise_sd)
+    (0, NK, 3, 40, 5e-4),
+    (17, NK, 1, 2, 0.0),
+    (1000, NK, 5, 120, 5e-4),
+    (6, SqrtParams(alpha=1e-4), 3, 20, 1e-4),
+    (9, LinearParams(alpha=2e-5), 4, 25, 0.0),
+]
+
+
+@pytest.mark.parametrize("seed, impact, n_days, bars_per_day, noise_sd", PANEL_CASES)
+def test_panel_table_matches_per_bar_oracle(tmp_path, seed, impact, n_days, bars_per_day, noise_sd):
+    flow = OUParams(c=0.1, m=5.0, eta=100.0)
+    panel = synth_regression_panel(a=1e-6, impact=impact, flow=flow, n_days=n_days,
+                                   bars_per_day=bars_per_day, noise_sd=noise_sd, seed=seed)
+    want = bars_oracle.synth_regression_panel(1e-6, impact, flow, n_days, bars_per_day, noise_sd, seed)
+    assert len(panel.bars) == len(want)
+    assert repr(list(panel.bars)) == repr(want)
+    assert repr(panel.bars[-1]) == repr(want[-1])
+    assert panel.days == [str(d) for d in range(n_days)]
+    by_day: dict = {}
+    for b in want:
+        by_day.setdefault(b.day, []).append(b)
+    assert repr(panel.by_day()) == repr(by_day)
+
+    bars_oracle.write_panel_csv(want, tmp_path / "want.csv")
+    panel.write_csv(tmp_path / "panel.csv")
+    write_panel_csv(want, tmp_path / "from_list.csv")
+    expected = (tmp_path / "want.csv").read_bytes()
+    assert (tmp_path / "panel.csv").read_bytes() == expected
+    assert (tmp_path / "from_list.csv").read_bytes() == expected
+
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({
+        "mode": "panel", "seed": seed, "impact": curve_to_dict(impact),
+        "panel": {"a": 1e-6, "flow": dataclasses.asdict(flow), "n_days": n_days,
+                  "bars_per_day": bars_per_day, "noise_sd": noise_sd},
+    }), encoding="utf-8")
+    assert main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path / "cli")]) == 0
+    assert (tmp_path / "cli" / "panel.csv").read_bytes() == expected
+    meta = json.loads((tmp_path / "cli" / "panel.meta.json").read_text(encoding="utf-8"))
+    assert meta == json.loads(json.dumps(panel.metadata()))
 
 
 def test_panel_validation():
