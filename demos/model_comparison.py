@@ -77,7 +77,9 @@ print(f"  p5 {d.percentiles[5]:.3e}   p50 {d.percentiles[50]:.3e}   "
       f"p95 {d.percentiles[95]:.3e}")
 print()
 
-rep = depth_report({d: daily[d]["sshape"] for d in days}, contract="demo")
+curves = {d: SShapeParams(**daily[d]["sshape"].param_hats) if daily[d]["sshape"].converged else None
+          for d in days}
+rep = depth_report(curves, contract="demo")
 print(f"depth report: {rep.n_included} days included, {rep.n_excluded} excluded")
 print(f"  daily inflection mean {rep.inflection.mean:.1f}, "
       f"sd {rep.inflection.sd:.1f} contracts")

@@ -24,13 +24,14 @@ import json
 import logging
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 from ._common import SCHEMA_VERSION, write_json, write_table
 from .impact import ParameterError, SShapeParams, StructuralParams, curve_from_dict, feasibility_margin
-from .ingest import ParseError, build_bars, read_bars_csv, read_ticks, write_bars_csv
+from .ingest import BarTable, ParseError, build_bars, read_bars_csv, read_ticks, write_bars_csv
 from .sde import OUParams, SimConfig, _impact_f, simulate_path, synth_regression_panel
 from .estimation import (
     EstimationError,
@@ -280,7 +281,7 @@ def cmd_fit(args) -> int:
     failed_days = 0
     for f in files:
         try:
-            by_day = read_bar_days(f)
+            table = read_bar_days(f)
         except OSError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
@@ -288,10 +289,10 @@ def cmd_fit(args) -> int:
         day_rows: list[tuple[str, FitResult]] = []
         failures: dict[str, str] = {}
         json_days: dict[str, dict] = {}
-        for day, bars in sorted(by_day.items()):
+        for day in sorted(table.days):
             total_days += 1
             try:
-                panel = RegressionPanel.from_bars({day: bars})
+                panel = RegressionPanel.from_bars(table.take(table.day == table.days.index(day)))
             except EstimationError as exc:
                 failures[day] = str(exc)
                 failed_days += 1
@@ -308,7 +309,7 @@ def cmd_fit(args) -> int:
         pooled_block = {}
         if pooled:
             try:
-                panel_all = RegressionPanel.from_bars(by_day)
+                panel_all = RegressionPanel.from_bars(table)
             except EstimationError as exc:
                 failures["pooled"] = str(exc)
             else:
@@ -329,7 +330,7 @@ def cmd_fit(args) -> int:
             "failures": failures,
         })
         ok_days = len(json_days)
-        print(f"{csv_dest}: {ok_days}/{len(by_day)} day(s) fit, models {'+'.join(models)}"
+        print(f"{csv_dest}: {ok_days}/{len(table.days)} day(s) fit, models {'+'.join(models)}"
               + (f", {len(failures)} failure(s)" if failures else ""))
         for day, msg in sorted(failures.items()):
             print(f"  failed {day}: {msg}")
@@ -426,9 +427,7 @@ def cmd_compare(args) -> int:
     depth_reports = []
     report: dict = {"schema_version": SCHEMA_VERSION, "contracts": {}}
 
-    bars_by_contract: dict[str, dict] = {}
-    for f in bar_files:
-        bars_by_contract[_contract(f)] = read_bars_csv(f)
+    bars_by_contract = {_contract(f): BarTable.from_bars(read_bars_csv(f)) for f in bar_files}
 
     try:
         for f in fit_files:
@@ -444,12 +443,7 @@ def cmd_compare(args) -> int:
                     for metric in METRICS:
                         res = paired_t_test(series[ma], series[mb], metric)
                         ttest_rows.append((contract, ma, mb, res))
-                        block["t_tests"].append({
-                            "model_a": ma, "model_b": mb, "metric": metric,
-                            "mean_difference": res.mean_difference,
-                            "t_statistic": res.t_statistic,
-                            "n": res.n, "degenerate": res.degenerate,
-                        })
+                        block["t_tests"].append({"model_a": ma, "model_b": mb, **asdict(res)})
 
             sshape_rows = [r for r in rows if r["model"] == "sshape" and r["converged"]]
             if sshape_rows:
@@ -462,16 +456,9 @@ def cmd_compare(args) -> int:
                             "n": d.n, "mean": d.mean, "sd": d.sd,
                             "percentiles": {str(k): v for k, v in d.percentiles.items()},
                         }
-                fits = {
-                    r["date"]: FitResult(
-                        model="sshape", a_hat=r["a_hat"],
-                        param_hats={"ell": r["ell"], "p": r["p"], "q": r["q"]},
-                        ses={}, t_stats={}, rss=r["rss"], adj_r2=r["adj_r2"], bic=r["bic"],
-                        n=r["n"], k=r["k"], converged=r["converged"],
-                    )
-                    for r in rows if r["model"] == "sshape"
-                }
-                rep = depth_report(fits, bars_by_contract.get(contract), contract=contract)
+                curves = {r["date"]: SShapeParams(r["ell"], r["p"], r["q"]) if r["converged"] else None
+                          for r in rows if r["model"] == "sshape"}
+                rep = depth_report(curves, bars_by_contract.get(contract), contract=contract)
                 depth_reports.append(rep)
                 block["depth"] = {
                     "daily_inflection": rep.daily_inflection,

@@ -18,8 +18,7 @@ import numpy as np
 
 from ._common import write_table
 from .impact import SShapeParams, inflection_point
-from .ingest import MinuteBar
-from .estimation import FitResult
+from .ingest import BarTable
 
 __all__ = [
     "PERCENTILE_LEVELS",
@@ -153,31 +152,32 @@ class DepthReport:
 
 
 def depth_report(
-    daily_sshape_fits: dict[str, FitResult] | list[tuple[str, FitResult]],
-    bar_panels: dict[str, list[MinuteBar]] | None = None,
+    curves: dict[str, SShapeParams | None],
+    bars: BarTable | None = None,
     contract: str = "",
 ) -> DepthReport:
-    """Summarize market depth: -p/q per converged daily fit, and the open
-    bid/ask sizes observed on those same days when bar panels are supplied."""
-    items = list(daily_sshape_fits.items()) if isinstance(daily_sshape_fits, dict) else list(daily_sshape_fits)
-    for _, fr in items:
-        if fr.model != "sshape":
-            raise ValueError(f"depth_report expects sshape fits, got {fr.model!r}")
-    kept = sorted(((d, fr) for d, fr in items if fr.converged), key=lambda t: t[0])
-    if not kept:
+    """Summarize market depth: -p/q per fitted day, and the open bid/ask sizes
+    observed on those same days when bars are supplied.
+
+    ``curves`` maps each date to its fitted curve, None where the fit did not
+    converge.  Sizes are taken in date order, then in table order within a
+    day; missing (NaN) sizes are left out.
+    """
+    daily = {d: inflection_point(c) for d, c in sorted(curves.items()) if c is not None}
+    if not daily:
         raise ValueError("no converged fits to report depth on")
-    daily = {
-        d: inflection_point(SShapeParams(fr.param_hats["ell"], fr.param_hats["p"], fr.param_hats["q"]))
-        for d, fr in kept
-    }
     dates = tuple(daily)
     bid_desc = ask_desc = None
-    if bar_panels:
-        bids = [b.open_bid_size for d in dates for b in bar_panels.get(d, []) if b.open_bid_size is not None]
-        asks = [b.open_ask_size for d in dates for b in bar_panels.get(d, []) if b.open_ask_size is not None]
-        if bids:
+    if bars is not None:
+        position = {d: i for i, d in enumerate(dates)}
+        day_pos = np.array([position.get(d, -1) for d in bars.days], dtype=np.int64)[bars.day]
+        rows = np.flatnonzero(day_pos >= 0)
+        rows = rows[np.argsort(day_pos[rows], kind="stable")]
+        bids, asks = bars.open_bid_size[rows], bars.open_ask_size[rows]
+        bids, asks = bids[~np.isnan(bids)], asks[~np.isnan(asks)]
+        if bids.size:
             bid_desc = descriptives(bids)
-        if asks:
+        if asks.size:
             ask_desc = descriptives(asks)
     return DepthReport(
         contract=contract,
@@ -186,8 +186,8 @@ def depth_report(
         inflection=descriptives(list(daily.values())),
         bid_size=bid_desc,
         ask_size=ask_desc,
-        n_included=len(kept),
-        n_excluded=len(items) - len(kept),
+        n_included=len(daily),
+        n_excluded=len(curves) - len(daily),
     )
 
 

@@ -77,8 +77,8 @@ class EstimationError(ValueError):
     """Degenerate design or unusable input for an estimator."""
 
 
-def read_bar_days(path: str | Path) -> dict[str, list[MinuteBar]]:
-    """Bars by day from a bar CSV or a day,bar,x,r panel CSV, told apart by header.
+def read_bar_days(path: str | Path) -> BarTable:
+    """Bars of a bar CSV or a day,bar,x,r panel CSV, told apart by header, as one table.
 
     Raises ParseError with the file and line 1 for any other header.
     """
@@ -86,12 +86,9 @@ def read_bar_days(path: str | Path) -> dict[str, list[MinuteBar]]:
     with path.open(encoding="utf-8") as fh:
         first = fh.readline().strip()
     if first == ",".join(BAR_HEADER):
-        return read_bars_csv(path)
+        return BarTable.from_bars(read_bars_csv(path))
     if first == ",".join(PANEL_HEADER):
-        by_day: dict[str, list[MinuteBar]] = {}
-        for b in read_panel_csv(path):
-            by_day.setdefault(b.day, []).append(b)
-        return by_day
+        return BarTable.from_bars(read_panel_csv(path))
     raise ParseError(f"{path}:1: unrecognized header {first!r}; expected "
                      f"{','.join(BAR_HEADER)} or {','.join(PANEL_HEADER)}")
 
@@ -528,7 +525,9 @@ def fit_sshape(
     q > 0, feasibility margin >= margin_floor), and returns the lowest-RSS
     converged start.  If no start converges the best endpoint is returned with
     ``converged`` False.  t statistics come from the Gauss-Newton covariance
-    in the original (a, ell, p, q) parameterization.
+    in the original (a, ell, p, q) parameterization; where J'J overflows or a
+    parameter's variance is not positive (a degenerate optimum), those
+    standard errors and t statistics are NaN and ``message`` says which.
 
     The starts advance in lockstep, one iteration each per round.  After every
     round a live start is retired when its iterate lies within one standard
@@ -561,21 +560,25 @@ def fit_sshape(
         JtJ = J_orig.T @ J_orig
     dof = max(n - 4, 1)
     s2 = best.rss / dof
+    names = ["a", "ell", "p", "q"]
     notes = [] if best.converged else ["no start converged within max_iter; best endpoint returned"]
     if np.isfinite(JtJ).all():
         try:
             cov = s2 * np.linalg.inv(JtJ)
         except np.linalg.LinAlgError:
             cov = s2 * np.linalg.pinv(JtJ)
-        se = np.sqrt(np.maximum(np.diag(cov), 0.0))
+        var = np.diag(cov)
+        se = np.sqrt(np.where(var > 0, var, np.nan))
+        void = [name for name, v in zip(names, var) if not v > 0]
+        if void:
+            notes.append(f"J'J is singular at the optimum in {', '.join(void)}: "
+                         "their standard errors and t statistics are NaN")
     else:
         se = np.full(4, np.nan)
         notes.append("J'J overflows at the optimum; standard errors and t statistics are NaN")
     ests = np.array([a, ell, p, q])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = np.where(se > 0, ests / se, np.nan)
+    t = ests / se
     adj, bic = _selection_stats(panel.r, best.rss, n, 4)
-    names = ["a", "ell", "p", "q"]
     message = "; ".join(notes)
     if message:
         logger.warning("fit_sshape: %s", message)

@@ -12,7 +12,8 @@ Ticks are held as columns: ``read_ticks`` returns a :class:`TickTable`, and
 tick.  ``build_bars`` also takes a plain sequence of :class:`TickRecord`,
 converted once by :meth:`TickTable.from_records`; a table has a length and
 iterates as ``TickRecord``.  Bars have a columnar form too, :class:`BarTable`,
-which the synthetic panels and the regression pairing use.
+which the synthetic panels, the bar-file reader of ``estimation``, the
+regression pairing and the depth report use.
 
 Rules a tick row must follow (breaking one raises ParseError with the file and
 physical line, or the record index for records):
@@ -48,7 +49,7 @@ import gzip
 import io
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import date, datetime, time, timedelta
 from itertools import compress, repeat
 from operator import attrgetter
@@ -292,6 +293,13 @@ class BarTable:
                    _nan_to_none(self.last_price[rows]), returns, self.signed_count[rows].tolist(),
                    self.unsigned_count[rows].tolist(), _nan_to_none(self.open_bid_size[rows]),
                    _nan_to_none(self.open_ask_size[rows]))
+
+    def take(self, rows) -> BarTable:
+        """The rows a boolean mask or an integer index array selects, in that order.
+
+        ``days`` is kept whole, so every day code keeps its label.
+        """
+        return BarTable(self.days, *(getattr(self, f.name)[rows] for f in fields(self)[1:]))
 
     def by_day(self) -> dict[str, list[MinuteBar]]:
         """Bars per day label, every day of ``days`` included, rows in table order."""

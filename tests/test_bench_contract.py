@@ -5,12 +5,20 @@ arguments and results.  A refactor that reshapes one of these breaks traced
 benchmark runs without failing any other test, so the shapes are pinned here.
 """
 
+import dataclasses
+import json
 from datetime import datetime
+from pathlib import Path
 
+import pytest
+
+from liqimpact import cli
 from liqimpact.estimation import RegressionPanel
 from liqimpact.impact import SShapeParams
-from liqimpact.ingest import TickRecord, build_bars
+from liqimpact.ingest import TickRecord, build_bars, write_bars_csv
 from liqimpact.sde import OUParams, synth_regression_panel
+
+DATA = Path(__file__).parent / "data"
 
 
 def _panel():
@@ -54,3 +62,98 @@ def test_build_bars_values_carry_signed_counts():
     assert len(bars) == 5
     assert sum(b.signed_count for b in bars) == 2
     assert sum(b.unsigned_count for b in bars) == 1
+
+
+def _spy(monkeypatch, owner, name):
+    """Replace owner.name with a wrapper that records (args, kwargs, result) per call."""
+    original = getattr(owner, name)
+    calls = []
+
+    def spy(*args, **kwargs):
+        result = original(*args, **kwargs)
+        calls.append((args, kwargs, result))
+        return result
+
+    monkeypatch.setattr(owner, name, spy)
+    return calls
+
+
+def test_ingest_reads_ticks_through_cli_into_a_sized_iterable_of_kinds(monkeypatch, tmp_path, capsys):
+    # _ticks_read: len(result) and sum(1 for r in result if r.kind == "T").
+    calls = _spy(monkeypatch, cli, "read_ticks")
+    assert cli.main(["ingest", str(DATA / "golden_ticks.csv"), "--out-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    (_, _, result), = calls
+    kinds = [r.kind for r in result]
+    assert len(result) == len(kinds) > 0
+    assert 0 < kinds.count("T") < len(kinds)
+
+
+def _grid_config(tmp_path):
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps({"grid": [[-3e-3, 8e-5]]}), encoding="utf-8")
+    return path
+
+
+@pytest.fixture
+def sized_bars_csv(tmp_path):
+    """The synthetic panel's bars with open quote sizes, as a bar CSV."""
+    bars = {day: [dataclasses.replace(b, open_bid_size=10.0 + b.bar_index, open_ask_size=20.0) for b in rows]
+            for day, rows in _panel().by_day().items()}
+    path = tmp_path / "es.bars.csv"
+    write_bars_csv(bars, path)
+    return path
+
+
+def test_fit_passes_panels_first_to_fit_sshape_and_builds_them_with_from_bars(
+        monkeypatch, tmp_path, capsys, sized_bars_csv):
+    # _fitted: args[0].n, result.starts_tried, result.converged and result.ses.values().
+    # estimation.from_bars is a required span of the traced tick pipeline.
+    fitted = _spy(monkeypatch, cli, "fit_sshape")
+    original = RegressionPanel.from_bars.__func__
+    built = []
+
+    def from_bars(cls, bars):
+        built.append(original(cls, bars))
+        return built[-1]
+
+    monkeypatch.setattr(RegressionPanel, "from_bars", classmethod(from_bars))
+    assert cli.main(["fit", str(sized_bars_csv), "--pooled", "--model", "sshape",
+                     "--out-dir", str(tmp_path / "fits"), "--config", str(_grid_config(tmp_path))]) == 0
+    capsys.readouterr()
+    assert [panel.n for panel in built] == [19, 19, 19, 57]
+    assert [args[0].n for args, _, _ in fitted] == [19, 19, 19, 57]
+    for _, _, result in fitted:
+        assert isinstance(result.starts_tried, int) and isinstance(result.converged, bool)
+        assert all(isinstance(v, float) for v in result.ses.values())
+
+
+def test_compare_reads_bars_through_cli_and_reports_quote_sizes(monkeypatch, tmp_path, capsys, sized_bars_csv):
+    # ingest.read_bars_csv is a required span, wrapped at cli's name;
+    # _depth: result.bid_size is None or result.ask_size is None.
+    assert cli.main(["fit", str(sized_bars_csv), "--model", "sshape", "--out-dir", str(tmp_path / "fits"),
+                     "--config", str(_grid_config(tmp_path))]) == 0
+    read = _spy(monkeypatch, cli, "read_bars_csv")
+    depth = _spy(monkeypatch, cli, "depth_report")
+    assert cli.main(["compare", "--fits", str(tmp_path / "fits" / "es.bars.fits.csv"),
+                     "--bars", str(sized_bars_csv), "--out-dir", str(tmp_path / "reports")]) == 0
+    capsys.readouterr()
+    assert [args for args, _, _ in read] == [(sized_bars_csv,)]
+    (_, _, result), = depth
+    assert result.bid_size.n == result.ask_size.n == 60
+    assert result.bid_size.mean == 10.0 + 9.5 and result.ask_size.mean == 20.0
+
+
+def test_simulate_passes_the_config_first_with_its_step_count(monkeypatch, tmp_path, capsys):
+    # _steps: args[0].n_steps, so simulate_path takes its SimConfig first.
+    calls = _spy(monkeypatch, cli, "simulate_path")
+    config = {"structural": {"mu_s": 0.05, "sigma_s": 0.2, "rho": 0.3, "c": 0.2, "m": 3.0, "eta": 80.0,
+                             "delta": 0.0, "tau": 0.0, "r": 0.03, "kappa0": 0.0},
+              "impact": {"family": "sshape", "ell": 1.3e-5, "p": -0.0034, "q": 8.15e-5},
+              "n_steps": 7, "seed": 1}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    assert cli.main(["simulate", "--config", str(path), "--out-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    (args, _, _), = calls
+    assert args[0].n_steps == 7

@@ -309,6 +309,33 @@ def test_fit_reads_bar_csv(tmp_path):
     assert abs(float(rows[0]["alpha"]) - alpha) < 5e-6
 
 
+def test_fit_pooled_on_interleaved_panel_days_matches_grouped(tmp_path, capsys):
+    panel = synth_regression_panel(a=1e-6, impact=SShapeParams(1.3e-5, -0.0034, 8.15e-5),
+                                   flow=OUParams(c=0.1, m=5.0, eta=100.0),
+                                   n_days=3, bars_per_day=40, noise_sd=5e-4, seed=4)
+    cfg = write_config(tmp_path, {"grid": [[-3e-3, 8e-5]]})
+    outputs = {}
+    for layout in ("grouped", "interleaved"):
+        src = tmp_path / layout / "nk.csv"
+        src.parent.mkdir()
+        panel.write_csv(src)
+        if layout == "interleaved":
+            # One bar of each day in turn; the days first appear in the same order.
+            header, *rows = src.read_text(encoding="utf-8").splitlines()
+            rows.sort(key=lambda line: int(line.split(",")[1]))
+            assert [line.split(",")[0] for line in rows[:4]] == ["0", "1", "2", "0"]
+            src.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+        out = tmp_path / layout / "out"
+        assert main(["fit", str(src), "--pooled", "--config", str(cfg), "--out-dir", str(out)]) == 0
+        doc = json.loads((out / "nk.fits.json").read_text(encoding="utf-8"))
+        del doc["config"]  # names the input and output paths
+        assert sorted(doc["days"]) == ["0", "1", "2"]
+        assert sorted(doc["pooled"]) == ["linear", "sqrt", "sshape"]
+        outputs[layout] = ((out / "nk.fits.csv").read_bytes(), json.dumps(doc, sort_keys=True))
+    capsys.readouterr()
+    assert outputs["interleaved"] == outputs["grouped"]
+
+
 def test_fit_all_days_failing_exits_nonzero(tmp_path, capsys):
     bars = {}
     for day in ("2024-01-01", "2024-01-02"):

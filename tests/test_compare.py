@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from liqimpact import compare
 from liqimpact.compare import (
     DEPTH_HEADER,
     DESCRIPTIVES_HEADER,
@@ -19,9 +20,8 @@ from liqimpact.compare import (
     write_descriptives_csv,
     write_ttest_csv,
 )
-from liqimpact.estimation import FitResult
 from liqimpact.impact import SShapeParams, inflection_point
-from liqimpact.ingest import MinuteBar
+from liqimpact.ingest import BarTable, MinuteBar
 
 
 def make_series(dates, values, contract="ES", model="sshape"):
@@ -31,20 +31,9 @@ def make_series(dates, values, contract="ES", model="sshape"):
                              adj_r2=v, rss=v.copy(), bic=v.copy())
 
 
-def sshape_fit(ell, p, q, converged=True):
-    return FitResult(
-        model="sshape",
-        a_hat=1e-6,
-        param_hats={"ell": ell, "p": p, "q": q},
-        ses={"ell": 0.0, "p": 0.0, "q": 0.0},
-        t_stats={},
-        rss=1e-8,
-        adj_r2=0.5,
-        bic=-100.0,
-        n=360,
-        k=4,
-        converged=converged,
-    )
+def bar(day, idx, bid, ask):
+    return MinuteBar(day=day, bar_index=idx, order_flow=0.0, last_price=100.0,
+                     log_return=None, open_bid_size=bid, open_ask_size=ask)
 
 
 # ---------------------------------------------------------------------------
@@ -223,21 +212,19 @@ def test_series_validation():
 
 
 def test_depth_report_inflections_match_curve_module():
-    fits = {
-        "2024-02-01": sshape_fit(1.3e-5, -0.0034, 8.15e-5),
-        "2024-02-02": sshape_fit(2e-5, -0.002, 1e-4),
-        "2024-02-03": sshape_fit(1e-5, -0.003, 9e-5, converged=False),
+    curves = {
+        "2024-02-02": SShapeParams(2e-5, -0.002, 1e-4),
+        "2024-02-01": SShapeParams(1.3e-5, -0.0034, 8.15e-5),
+        "2024-02-03": None,
     }
-    rep = depth_report(fits, contract="ES")
+    rep = depth_report(curves, contract="ES")
     assert rep.contract == "ES"
     assert rep.dates == ("2024-02-01", "2024-02-02")
     assert rep.n_included == 2 and rep.n_excluded == 1
     assert rep.daily_inflection["2024-02-01"] == 41.71779141104294
-    for date, fr in fits.items():
-        if not fr.converged:
-            continue
-        want = inflection_point(SShapeParams(**fr.param_hats))
-        assert rep.daily_inflection[date] == want
+    for date, curve in curves.items():
+        if curve is not None:
+            assert rep.daily_inflection[date] == inflection_point(curve)
     assert rep.inflection.n == 2
     assert rep.inflection.mean == pytest.approx(
         float(np.mean(list(rep.daily_inflection.values()))))
@@ -245,34 +232,70 @@ def test_depth_report_inflections_match_curve_module():
 
 
 def test_depth_report_bar_panel_descriptives():
-    fits = [("d1", sshape_fit(1e-5, -0.003, 8e-5)),
-            ("d2", sshape_fit(1e-5, -0.003, 8e-5))]
-
-    def bar(day, idx, bid, ask):
-        return MinuteBar(day=day, bar_index=idx, order_flow=0.0, last_price=100.0,
-                         log_return=None, open_bid_size=bid, open_ask_size=ask)
-
-    panels = {
+    curve = SShapeParams(1e-5, -0.003, 8e-5)
+    bars = BarTable.from_bars({
         "d1": [bar("d1", 0, 10.0, 20.0), bar("d1", 1, None, 25.0)],
         "d2": [bar("d2", 0, 30.0, None), bar("d2", 1, 14.0, 22.0)],
-        "d9": [bar("d9", 0, 1e6, 1e6)],  # day with no fit, must be ignored
-    }
-    rep = depth_report(fits, bar_panels=panels, contract="NK")
-    want_bid = descriptives([10.0, 30.0, 14.0])
-    want_ask = descriptives([20.0, 25.0, 22.0])
-    assert rep.bid_size == want_bid
-    assert rep.ask_size == want_ask
+    })
+    rep = depth_report({"d1": curve, "d2": curve}, bars, contract="NK")
+    assert rep.bid_size == descriptives([10.0, 30.0, 14.0])
+    assert rep.ask_size == descriptives([20.0, 25.0, 22.0])
     assert rep.n_included == 2 and rep.n_excluded == 0
 
 
 def test_depth_report_rejects_bad_input():
-    linear = FitResult(model="linear", a_hat=0.0, param_hats={"alpha": 1e-4},
-                       ses={}, t_stats={}, rss=1.0, adj_r2=0.0, bic=0.0,
-                       n=10, k=2, converged=True)
-    with pytest.raises(ValueError, match="sshape"):
-        depth_report({"d1": linear})
     with pytest.raises(ValueError, match="converged"):
-        depth_report({"d1": sshape_fit(1e-5, -0.003, 8e-5, converged=False)})
+        depth_report({"d1": None})
+    with pytest.raises(ValueError, match="converged"):
+        depth_report({})
+
+
+def test_depth_report_ignores_sizes_on_unfitted_days():
+    curve = SShapeParams(1e-5, -0.003, 8e-5)
+    bars = BarTable.from_bars([bar("d1", 0, 10.0, 20.0), bar("d2", 0, 1e6, 1e6),
+                               bar("d9", 0, 1e6, 1e6), bar("d1", 1, 12.0, 22.0)])
+    rep = depth_report({"d1": curve, "d2": None}, bars)
+    assert rep.bid_size == descriptives([10.0, 12.0])
+    assert rep.ask_size == descriptives([20.0, 22.0])
+    assert rep.n_included == 1 and rep.n_excluded == 1
+
+
+def test_depth_report_sizes_in_date_then_file_order(monkeypatch):
+    # The descriptives hide the order of their input, so a spy records it.
+    curve = SShapeParams(1e-5, -0.003, 8e-5)
+    rows = [bar("d3", 0, 3.0, 30.0), bar("d1", 0, 1.0, 10.0), bar("d3", 1, 4.0, 40.0),
+            bar("d2", 0, 2.0, 20.0), bar("d1", 1, 5.0, 50.0)]
+    seen = []
+
+    def spy(values):
+        seen.append(list(values))
+        return descriptives(values)
+
+    monkeypatch.setattr(compare, "descriptives", spy)
+    depth_report({"d3": curve, "d1": curve, "d2": curve}, BarTable.from_bars(rows))
+    assert seen[:2] == [[1.0, 5.0, 2.0, 3.0, 4.0], [10.0, 50.0, 20.0, 30.0, 40.0]]
+
+
+def test_depth_report_drops_empty_and_nan_sizes():
+    curve = SShapeParams(1e-5, -0.003, 8e-5)
+    bars = BarTable.from_bars([bar("d1", 0, 10.0, math.nan), bar("d1", 1, math.nan, 25.0),
+                               bar("d1", 2, None, 20.0), bar("d1", 3, 14.0, None)])
+    rep = depth_report({"d1": curve}, bars)
+    assert rep.bid_size == descriptives([10.0, 14.0])
+    assert rep.ask_size == descriptives([25.0, 20.0])
+    assert math.isfinite(rep.bid_size.mean) and math.isfinite(rep.ask_size.sd)
+
+
+def test_depth_report_bars_without_sizes_give_no_size_rows(tmp_path):
+    curve = SShapeParams(1e-5, -0.003, 8e-5)
+    no_sizes = BarTable.from_bars([bar("d1", 0, None, None), bar("d1", 1, None, None)])
+    for bars in (no_sizes, BarTable.from_bars([])):
+        rep = depth_report({"d1": curve}, bars, contract="ES")
+        assert rep.bid_size is None and rep.ask_size is None
+    dest = tmp_path / "depth.csv"
+    write_depth_csv([rep], dest)
+    with open(dest, newline="") as fh:
+        assert [r["series"] for r in csv.DictReader(fh)] == ["inflection"]
 
 
 # ---------------------------------------------------------------------------
@@ -322,13 +345,11 @@ def test_descriptives_csv_round_trip(tmp_path):
 
 
 def test_depth_csv_layout(tmp_path):
-    fits = {"d1": sshape_fit(1e-5, -0.003, 8e-5),
-            "d2": sshape_fit(2e-5, -0.002, 9e-5),
-            "d3": sshape_fit(2e-5, -0.002, 9e-5, converged=False)}
-    bar = MinuteBar(day="d1", bar_index=0, order_flow=0.0, last_price=None,
-                    log_return=None, open_bid_size=12.0, open_ask_size=18.0)
-    with_bars = depth_report(fits, bar_panels={"d1": [bar]}, contract="ES")
-    bare = depth_report(fits, contract="CL")
+    curves = {"d1": SShapeParams(1e-5, -0.003, 8e-5),
+              "d2": SShapeParams(2e-5, -0.002, 9e-5),
+              "d3": None}
+    with_bars = depth_report(curves, BarTable.from_bars([bar("d1", 0, 12.0, 18.0)]), contract="ES")
+    bare = depth_report(curves, contract="CL")
     dest = tmp_path / "depth.csv"
     write_depth_csv([with_bars, bare], dest)
 

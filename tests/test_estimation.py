@@ -377,6 +377,24 @@ def test_fit_sshape_overflowing_covariance_gives_nan_ses_without_warnings():
     assert math.isfinite(fit.rss) and fit.converged
 
 
+def test_fit_sshape_singular_covariance_names_its_nan_ses(caplog):
+    # On pure noise this start ends at q near 7e-16, where J'J has no positive variance for p or q.
+    rng = np.random.default_rng(8)
+    x = rng.normal(0.0, 50.0, 21)
+    panel = RegressionPanel(r=rng.normal(0.0, 1e-4, 20), x=x[1:], x_prev=x[:-1])
+    s = float(np.std(panel.x, ddof=1))
+    with caplog.at_level(logging.WARNING, logger="liqimpact.estimation"):
+        fit = fit_sshape(panel, [(-3e-2 / s, 1e-1 / s ** 2)])
+    assert fit.converged and fit.param_hats["q"] < 1e-12
+    assert fit.message == "J'J is singular at the optimum in p, q: their standard errors and t statistics are NaN"
+    assert [r.getMessage() for r in caplog.records] == [f"fit_sshape: {fit.message}"]
+    for name in ("p", "q"):
+        assert math.isnan(fit.ses[name]) and math.isnan(fit.t_stats[name])
+    for name, est in (("a", fit.a_hat), ("ell", fit.param_hats["ell"])):
+        assert fit.ses[name] > 0.0
+        assert fit.t_stats[name] == est / fit.ses[name]
+
+
 def test_fit_sshape_bad_grids_raise():
     panel = make_panel(n_days=2, bars_per_day=40, noise_sd=2e-4, seed=73)
     # No start can clear a margin floor above the largest possible margin, 1.

@@ -622,6 +622,36 @@ def test_bar_table_indexes_as_bars_and_groups_dicts_by_key():
     assert len(BarTable.from_bars({})) == 0
 
 
+def _optional(values):
+    return st.one_of(st.none(), values)
+
+
+minute_bars = st.builds(
+    MinuteBar, day=st.sampled_from(("a", "b", "c")), bar_index=st.integers(-2, 400),
+    order_flow=st.floats(allow_nan=False), last_price=_optional(st.floats()),
+    log_return=_optional(st.floats()), signed_count=st.integers(0, 10**6),
+    unsigned_count=st.integers(0, 10**6), open_bid_size=_optional(st.floats()),
+    open_ask_size=_optional(st.floats()))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(minute_bars, max_size=30), st.booleans(), st.data())
+def test_bar_table_take_equals_table_of_the_selected_bars(bars, by_mask, data):
+    table = BarTable.from_bars(bars)
+    if by_mask:
+        mask = data.draw(st.lists(st.booleans(), min_size=len(bars), max_size=len(bars)))
+        rows = np.array(mask, dtype=bool)
+        picked = [b for b, keep in zip(bars, mask) if keep]
+    else:
+        index = data.draw(st.lists(st.integers(0, len(bars) - 1), max_size=40)) if bars else []
+        rows = np.array(index, dtype=np.int64)
+        picked = [bars[i] for i in index]
+    got = table.take(rows)
+    assert got.days == table.days
+    assert len(got) == len(picked)
+    assert [repr(b) for b in got] == [repr(b) for b in BarTable.from_bars(picked)]
+
+
 # ---------------------------------------------------------------------------
 # bar and panel readers name the file and line of a bad cell
 
