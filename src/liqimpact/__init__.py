@@ -55,6 +55,7 @@ from .ingest import (
     read_ticks,
     sign_trade,
     write_bars_csv,
+    write_panel_csv,
 )
 from .sde import (
     OUParams,
@@ -64,10 +65,8 @@ from .sde import (
     SimulationError,
     SyntheticPanel,
     correlated_increments,
-    read_panel_csv,
     simulate_path,
     synth_regression_panel,
-    write_panel_csv,
 )
 from .estimation import (
     EstimationError,

@@ -31,7 +31,7 @@ import numpy as np
 
 from ._common import SCHEMA_VERSION, write_json, write_table
 from .impact import ParameterError, SShapeParams, StructuralParams, curve_from_dict, feasibility_margin
-from .ingest import BarTable, ParseError, build_bars, read_bars_csv, read_ticks, write_bars_csv
+from .ingest import ParseError, build_bars, read_bars_csv, read_ticks, write_bars_csv
 from .sde import OUParams, SimConfig, _impact_f, simulate_path, synth_regression_panel
 from .estimation import (
     EstimationError,
@@ -40,7 +40,6 @@ from .estimation import (
     fit_ols,
     fit_result_to_dict,
     fit_sshape,
-    read_bar_days,
     read_daily_fits_csv,
     write_daily_fits_csv,
 )
@@ -281,7 +280,7 @@ def cmd_fit(args) -> int:
     failed_days = 0
     for f in files:
         try:
-            table = read_bar_days(f)
+            table = read_bars_csv(f)
         except OSError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
@@ -427,7 +426,7 @@ def cmd_compare(args) -> int:
     depth_reports = []
     report: dict = {"schema_version": SCHEMA_VERSION, "contracts": {}}
 
-    bars_by_contract = {_contract(f): BarTable.from_bars(read_bars_csv(f)) for f in bar_files}
+    bars_by_contract = {_contract(f): read_bars_csv(f) for f in bar_files}
 
     try:
         for f in fit_files:

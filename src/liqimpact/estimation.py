@@ -43,13 +43,12 @@ from .impact import (
     log_feasibility_load,
     phi,
 )
-from .ingest import BAR_HEADER, BarTable, MinuteBar, read_bars_csv
-from .sde import PANEL_HEADER, SyntheticPanel, read_panel_csv
+from .ingest import BarTable, MinuteBar
+from .sde import SyntheticPanel
 
 __all__ = [
     "EstimationError",
     "RegressionPanel",
-    "read_bar_days",
     "FitResult",
     "OUEstimate",
     "fit_ols",
@@ -75,22 +74,6 @@ _MODEL_PARAMS = {"sshape": ("ell", "p", "q"), "linear": ("alpha",), "sqrt": ("al
 
 class EstimationError(ValueError):
     """Degenerate design or unusable input for an estimator."""
-
-
-def read_bar_days(path: str | Path) -> BarTable:
-    """Bars of a bar CSV or a day,bar,x,r panel CSV, told apart by header, as one table.
-
-    Raises ParseError with the file and line 1 for any other header.
-    """
-    path = Path(path)
-    with path.open(encoding="utf-8") as fh:
-        first = fh.readline().strip()
-    if first == ",".join(BAR_HEADER):
-        return BarTable.from_bars(read_bars_csv(path))
-    if first == ",".join(PANEL_HEADER):
-        return BarTable.from_bars(read_panel_csv(path))
-    raise ParseError(f"{path}:1: unrecognized header {first!r}; expected "
-                     f"{','.join(BAR_HEADER)} or {','.join(PANEL_HEADER)}")
 
 
 @dataclass(frozen=True)
@@ -141,11 +124,6 @@ class RegressionPanel:
     @classmethod
     def from_synthetic(cls, panel: SyntheticPanel) -> "RegressionPanel":
         return cls.from_bars(panel.bars)
-
-    @classmethod
-    def from_csv(cls, path: str | Path) -> "RegressionPanel":
-        """Load either a bar CSV or a day,bar,x,r panel CSV; see :func:`read_bar_days`."""
-        return cls.from_bars(read_bar_days(path))
 
 
 @dataclass(frozen=True)

@@ -12,8 +12,10 @@ Ticks are held as columns: ``read_ticks`` returns a :class:`TickTable`, and
 tick.  ``build_bars`` also takes a plain sequence of :class:`TickRecord`,
 converted once by :meth:`TickTable.from_records`; a table has a length and
 iterates as ``TickRecord``.  Bars have a columnar form too, :class:`BarTable`,
-which the synthetic panels, the bar-file reader of ``estimation``, the
-regression pairing and the depth report use.
+which the synthetic panels, the bar-file reader, the regression pairing and
+the depth report use.  This module owns both bar-file layouts: the bar CSV
+that ``write_bars_csv`` writes and the day,bar,x,r panel CSV that
+``write_panel_csv`` writes; ``read_bars_csv`` reads either.
 
 Rules a tick row must follow (breaking one raises ParseError with the file and
 physical line, or the record index for records):
@@ -72,6 +74,7 @@ __all__ = [
     "build_bars",
     "flow_descriptives",
     "write_bars_csv",
+    "write_panel_csv",
     "read_bars_csv",
 ]
 
@@ -79,6 +82,7 @@ logger = logging.getLogger(__name__)
 
 TICK_HEADER = ["ts", "kind", "price", "size", "bid", "ask", "bid_size", "ask_size"]
 BAR_HEADER = ["day", "bar", "order_flow", "last_price", "log_return", "open_bid_size", "open_ask_size"]
+PANEL_HEADER = ["day", "bar", "x", "r"]
 
 DEFAULT_TICK_SIZE = 0.01
 
@@ -714,20 +718,48 @@ def write_bars_csv(bars: dict[str, list[MinuteBar]] | Iterable[MinuteBar], dest:
     ))
 
 
-def read_bars_csv(path: str | Path) -> dict[str, list[MinuteBar]]:
-    """Read a bar CSV back into per-day MinuteBar lists (counts come back as 0).
+def write_panel_csv(bars: BarTable | Iterable[MinuteBar], dest: str | Path) -> None:
+    """Write a regression panel as CSV with header day,bar,x,r (empty r on bars without a return)."""
+    t = bars if isinstance(bars, BarTable) else BarTable.from_bars(bars)
+    write_table(dest, PANEL_HEADER, zip(
+        map(t.days.__getitem__, t.day.tolist()), t.bar_index.tolist(), t.order_flow.tolist(),
+        np.where(t.has_return, t.log_return, None).tolist()))
 
-    A bad header, row length or number raises ParseError with the file and line.
+
+def read_bars_csv(path: str | Path) -> BarTable:
+    """Bars of a bar CSV or a day,bar,x,r panel CSV, told apart by header, as one table.
+
+    Rows keep file order and days are coded in order of first appearance.  A
+    panel row is a bar row with no price and no sizes; trade counts come back
+    as 0.  An empty price or size cell, or a ``nan`` one, is missing (NaN).
+    Any other header raises ParseError at line 1; a bad row length or number
+    raises it with the file and line.
     """
-    out: dict[str, list[MinuteBar]] = {}
-    for where, (day, bar, flow, last, ret, bid, ask) in read_table(path, BAR_HEADER):
-        out.setdefault(day, []).append(MinuteBar(
-            day=day,
-            bar_index=parse_int(bar, where=where),
-            order_flow=parse_float(flow, where=where, required=True),
-            last_price=parse_float(last, where=where),
-            log_return=parse_float(ret, where=where),
-            open_bid_size=parse_float(bid, where=where),
-            open_ask_size=parse_float(ask, where=where),
-        ))
-    return out
+    path = Path(path)
+    with path.open(newline="", encoding="utf-8") as fh:
+        first = next(csv.reader(fh), [])
+    if first not in (BAR_HEADER, PANEL_HEADER):
+        raise ParseError(f"{path}:1: unrecognized header {','.join(first)!r}; expected "
+                         f"{','.join(BAR_HEADER)} or {','.join(PANEL_HEADER)}")
+    rows = read_table(path, first)
+    if first == PANEL_HEADER:
+        rows = ((where, (day, bar, x, "", r, "", "")) for where, (day, bar, x, r) in rows)
+    codes: dict[str, int] = {}
+    day, bar_index, order_flow, last_price, log_return, open_bid, open_ask = ([] for _ in range(7))
+    for where, (label, bar, x, price, r, bid_size, ask_size) in rows:
+        day.append(codes.setdefault(label, len(codes)))
+        bar_index.append(parse_int(bar, where=where))
+        order_flow.append(parse_float(x, where=where, required=True))
+        last_price.append(parse_float(price, where=where))
+        log_return.append(parse_float(r, where=where))
+        open_bid.append(parse_float(bid_size, where=where))
+        open_ask.append(parse_float(ask_size, where=where))
+
+    def floats(values: list) -> np.ndarray:
+        return np.array(values, dtype=np.float64)  # None becomes NaN
+
+    zeros = np.zeros(len(day), dtype=np.int64)
+    return BarTable(tuple(codes), np.array(day, dtype=np.int64), np.array(bar_index, dtype=np.int64),
+                    floats(order_flow), floats(last_price), floats(log_return),
+                    np.array([v is not None for v in log_return], dtype=bool),
+                    zeros, zeros, floats(open_bid), floats(open_ask))

@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 from scipy.signal import lfilter
@@ -42,7 +42,7 @@ from scipy.signal import lfilter
 # lfilter's argument handling, which costs several times a one-step path.
 from scipy.signal._sigtools import _linear_filter
 
-from ._common import SCHEMA_VERSION, parse_float, parse_int, read_table, write_table
+from ._common import SCHEMA_VERSION, write_table
 from .impact import (
     LinearParams,
     ParameterError,
@@ -56,7 +56,7 @@ from .impact import (
     feasibility_margin,
     g_sshape,
 )
-from .ingest import BarTable, MinuteBar
+from .ingest import BarTable, MinuteBar, write_panel_csv
 
 __all__ = [
     "RNG_ALGORITHM",
@@ -69,14 +69,11 @@ __all__ = [
     "correlated_increments",
     "simulate_path",
     "synth_regression_panel",
-    "write_panel_csv",
-    "read_panel_csv",
 ]
 
 RNG_ALGORITHM = "PCG64"
 
 PATH_HEADER = ["t", "s", "x", "p"]
-PANEL_HEADER = ["day", "bar", "x", "r"]
 
 _FLOW_B = np.array([1.0])  # numerator of the flow filter; read, never written
 
@@ -402,28 +399,3 @@ def synth_regression_panel(
         "rng": {"algorithm": RNG_ALGORITHM, "seed": seed},
     }
     return SyntheticPanel(bars=bars, truth=truth)
-
-
-def write_panel_csv(bars: BarTable | Iterable[MinuteBar], dest: str | Path) -> None:
-    """Write a regression panel as CSV with header day,bar,x,r (empty r on bars without a return)."""
-    t = bars if isinstance(bars, BarTable) else BarTable.from_bars(bars)
-    write_table(dest, PANEL_HEADER, zip(
-        map(t.days.__getitem__, t.day.tolist()), t.bar_index.tolist(), t.order_flow.tolist(),
-        np.where(t.has_return, t.log_return, None).tolist()))
-
-
-def read_panel_csv(path: str | Path) -> list[MinuteBar]:
-    """Read a day,bar,x,r panel back as MinuteBar records (no price fields).
-
-    A bad header, row length or number raises ParseError with the file and line.
-    """
-    return [
-        MinuteBar(
-            day=day,
-            bar_index=parse_int(bar, where=where),
-            order_flow=parse_float(x, where=where, required=True),
-            last_price=None,
-            log_return=parse_float(r, where=where),
-        )
-        for where, (day, bar, x, r) in read_table(path, PANEL_HEADER)
-    ]

@@ -1,10 +1,11 @@
-"""Per-bar reference implementations of the synthetic panel and of bar pairing.
+"""Per-bar reference implementations of the synthetic panel, the bar-file readers and bar pairing.
 
 ``synth_regression_panel`` builds one ``MinuteBar`` per simulated bar,
-``write_panel_csv`` writes such a list row by row, and ``from_bars`` pairs
-bars in a Python loop.  The library fills a ``BarTable`` from the simulated
-arrays and pairs by index arithmetic over it; the tests check it against
-these.
+``write_panel_csv`` writes such a list row by row, ``read_bars_csv`` and
+``read_panel_csv`` build one ``MinuteBar`` per row of a bar or panel CSV, and
+``from_bars`` pairs bars in a Python loop.  The library fills a ``BarTable``
+from the simulated arrays or the file's cells and pairs by index arithmetic
+over it; the tests check it against these.
 """
 
 from __future__ import annotations
@@ -14,10 +15,10 @@ import math
 import numpy as np
 from scipy.signal import lfilter
 
-from liqimpact._common import write_table
+from liqimpact._common import parse_float, parse_int, read_table, write_table
 from liqimpact.estimation import RegressionPanel
-from liqimpact.ingest import MinuteBar
-from liqimpact.sde import PANEL_HEADER, _impact_f
+from liqimpact.ingest import BAR_HEADER, PANEL_HEADER, MinuteBar
+from liqimpact.sde import _impact_f
 
 
 def synth_regression_panel(a, impact, flow, n_days, bars_per_day, noise_sd=0.0, seed=0) -> list[MinuteBar]:
@@ -53,6 +54,36 @@ def synth_regression_panel(a, impact, flow, n_days, bars_per_day, noise_sd=0.0, 
 
 def write_panel_csv(bars: list[MinuteBar], dest) -> None:
     write_table(dest, PANEL_HEADER, ((b.day, b.bar_index, float(b.order_flow), b.log_return) for b in bars))
+
+
+def read_bars_csv(path) -> dict[str, list[MinuteBar]]:
+    """A bar CSV as per-day MinuteBar lists (counts come back as 0)."""
+    out: dict[str, list[MinuteBar]] = {}
+    for where, (day, bar, flow, last, ret, bid, ask) in read_table(path, BAR_HEADER):
+        out.setdefault(day, []).append(MinuteBar(
+            day=day,
+            bar_index=parse_int(bar, where=where),
+            order_flow=parse_float(flow, where=where, required=True),
+            last_price=parse_float(last, where=where),
+            log_return=parse_float(ret, where=where),
+            open_bid_size=parse_float(bid, where=where),
+            open_ask_size=parse_float(ask, where=where),
+        ))
+    return out
+
+
+def read_panel_csv(path) -> list[MinuteBar]:
+    """A day,bar,x,r panel CSV as MinuteBar records (no price fields)."""
+    return [
+        MinuteBar(
+            day=day,
+            bar_index=parse_int(bar, where=where),
+            order_flow=parse_float(x, where=where, required=True),
+            last_price=None,
+            log_return=parse_float(r, where=where),
+        )
+        for where, (day, bar, x, r) in read_table(path, PANEL_HEADER)
+    ]
 
 
 def from_bars(bars) -> RegressionPanel:

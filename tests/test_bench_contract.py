@@ -129,16 +129,17 @@ def test_fit_passes_panels_first_to_fit_sshape_and_builds_them_with_from_bars(
 
 
 def test_compare_reads_bars_through_cli_and_reports_quote_sizes(monkeypatch, tmp_path, capsys, sized_bars_csv):
-    # ingest.read_bars_csv is a required span, wrapped at cli's name;
+    # ingest.read_bars_csv is a required span, wrapped at cli's name, and both
+    # fit and compare read their bar files through it;
     # _depth: result.bid_size is None or result.ask_size is None.
+    read = _spy(monkeypatch, cli, "read_bars_csv")
     assert cli.main(["fit", str(sized_bars_csv), "--model", "sshape", "--out-dir", str(tmp_path / "fits"),
                      "--config", str(_grid_config(tmp_path))]) == 0
-    read = _spy(monkeypatch, cli, "read_bars_csv")
     depth = _spy(monkeypatch, cli, "depth_report")
     assert cli.main(["compare", "--fits", str(tmp_path / "fits" / "es.bars.fits.csv"),
                      "--bars", str(sized_bars_csv), "--out-dir", str(tmp_path / "reports")]) == 0
     capsys.readouterr()
-    assert [args for args, _, _ in read] == [(sized_bars_csv,)]
+    assert [args for args, _, _ in read] == [(sized_bars_csv,), (sized_bars_csv,)]
     (_, _, result), = depth
     assert result.bid_size.n == result.ask_size.n == 60
     assert result.bid_size.mean == 10.0 + 9.5 and result.ask_size.mean == 20.0

@@ -506,6 +506,22 @@ def test_compare_single_model_no_ttests(tmp_path):
     assert doc["contracts"]["cl"]["t_tests"] == []
 
 
+def test_compare_takes_panel_csv_as_bars_without_sizes(tmp_path, capsys):
+    """A day,bar,x,r panel carries no quote sizes, so depth reports the inflection only."""
+    panel = synth_regression_panel(a=1e-6, impact=SShapeParams(1.3e-5, -0.0034, 8.15e-5),
+                                   flow=OUParams(c=0.1, m=5.0, eta=100.0), n_days=3, bars_per_day=20, seed=3)
+    panel_csv = tmp_path / "cl.csv"
+    panel.write_csv(panel_csv)
+    fits_csv = tmp_path / "cl.fits.csv"
+    write_daily_fits_csv([(d, make_fit("sshape")) for d in panel.days], fits_csv)
+    out = tmp_path / "out"
+    assert main(["compare", "--fits", str(fits_csv), "--bars", str(panel_csv), "--out-dir", str(out)]) == 0
+    capsys.readouterr()
+    with open(out / "depth.csv", newline="") as fh:
+        depth = list(csv.DictReader(fh))
+    assert [(r["contract"], r["series"], r["days_included"]) for r in depth] == [("cl", "inflection", "3")]
+
+
 @pytest.mark.parametrize("edit, hint", [
     (lambda cells: cells[:5], "expected 13 fields"),
     (lambda cells: cells[:10] + ["abc"] + cells[11:], "bad number 'abc'"),

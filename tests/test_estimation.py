@@ -41,8 +41,8 @@ from liqimpact.impact import (
     f_sshape,
     feasibility_margin,
 )
-from liqimpact.ingest import BarTable, MinuteBar, ParseError, write_bars_csv
-from liqimpact.sde import OUParams, synth_regression_panel, write_panel_csv
+from liqimpact.ingest import BarTable, MinuteBar, ParseError, read_bars_csv, write_bars_csv, write_panel_csv
+from liqimpact.sde import OUParams, synth_regression_panel
 
 TRUTH = dict(a=1e-6, ell=1e-5, p=-3e-3, q=8e-5)
 FLOW = OUParams(c=0.1, m=5.0, eta=100.0)
@@ -158,8 +158,8 @@ def test_from_csv_sniffs_bar_and_panel_layouts(tmp_path, capsys):
     write_bars_csv(synth.by_day(), p_bar)
     p_panel = tmp_path / "panel.csv"
     write_panel_csv(synth.bars, p_panel)
-    a = RegressionPanel.from_csv(p_bar)
-    b = RegressionPanel.from_csv(p_panel)
+    a = RegressionPanel.from_bars(read_bars_csv(p_bar))
+    b = RegressionPanel.from_bars(read_bars_csv(p_panel))
     assert np.array_equal(a.x, b.x)
     assert np.array_equal(a.r, b.r)
     assert a.n == 2 * 29
@@ -174,7 +174,7 @@ def test_from_csv_sniffs_bar_and_panel_layouts(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("day,bar,flow,r\n0,0,1.0,\n", encoding="utf-8")
     with pytest.raises(ParseError, match=re.escape(f"{bad}:1: unrecognized header")):
-        RegressionPanel.from_csv(bad)
+        read_bars_csv(bad)
     assert main(["fit", str(bad), "--out-dir", str(tmp_path / "bad")]) == 1
     assert f"error: {bad}:1: unrecognized header" in capsys.readouterr().err
 

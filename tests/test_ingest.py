@@ -3,6 +3,7 @@
 import gzip
 import logging
 import math
+import re
 import tempfile
 from datetime import datetime, time, timedelta, timezone
 from pathlib import Path
@@ -13,10 +14,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bars_oracle
 from ingest_oracle import loop_build_bars, loop_read_ticks
 from liqimpact import ingest
 from liqimpact.ingest import (
     BAR_HEADER,
+    PANEL_HEADER,
     BarTable,
     MinuteBar,
     ParseError,
@@ -30,7 +33,6 @@ from liqimpact.ingest import (
     sign_trade,
     write_bars_csv,
 )
-from liqimpact.sde import read_panel_csv
 
 DATA = Path(__file__).parent / "data"
 
@@ -120,7 +122,7 @@ def test_golden_fixture_round_trips_through_csv(tmp_path):
                       session_start="09:00", session_end="09:05", bar_seconds=60)
     dest = tmp_path / "bars.csv"
     write_bars_csv(days, dest)
-    back = read_bars_csv(dest)
+    back = read_bars_csv(dest).by_day()
     assert list(back) == list(days)
     for a, b in zip(days["2024-03-15"], back["2024-03-15"]):
         assert a.day == b.day and a.bar_index == b.bar_index
@@ -656,27 +658,92 @@ def test_bar_table_take_equals_table_of_the_selected_bars(bars, by_mask, data):
 # bar and panel readers name the file and line of a bad cell
 
 
-@pytest.mark.parametrize("row, hint", [
+BAR_CASES = [
     ("2024-01-02,x,1.0,100.0,,,", "bad integer 'x'"),
     ("2024-01-02,0,abc,100.0,,,", "bad number 'abc'"),
     ("2024-01-02,0,,100.0,,,", "bad number ''"),
     ("2024-01-02,0,1.0,1o0,,,", "bad number '1o0'"),
-])
-def test_read_bars_csv_bad_cell_location(tmp_path, row, hint):
-    path = tmp_path / "es.bars.csv"
-    path.write_text(",".join(BAR_HEADER) + "\n2024-01-02,0,1.0,100.0,,,\n" + row + "\n", encoding="utf-8")
-    with pytest.raises(ParseError, match=rf"es\.bars\.csv:3: {hint}"):
-        read_bars_csv(path)
-
-
-@pytest.mark.parametrize("row, hint", [
+]
+PANEL_CASES = [
     ("0,0,abc,", "bad number 'abc'"),
     ("0,x,1.0,", "bad integer 'x'"),
     ("0,1,1.0,zz", "bad number 'zz'"),
     ("0,1,1.0", "expected 4 fields"),
-])
-def test_read_panel_csv_bad_cell_location(tmp_path, row, hint):
-    path = tmp_path / "panel.csv"
-    path.write_text("day,bar,x,r\n0,0,1.0,\n" + row + "\n", encoding="utf-8")
-    with pytest.raises(ParseError, match=rf"panel\.csv:3: {hint}"):
-        read_panel_csv(path)
+]
+UNRECOGNIZED = (f"unrecognized header 'day,bar,flow,r'; expected {','.join(BAR_HEADER)} "
+                f"or {','.join(PANEL_HEADER)}")
+
+
+@pytest.mark.parametrize("header, good_row, row, line, hint", [
+    *((BAR_HEADER, "2024-01-02,0,1.0,100.0,,,", row, 3, hint) for row, hint in BAR_CASES),
+    *((PANEL_HEADER, "0,0,1.0,", row, 3, hint) for row, hint in PANEL_CASES),
+    (["day", "bar", "flow", "r"], "0,0,1.0,", "0,1,1.0,", 1, UNRECOGNIZED),
+], ids=[f"{row}-{hint}" for row, hint in BAR_CASES + PANEL_CASES] + ["unrecognized-header"])
+def test_read_bars_csv_bad_cell_location(tmp_path, header, good_row, row, line, hint):
+    path = tmp_path / "es.bars.csv"
+    path.write_text(",".join(header) + "\n" + good_row + "\n" + row + "\n", encoding="utf-8")
+    with pytest.raises(ParseError, match=re.escape(f"{path}:{line}: {hint}")):
+        read_bars_csv(path)
+
+
+@pytest.mark.parametrize("header", [BAR_HEADER, PANEL_HEADER], ids=["bars", "panel"])
+def test_read_bars_csv_header_only_is_empty(tmp_path, header):
+    path = tmp_path / "es.bars.csv"
+    path.write_text(",".join(header) + "\n", encoding="utf-8")
+    table = read_bars_csv(path)
+    assert table.days == () and len(table) == 0 and list(table) == []
+
+
+# Cells the per-row readers parse alike: empty (missing), finite, signed
+# infinities and nan.  An order flow cell may not be empty.
+NUMBER_CELL = st.sampled_from(["", "1.5", "-2", "0", "1e-300", "inf", "-inf", "nan", "100.25"])
+FLOW_CELL = st.sampled_from(["1.5", "-2", "0", "5.0", "inf", "nan"])
+BAD_CELL = st.sampled_from(["abc", "1o0", " ", "1.0.0", ""])
+
+
+@st.composite
+def bar_file(draw):
+    """The text of a bar or panel CSV: interleaved days, CRLF or LF line
+    endings, blank lines, and in some files one or two bad cells or short rows."""
+    header = draw(st.sampled_from([BAR_HEADER, PANEL_HEADER]))
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    rows = [[draw(st.sampled_from(["2024-01-02", "2024-01-03", "0", "d"])), str(draw(st.integers(0, 500))),
+             draw(FLOW_CELL), *(draw(NUMBER_CELL) for _ in header[3:])]
+            for _ in range(draw(st.integers(0, 12)))]
+    for _ in range(draw(st.sampled_from([0, 0, 0, 0, 0, 1, 2])) if rows else 0):
+        row = draw(st.sampled_from(rows))
+        if draw(st.booleans()):
+            row.pop()
+        else:
+            row[draw(st.integers(1, len(row) - 1))] = draw(BAD_CELL)
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(row))
+        if draw(st.integers(0, 4)) == 0:
+            lines.append("")
+    return header, eol.join(lines) + draw(st.sampled_from([eol, ""]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(bar_file())
+def test_read_bars_csv_matches_per_row_readers(spec):
+    header, text = spec
+    oracle = bars_oracle.read_bars_csv if header == BAR_HEADER else bars_oracle.read_panel_csv
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d, "es.bars.csv")
+        path.write_bytes(text.encode("utf-8"))
+        try:
+            want = BarTable.from_bars(oracle(path))
+        except ParseError as exc:
+            with pytest.raises(ParseError) as got_exc:
+                read_bars_csv(path)
+            assert str(got_exc.value) == str(exc)
+            return
+        got = read_bars_csv(path)
+    assert got.days == want.days
+    assert repr(got.by_day()) == repr(want.by_day())
+    # Rows keep file order; the bar oracle groups them by day, the panel one does not.
+    labels = [line.split(",")[0] for line in text.splitlines()[1:] if line]
+    assert [b.day for b in got] == labels
+    if header == PANEL_HEADER:
+        assert [repr(b) for b in got] == [repr(b) for b in want]

@@ -22,17 +22,15 @@ from liqimpact.impact import (
     sigma_p_squared,
     structural_to_pq,
 )
+from liqimpact.ingest import PANEL_HEADER, read_bars_csv, write_panel_csv
 from liqimpact.sde import (
     OUParams,
-    PANEL_HEADER,
     PATH_HEADER,
     SimConfig,
     SimulationError,
     correlated_increments,
-    read_panel_csv,
     simulate_path,
     synth_regression_panel,
-    write_panel_csv,
 )
 
 NK = SShapeParams(ell=1.3e-5, p=-0.0034, q=8.15e-5)
@@ -429,7 +427,8 @@ def test_panel_csv_round_trip(tmp_path):
     panel.write_csv(dest)
     lines = dest.read_text().splitlines()
     assert lines[0] == ",".join(PANEL_HEADER)
-    back = read_panel_csv(dest)
+    back = read_bars_csv(dest)
+    assert back.days == panel.bars.days
     assert len(back) == len(panel.bars)
     for a, b in zip(panel.bars, back):
         assert (a.day, a.bar_index) == (b.day, b.bar_index)

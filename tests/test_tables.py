@@ -2,7 +2,8 @@
 
 All three go through one dialect (liqimpact._common.write_table/read_table),
 so a file read back and written again is the same bytes, and a bad row is a
-ParseError that names the file and line.
+ParseError that names the file and line.  The one exception: a bar file's
+``nan`` price or quote size reads as missing and is written back empty.
 """
 
 import re
@@ -15,21 +16,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liqimpact.estimation import DAILY_FIT_HEADER, FitResult, read_daily_fits_csv, write_daily_fits_csv
-from liqimpact.ingest import MinuteBar, ParseError, read_bars_csv, write_bars_csv
-from liqimpact.sde import read_panel_csv, write_panel_csv
+from liqimpact.ingest import MinuteBar, ParseError, read_bars_csv, write_bars_csv, write_panel_csv
 
 DAYS = st.dates().map(date.isoformat)
 CELL = st.none() | st.floats()  # empty, finite, inf or nan
 FLOW = st.integers(-10**6, 10**6) | st.floats()  # integer flows are written as floats
 
 
-def _rewrites_identically(write, read, value, rebuild=lambda rows: rows):
-    """write, read back, write again: the two files hold the same bytes."""
+def _rewrites_identically(write, read, value, rebuild=lambda rows: rows, settle=lambda text: text):
+    """write, read back, write again: the second file holds the first's bytes,
+    or those ``settle`` makes of them where a read does not keep every cell."""
     with tempfile.TemporaryDirectory() as d:
         first, second = Path(d, "first.csv"), Path(d, "second.csv")
         write(value, first)
         write(rebuild(read(first)), second)
-        assert second.read_bytes() == first.read_bytes()
+        assert second.read_bytes() == settle(first.read_bytes())
 
 
 def _bar(day: str):
@@ -41,13 +42,26 @@ def _bar(day: str):
 @given(st.lists(DAYS, unique=True, max_size=4).flatmap(
     lambda days: st.fixed_dictionaries({d: st.lists(_bar(d), max_size=5) for d in days})))
 def test_bars_csv_rewrites_identically(bars):
-    _rewrites_identically(write_bars_csv, read_bars_csv, bars)
+    # A BarTable holds a missing price or quote size as NaN, so a nan cell in
+    # those three columns comes back empty; every other cell, nan in the flow
+    # and return columns and inf anywhere included, comes back as written.
+    def nan_as_missing(text: bytes) -> bytes:
+        lines = text.split(b"\n")
+        for i in range(1, len(lines)):
+            cells = lines[i].split(b",")
+            for k in (3, 5, 6):  # last_price, open_bid_size, open_ask_size
+                if k < len(cells) and cells[k] == b"nan":
+                    cells[k] = b""
+            lines[i] = b",".join(cells)
+        return b"\n".join(lines)
+
+    _rewrites_identically(write_bars_csv, read_bars_csv, bars, settle=nan_as_missing)
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.lists(DAYS.flatmap(_bar), max_size=12))
 def test_panel_csv_rewrites_identically(bars):
-    _rewrites_identically(write_panel_csv, read_panel_csv, bars)
+    _rewrites_identically(write_panel_csv, read_bars_csv, bars)
 
 
 PARAMS = {"sshape": ("ell", "p", "q"), "linear": ("alpha",), "sqrt": ("alpha",)}
