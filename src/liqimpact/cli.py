@@ -24,14 +24,15 @@ import json
 import logging
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
+from datetime import time
 from pathlib import Path
 
 import numpy as np
 
 from ._common import SCHEMA_VERSION, write_json, write_table
 from .impact import ParameterError, SShapeParams, StructuralParams, curve_from_dict, feasibility_margin
-from .ingest import ParseError, build_bars, read_bars_csv, read_ticks, write_bars_csv
+from .ingest import build_bars, read_bars_csv, read_ticks, write_bars_csv
 from .sde import OUParams, SimConfig, _impact_f, simulate_path, synth_regression_panel
 from .estimation import (
     EstimationError,
@@ -57,6 +58,7 @@ from .compare import (
 logger = logging.getLogger(__name__)
 
 MODELS = ("sshape", "linear", "sqrt")
+FIT_OPTIONS = {"max_iter": int, "rss_rtol": float, "grad_atol": float, "margin_floor": float}
 
 
 def _setup_logging() -> None:
@@ -78,13 +80,50 @@ def _load_config(path: str | None) -> dict:
     return cfg
 
 
-def _pick(flag_value, config: dict, key: str, default):
-    """Flag wins over config wins over default; flags parse with default None."""
-    if flag_value is not None:
-        return flag_value
-    if key in config:
-        return config[key]
-    return default
+def _pick(flag_value, config: dict, key: str, default, kind=None):
+    """Flag wins over config wins over default; flags parse with default None.
+
+    ``kind`` converts the value; a value it rejects raises ValueError naming ``key``.
+    """
+    value = flag_value if flag_value is not None else config.get(key, default)
+    if kind is None:
+        return value
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{key}: {exc}") from None
+
+
+def _clock(value: str) -> str:
+    """The session clock time as given, once ``time.fromisoformat`` accepts it."""
+    time.fromisoformat(value)
+    return value
+
+
+def _grid(value) -> list[tuple[float, float]] | None:
+    if value is None:
+        return None
+    pairs = [tuple(map(float, pair)) for pair in value]
+    if any(len(pair) != 2 for pair in pairs):
+        raise ValueError("expected a list of [p, q] pairs")
+    return pairs
+
+
+def _choice(*choices: str):
+    def check(value):
+        if value not in choices:
+            raise ValueError(f"expected one of {', '.join(choices)}, got {value!r}")
+        return value
+    return check
+
+
+def _inputs(paths) -> list[Path]:
+    """The paths as Paths; FileNotFoundError names the first that is not a file."""
+    files = [Path(p) for p in paths]
+    for f in files:
+        if not f.is_file():
+            raise FileNotFoundError(f"input file not found: {f}")
+    return files
 
 
 def _meta_path(out_file: Path) -> Path:
@@ -103,7 +142,7 @@ def _write_meta(out_file: Path, command: str, effective: dict) -> None:
 
 
 def _out_dir(args, config: dict) -> Path:
-    d = Path(_pick(args.out_dir, config, "out_dir", "."))
+    d = _pick(args.out_dir, config, "out_dir", ".", Path)
     d.mkdir(parents=True, exist_ok=True)
     return d
 
@@ -127,45 +166,28 @@ def _contract(path: Path) -> str:
 
 def cmd_ingest(args) -> int:
     config = _load_config(args.config)
-    session_start = _pick(args.session_start, config, "session_start", "09:00")
-    session_end = _pick(args.session_end, config, "session_end", "15:00")
-    bar_seconds = int(_pick(args.bar_seconds, config, "bar_seconds", 60))
-    tick_size = float(_pick(args.tick_size, config, "tick_size", 0.01))
+    session_start = _pick(args.session_start, config, "session_start", "09:00", _clock)
+    session_end = _pick(args.session_end, config, "session_end", "15:00", _clock)
+    bar_seconds = _pick(args.bar_seconds, config, "bar_seconds", 60, int)
+    tick_size = _pick(args.tick_size, config, "tick_size", 0.01, float)
     out_dir = _out_dir(args, config)
-
-    files = [Path(f) for f in args.files]
-    for f in files:
-        if not f.is_file():
-            print(f"error: input file not found: {f}", file=sys.stderr)
-            return 1
+    files = _inputs(args.files)
     effective = {
         "session_start": session_start, "session_end": session_end,
         "bar_seconds": bar_seconds, "tick_size": tick_size,
         "out_dir": str(out_dir), "inputs": [str(f) for f in files],
     }
 
-    def one(f: Path) -> tuple[Path, dict, int, int]:
-        ticks = read_ticks(f)
-        days = build_bars(ticks, session_start, session_end, bar_seconds, tick_size)
+    for f in files:
+        days = build_bars(read_ticks(f), session_start, session_end, bar_seconds, tick_size)
         dest = out_dir / f"{_stem(f)}.bars.csv"
         write_bars_csv(days, dest)
         _write_meta(dest, "ingest", {**effective, "input": str(f)})
-        signed = sum(b.signed_count for bars in days.values() for b in bars)
-        unsigned = sum(b.unsigned_count for bars in days.values() for b in bars)
-        return dest, days, signed, unsigned
-
-    try:
-        results = [one(f) for f in files]
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-
-    for dest, days, signed, unsigned in results:
-        total = signed + unsigned
+        bars = [b for rows in days.values() for b in rows]
+        unsigned = sum(b.unsigned_count for b in bars)
+        total = sum(b.signed_count for b in bars) + unsigned
         pct = 100.0 * unsigned / total if total else 0.0
-        n_days = len(days)
-        n_bars = sum(len(v) for v in days.values())
-        print(f"{dest}: {n_days} day(s), {n_bars} bars, {total} trades, {pct:.1f}% unsigned")
+        print(f"{dest}: {len(days)} day(s), {len(bars)} bars, {total} trades, {pct:.1f}% unsigned")
     return 0
 
 
@@ -183,17 +205,17 @@ def _structural_from(config: dict) -> StructuralParams:
 def cmd_simulate(args) -> int:
     config = _load_config(args.config)
     out_dir = _out_dir(args, config)
-    mode = _pick(args.mode, config, "mode", "path")
-    seed = args.seed if args.seed is not None else config.get("seed")
+    mode = _pick(args.mode, config, "mode", "path", _choice("path", "panel"))
+    seed = _pick(args.seed, config, "seed", None)
     try:
         if mode == "path":
             sim_cfg = SimConfig(
                 structural=_structural_from(config),
                 impact=curve_from_dict(config.get("impact") or {}),
-                n_steps=int(config.get("n_steps", 390)),
-                dt=float(config.get("dt", 1.0)),
-                x0=float(config.get("x0", 0.0)),
-                s0=float(config.get("s0", 100.0)),
+                n_steps=_pick(None, config, "n_steps", 390, int),
+                dt=_pick(None, config, "dt", 1.0, float),
+                x0=_pick(None, config, "x0", 0.0, float),
+                s0=_pick(None, config, "s0", 100.0, float),
                 seed=seed,
                 measure=config.get("measure", "physical"),
             )
@@ -202,7 +224,7 @@ def cmd_simulate(args) -> int:
             path.write_csv(dest)
             write_json(out_dir / "path.meta.json", path.metadata())
             print(f"{dest}: {len(path)} samples, seed {path.seed_used}")
-        elif mode == "panel":
+        else:
             block = config.get("panel")
             if not isinstance(block, dict):
                 raise ValueError("config needs a 'panel' object for panel mode")
@@ -210,20 +232,18 @@ def cmd_simulate(args) -> int:
             if seed is None:
                 seed = int(np.random.SeedSequence().entropy)
             panel = synth_regression_panel(
-                a=float(block.get("a", 0.0)),
+                a=_pick(None, block, "a", 0.0, float),
                 impact=curve_from_dict(config.get("impact") or {}),
                 flow=flow,
-                n_days=int(block.get("n_days", 1)),
-                bars_per_day=int(block.get("bars_per_day", 360)),
-                noise_sd=float(block.get("noise_sd", 0.0)),
+                n_days=_pick(None, block, "n_days", 1, int),
+                bars_per_day=_pick(None, block, "bars_per_day", 360, int),
+                noise_sd=_pick(None, block, "noise_sd", 0.0, float),
                 seed=int(seed),
             )
             dest = out_dir / "panel.csv"
             panel.write_csv(dest)
             write_json(out_dir / "panel.meta.json", panel.metadata())
             print(f"{dest}: {len(panel.bars)} bars over {len(panel.days)} day(s), seed {seed}")
-        else:
-            raise ValueError(f"mode must be path or panel, got {mode!r}")
     except (ParameterError, ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -234,12 +254,6 @@ def cmd_simulate(args) -> int:
 # fit
 
 
-def _fit_one(panel: RegressionPanel, model: str, grid, fit_kwargs) -> FitResult:
-    if model == "sshape":
-        return fit_sshape(panel, grid, **fit_kwargs)
-    return fit_ols(panel, model)
-
-
 def _fit_models(panel: RegressionPanel, models: list[str], grid, fit_kwargs: dict
                 ) -> tuple[list[tuple[str, FitResult]], str]:
     """Fit each model on its own: the fits that succeed, and the others' errors as one message."""
@@ -247,7 +261,8 @@ def _fit_models(panel: RegressionPanel, models: list[str], grid, fit_kwargs: dic
     errors = []
     for model in models:
         try:
-            fits.append((model, _fit_one(panel, model, grid, fit_kwargs)))
+            fits.append((model, fit_sshape(panel, grid, **fit_kwargs) if model == "sshape"
+                                else fit_ols(panel, model)))
         except EstimationError as exc:
             errors.append(f"{model}: {exc}")
     return fits, "; ".join(errors)
@@ -256,20 +271,12 @@ def _fit_models(panel: RegressionPanel, models: list[str], grid, fit_kwargs: dic
 def cmd_fit(args) -> int:
     config = _load_config(args.config)
     out_dir = _out_dir(args, config)
-    model_flag = _pick(args.model, config, "model", "all")
+    model_flag = _pick(args.model, config, "model", "all", _choice(*MODELS, "all"))
     models = list(MODELS) if model_flag == "all" else [model_flag]
     pooled = bool(args.pooled or config.get("pooled", False))
-    grid = config.get("grid")
-    if grid is not None:
-        grid = [tuple(map(float, pair)) for pair in grid]
-    fit_kwargs = {k: config[k] for k in ("max_iter", "rss_rtol", "grad_atol", "margin_floor") if k in config}
-
-    files = [Path(f) for f in args.files]
-    for f in files:
-        if not f.is_file():
-            print(f"error: input file not found: {f}", file=sys.stderr)
-            return 1
-
+    grid = _pick(None, config, "grid", None, _grid)
+    fit_kwargs = {k: _pick(None, config, k, None, kind) for k, kind in FIT_OPTIONS.items() if k in config}
+    files = _inputs(args.files)
     effective = {
         "model": model_flag, "pooled": pooled,
         "grid": grid, "fit_options": fit_kwargs,
@@ -279,47 +286,35 @@ def cmd_fit(args) -> int:
     total_days = 0
     failed_days = 0
     for f in files:
-        try:
-            table = read_bars_csv(f)
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+        table = read_bars_csv(f)
+        # Day codes in label order, so the pooled panel lists the days as the day fits do.
+        labels = sorted(table.days)
+        rank = {day: i for i, day in enumerate(labels)}
+        recode = np.array([rank[day] for day in table.days], dtype=np.int64)
+        table = replace(table, days=tuple(labels), day=recode[table.day])
 
-        day_rows: list[tuple[str, FitResult]] = []
-        failures: dict[str, str] = {}
-        json_days: dict[str, dict] = {}
-        for day in sorted(table.days):
-            total_days += 1
-            try:
-                panel = RegressionPanel.from_bars(table.take(table.day == table.days.index(day)))
-            except EstimationError as exc:
-                failures[day] = str(exc)
-                failed_days += 1
-                continue
-            fits, errors = _fit_models(panel, models, grid, fit_kwargs)
-            if errors:
-                failures[day] = errors
-            if not fits:
-                failed_days += 1
-                continue
-            json_days[day] = {model: fit_result_to_dict(fr) for model, fr in fits}
-            day_rows.extend((day, fr) for _, fr in fits)
-
-        pooled_block = {}
+        panels = [(day, table.take(table.day == code)) for code, day in enumerate(labels)]
         if pooled:
+            panels.append(("pooled", table))
+        fitted: list[tuple[str, list[tuple[str, FitResult]]]] = []
+        failures: dict[str, str] = {}
+        for label, bars in panels:
             try:
-                panel_all = RegressionPanel.from_bars(table)
+                fits, errors = _fit_models(RegressionPanel.from_bars(bars), models, grid, fit_kwargs)
             except EstimationError as exc:
-                failures["pooled"] = str(exc)
-            else:
-                fits, errors = _fit_models(panel_all, models, grid, fit_kwargs)
-                pooled_block = {model: fit_result_to_dict(fr) for model, fr in fits}
-                if errors:
-                    failures["pooled"] = errors
+                fits, errors = [], str(exc)
+            if errors:
+                failures[label] = errors
+            fitted.append((label, fits))
+
+        pooled_block = {model: fit_result_to_dict(fr) for model, fr in fitted.pop()[1]} if pooled else {}
+        json_days = {day: {model: fit_result_to_dict(fr) for model, fr in fits} for day, fits in fitted if fits}
+        total_days += len(fitted)
+        failed_days += len(fitted) - len(json_days)
 
         stem = _stem(f)
         csv_dest = out_dir / f"{stem}.fits.csv"
-        write_daily_fits_csv(day_rows, csv_dest)
+        write_daily_fits_csv([(day, fr) for day, fits in fitted for _, fr in fits], csv_dest)
         _write_meta(csv_dest, "fit", {**effective, "input": str(f)})
         write_json(out_dir / f"{stem}.fits.json", {
             "schema_version": SCHEMA_VERSION,
@@ -328,8 +323,7 @@ def cmd_fit(args) -> int:
             "pooled": pooled_block,
             "failures": failures,
         })
-        ok_days = len(json_days)
-        print(f"{csv_dest}: {ok_days}/{len(table.days)} day(s) fit, models {'+'.join(models)}"
+        print(f"{csv_dest}: {len(json_days)}/{len(labels)} day(s) fit, models {'+'.join(models)}"
               + (f", {len(failures)} failure(s)" if failures else ""))
         for day, msg in sorted(failures.items()):
             print(f"  failed {day}: {msg}")
@@ -347,21 +341,18 @@ def cmd_fit(args) -> int:
 def cmd_curves(args) -> int:
     config = _load_config(args.config)
     out_dir = _out_dir(args, config)
-    model = _pick(args.model, config, "model", "sshape")
+    model = _pick(args.model, config, "model", "sshape", _choice(*MODELS, "all"))
     if model == "all":
         print("error: curves needs a single --model", file=sys.stderr)
         return 1
-    x_min = float(_pick(args.x_min, config, "x_min", -400.0))
-    x_max = float(_pick(args.x_max, config, "x_max", 400.0))
-    n_points = int(_pick(args.n_points, config, "n_points", 201))
+    x_min = _pick(args.x_min, config, "x_min", -400.0, float)
+    x_max = _pick(args.x_max, config, "x_max", 400.0, float)
+    n_points = _pick(args.n_points, config, "n_points", 201, int)
     if n_points < 2 or not x_max > x_min:
         print("error: need n_points >= 2 and x_max > x_min", file=sys.stderr)
         return 1
 
-    fit_path = Path(args.fit_json)
-    if not fit_path.is_file():
-        print(f"error: fit JSON not found: {fit_path}", file=sys.stderr)
-        return 1
+    (fit_path,) = _inputs([args.fit_json])
     doc = json.loads(fit_path.read_text(encoding="utf-8"))
     try:
         fit_dict = _select_fit(doc, model, args.date)
@@ -414,12 +405,8 @@ def _select_fit(doc: dict, model: str, date: str | None) -> dict:
 def cmd_compare(args) -> int:
     config = _load_config(args.config)
     out_dir = _out_dir(args, config)
-    fit_files = [Path(f) for f in args.fits]
-    bar_files = [Path(f) for f in (args.bars or [])]
-    for f in fit_files + bar_files:
-        if not f.is_file():
-            print(f"error: input file not found: {f}", file=sys.stderr)
-            return 1
+    fit_files = _inputs(args.fits)
+    bar_files = _inputs(args.bars or [])
 
     ttest_rows = []
     desc_rows = []
@@ -497,6 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out-dir", help="output directory (default: current directory)")
 
     p_ing = sub.add_parser("ingest", help="parse tick CSVs into minute bars")
+    p_ing.set_defaults(run=cmd_ingest)
     common(p_ing)
     p_ing.add_argument("files", nargs="+", help="tick CSV files (plain or gzip)")
     p_ing.add_argument("--session-start", help="session open clock time (default 09:00)")
@@ -505,17 +493,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_ing.add_argument("--tick-size", type=float, help="price tick for midpoint comparison (default 0.01)")
 
     p_sim = sub.add_parser("simulate", help="simulate a price/flow path or synthetic panel")
+    p_sim.set_defaults(run=cmd_simulate)
     common(p_sim)
     p_sim.add_argument("--mode", choices=["path", "panel"], help="what to generate (default path)")
     p_sim.add_argument("--seed", type=int, help="RNG seed (omitted: drawn and recorded)")
 
     p_fit = sub.add_parser("fit", help="fit impact models to bar/panel CSVs per day")
+    p_fit.set_defaults(run=cmd_fit)
     common(p_fit)
     p_fit.add_argument("files", nargs="+", help="bar CSVs or day,bar,x,r panel CSVs")
     p_fit.add_argument("--model", choices=[*MODELS, "all"], help="model to fit (default all)")
     p_fit.add_argument("--pooled", action="store_true", help="also fit the pooled panel across days")
 
     p_cur = sub.add_parser("curves", help="sample a fitted impact curve to CSV")
+    p_cur.set_defaults(run=cmd_curves)
     common(p_cur)
     p_cur.add_argument("fit_json", help="fits.json from the fit command (or a bare fit object)")
     p_cur.add_argument("--model", choices=list(MODELS), help="which model's fit to sample (default sshape)")
@@ -525,6 +516,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cur.add_argument("--n-points", type=int, help="number of samples (default 201)")
 
     p_cmp = sub.add_parser("compare", help="cross-model t tests, descriptives, and depth reports")
+    p_cmp.set_defaults(run=cmd_compare)
     common(p_cmp)
     p_cmp.add_argument("--fits", nargs="+", required=True, help="daily fits.csv files, one per contract")
     p_cmp.add_argument("--bars", nargs="*", help="bar CSVs matching the contracts (for depth quote sizes)")
@@ -534,24 +526,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     _setup_logging()
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # The parser is built on every call, so each subcommand runs the cmd_* function bound at that time.
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "ingest":
-            return cmd_ingest(args)
-        if args.command == "simulate":
-            return cmd_simulate(args)
-        if args.command == "fit":
-            return cmd_fit(args)
-        if args.command == "curves":
-            return cmd_curves(args)
-        if args.command == "compare":
-            return cmd_compare(args)
-    except (FileNotFoundError, ValueError) as exc:
+        return args.run(args)
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    parser.error(f"unknown command {args.command!r}")
-    return 2
 
 
 if __name__ == "__main__":

@@ -239,8 +239,12 @@ def big_phi(x, params: SShapeParams):
 
 
 def _small_q(xv: np.ndarray, p: float, q: float) -> np.ndarray:
-    """Points where q x^2 vanishes against |p x|, so Phi takes the q -> 0 limit."""
-    return q * xv * xv < _SMALLQ_REL * np.abs(p * xv)
+    """Points where q x^2 vanishes against |p x|, so Phi takes the q -> 0 limit.
+
+    For x != 0 that is |x| < _SMALLQ_REL |p| / q; x = 0 is left out, as Phi(0) = 0 either way.
+    """
+    a = np.abs(xv)
+    return (a < _SMALLQ_REL * abs(p) / q) & (a > 0.0)
 
 
 def _in_direct_band(b: float) -> bool:

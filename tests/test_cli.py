@@ -158,6 +158,10 @@ def test_simulate_bad_configs(tmp_path, capsys):
     assert main(["simulate", "--config", str(bad_mode), "--out-dir", str(tmp_path)]) == 1
     assert "mode" in capsys.readouterr().err
 
+    bad_steps = write_config(tmp_path, {**SIM_CONFIG, "n_steps": "x"}, "steps.json")
+    assert main(["simulate", "--config", str(bad_steps), "--out-dir", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith("error: n_steps: ")
+
     for mode in ("path", "panel"):
         bad_family = write_config(tmp_path, {**SIM_CONFIG, "mode": mode,
                                              "panel": {"flow": {"c": 0.1, "m": 5.0, "eta": 100.0}},
@@ -315,16 +319,20 @@ def test_fit_pooled_on_interleaved_panel_days_matches_grouped(tmp_path, capsys):
                                    n_days=3, bars_per_day=40, noise_sd=5e-4, seed=4)
     cfg = write_config(tmp_path, {"grid": [[-3e-3, 8e-5]]})
     outputs = {}
-    for layout in ("grouped", "interleaved"):
+    for layout in ("grouped", "interleaved", "reversed"):
         src = tmp_path / layout / "nk.csv"
         src.parent.mkdir()
         panel.write_csv(src)
+        header, *rows = src.read_text(encoding="utf-8").splitlines()
         if layout == "interleaved":
             # One bar of each day in turn; the days first appear in the same order.
-            header, *rows = src.read_text(encoding="utf-8").splitlines()
             rows.sort(key=lambda line: int(line.split(",")[1]))
             assert [line.split(",")[0] for line in rows[:4]] == ["0", "1", "2", "0"]
-            src.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+        elif layout == "reversed":
+            # Whole days, the last label first: the pooled fit still takes the days in label order.
+            rows.sort(key=lambda line: -int(line.split(",")[0]))
+            assert [line.split(",")[0] for line in rows[::40]] == ["2", "1", "0"]
+        src.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
         out = tmp_path / layout / "out"
         assert main(["fit", str(src), "--pooled", "--config", str(cfg), "--out-dir", str(out)]) == 0
         doc = json.loads((out / "nk.fits.json").read_text(encoding="utf-8"))
@@ -334,6 +342,7 @@ def test_fit_pooled_on_interleaved_panel_days_matches_grouped(tmp_path, capsys):
         outputs[layout] = ((out / "nk.fits.csv").read_bytes(), json.dumps(doc, sort_keys=True))
     capsys.readouterr()
     assert outputs["interleaved"] == outputs["grouped"]
+    assert outputs["reversed"] == outputs["grouped"]
 
 
 def test_fit_all_days_failing_exits_nonzero(tmp_path, capsys):
@@ -379,6 +388,29 @@ def test_fit_pooled_tries_every_model_and_names_each_failure(tmp_path, capsys):
     assert doc["failures"]["pooled"] == want
     assert doc["pooled"] == {}
     assert f"  failed pooled: {want}" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command, key, value", [
+    ("fit", "max_iter", "x"),
+    ("fit", "grid", 5),
+    ("fit", "rss_rtol", None),
+    ("fit", "model", "cubic"),
+    ("ingest", "tick_size", None),
+    ("ingest", "session_start", 5),
+    ("curves", "n_points", None),
+])
+def test_bad_config_value_names_its_key(tmp_path, capsys, command, key, value):
+    panel = synth_regression_panel(a=1e-6, impact=SShapeParams(1.3e-5, -0.0034, 8.15e-5),
+                                   flow=OUParams(c=0.1, m=5.0, eta=100.0),
+                                   n_days=1, bars_per_day=20, noise_sd=5e-4, seed=1)
+    panel.write_csv(tmp_path / "nk.csv")
+    fit_json = write_config(tmp_path, {"model": "sshape", "converged": True,
+                                       "param_hats": {"ell": 1.3e-5, "p": -0.0034, "q": 8.15e-5}}, "fit.json")
+    source = {"fit": tmp_path / "nk.csv", "ingest": DATA / "golden_ticks.csv", "curves": fit_json}[command]
+    cfg = write_config(tmp_path, {key: value})
+    assert main([command, str(source), "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key}: ") and "Traceback" not in err
 
 
 def test_fit_missing_file(tmp_path, capsys):

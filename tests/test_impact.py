@@ -37,7 +37,7 @@ from liqimpact.impact import (
     solve_ode_numeric,
     structural_to_pq,
 )
-from liqimpact.impact import _SMALLQ_REL
+from liqimpact.impact import _SMALLQ_REL, _ell_phi_direct
 
 NK = SShapeParams(ell=1.3e-5, p=-0.0034, q=8.15e-5)
 
@@ -388,6 +388,14 @@ def test_curve_stays_finite_where_ell_phi_overflows_in_the_direct_band():
         g = g_sshape(x, params)
     np.testing.assert_allclose(f, math.log(params.ell) + np.log(big_phi(x, params)), rtol=1e-12)
     np.testing.assert_allclose(g, phi(x, params) / big_phi(x, params), rtol=1e-12)
+
+
+def test_direct_path_takes_zero_and_integer_flows():
+    # x = 0 is never a small-q point, so bar flows (integers, zero among them) stay on the direct path.
+    for xs in (np.array([0.0, -2.5, 400.0]), np.arange(-50, 51)):
+        t = _ell_phi_direct(np.asarray(xs, dtype=float), NK)
+        assert t is not None
+        assert t.tobytes() == (NK.ell * big_phi(xs, NK)).tobytes()
 
 
 def test_linear_alpha_identity():
