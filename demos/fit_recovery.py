@@ -56,7 +56,7 @@ print()
 
 # The flow series itself identifies the mean-reversion parameters; segments
 # keep the AR(1) pairing from crossing day boundaries.
-segments = [np.array([b.order_flow for b in bars]) for bars in panel.by_day().values()]
+segments = [panel.bars.order_flow[panel.bars.day == code] for code in range(len(panel.days))]
 est = estimate_ou(segments, dt=1.0)
 print("flow dynamics recovered from the panel's flow levels:")
 print(f"  c   : truth {flow.c:7.3f}  estimate {est.c_hat:7.3f}  se {est.se_c:.3f}")

@@ -50,7 +50,7 @@ print()
 
 bars = build_bars(ticks, session_start="09:00", session_end="09:05",
                   bar_seconds=60, tick_size=0.01)
-for day, day_bars in bars.items():
+for day, day_bars in bars.by_day().items():
     print(f"bars for {day}:")
     print(f"{'bar':>4} {'flow':>6} {'last':>8} {'log ret':>10} {'bid sz':>7} {'ask sz':>7}")
     for b in day_bars:

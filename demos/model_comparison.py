@@ -29,8 +29,8 @@ panel = synth_regression_panel(a=1e-6, impact=impact, flow=flow,
 
 # Fit every model on every day.
 daily = {}
-for day, bars in panel.by_day().items():
-    reg = RegressionPanel.from_bars({day: bars})
+for code, day in enumerate(panel.days):
+    reg = RegressionPanel.from_bars(panel.bars.take(panel.bars.day == code))
     s = float(np.std(reg.x, ddof=1))
     grid = [(-1e-2 / s * k, 1e-2 / s**2 * 10.0**j) for k in (-2, 0, 2) for j in (-1, 0, 1)]
     daily[day] = {

@@ -109,6 +109,12 @@ def _grid(value) -> list[tuple[float, float]] | None:
     return pairs
 
 
+def _boolean(value) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError(f"expected true or false, got {value!r}")
+    return value
+
+
 def _choice(*choices: str):
     def check(value):
         if value not in choices:
@@ -179,15 +185,14 @@ def cmd_ingest(args) -> int:
     }
 
     for f in files:
-        days = build_bars(read_ticks(f), session_start, session_end, bar_seconds, tick_size)
+        bars = build_bars(read_ticks(f), session_start, session_end, bar_seconds, tick_size)
         dest = out_dir / f"{_stem(f)}.bars.csv"
-        write_bars_csv(days, dest)
+        write_bars_csv(bars, dest)
         _write_meta(dest, "ingest", {**effective, "input": str(f)})
-        bars = [b for rows in days.values() for b in rows]
-        unsigned = sum(b.unsigned_count for b in bars)
-        total = sum(b.signed_count for b in bars) + unsigned
+        unsigned = int(bars.unsigned_count.sum())
+        total = int(bars.signed_count.sum()) + unsigned
         pct = 100.0 * unsigned / total if total else 0.0
-        print(f"{dest}: {len(days)} day(s), {len(bars)} bars, {total} trades, {pct:.1f}% unsigned")
+        print(f"{dest}: {len(bars.days)} day(s), {len(bars)} bars, {total} trades, {pct:.1f}% unsigned")
     return 0
 
 
@@ -273,7 +278,7 @@ def cmd_fit(args) -> int:
     out_dir = _out_dir(args, config)
     model_flag = _pick(args.model, config, "model", "all", _choice(*MODELS, "all"))
     models = list(MODELS) if model_flag == "all" else [model_flag]
-    pooled = bool(args.pooled or config.get("pooled", False))
+    pooled = _pick(args.pooled, config, "pooled", False, _boolean)
     grid = _pick(None, config, "grid", None, _grid)
     fit_kwargs = {k: _pick(None, config, k, None, kind) for k, kind in FIT_OPTIONS.items() if k in config}
     files = _inputs(args.files)
@@ -503,7 +508,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_fit)
     p_fit.add_argument("files", nargs="+", help="bar CSVs or day,bar,x,r panel CSVs")
     p_fit.add_argument("--model", choices=[*MODELS, "all"], help="model to fit (default all)")
-    p_fit.add_argument("--pooled", action="store_true", help="also fit the pooled panel across days")
+    p_fit.add_argument("--pooled", action="store_true", default=None,
+                       help="also fit the pooled panel across days")
 
     p_cur = sub.add_parser("curves", help="sample a fitted impact curve to CSV")
     p_cur.set_defaults(run=cmd_curves)

@@ -29,7 +29,7 @@ import math
 from dataclasses import asdict, dataclass
 from functools import partial
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -43,7 +43,7 @@ from .impact import (
     log_feasibility_load,
     phi,
 )
-from .ingest import BarTable, MinuteBar
+from .ingest import BarTable
 from .sde import SyntheticPanel
 
 __all__ = [
@@ -103,23 +103,20 @@ class RegressionPanel:
         return int(self.r.size)
 
     @classmethod
-    def from_bars(cls, bars: BarTable | dict[str, list[MinuteBar]] | Iterable[MinuteBar]
-                  ) -> "RegressionPanel":
+    def from_bars(cls, bars: BarTable) -> "RegressionPanel":
         """Build observations from consecutive same-day bar pairs with a defined return.
 
-        Bars are ordered by day, then stably by bar index; a bar pairs with the
-        one before it when both are on the same day, its index is one more and
-        its return is given.  Days group by key for a dict and by ``day``
-        otherwise (see :meth:`BarTable.from_bars`).
+        Bars are ordered by day code, then stably by bar index; a bar pairs
+        with the one before it when both are on the same day, its index is one
+        more and its return is given.
         """
-        t = bars if isinstance(bars, BarTable) else BarTable.from_bars(bars)
-        order = np.lexsort((t.bar_index, t.day))
-        day = t.day[order]
-        bar = t.bar_index[order]
-        paired = (day[1:] == day[:-1]) & (bar[1:] == bar[:-1] + 1) & t.has_return[order[1:]]
+        order = np.lexsort((bars.bar_index, bars.day))
+        day = bars.day[order]
+        bar = bars.bar_index[order]
+        paired = (day[1:] == day[:-1]) & (bar[1:] == bar[:-1] + 1) & bars.has_return[order[1:]]
         cur = order[1:][paired]
         prev = order[:-1][paired]
-        return cls(t.log_return[cur], t.order_flow[cur], t.order_flow[prev])
+        return cls(bars.log_return[cur], bars.order_flow[cur], bars.order_flow[prev])
 
     @classmethod
     def from_synthetic(cls, panel: SyntheticPanel) -> "RegressionPanel":

@@ -11,10 +11,11 @@ Ticks are held as columns: ``read_ticks`` returns a :class:`TickTable`, and
 ``build_bars`` works on one with array operations, never a Python loop per
 tick.  ``build_bars`` also takes a plain sequence of :class:`TickRecord`,
 converted once by :meth:`TickTable.from_records`; a table has a length and
-iterates as ``TickRecord``.  Bars have a columnar form too, :class:`BarTable`,
-which the synthetic panels, the bar-file reader, the regression pairing and
-the depth report use.  This module owns both bar-file layouts: the bar CSV
-that ``write_bars_csv`` writes and the day,bar,x,r panel CSV that
+iterates as ``TickRecord``.  Bars are columns too: ``build_bars`` returns a
+:class:`BarTable`, and the bar writers, ``flow_descriptives``, the synthetic
+panels, the bar-file reader, the regression pairing and the depth report take
+or make one and nothing else.  This module owns both bar-file layouts: the
+bar CSV that ``write_bars_csv`` writes and the day,bar,x,r panel CSV that
 ``write_panel_csv`` writes; ``read_bars_csv`` reads either.
 
 Rules a tick row must follow (breaking one raises ParseError with the file and
@@ -265,7 +266,8 @@ class BarTable:
     one field where None and NaN differ, since a regression skips a missing
     return but rejects a NaN one, so ``has_return`` marks the rows whose
     ``log_return`` is given.  A table has a length and indexes and iterates as
-    ``MinuteBar``.
+    ``MinuteBar``; ``values()`` and ``get(day)`` are per day, as in
+    :meth:`by_day`.
     """
 
     days: tuple[str, ...]
@@ -284,19 +286,19 @@ class BarTable:
         return self.day.size
 
     def __iter__(self) -> Iterator[MinuteBar]:
-        return self._bars(slice(None))
+        return map(MinuteBar, *self._fields())
 
     def __getitem__(self, i: int) -> MinuteBar:
         i = range(len(self))[i]
-        return next(self._bars(slice(i, i + 1)))
+        return MinuteBar(*(column[0] for column in self._fields(slice(i, i + 1))))
 
-    def _bars(self, rows: slice) -> Iterator[MinuteBar]:
-        labels = map(self.days.__getitem__, self.day[rows].tolist())
-        returns = np.where(self.has_return[rows], self.log_return[rows], None).tolist()
-        return map(MinuteBar, labels, self.bar_index[rows].tolist(), self.order_flow[rows].tolist(),
-                   _nan_to_none(self.last_price[rows]), returns, self.signed_count[rows].tolist(),
-                   self.unsigned_count[rows].tolist(), _nan_to_none(self.open_bid_size[rows]),
-                   _nan_to_none(self.open_ask_size[rows]))
+    def _fields(self, rows: slice = slice(None)) -> list[list]:
+        """The MinuteBar fields of the rows as lists, in field order, None where missing."""
+        return [list(map(self.days.__getitem__, self.day[rows].tolist())), self.bar_index[rows].tolist(),
+                self.order_flow[rows].tolist(), _nan_to_none(self.last_price[rows]),
+                np.where(self.has_return[rows], self.log_return[rows], None).tolist(),
+                self.signed_count[rows].tolist(), self.unsigned_count[rows].tolist(),
+                _nan_to_none(self.open_bid_size[rows]), _nan_to_none(self.open_ask_size[rows])]
 
     def take(self, rows) -> BarTable:
         """The rows a boolean mask or an integer index array selects, in that order.
@@ -312,36 +314,13 @@ class BarTable:
             out[b.day].append(b)
         return out
 
-    @classmethod
-    def from_bars(cls, bars: dict[str, list[MinuteBar]] | Iterable[MinuteBar]) -> BarTable:
-        """Columns from MinuteBars, grouped by key for a dict and by ``b.day`` otherwise.
+    def values(self):
+        """The bar lists of :meth:`by_day`, one per day."""
+        return self.by_day().values()
 
-        A dict's rows take their key as day label, whatever their ``day``
-        field says; a flat iterable keeps its rows in input order, days
-        interleaved or not.
-        """
-        if isinstance(bars, dict):
-            groups = [list(v) for v in bars.values()]
-            days = tuple(bars)
-            rows = [b for group in groups for b in group]
-            sizes = np.array(list(map(len, groups)), dtype=np.int64)
-            day = np.repeat(np.arange(len(days), dtype=np.int64), sizes)
-        else:
-            rows = list(bars)
-            codes: dict[str, int] = {}
-            day = np.array([codes.setdefault(b.day, len(codes)) for b in rows], dtype=np.int64)
-            days = tuple(codes)
-
-        def column(name: str, dtype) -> np.ndarray:
-            return np.array(list(map(attrgetter(name), rows)), dtype=dtype)
-
-        return cls(
-            days, day, column("bar_index", np.int64),
-            column("order_flow", np.float64), column("last_price", np.float64),
-            column("log_return", np.float64), np.array([b.log_return is not None for b in rows], dtype=bool),
-            column("signed_count", np.int64), column("unsigned_count", np.int64),
-            column("open_bid_size", np.float64), column("open_ask_size", np.float64),
-        )
+    def get(self, day: str, default=None):
+        """The bars of one day as in :meth:`by_day`, or ``default`` for a day not in ``days``."""
+        return self.by_day().get(day, default)
 
 
 @dataclass(frozen=True)
@@ -571,39 +550,28 @@ def _session(session_start: time | str, session_end: time | str, bar_seconds: in
     return open_us, int(bar_seconds * 10**6), int(total_seconds // bar_seconds)
 
 
-def _day_bars(day: str, flow, last, signed, unsigned, open_bid, open_ask) -> list[MinuteBar]:
-    last = _nan_to_none(last)
-    returns = [None] + [math.log(b) - math.log(a) if a is not None and b is not None else None
-                        for a, b in zip(last, last[1:])]
-    return [MinuteBar(day, k, *fields) for k, fields in enumerate(zip(
-        flow.tolist(), last, returns, signed.tolist(), unsigned.tolist(),
-        _nan_to_none(open_bid), _nan_to_none(open_ask)))]
-
-
 def build_bars(
     ticks: TickTable | Sequence[TickRecord],
     session_start: time | str = "09:00",
     session_end: time | str = "15:00",
     bar_seconds: int = 60,
     tick_size: float = DEFAULT_TICK_SIZE,
-) -> dict[str, list[MinuteBar]]:
-    """Aggregate an ordered tick stream into per-day bar sequences.
+) -> BarTable:
+    """Aggregate an ordered tick stream into one table of per-day bar sequences.
 
     Quotes set the freshest-quote state, and trades in session hours are
     signed against it and summed into the bar their timestamp falls in, all
     as array operations over the whole stream.  Timestamps running backwards
-    within a day raise ParseError with the offending row's location.  A day
-    whose ticks contain no in-session trade is emitted as an empty list with a
-    warning.
+    within a day raise ParseError with the offending row's location.
 
-    Returns a dict keyed by ISO day string, in order of first appearance.
+    ``days`` lists the ISO day strings in order of first appearance.  A day
+    with an in-session trade gets every bar of the session, in order; a day
+    without one gets no rows, with a warning.
     """
     open_us, bar_us, n_bars = _session(session_start, session_end, bar_seconds)
     if not (math.isfinite(tick_size) and tick_size > 0):
         raise ValueError("tick_size must be a positive number")
     t = ticks if isinstance(ticks, TickTable) else TickTable.from_records(ticks)
-    if not len(t):
-        return {}
 
     # Days in order of first appearance; the stable sort keeps input order inside each day.
     days, first, inverse = np.unique(t.ts_us // _US_PER_DAY, return_index=True, return_inverse=True)
@@ -662,68 +630,62 @@ def build_bars(
     before = np.searchsorted(d * stride + tod, bar_open)
     snap = np.where(before > np.repeat(day_first, n_bars), quote[before - 1], -1)
     snap_rows = order[np.maximum(snap, 0)]
-    open_bid = np.where(snap >= 0, t.bid_size[snap_rows], np.nan).reshape(days.size, n_bars)
-    open_ask = np.where(snap >= 0, t.ask_size[snap_rows], np.nan).reshape(days.size, n_bars)
+    open_bid = np.where(snap >= 0, t.bid_size[snap_rows], np.nan)
+    open_ask = np.where(snap >= 0, t.ask_size[snap_rows], np.nan)
 
     trades_per_day = np.bincount(d[live], minlength=days.size)
-    flow, n_signed, n_unsigned = (a.reshape(days.size, n_bars) for a in (flow, n_signed, n_unsigned))
-    out: dict[str, list[MinuteBar]] = {}
-    for r, day_number in enumerate(days.tolist()):
-        day = date.fromordinal(_EPOCH.toordinal() + day_number).isoformat()
-        if not trades_per_day[r]:
-            logger.warning("day %s has no in-session trades; emitting empty day", day)
-            out[day] = []
-            continue
-        out[day] = _day_bars(day, flow[r], last[r], n_signed[r], n_unsigned[r], open_bid[r], open_ask[r])
-    return out
+    labels = tuple(date.fromordinal(_EPOCH.toordinal() + n).isoformat() for n in days.tolist())
+    for label in compress(labels, trades_per_day == 0):
+        logger.warning("day %s has no in-session trades; emitting empty day", label)
+    traded = trades_per_day > 0
+    keep = np.repeat(traded, n_bars)
+    last = last.ravel()[keep]
+    # math.log, not np.log: numpy's SIMD log differs from libm in the last bit on some prices.
+    logs = np.array(list(map(math.log, last.tolist())), dtype=np.float64).reshape(-1, n_bars)
+    log_return = np.full_like(logs, np.nan)
+    log_return[:, 1:] = logs[:, 1:] - logs[:, :-1]  # NaN unless both prices are present
+    log_return = log_return.ravel()
+    return BarTable(
+        labels, np.repeat(np.flatnonzero(traded), n_bars), np.tile(np.arange(n_bars), int(traded.sum())),
+        flow[keep], last, log_return, ~np.isnan(log_return), n_signed[keep], n_unsigned[keep],
+        open_bid[keep], open_ask[keep])
 
 
-def _flatten(bars: dict[str, list[MinuteBar]] | Iterable[MinuteBar]) -> list[MinuteBar]:
-    if isinstance(bars, dict):
-        return [b for day_bars in bars.values() for b in day_bars]
-    return list(bars)
-
-
-def flow_descriptives(bars: dict[str, list[MinuteBar]] | Iterable[MinuteBar]) -> FlowDescriptives:
+def flow_descriptives(bars: BarTable) -> FlowDescriptives:
     """Summarize a bar panel: mean and unbiased sd of per-bar flow, daily
-    positive/negative flow aggregates, and the unsigned-trade percentage."""
-    flat = _flatten(bars)
-    if not flat:
+    positive/negative flow aggregates for the days with bars (in ``days``
+    order), and the unsigned-trade percentage."""
+    if not len(bars):
         raise ValueError("empty bar panel")
-    flows = [b.order_flow for b in flat]
+    flows = bars.order_flow.tolist()
     n = len(flows)
     mean = sum(flows) / n
     sd = math.sqrt(sum((x - mean) ** 2 for x in flows) / (n - 1)) if n > 1 else 0.0
-    pos: dict[str, float] = {}
-    neg: dict[str, float] = {}
-    for b in flat:
-        pos[b.day] = pos.get(b.day, 0.0) + max(b.order_flow, 0.0)
-        neg[b.day] = neg.get(b.day, 0.0) + max(-b.order_flow, 0.0)
-    signed = sum(b.signed_count for b in flat)
-    unsigned = sum(b.unsigned_count for b in flat)
-    total = signed + unsigned
+    size = len(bars.days)
+    present = np.flatnonzero(np.bincount(bars.day, minlength=size)).tolist()
+    pos = np.bincount(bars.day, weights=np.maximum(bars.order_flow, 0.0), minlength=size).tolist()
+    neg = np.bincount(bars.day, weights=np.maximum(-bars.order_flow, 0.0), minlength=size).tolist()
+    unsigned = int(bars.unsigned_count.sum())
+    total = int(bars.signed_count.sum()) + unsigned
     pct = 100.0 * unsigned / total if total else 0.0
-    return FlowDescriptives(mean, sd, pct, pos, neg, n)
+    return FlowDescriptives(mean, sd, pct, {bars.days[i]: pos[i] for i in present},
+                            {bars.days[i]: neg[i] for i in present}, n)
 
 
-def write_bars_csv(bars: dict[str, list[MinuteBar]] | Iterable[MinuteBar], dest: str | Path) -> None:
+def write_bars_csv(bars: BarTable, dest: str | Path) -> None:
     """Write bars as CSV with header day,bar,order_flow,last_price,log_return,open_bid_size,open_ask_size.
 
     Floats are written with repr so identical inputs produce byte-identical
     files; trade counts are in-memory diagnostics and are not serialized.
     """
-    write_table(dest, BAR_HEADER, (
-        (b.day, b.bar_index, float(b.order_flow), b.last_price, b.log_return, b.open_bid_size, b.open_ask_size)
-        for b in _flatten(bars)
-    ))
+    day, bar, flow, last, ret, _, _, bid, ask = bars._fields()
+    write_table(dest, BAR_HEADER, zip(day, bar, flow, last, ret, bid, ask))
 
 
-def write_panel_csv(bars: BarTable | Iterable[MinuteBar], dest: str | Path) -> None:
+def write_panel_csv(bars: BarTable, dest: str | Path) -> None:
     """Write a regression panel as CSV with header day,bar,x,r (empty r on bars without a return)."""
-    t = bars if isinstance(bars, BarTable) else BarTable.from_bars(bars)
-    write_table(dest, PANEL_HEADER, zip(
-        map(t.days.__getitem__, t.day.tolist()), t.bar_index.tolist(), t.order_flow.tolist(),
-        np.where(t.has_return, t.log_return, None).tolist()))
+    day, bar, flow, _, ret, *_ = bars._fields()
+    write_table(dest, PANEL_HEADER, zip(day, bar, flow, ret))
 
 
 def read_bars_csv(path: str | Path) -> BarTable:

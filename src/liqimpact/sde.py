@@ -56,7 +56,7 @@ from .impact import (
     feasibility_margin,
     g_sshape,
 )
-from .ingest import BarTable, MinuteBar, write_panel_csv
+from .ingest import BarTable, write_panel_csv
 
 __all__ = [
     "RNG_ALGORITHM",
@@ -321,9 +321,6 @@ class SyntheticPanel:
     @property
     def days(self) -> list[str]:
         return list(self.bars.days)
-
-    def by_day(self) -> dict[str, list[MinuteBar]]:
-        return self.bars.by_day()
 
     def write_csv(self, dest: str | Path) -> None:
         write_panel_csv(self.bars, dest)

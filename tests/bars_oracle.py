@@ -5,20 +5,54 @@
 ``read_panel_csv`` build one ``MinuteBar`` per row of a bar or panel CSV, and
 ``from_bars`` pairs bars in a Python loop.  The library fills a ``BarTable``
 from the simulated arrays or the file's cells and pairs by index arithmetic
-over it; the tests check it against these.
+over it; the tests check it against these.  ``bar_table`` builds the
+``BarTable`` of hand-written ``MinuteBar`` lists, for tests that feed the
+library bars.
 """
 
 from __future__ import annotations
 
 import math
+from operator import attrgetter
 
 import numpy as np
 from scipy.signal import lfilter
 
 from liqimpact._common import parse_float, parse_int, read_table, write_table
 from liqimpact.estimation import RegressionPanel
-from liqimpact.ingest import BAR_HEADER, PANEL_HEADER, MinuteBar
+from liqimpact.ingest import BAR_HEADER, PANEL_HEADER, BarTable, MinuteBar
 from liqimpact.sde import _impact_f
+
+
+def bar_table(bars) -> BarTable:
+    """Columns from MinuteBars, grouped by key for a dict and by ``b.day`` otherwise.
+
+    A dict's rows take their key as day label, whatever their ``day`` field
+    says, and an empty list keeps its day; a flat iterable keeps its rows in
+    input order, days interleaved or not.
+    """
+    if isinstance(bars, dict):
+        groups = [list(v) for v in bars.values()]
+        days = tuple(bars)
+        rows = [b for group in groups for b in group]
+        sizes = np.array(list(map(len, groups)), dtype=np.int64)
+        day = np.repeat(np.arange(len(days), dtype=np.int64), sizes)
+    else:
+        rows = list(bars)
+        codes: dict[str, int] = {}
+        day = np.array([codes.setdefault(b.day, len(codes)) for b in rows], dtype=np.int64)
+        days = tuple(codes)
+
+    def column(name: str, dtype) -> np.ndarray:
+        return np.array(list(map(attrgetter(name), rows)), dtype=dtype)
+
+    return BarTable(
+        days, day, column("bar_index", np.int64),
+        column("order_flow", np.float64), column("last_price", np.float64),
+        column("log_return", np.float64), np.array([b.log_return is not None for b in rows], dtype=bool),
+        column("signed_count", np.int64), column("unsigned_count", np.int64),
+        column("open_bid_size", np.float64), column("open_ask_size", np.float64),
+    )
 
 
 def synth_regression_panel(a, impact, flow, n_days, bars_per_day, noise_sd=0.0, seed=0) -> list[MinuteBar]:

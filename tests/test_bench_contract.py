@@ -1,8 +1,9 @@
 """What the trace hooks of ``bench/liqbench/workloads.py:install`` read from the library.
 
 ``install`` wraps library functions by name, and its hooks read their
-arguments and results.  A refactor that reshapes one of these breaks traced
-benchmark runs without failing any other test, so the shapes are pinned here.
+arguments and results; the tick pipeline's checks read ``build_bars``' result
+too.  A refactor that reshapes one of these breaks benchmark runs without
+failing any other test, so the shapes are pinned here.
 """
 
 import dataclasses
@@ -10,6 +11,7 @@ import json
 from datetime import datetime
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from liqimpact import cli
@@ -49,19 +51,25 @@ def test_from_synthetic_dispatches_through_from_bars(monkeypatch):
 
 
 def test_build_bars_values_carry_signed_counts():
-    # _bars_built: [b for day in result.values() for b in day], summing signed_count and unsigned_count.
-    def at(s):
-        return datetime.fromisoformat(f"2024-05-06 {s}")
+    # _bars_built: [b for day in result.values() for b in day], summing signed_count and unsigned_count;
+    # _check_bars: days.get(d.day, []) per generated day, then days.values() again.
+    def at(day, s):
+        return datetime.fromisoformat(f"2024-05-{day} {s}")
 
-    ticks = [TickRecord(at("09:00:01"), "Q", bid=99.99, ask=100.01, bid_size=5.0, ask_size=7.0),
-             TickRecord(at("09:00:02"), "T", price=100.01, size=3.0),
-             TickRecord(at("09:00:03"), "T", price=100.00, size=1.0),
-             TickRecord(at("09:01:04"), "T", price=99.99, size=2.0)]
+    ticks = [TickRecord(at("06", "09:00:01"), "Q", bid=99.99, ask=100.01, bid_size=5.0, ask_size=7.0),
+             TickRecord(at("06", "09:00:02"), "T", price=100.01, size=3.0),
+             TickRecord(at("06", "09:00:03"), "T", price=100.00, size=1.0),
+             TickRecord(at("06", "09:01:04"), "T", price=99.99, size=2.0),
+             TickRecord(at("07", "16:00:00"), "T", price=100.01, size=4.0)]  # after the close: an empty day
     result = build_bars(ticks, "09:00", "09:05")
     bars = [b for day in result.values() for b in day]
     assert len(bars) == 5
     assert sum(b.signed_count for b in bars) == 2
     assert sum(b.unsigned_count for b in bars) == 1
+    assert [b.signed_count for b in result.get("2024-05-06", [])] == [1, 1, 0, 0, 0]
+    assert [b.unsigned_count for b in result.get("2024-05-06", [])] == [1, 0, 0, 0, 0]
+    assert result.get("2024-05-07", []) == []
+    assert result.get("2024-05-08", []) == []
 
 
 def _spy(monkeypatch, owner, name):
@@ -98,8 +106,8 @@ def _grid_config(tmp_path):
 @pytest.fixture
 def sized_bars_csv(tmp_path):
     """The synthetic panel's bars with open quote sizes, as a bar CSV."""
-    bars = {day: [dataclasses.replace(b, open_bid_size=10.0 + b.bar_index, open_ask_size=20.0) for b in rows]
-            for day, rows in _panel().by_day().items()}
+    bars = _panel().bars
+    bars = dataclasses.replace(bars, open_bid_size=10.0 + bars.bar_index, open_ask_size=np.full(len(bars), 20.0))
     path = tmp_path / "es.bars.csv"
     write_bars_csv(bars, path)
     return path

@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from bars_oracle import bar_table
 from liqimpact.cli import main
 from liqimpact.estimation import FitResult, write_daily_fits_csv
 from liqimpact.impact import SShapeParams
@@ -303,7 +304,7 @@ def test_fit_reads_bar_csv(tmp_path):
         bars.append(MinuteBar(day="2024-01-02", bar_index=i, order_flow=float(x[i]),
                               last_price=100.0, log_return=r))
     src = tmp_path / "cl.bars.csv"
-    write_bars_csv({"2024-01-02": bars}, src)
+    write_bars_csv(bar_table({"2024-01-02": bars}), src)
     out = tmp_path / "out"
     assert main(["fit", str(src), "--model", "linear", "--out-dir", str(out)]) == 0
     with open(out / "cl.bars.fits.csv", newline="") as fh:
@@ -352,7 +353,7 @@ def test_fit_all_days_failing_exits_nonzero(tmp_path, capsys):
                                log_return=None if i == 0 else 0.0)
                      for i in range(40)]
     src = tmp_path / "flat.bars.csv"
-    write_bars_csv(bars, src)
+    write_bars_csv(bar_table(bars), src)
     assert main(["fit", str(src), "--out-dir", str(tmp_path / "out")]) == 1
     assert "all days failed to fit" in capsys.readouterr().err
 
@@ -363,7 +364,7 @@ def test_fit_keeps_every_failing_models_message(tmp_path, capsys):
                             log_return=None if i == 0 else 1e-4 * (-1) ** i)
                   for i in range(40)]}
     src = tmp_path / "flat.bars.csv"
-    write_bars_csv(bars, src)
+    write_bars_csv(bar_table(bars), src)
     assert main(["fit", str(src), "--out-dir", str(tmp_path / "out")]) == 1
     want = ("sshape: flow never changes between bars; impact slope not identified; "
             "linear: design column delta_f(linear) is constant; slope not identified; "
@@ -379,7 +380,7 @@ def test_fit_pooled_tries_every_model_and_names_each_failure(tmp_path, capsys):
                   for i in range(40)]
             for day in ("2024-01-01", "2024-01-02")}
     src = tmp_path / "flat.bars.csv"
-    write_bars_csv(bars, src)
+    write_bars_csv(bar_table(bars), src)
     assert main(["fit", str(src), "--pooled", "--out-dir", str(tmp_path / "out")]) == 1
     want = ("sshape: flow never changes between bars; impact slope not identified; "
             "linear: design column delta_f(linear) is constant; slope not identified; "
@@ -395,6 +396,7 @@ def test_fit_pooled_tries_every_model_and_names_each_failure(tmp_path, capsys):
     ("fit", "grid", 5),
     ("fit", "rss_rtol", None),
     ("fit", "model", "cubic"),
+    ("fit", "pooled", "false"),
     ("ingest", "tick_size", None),
     ("ingest", "session_start", 5),
     ("curves", "n_points", None),
@@ -442,7 +444,7 @@ def test_compare_end_to_end(tmp_path, capsys):
                             open_ask_size=float(20 + i))]
             for i, day in enumerate(days)}
     bars_csv = tmp_path / "es.bars.csv"
-    write_bars_csv(bars, bars_csv)
+    write_bars_csv(bar_table(bars), bars_csv)
 
     out = tmp_path / "out"
     code = main(["compare", "--fits", str(fits_csv), "--bars", str(bars_csv),
@@ -493,7 +495,7 @@ def _model_ticks(path, n_days=2, bars=240):
                                    flow=OUParams(c=0.1, m=5.0, eta=100.0), n_days=n_days,
                                    bars_per_day=bars, noise_sd=5e-4, seed=8)
     lines = ["ts,kind,price,size,bid,ask,bid_size,ask_size"]
-    for d, day_bars in enumerate(panel.by_day().values()):
+    for d, day_bars in enumerate(panel.bars.by_day().values()):
         for b in day_bars:
             stamp = f"2024-05-{6 + d:02d} {9 + b.bar_index // 60:02d}:{b.bar_index % 60:02d}"
             price, size = b.last_price, abs(b.order_flow)

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from bars_oracle import bar_table
 from liqimpact import compare
 from liqimpact.compare import (
     DEPTH_HEADER,
@@ -21,7 +22,7 @@ from liqimpact.compare import (
     write_ttest_csv,
 )
 from liqimpact.impact import SShapeParams, inflection_point
-from liqimpact.ingest import BarTable, MinuteBar
+from liqimpact.ingest import MinuteBar
 
 
 def make_series(dates, values, contract="ES", model="sshape"):
@@ -233,7 +234,7 @@ def test_depth_report_inflections_match_curve_module():
 
 def test_depth_report_bar_panel_descriptives():
     curve = SShapeParams(1e-5, -0.003, 8e-5)
-    bars = BarTable.from_bars({
+    bars = bar_table({
         "d1": [bar("d1", 0, 10.0, 20.0), bar("d1", 1, None, 25.0)],
         "d2": [bar("d2", 0, 30.0, None), bar("d2", 1, 14.0, 22.0)],
     })
@@ -252,8 +253,8 @@ def test_depth_report_rejects_bad_input():
 
 def test_depth_report_ignores_sizes_on_unfitted_days():
     curve = SShapeParams(1e-5, -0.003, 8e-5)
-    bars = BarTable.from_bars([bar("d1", 0, 10.0, 20.0), bar("d2", 0, 1e6, 1e6),
-                               bar("d9", 0, 1e6, 1e6), bar("d1", 1, 12.0, 22.0)])
+    bars = bar_table([bar("d1", 0, 10.0, 20.0), bar("d2", 0, 1e6, 1e6),
+                      bar("d9", 0, 1e6, 1e6), bar("d1", 1, 12.0, 22.0)])
     rep = depth_report({"d1": curve, "d2": None}, bars)
     assert rep.bid_size == descriptives([10.0, 12.0])
     assert rep.ask_size == descriptives([20.0, 22.0])
@@ -272,14 +273,14 @@ def test_depth_report_sizes_in_date_then_file_order(monkeypatch):
         return descriptives(values)
 
     monkeypatch.setattr(compare, "descriptives", spy)
-    depth_report({"d3": curve, "d1": curve, "d2": curve}, BarTable.from_bars(rows))
+    depth_report({"d3": curve, "d1": curve, "d2": curve}, bar_table(rows))
     assert seen[:2] == [[1.0, 5.0, 2.0, 3.0, 4.0], [10.0, 50.0, 20.0, 30.0, 40.0]]
 
 
 def test_depth_report_drops_empty_and_nan_sizes():
     curve = SShapeParams(1e-5, -0.003, 8e-5)
-    bars = BarTable.from_bars([bar("d1", 0, 10.0, math.nan), bar("d1", 1, math.nan, 25.0),
-                               bar("d1", 2, None, 20.0), bar("d1", 3, 14.0, None)])
+    bars = bar_table([bar("d1", 0, 10.0, math.nan), bar("d1", 1, math.nan, 25.0),
+                      bar("d1", 2, None, 20.0), bar("d1", 3, 14.0, None)])
     rep = depth_report({"d1": curve}, bars)
     assert rep.bid_size == descriptives([10.0, 14.0])
     assert rep.ask_size == descriptives([25.0, 20.0])
@@ -288,8 +289,8 @@ def test_depth_report_drops_empty_and_nan_sizes():
 
 def test_depth_report_bars_without_sizes_give_no_size_rows(tmp_path):
     curve = SShapeParams(1e-5, -0.003, 8e-5)
-    no_sizes = BarTable.from_bars([bar("d1", 0, None, None), bar("d1", 1, None, None)])
-    for bars in (no_sizes, BarTable.from_bars([])):
+    no_sizes = bar_table([bar("d1", 0, None, None), bar("d1", 1, None, None)])
+    for bars in (no_sizes, bar_table([])):
         rep = depth_report({"d1": curve}, bars, contract="ES")
         assert rep.bid_size is None and rep.ask_size is None
     dest = tmp_path / "depth.csv"
@@ -348,7 +349,7 @@ def test_depth_csv_layout(tmp_path):
     curves = {"d1": SShapeParams(1e-5, -0.003, 8e-5),
               "d2": SShapeParams(2e-5, -0.002, 9e-5),
               "d3": None}
-    with_bars = depth_report(curves, BarTable.from_bars([bar("d1", 0, 12.0, 18.0)]), contract="ES")
+    with_bars = depth_report(curves, bar_table([bar("d1", 0, 12.0, 18.0)]), contract="ES")
     bare = depth_report(curves, contract="CL")
     dest = tmp_path / "depth.csv"
     write_depth_csv([with_bars, bare], dest)

@@ -41,7 +41,7 @@ from liqimpact.impact import (
     f_sshape,
     feasibility_margin,
 )
-from liqimpact.ingest import BarTable, MinuteBar, ParseError, read_bars_csv, write_bars_csv, write_panel_csv
+from liqimpact.ingest import MinuteBar, ParseError, read_bars_csv, write_bars_csv, write_panel_csv
 from liqimpact.sde import OUParams, synth_regression_panel
 
 TRUTH = dict(a=1e-6, ell=1e-5, p=-3e-3, q=8e-5)
@@ -79,7 +79,7 @@ def _bars(day, pairs):
 def test_from_bars_pairs_consecutive_indices_only():
     rows = _bars("d", [(i, None if i == 0 else 1e-4 * i) for i in range(10)])
     rows += _bars("d", [(14, 9e-4), (15, 7e-4), (16, 6e-4)])  # gap at 10..13
-    panel = RegressionPanel.from_bars({"d": rows})
+    panel = RegressionPanel.from_bars(bars_oracle.bar_table({"d": rows}))
     # 9 pairs inside 0..9 plus 2 pairs inside 14..16; the gap pair (9, 14)
     # and the day-open bar contribute nothing.
     assert panel.n == 11
@@ -90,7 +90,7 @@ def test_from_bars_pairs_consecutive_indices_only():
 def test_from_bars_does_not_pair_across_days():
     d1 = _bars("d1", [(i, None if i == 0 else 1e-4) for i in range(7)])
     d2 = _bars("d2", [(i, None if i == 0 else 2e-4) for i in range(7)])
-    panel = RegressionPanel.from_bars({"d1": d1, "d2": d2})
+    panel = RegressionPanel.from_bars(bars_oracle.bar_table({"d1": d1, "d2": d2}))
     assert panel.n == 12
     assert set(panel.r.tolist()) == {1e-4, 2e-4}
 
@@ -134,28 +134,28 @@ def test_from_bars_matches_pair_loop_oracle(bars):
         want = bars_oracle.from_bars(bars)
     except EstimationError as exc:
         with pytest.raises(EstimationError, match=re.escape(str(exc))):
-            RegressionPanel.from_bars(bars)
+            RegressionPanel.from_bars(bars_oracle.bar_table(bars))
         return
-    for got in (RegressionPanel.from_bars(bars), RegressionPanel.from_bars(BarTable.from_bars(bars))):
-        for name in ("r", "x", "x_prev"):
-            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+    got = RegressionPanel.from_bars(bars_oracle.bar_table(bars))
+    for name in ("r", "x", "x_prev"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
 
 
 def test_from_bars_nan_return_is_non_finite_not_missing():
     rows = _bars("d", [(i, None if i == 0 else 1e-4) for i in range(12)])
     rows[5] = MinuteBar(day="d", bar_index=5, order_flow=1.0, last_price=100.0, log_return=math.nan)
-    for bars in (rows, {"d": rows}, BarTable.from_bars(rows)):
+    for bars in (rows, {"d": rows}):
         with pytest.raises(EstimationError, match="non-finite"):
-            RegressionPanel.from_bars(bars)
+            RegressionPanel.from_bars(bars_oracle.bar_table(bars))
     rows[5] = dataclasses.replace(rows[5], log_return=None)
-    assert RegressionPanel.from_bars(rows).n == 10
+    assert RegressionPanel.from_bars(bars_oracle.bar_table(rows)).n == 10
 
 
 def test_from_csv_sniffs_bar_and_panel_layouts(tmp_path, capsys):
     synth = synth_regression_panel(a=1e-6, impact=SShapeParams(1e-5, -3e-3, 8e-5),
                                    flow=FLOW, n_days=2, bars_per_day=30, seed=5)
     p_bar = tmp_path / "bars.csv"
-    write_bars_csv(synth.by_day(), p_bar)
+    write_bars_csv(synth.bars, p_bar)
     p_panel = tmp_path / "panel.csv"
     write_panel_csv(synth.bars, p_panel)
     a = RegressionPanel.from_bars(read_bars_csv(p_bar))

@@ -17,10 +17,10 @@ from hypothesis import strategies as st
 import bars_oracle
 from ingest_oracle import loop_build_bars, loop_read_ticks
 from liqimpact import ingest
+from liqimpact.cli import main
 from liqimpact.ingest import (
     BAR_HEADER,
     PANEL_HEADER,
-    BarTable,
     MinuteBar,
     ParseError,
     TICK_HEADER,
@@ -101,8 +101,8 @@ def test_golden_fixture_fields():
     ticks = read_ticks(DATA / "golden_ticks.csv")
     assert len(ticks) == 20
     days = build_bars(ticks, session_start="09:00", session_end="09:05", bar_seconds=60)
-    assert list(days) == ["2024-03-15"]
-    bars = days["2024-03-15"]
+    assert days.days == ("2024-03-15",)
+    bars = days.by_day()["2024-03-15"]
     assert [b.order_flow for b in bars] == [4.0, 4.0, -1.0, 0.0, 7.0]
     assert [b.last_price for b in bars] == [99.99, 100.04, 100.01, 100.01, 100.08]
     assert bars[0].log_return is None
@@ -123,8 +123,8 @@ def test_golden_fixture_round_trips_through_csv(tmp_path):
     dest = tmp_path / "bars.csv"
     write_bars_csv(days, dest)
     back = read_bars_csv(dest).by_day()
-    assert list(back) == list(days)
-    for a, b in zip(days["2024-03-15"], back["2024-03-15"]):
+    assert list(back) == list(days.days)
+    for a, b in zip(days.by_day()["2024-03-15"], back["2024-03-15"]):
         assert a.day == b.day and a.bar_index == b.bar_index
         assert a.order_flow == b.order_flow
         assert a.last_price == b.last_price
@@ -185,7 +185,7 @@ def test_quote_at_bar_open_instant_not_in_snapshot():
         trade("2024-05-06 09:01:30", 100.02, 2.0),
     ]
     days = build_bars(ticks, session_start="09:00", session_end="09:02", bar_seconds=60)
-    bars = days["2024-05-06"]
+    bars = days.by_day()["2024-05-06"]
     assert (bars[0].open_bid_size, bars[0].open_ask_size) == (5.0, 6.0)
     assert (bars[1].open_bid_size, bars[1].open_ask_size) == (5.0, 6.0)
 
@@ -201,7 +201,7 @@ def test_session_boundary_trades():
         trade("2024-05-06 09:02:00", 100.01, 4.0),   # at the close: dropped
     ]
     days = build_bars(ticks, session_start="09:00", session_end="09:02", bar_seconds=60)
-    bars = days["2024-05-06"]
+    bars = days.by_day()["2024-05-06"]
     assert [b.order_flow for b in bars] == [1.0, 2.0]
 
 
@@ -212,8 +212,42 @@ def test_zero_trade_day_warns_and_yields_empty(caplog):
     ]
     with caplog.at_level(logging.WARNING, logger="liqimpact.ingest"):
         days = build_bars(ticks, session_start="09:00", session_end="10:00", bar_seconds=60)
-    assert days["2024-05-06"] == []
+    assert days.by_day()["2024-05-06"] == []
     assert any("no in-session trades" in rec.message for rec in caplog.records)
+
+
+def test_empty_day_is_listed_but_has_no_bars(tmp_path, capsys):
+    # An empty day first, then a traded one with inexact sizes over 30 bars:
+    # enough bars that a pairwise sum could differ from the left-to-right one.
+    rng = np.random.default_rng(8)
+    lines = [",".join(TICK_HEADER), "2024-05-06 09:01:00,Q,,,99.99,100.01,5.0,6.0",
+             "2024-05-06 16:00:00,T,100.01,5.0,,,,"]
+    for second in range(1, 300, 3):
+        stamp = f"2024-05-07 09:{second // 60:02d}:{second % 60:02d}"
+        if second % 4 == 1:
+            lines.append(f"{stamp},Q,,,99.99,100.01,{rng.integers(1, 50)}.0,{rng.integers(1, 50)}.0")
+        else:
+            price = ("99.99", "100.01", "100.0")[rng.integers(0, 3)]
+            lines.append(f"{stamp},T,{price},{0.1 * int(rng.integers(1, 30))!r},,,,")
+    path = tmp_path / "es.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    session = ("09:00", "09:05", 10)
+
+    assert main(["ingest", str(path), "--out-dir", str(tmp_path), "--session-start", session[0],
+                 "--session-end", session[1], "--bar-seconds", str(session[2])]) == 0
+    assert "es.bars.csv: 2 day(s), 30 bars, " in capsys.readouterr().out
+
+    bars = build_bars(read_ticks(path), *session)
+    assert bars.days == ("2024-05-06", "2024-05-07")
+    assert len(bars) == 30 and set(bars.day.tolist()) == {1}
+    desc = flow_descriptives(bars)
+    # The per-bar sums of the loop, left to right, bit for bit.
+    flows = [b.order_flow for day in loop_build_bars(read_ticks(path), *session).values() for b in day]
+    mean = sum(flows) / len(flows)
+    assert (desc.n_bars, desc.mean_flow) == (30, mean)
+    assert desc.sd_flow == math.sqrt(sum((x - mean) ** 2 for x in flows) / 29)
+    assert desc.daily_positive == {"2024-05-07": sum(max(x, 0.0) for x in flows)}
+    assert desc.daily_negative == {"2024-05-07": sum(max(-x, 0.0) for x in flows)}
 
 
 def test_multi_day_state_reset():
@@ -225,8 +259,8 @@ def test_multi_day_state_reset():
         trade("2024-05-07 09:00:30", 100.01, 7.0),
     ]
     days = build_bars(ticks, session_start="09:00", session_end="09:01", bar_seconds=60)
-    assert days["2024-05-06"][0].order_flow == 5.0
-    d2 = days["2024-05-07"][0]
+    assert days.by_day()["2024-05-06"][0].order_flow == 5.0
+    d2 = days.by_day()["2024-05-07"][0]
     assert d2.order_flow == 0.0
     assert d2.unsigned_count == 1
     assert d2.open_bid_size is None and d2.open_ask_size is None
@@ -325,7 +359,7 @@ def test_flow_descriptives_alternating_flows():
     for i in range(n):
         bars.append(MinuteBar(day="d1", bar_index=i, order_flow=1.0 if i % 2 == 0 else -1.0,
                               last_price=100.0, log_return=None))
-    desc = flow_descriptives(bars)
+    desc = flow_descriptives(bars_oracle.bar_table(bars))
     assert desc.n_bars == n
     assert desc.mean_flow == pytest.approx(0.0, abs=1e-15)
     assert desc.sd_flow == pytest.approx(math.sqrt(n / (n - 1)), rel=1e-12)
@@ -342,15 +376,15 @@ def test_flow_descriptives_unsigned_share():
         MinuteBar(day="d1", bar_index=1, order_flow=0.0, last_price=100.0,
                   log_return=0.0, signed_count=0, unsigned_count=4),
     ]
-    desc = flow_descriptives(bars)
+    desc = flow_descriptives(bars_oracle.bar_table(bars))
     assert desc.unsigned_pct == pytest.approx(100.0 * 5.0 / 8.0, rel=1e-12)
 
 
-def test_flow_descriptives_accepts_day_dict():
+def test_flow_descriptives_of_built_bars():
     days = build_bars(read_ticks(DATA / "golden_ticks.csv"),
                       session_start="09:00", session_end="09:05", bar_seconds=60)
     desc = flow_descriptives(days)
-    flows = [b.order_flow for b in days["2024-03-15"]]
+    flows = [b.order_flow for b in days.by_day()["2024-03-15"]]
     assert desc.mean_flow == pytest.approx(np.mean(flows), rel=1e-14)
     assert desc.sd_flow == pytest.approx(np.std(flows, ddof=1), rel=1e-14)
     assert desc.daily_positive == {"2024-03-15": 15.0}
@@ -421,8 +455,8 @@ def _write_records(path, records, sep=" "):
 def test_columnar_bars_equal_the_loop(stream, bar_seconds):
     new = build_bars(stream, *SESSION, bar_seconds)
     old = loop_build_bars(stream, *SESSION, bar_seconds)
-    assert list(new) == list(old)
-    assert repr(new) == repr(old)  # field for field, float reprs (and signs of zero) included
+    assert new.days == tuple(old)
+    assert repr(new.by_day()) == repr(old)  # field for field, float reprs (and signs of zero) included
 
 
 @settings(max_examples=100, deadline=None)
@@ -451,7 +485,7 @@ def test_records_and_their_csv_give_identical_bars(stream, sep):
     for a, b in zip(table.columns()[:-1], from_records.columns()[:-1]):  # all but the line numbers
         np.testing.assert_array_equal(a, b)
     assert table.lineno.tolist() == list(range(2, len(stream) + 2))
-    assert repr(build_bars(table, *SESSION)) == repr(build_bars(stream, *SESSION))
+    assert repr(build_bars(table, *SESSION).by_day()) == repr(build_bars(stream, *SESSION).by_day())
 
 
 # Whole rows that break one rule each, and valid rows that take a slower path.
@@ -598,20 +632,21 @@ def test_table_iterates_and_indexes_as_records():
 @settings(max_examples=50, deadline=None)
 @given(tick_streams())
 def test_bar_table_round_trips_built_bars(stream):
-    days = build_bars(stream, *SESSION)
-    table = BarTable.from_bars(days)
-    assert table.days == tuple(days)  # days without trades included
-    assert len(table) == sum(map(len, days.values()))
+    built = build_bars(stream, *SESSION)
+    days = built.by_day()
+    table = bars_oracle.bar_table(days)
+    assert table.days == built.days == tuple(days)  # days without trades included
+    assert len(table) == len(built) == sum(map(len, days.values()))
     assert repr(table.by_day()) == repr(days)
-    flat = [b for bars in days.values() for b in bars]
-    assert repr(list(BarTable.from_bars(flat))) == repr(flat)
+    flat = list(built)
+    assert repr(list(bars_oracle.bar_table(flat))) == repr(flat)
 
 
 def test_bar_table_indexes_as_bars_and_groups_dicts_by_key():
     bars = [MinuteBar("b", 1, 2.0, 100.0, math.nan, 3, 1, None, 4.0),
             MinuteBar("a", 0, -1.0, None, None),
             MinuteBar("b", 0, 0.5, 99.0, 1e-3)]
-    table = BarTable.from_bars(bars)
+    table = bars_oracle.bar_table(bars)
     assert table.days == ("b", "a")
     assert table.day.tolist() == [0, 1, 0]
     assert len(table) == 3
@@ -619,9 +654,12 @@ def test_bar_table_indexes_as_bars_and_groups_dicts_by_key():
     assert table[-2] == bars[1]
     with pytest.raises(IndexError):
         table[3]
-    assert BarTable.from_bars({"e": [], "x": bars[1:]}).by_day() == {
+    assert repr(list(table.values())) == repr([[bars[0], bars[2]], [bars[1]]])
+    assert table.get("a") == [bars[1]]
+    assert table.get("c") is None and table.get("c", []) == []
+    assert bars_oracle.bar_table({"e": [], "x": bars[1:]}).by_day() == {
         "e": [], "x": [MinuteBar("x", 0, -1.0, None, None), MinuteBar("x", 0, 0.5, 99.0, 1e-3)]}
-    assert len(BarTable.from_bars({})) == 0
+    assert len(bars_oracle.bar_table({})) == 0
 
 
 def _optional(values):
@@ -639,7 +677,7 @@ minute_bars = st.builds(
 @settings(max_examples=200, deadline=None)
 @given(st.lists(minute_bars, max_size=30), st.booleans(), st.data())
 def test_bar_table_take_equals_table_of_the_selected_bars(bars, by_mask, data):
-    table = BarTable.from_bars(bars)
+    table = bars_oracle.bar_table(bars)
     if by_mask:
         mask = data.draw(st.lists(st.booleans(), min_size=len(bars), max_size=len(bars)))
         rows = np.array(mask, dtype=bool)
@@ -651,7 +689,7 @@ def test_bar_table_take_equals_table_of_the_selected_bars(bars, by_mask, data):
     got = table.take(rows)
     assert got.days == table.days
     assert len(got) == len(picked)
-    assert [repr(b) for b in got] == [repr(b) for b in BarTable.from_bars(picked)]
+    assert [repr(b) for b in got] == [repr(b) for b in bars_oracle.bar_table(picked)]
 
 
 # ---------------------------------------------------------------------------
@@ -733,7 +771,7 @@ def test_read_bars_csv_matches_per_row_readers(spec):
         path = Path(d, "es.bars.csv")
         path.write_bytes(text.encode("utf-8"))
         try:
-            want = BarTable.from_bars(oracle(path))
+            want = bars_oracle.bar_table(oracle(path))
         except ParseError as exc:
             with pytest.raises(ParseError) as got_exc:
                 read_bars_csv(path)

@@ -354,7 +354,7 @@ def test_panel_replay_matches_direct_recursion():
     shocks = trans_sd * rng.standard_normal((3, 49))
     eps = 5e-4 * rng.standard_normal((3, 49))
 
-    by_day = panel.by_day()
+    by_day = panel.bars.by_day()
     for d in range(3):
         dev = x0[d] - flow.m
         xs = [x0[d]]
@@ -377,14 +377,14 @@ def test_panel_shape_days_and_truth():
                                    bars_per_day=30, seed=3)
     assert panel.days == ["0", "1", "2", "3"]
     assert len(panel.bars) == 120
-    assert all(len(v) == 30 for v in panel.by_day().values())
+    assert all(len(v) == 30 for v in panel.bars.by_day().values())
     truth = panel.truth
     assert truth["impact"]["family"] == "sshape"
     assert truth["flow"] == {"c": 0.2, "m": 0.0, "eta": 50.0}
     assert truth["rng"] == {"algorithm": "PCG64", "seed": 3}
     assert panel.metadata()["kind"] == "panel"
     # Prices compound the returns from a base of 100.
-    bars = panel.by_day()["1"]
+    bars = panel.bars.by_day()["1"]
     assert bars[0].last_price == pytest.approx(100.0, rel=1e-12)
     ratio = bars[5].last_price / bars[4].last_price
     assert math.log(ratio) == pytest.approx(bars[5].log_return, rel=1e-9)
@@ -395,7 +395,7 @@ def test_panel_with_square_root_impact():
     panel = synth_regression_panel(a=1e-6, impact=imp, flow=OUParams(c=0.2, m=0.0, eta=50.0),
                                    n_days=3, bars_per_day=20, noise_sd=0.0, seed=6)
     assert panel.truth["impact"] == {"family": "sqrt", "alpha": 1e-4}
-    for bars in panel.by_day().values():
+    for bars in panel.bars.by_day().values():
         x = np.array([b.order_flow for b in bars])
         r = np.array([b.log_return for b in bars[1:]])
         assert np.array_equal(r, 1e-6 + f_sqrt(x[1:], imp) - f_sqrt(x[:-1], imp))
@@ -405,7 +405,7 @@ def test_panel_day_open_draws_are_stationary():
     flow = OUParams(c=0.3, m=-2.0, eta=40.0)
     panel = synth_regression_panel(a=0.0, impact=NK, flow=flow, n_days=3000,
                                    bars_per_day=2, seed=12)
-    opens = np.array([bars[0].order_flow for bars in panel.by_day().values()])
+    opens = np.array([bars[0].order_flow for bars in panel.bars.by_day().values()])
     sd = flow.eta / math.sqrt(2.0 * flow.c)
     assert np.mean(opens) == pytest.approx(flow.m, abs=3.5 * sd / math.sqrt(3000))
     assert np.std(opens, ddof=1) == pytest.approx(sd, rel=0.1)
@@ -458,11 +458,11 @@ def test_panel_table_matches_per_bar_oracle(tmp_path, seed, impact, n_days, bars
     by_day: dict = {}
     for b in want:
         by_day.setdefault(b.day, []).append(b)
-    assert repr(panel.by_day()) == repr(by_day)
+    assert repr(panel.bars.by_day()) == repr(by_day)
 
     bars_oracle.write_panel_csv(want, tmp_path / "want.csv")
     panel.write_csv(tmp_path / "panel.csv")
-    write_panel_csv(want, tmp_path / "from_list.csv")
+    write_panel_csv(bars_oracle.bar_table(want), tmp_path / "from_list.csv")
     expected = (tmp_path / "want.csv").read_bytes()
     assert (tmp_path / "panel.csv").read_bytes() == expected
     assert (tmp_path / "from_list.csv").read_bytes() == expected
