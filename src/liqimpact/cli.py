@@ -59,6 +59,8 @@ logger = logging.getLogger(__name__)
 
 MODELS = ("sshape", "linear", "sqrt")
 FIT_OPTIONS = {"max_iter": int, "rss_rtol": float, "grad_atol": float, "margin_floor": float}
+# Every config key cmd_fit reads; any other key is an error, not a silent no-op.
+FIT_KEYS = ("out_dir", "model", "pooled", "grid", *FIT_OPTIONS)
 
 
 def _setup_logging() -> None:
@@ -275,6 +277,9 @@ def _fit_models(panel: RegressionPanel, models: list[str], grid, fit_kwargs: dic
 
 def cmd_fit(args) -> int:
     config = _load_config(args.config)
+    for key in config:
+        if key not in FIT_KEYS:
+            raise ValueError(f"{key}: unknown config key for fit")
     out_dir = _out_dir(args, config)
     model_flag = _pick(args.model, config, "model", "all", _choice(*MODELS, "all"))
     models = list(MODELS) if model_flag == "all" else [model_flag]

@@ -10,12 +10,15 @@ Searches start from a grid of (p, q) initial conditions scaled to the panel's
 flow dispersion and the lowest-RSS feasible optimum wins.  The curve and its
 derivatives are evaluated once per distinct flow, since x_prev mostly repeats
 the previous bar's x, into work arrays allocated once per fit.  The starts
-advance in lockstep, one iteration each per round; after each round a live
-start is retired when it lies within one standard error of a start with lower
-RSS, in that start's Gauss-Newton metric (J'J): the two searches cannot yet be
-told apart, so only one goes on.  Only a start whose J'J is stiff enough for
-the stopping tolerances to pin its optimum down absorbs others, so short
-panels run every start to its end.
+advance in rounds, one iteration each per round: a round solves every live
+start's damped system in one stacked call and evaluates all their trial
+points together, in blocks of rows, and each start's search is the one it
+would make alone.  After each round a live start is retired when it lies
+within one standard error of a start with lower RSS, in that start's
+Gauss-Newton metric (J'J): the two searches cannot yet be told apart, so only
+one goes on.  Only a start whose J'J is stiff enough for the stopping
+tolerances to pin its optimum down absorbs others, so short panels run every
+start to its end.
 
 Flow dynamics are estimated by AR(1) regression over day-contiguous segments,
 mapped back to continuous-time mean reversion; standard errors come from the
@@ -26,12 +29,13 @@ from __future__ import annotations
 
 import logging
 import math
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
-from functools import partial
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
+from scipy.special import ndtr
 
 from ._common import ParseError, parse_float, parse_int, read_table, write_table
 from .impact import (
@@ -196,6 +200,9 @@ def fit_ols(panel: RegressionPanel, model: str) -> FitResult:
 # A live start within this many standard errors of a kept start with lower
 # RSS, in that start's Gauss-Newton metric, is retired as a duplicate.
 _MERGE_RADIUS = 1.0
+# An evaluation block holds max(1, _BLOCK_POINTS // n) rows on a panel of n
+# observations: larger blocks of continuous flows leave the cache and ran slower.
+_BLOCK_POINTS = 16_384
 
 
 def default_start_grid(flow_sd: float) -> list[tuple[float, float]]:
@@ -235,67 +242,139 @@ def _start_thetas(panel: RegressionPanel,
     return theta0s
 
 
-def _sshape_residuals(panel: RegressionPanel):
-    """``resid_jac(theta, margin_floor)`` for the panel: residuals and Jacobian
-    wrt (a, u=ln ell, p, v=ln q), or None when theta is infeasible.
+class _SShapeResiduals:
+    """Residuals and Jacobian wrt (a, u=ln ell, p, v=ln q) on one panel, for one
+    theta (:meth:`one`) or for a row of thetas each (:meth:`rows`); None where
+    theta is infeasible.
 
     Most x_prev equal the previous bar's x, so the curve and its derivatives
-    are evaluated once per distinct flow and gathered for both terms.
+    are evaluated once per distinct flow and gathered for both terms.  The
+    rows of a block, at most ``max_rows`` and max(1, _BLOCK_POINTS // n), are
+    evaluated in one pass over (rows, flows) arrays.  A row whose parameters
+    have big_phi's direct form (``SShapeParams._direct_form``, the scalars
+    big_phi computes) and no flow in its small-q limit takes Phi and phi in
+    that pass too; any other row takes them from big_phi and phi.  Every array
+    step is the ufunc of a one-row evaluation, in the same order, with each
+    row's scalars in a column, so each row is bitwise what it would be alone.
 
-    Every evaluation writes into the same work arrays, allocated here once per
-    panel, and the e and J it returns are overwritten by the next call.  A fit
+    Every evaluation writes into work arrays allocated here once per panel,
+    and the e and J it returns are overwritten by the next block.  A fit
     makes hundreds of evaluations, and fresh panel-sized temporaries in each
     are returned to the OS and faulted in again, or not, depending on the
     allocator's state, and the fit time with them.
     """
-    n = panel.n
-    r = panel.r
-    flows, where = np.unique(np.concatenate([panel.x, panel.x_prev]), return_inverse=True)
-    i_cur, i_prev = where[:n], where[n:]
-    m = flows.size
-    ell_phi, den, f, df_du, dphi_dp, dphi_dq, tmp = (np.empty(m) for _ in range(7))
-    ok_m = np.empty(m, dtype=bool)
-    e, g_cur, g_prev = np.empty(n), np.empty(n), np.empty(n)
-    J = np.empty((n, 4))
-    J[:, 0] = -1.0
-    ok_e, ok_J = np.empty(n, dtype=bool), np.empty((n, 4), dtype=bool)
 
-    def gathered_difference(values: np.ndarray) -> np.ndarray:
-        """values[i_cur] - values[i_prev], in g_cur."""
-        np.take(values, i_cur, out=g_cur)
-        np.take(values, i_prev, out=g_prev)
+    def __init__(self, panel: RegressionPanel, max_rows: int):
+        n = panel.n
+        self.r = panel.r
+        self.flows, where = np.unique(np.concatenate([panel.x, panel.x_prev]), return_inverse=True)
+        m = self.flows.size
+        nonzero = np.abs(self.flows[self.flows != 0.0])
+        # big_phi takes its small-q limit at some flow iff this one is below the threshold.
+        self.min_abs_flow = float(nonzero.min()) if nonzero.size else math.inf
+        self.block = max(1, min(max_rows, _BLOCK_POINTS // n))
+        # Flat indices of each block row's flows, so one take gathers the block.
+        offsets = np.arange(self.block)[:, None] * m
+        self.i_cur, self.i_prev = offsets + where[:n], offsets + where[n:]
+        (self.Phi, self.ph, self.ell_phi, self.den, self.f, self.df_du, self.dphi_dp, self.dphi_dq,
+         self.tmp) = (np.empty((self.block, m)) for _ in range(9))
+        self.ok_m = np.empty((self.block, m), dtype=bool)
+        self.e, self.g_cur, self.g_prev = (np.empty((self.block, n)) for _ in range(3))
+        self.J = np.empty((self.block, n, 4))
+        self.J[:, :, 0] = -1.0
+        self.ok_e, self.ok_J = np.empty((self.block, n), dtype=bool), np.empty((self.block, n, 4), dtype=bool)
+
+    def one(self, theta: np.ndarray, margin_floor: float):
+        """(e, J) for theta, or None; Phi and phi come from big_phi and phi."""
+        return self._evaluate(np.asarray(theta)[None, :], margin_floor, routed=True)[0]
+
+    def rows(self, thetas: np.ndarray, margin_floor: float):
+        """Yield (e, J) or None for each row of ``thetas``, evaluated a block at a
+        time; each e and J holds until the next block is evaluated."""
+        for lo in range(0, len(thetas), self.block):
+            yield from self._evaluate(thetas[lo:lo + self.block], margin_floor, routed=False)
+
+    def _gathered_difference(self, values: np.ndarray) -> np.ndarray:
+        """values[:, i_cur] - values[:, i_prev], in g_cur."""
+        k = len(values)
+        flat = values.reshape(-1)
+        g_cur, g_prev = self.g_cur[:k], self.g_prev[:k]
+        np.take(flat, self.i_cur[:k], out=g_cur, mode="clip")
+        np.take(flat, self.i_prev[:k], out=g_prev, mode="clip")
         return np.subtract(g_cur, g_prev, out=g_cur)
 
-    def resid_jac(theta: np.ndarray, margin_floor: float):
-        a, u, p, v = theta
-        if not (math.isfinite(u) and math.isfinite(p) and math.isfinite(v)):
-            return None
-        # exp overflows past ~709.78; such trial steps are hopeless anyway.
-        if u > 700.0 or v > 700.0:
-            return None
-        ell = math.exp(u)
-        q = math.exp(v)
-        if ell == 0.0 or q == 0.0:
-            return None
-        params = SShapeParams(ell, p, q)
-        if feasibility_margin(params) < margin_floor:
-            return None
+    def _evaluate(self, thetas: np.ndarray, margin_floor: float, routed: bool) -> list:
+        """(e, J) or None for each row of thetas, at most ``block`` of them; with
+        ``routed``, every row takes big_phi and phi."""
+        direct, other = [], []  # (row, a, params, direct-form scalars)
+        for i, (a, u, p, v) in enumerate(thetas.tolist()):
+            if not (math.isfinite(u) and math.isfinite(p) and math.isfinite(v)):
+                continue
+            # exp overflows past ~709.78; such trial steps are hopeless anyway.
+            if u > 700.0 or v > 700.0:
+                continue
+            ell = math.exp(u)
+            q = math.exp(v)
+            if ell == 0.0 or q == 0.0:
+                continue
+            params = SShapeParams(ell, p, q)
+            if feasibility_margin(params) < margin_floor:
+                continue
+            form = None if routed else params._direct_form
+            if form is None or self.min_abs_flow < form[4]:
+                other.append((i, a, params, None))
+            else:
+                direct.append((i, a, params, form))
+        out = [None] * len(thetas)
+        rows = direct + other
+        if rows:
+            ok = self._fill(rows, len(direct))
+            for slot, (i, *_) in enumerate(rows):
+                if ok[slot]:
+                    out[i] = self.e[slot], self.J[slot]
+        return out
 
-        # Saturating trial parameters produce infs here; they are rejected below,
-        # so the intermediate overflow is expected and silenced.  Each step is
-        # one ufunc into a work array, in the order of the plain expressions
+    def _fill(self, rows: list, kd: int) -> np.ndarray:
+        """e and J of each row, in that row's slot; the first kd rows take the
+        direct form.  Returns which rows are usable."""
+        k = len(rows)
+        flows = self.flows
+        Phi, ph, ell_phi, den, f, df_du, dphi_dp, dphi_dq, tmp, ok_m = (
+            w[:k] for w in (self.Phi, self.ph, self.ell_phi, self.den, self.f, self.df_du,
+                            self.dphi_dp, self.dphi_dq, self.tmp, self.ok_m))
+        e, J = self.e[:k], self.J[:k]
+        a, ell, p, q = np.array([(a, s.ell, s.p, s.q) for _, a, s, _ in rows]).T[:, :, None]
+
+        # Each step is one ufunc into a work array, in the order of the plain expressions
+        #   Phi = k (N(rq x + b) - N(b)), phi = exp(-(p x + (q/2) x x)),
         #   f = log1p(ell Phi), df_du = ell Phi / den, den = 1 + ell Phi,
         #   dPhi_dp = (p Phi + phi - 1) / q,
         #   dPhi_dq = -(1/2) ((p^2 Phi + p (phi - 1)) / q^2 + (Phi - x phi) / q),
         #   df_dp = ell dPhi_dp / den, df_dv = q ell dPhi_dq / den,
-        # so the results are the same to the bit.
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            Phi = np.asarray(big_phi(flows, params))
-            ph = np.asarray(phi(flows, params))
+        # as big_phi, phi and the one-row evaluation take them.
+        with _column_ufuncs():
+            if kd:
+                rq, b, kk, ndtr_b = np.array([form[:4] for *_, form in rows[:kd]]).T[:, :, None]
+                Phi_d, ph_d, tmp_d = Phi[:kd], ph[:kd], tmp[:kd]
+                np.multiply(rq, flows, out=Phi_d)
+                np.add(Phi_d, b, out=Phi_d)
+                ndtr(Phi_d, out=Phi_d)
+                np.subtract(Phi_d, ndtr_b, out=Phi_d)
+                np.multiply(Phi_d, kk, out=Phi_d)
+                np.multiply(p[:kd], flows, out=ph_d)
+                np.multiply(0.5 * q[:kd], flows, out=tmp_d)
+                np.multiply(tmp_d, flows, out=tmp_d)
+                np.add(ph_d, tmp_d, out=tmp_d)
+                np.negative(tmp_d, out=tmp_d)
+                np.exp(tmp_d, out=ph_d)
+            for slot, (_, _, params, _) in enumerate(rows[kd:], start=kd):
+                Phi[slot] = big_phi(flows, params)
+                ph[slot] = phi(flows, params)
+
             np.multiply(ell, Phi, out=ell_phi)
             np.add(1.0, ell_phi, out=den)
-            if not np.isfinite(den, out=ok_m).all() or np.less_equal(den, 0.0, out=ok_m).any():
-                return None
+            ok = np.isfinite(den, out=ok_m).all(axis=1)
+            ok &= ~np.less_equal(den, 0.0, out=ok_m).any(axis=1)
             np.log1p(ell_phi, out=f)
             np.divide(ell_phi, den, out=df_du)
 
@@ -320,16 +399,32 @@ def _sshape_residuals(panel: RegressionPanel):
             df_dv = np.multiply(q * ell, dphi_dq, out=dphi_dq)
             np.divide(df_dv, den, out=df_dv)
 
-            np.subtract(r, a, out=e)
-            np.subtract(e, gathered_difference(f), out=e)
-            np.negative(gathered_difference(df_du), out=J[:, 1])
-            np.negative(gathered_difference(df_dp), out=J[:, 2])
-            np.negative(gathered_difference(df_dv), out=J[:, 3])
-        if not (np.isfinite(e, out=ok_e).all() and np.isfinite(J, out=ok_J).all()):
-            return None
-        return e, J
+            np.subtract(self.r, a, out=e)
+            np.subtract(e, self._gathered_difference(f), out=e)
+            np.negative(self._gathered_difference(df_du), out=J[:, :, 1])
+            np.negative(self._gathered_difference(df_dp), out=J[:, :, 2])
+            np.negative(self._gathered_difference(df_dv), out=J[:, :, 3])
+        ok &= np.isfinite(e, out=self.ok_e[:k]).all(axis=1)
+        ok &= np.isfinite(J, out=self.ok_J[:k]).all(axis=(1, 2))
+        return ok
 
-    return resid_jac
+
+@contextmanager
+def _column_ufuncs():
+    """The setting for ufuncs over (rows, flows) arrays with (rows, 1) columns of row scalars.
+
+    Saturating trial parameters produce infs; those rows are rejected, so the
+    intermediate overflow is expected and silenced.  And the ufunc iterator
+    copies a broadcast column into buffers of np.getbufsize() elements to
+    lengthen its inner loop, 64 KB per operand and call at the default; with
+    buffers shorter than a row it loops row by row and allocates nothing.
+    """
+    bufsize = np.setbufsize(16)
+    try:
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            yield
+    finally:
+        np.setbufsize(bufsize)
 
 
 @dataclass
@@ -360,12 +455,11 @@ class _Start:
         return self.stop in ("ftol", "gtol")
 
 
-def _open_start(index: int, theta0: np.ndarray, evaluate, max_iter: int,
-                grad_atol: float) -> _Start | None:
-    out = evaluate(theta0)
-    if out is None:
+def _open_start(index: int, theta0: np.ndarray, res, max_iter: int, grad_atol: float) -> _Start | None:
+    """The start at theta0 from its evaluation ``res``; None where theta0 is infeasible."""
+    if res is None:
         return None
-    e, J = out
+    e, J = res
     JtJ = J.T @ J
     lam = 1e-3 * float(np.max(np.diag(JtJ)))
     if lam <= 0 or not math.isfinite(lam):
@@ -378,44 +472,57 @@ def _open_start(index: int, theta0: np.ndarray, evaluate, max_iter: int,
     return s
 
 
-def _lm_step(s: _Start, evaluate, max_iter: int, rss_rtol: float, grad_atol: float) -> None:
-    """One iteration with Nielsen's damping update (Madsen, Nielsen & Tingleff,
-    "Methods for non-linear least squares problems", 2004); sets ``s.stop``
-    when the start is done."""
-    s.iterations += 1
-    D = np.diag(np.maximum(np.diag(s.JtJ), 1e-300))
+def _damped_steps(live: Sequence[_Start]) -> tuple[list[np.ndarray | None], np.ndarray]:
+    """Each start's step solving (J'J + lam D) delta = -g, D = diag(J'J) floored
+    at 1e-300, or None where its system is singular; and the stacked D.
+
+    The systems are solved in one stacked call; if any is singular, one by one.
+    """
+    JtJ = np.array([s.JtJ for s in live])
+    D = np.zeros_like(JtJ)
+    diagonal = (slice(None), *np.diag_indices(4))
+    D[diagonal] = np.maximum(JtJ[diagonal], 1e-300)
+    A = JtJ + np.array([s.lam for s in live])[:, None, None] * D
+    rhs = -np.array([s.g for s in live])
     try:
-        delta = np.linalg.solve(s.JtJ + s.lam * D, -s.g)
+        return list(np.linalg.solve(A, rhs[..., None])[..., 0]), D
     except np.linalg.LinAlgError:
+        steps = []
+        for A_s, rhs_s in zip(A, rhs):
+            try:
+                steps.append(np.linalg.solve(A_s, rhs_s))
+            except np.linalg.LinAlgError:
+                steps.append(None)
+        return steps, D
+
+
+def _take_step(s: _Start, trial: np.ndarray, delta: np.ndarray, D: np.ndarray, res,
+               rss_rtol: float, grad_atol: float) -> None:
+    """Accept or reject the trial point with Nielsen's damping update (Madsen,
+    Nielsen & Tingleff, "Methods for non-linear least squares problems",
+    2004); ``res`` is the trial's evaluation.  Sets ``s.stop`` on ftol, gtol or
+    lambda_limit."""
+    accepted = False
+    if res is not None:
+        e, J = res
+        rss_t = float(e @ e)
+        if math.isfinite(rss_t) and rss_t < s.rss:
+            pred = float(delta @ (s.lam * (D @ delta) - s.g))
+            ratio = (s.rss - rss_t) / pred if pred > 0 else 1.0
+            s.lam *= max(1.0 / 3.0, 1.0 - (2.0 * ratio - 1.0) ** 3)
+            s.nu = 2.0
+            rel_drop = (s.rss - rss_t) / max(s.rss, 1e-300)
+            s.theta, s.rss, s.JtJ, s.g = trial, rss_t, J.T @ J, J.T @ e
+            accepted = True
+            if rel_drop < rss_rtol:
+                s.stop = "ftol"
+            elif np.max(np.abs(s.g)) < grad_atol:
+                s.stop = "gtol"
+    if not accepted:
         s.lam *= s.nu
         s.nu *= 2.0
-    else:
-        trial = s.theta + delta
-        res = evaluate(trial)
-        s.evaluations += 1
-        accepted = False
-        if res is not None:
-            e, J = res
-            rss_t = float(e @ e)
-            if math.isfinite(rss_t) and rss_t < s.rss:
-                pred = float(delta @ (s.lam * (D @ delta) - s.g))
-                ratio = (s.rss - rss_t) / pred if pred > 0 else 1.0
-                s.lam *= max(1.0 / 3.0, 1.0 - (2.0 * ratio - 1.0) ** 3)
-                s.nu = 2.0
-                rel_drop = (s.rss - rss_t) / max(s.rss, 1e-300)
-                s.theta, s.rss, s.JtJ, s.g = trial, rss_t, J.T @ J, J.T @ e
-                accepted = True
-                if rel_drop < rss_rtol:
-                    s.stop = "ftol"
-                elif np.max(np.abs(s.g)) < grad_atol:
-                    s.stop = "gtol"
-        if not accepted:
-            s.lam *= s.nu
-            s.nu *= 2.0
-            if s.lam > 1e15:
-                s.stop = "lambda_limit"
-    if s.stop is None and s.iterations >= max_iter:
-        s.stop = "max_iter"
+        if s.lam > 1e15:
+            s.stop = "lambda_limit"
 
 
 def _retire_merged(kept: list[_Start], n: int, rss_rtol: float, grad_atol: float) -> None:
@@ -456,20 +563,40 @@ def _retire_merged(kept: list[_Start], n: int, rss_rtol: float, grad_atol: float
             kept[i].merged_into = kept[min(js, key=rank.__getitem__)].index
 
 
-def _lm_starts(theta0s: Sequence[np.ndarray], evaluate, n: int, *, max_iter: int,
-               rss_rtol: float, grad_atol: float) -> list[_Start | None]:
-    """Run every start in lockstep, one iteration per live start per round.
+def _lm_starts(theta0s: Sequence[np.ndarray], residuals: _SShapeResiduals, n: int, *,
+               margin_floor: float, max_iter: int, rss_rtol: float,
+               grad_atol: float) -> list[_Start | None]:
+    """Run every start in rounds, one Levenberg-Marquardt iteration per live start per round.
 
-    After each round, starts that have merged into a lower-RSS start are
-    retired (see :func:`_retire_merged`).  Returns one outcome per start, None
-    where the start point itself is infeasible.
+    A round solves every live start's damped system in one stacked call,
+    evaluates every trial point a block of rows at a time, then accepts or
+    rejects each start's trial; each start's search is the one it would make
+    alone.  After each round, starts that have merged into a lower-RSS start
+    are retired (see :func:`_retire_merged`).  Returns one outcome per start,
+    None where the start point itself is infeasible.
     """
-    starts = [_open_start(i, t0, evaluate, max_iter, grad_atol) for i, t0 in enumerate(theta0s)]
+    opened = residuals.rows(np.array(theta0s), margin_floor)
+    starts = [_open_start(i, theta0, res, max_iter, grad_atol)
+              for i, (theta0, res) in enumerate(zip(theta0s, opened))]
     kept = [s for s in starts if s is not None]
     live = [s for s in kept if s.stop is None]
     while live:
+        steps, D = _damped_steps(live)
+        stepping = []
+        for s, delta, D_s in zip(live, steps, D):
+            s.iterations += 1
+            if delta is None:
+                s.lam *= s.nu
+                s.nu *= 2.0
+            else:
+                stepping.append((s, s.theta + delta, delta, D_s))
+        trials = np.array([trial for _, trial, _, _ in stepping])
+        for (s, trial, delta, D_s), res in zip(stepping, residuals.rows(trials, margin_floor)):
+            s.evaluations += 1
+            _take_step(s, trial, delta, D_s, res, rss_rtol, grad_atol)
         for s in live:
-            _lm_step(s, evaluate, max_iter, rss_rtol, grad_atol)
+            if s.stop is None and s.iterations >= max_iter:
+                s.stop = "max_iter"
         _retire_merged(kept, n, rss_rtol, grad_atol)
         kept = [s for s in kept if s.stop != "merged"]
         live = [s for s in kept if s.stop is None]
@@ -504,8 +631,10 @@ def fit_sshape(
     parameter's variance is not positive (a degenerate optimum), those
     standard errors and t statistics are NaN and ``message`` says which.
 
-    The starts advance in lockstep, one iteration each per round.  After every
-    round a live start is retired when its iterate lies within one standard
+    The starts advance in rounds, one iteration each per round.  Each round
+    evaluates the trial points of all live starts together, in blocks of
+    rows, with outcomes bitwise those of evaluating one start at a time.
+    After every round a live start is retired when its iterate lies within one standard
     error of a start with lower RSS, measured in that start's Gauss-Newton
     metric, and makes no more evaluations.  Retired starts are never chosen.
     A start absorbs others only where its J'J pins the optimum down to the
@@ -517,15 +646,15 @@ def fit_sshape(
     if np.ptp(d) == 0.0:
         raise EstimationError("flow never changes between bars; impact slope not identified")
     theta0s = _start_thetas(panel, grid)
-    resid_jac = _sshape_residuals(panel)
-    best = _best_start(_lm_starts(theta0s, partial(resid_jac, margin_floor=margin_floor), panel.n,
+    residuals = _SShapeResiduals(panel, len(theta0s))
+    best = _best_start(_lm_starts(theta0s, residuals, panel.n, margin_floor=margin_floor,
                                   max_iter=max_iter, rss_rtol=rss_rtol, grad_atol=grad_atol))
 
     a, u, p, v = best.theta
     ell = math.exp(u)
     q = math.exp(v)
     n = panel.n
-    e, J = resid_jac(best.theta, 0.0)
+    e, J = residuals.one(best.theta, 0.0)
     # covariance in original units: d/d ell = (1/ell) d/du, d/dq = (1/q) d/dv;
     # at a degenerate optimum (ell or q near e^-700) these overflow
     with np.errstate(over="ignore"):

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from functools import cached_property
 from typing import Callable, ClassVar
 
 import numpy as np
@@ -97,6 +98,28 @@ class SShapeParams:
             raise ParameterError(f"ell must be positive, got {self.ell!r}")
         if not self.q > 0.0:
             raise ParameterError(f"q must be positive, got {self.q!r}")
+
+    @cached_property
+    def _direct_form(self) -> tuple[float, float, float, float, float] | None:
+        """(sqrt(q), b, k, N(b), small-q threshold) of big_phi's direct form
+        k (N(sqrt(q) x + b) - N(b)), b = p / sqrt(q), or None where (p, q) is
+        outside its band or ell * max(k, exp(b^2 / 2)) exceeds _DIRECT_CAP.
+
+        They depend on the parameters alone, so they are computed once per
+        instance, with the calls big_phi makes.  A point x != 0 with |x| below
+        the threshold is in the small-q limit.
+        """
+        p, q = self.p, self.q
+        rq = math.sqrt(q)
+        b = p / rq
+        if not _in_direct_band(b):
+            return None
+        c_half = 0.5 * math.sqrt(2.0 * math.pi / q)
+        peak = math.exp(0.5 * b * b)
+        k = 2.0 * c_half * peak
+        if not self.ell * max(k, peak) <= _DIRECT_CAP:
+            return None
+        return rq, b, k, ndtr(b), _SMALLQ_REL * abs(p) / q
 
 
 @dataclass(frozen=True)
@@ -225,7 +248,7 @@ def big_phi(x, params: SShapeParams):
     """
     p, q = params.p, params.q
     xv, scalar = _vec(x)
-    small = _small_q(xv, p, q)
+    small = _small_q(xv, _SMALLQ_REL * abs(p) / q)
     if not small.any():  # the usual case: no routing, no gather or scatter
         return _devec(_big_phi_gaussian(xv, p, q), scalar)
     out = np.empty(xv.shape)
@@ -238,13 +261,14 @@ def big_phi(x, params: SShapeParams):
     return _devec(out, scalar)
 
 
-def _small_q(xv: np.ndarray, p: float, q: float) -> np.ndarray:
+def _small_q(xv: np.ndarray, threshold: float) -> np.ndarray:
     """Points where q x^2 vanishes against |p x|, so Phi takes the q -> 0 limit.
 
-    For x != 0 that is |x| < _SMALLQ_REL |p| / q; x = 0 is left out, as Phi(0) = 0 either way.
+    For x != 0 that is |x| below threshold = _SMALLQ_REL |p| / q; x = 0 is left
+    out, as Phi(0) = 0 either way.
     """
     a = np.abs(xv)
-    return (a < _SMALLQ_REL * abs(p) / q) & (a > 0.0)
+    return (a < threshold) & (a > 0.0)
 
 
 def _in_direct_band(b: float) -> bool:
@@ -252,12 +276,12 @@ def _in_direct_band(b: float) -> bool:
     return abs(b) <= _TAIL_Z and 0.5 * b * b <= _TAIL_LOG
 
 
-def _direct_big_phi(xv: np.ndarray, rq: float, b: float, k: float) -> np.ndarray:
+def _direct_big_phi(xv: np.ndarray, rq: float, b: float, k: float, ndtr_b: float) -> np.ndarray:
     """The direct form k * (N(sqrt(q) x + b) - N(b)) of Phi, k = sqrt(2 pi / q) exp(b^2 / 2)."""
     out = rq * xv
     out += b
     ndtr(out, out=out)
-    out -= ndtr(b)
+    out -= ndtr_b
     out *= k
     return out
 
@@ -267,7 +291,7 @@ def _big_phi_gaussian(xv: np.ndarray, p: float, q: float) -> np.ndarray:
     b = p / rq
     c_half = 0.5 * math.sqrt(2.0 * math.pi / q)
     if _in_direct_band(b):
-        return _direct_big_phi(xv, rq, b, 2.0 * c_half * math.exp(0.5 * b * b))
+        return _direct_big_phi(xv, rq, b, 2.0 * c_half * math.exp(0.5 * b * b), ndtr(b))
     a = rq * xv + b
     with np.errstate(over="ignore"):
         if b >= 0.0:
@@ -305,17 +329,14 @@ def _ell_phi_direct(xv: np.ndarray, params: SShapeParams) -> np.ndarray | None:
     general path, with its tail, small-q and overflow branches and the
     ParameterError for an infeasible point.
     """
-    p, q = params.p, params.q
-    rq = math.sqrt(q)
-    b = p / rq
-    if not _in_direct_band(b):
+    form = params._direct_form
+    if form is None:
         return None
-    c_half = 0.5 * math.sqrt(2.0 * math.pi / q)
-    peak = math.exp(0.5 * b * b)
-    k = 2.0 * c_half * peak
-    if not params.ell * max(k, peak) <= _DIRECT_CAP or _small_q(xv, p, q).any():
+    rq, b, k, ndtr_b, small_q = form
+    # The point nearest 0 clears every point in the usual case, in fewer calls.
+    if np.minimum.reduce(np.abs(xv), axis=None, initial=math.inf) < small_q and _small_q(xv, small_q).any():
         return None
-    t = _direct_big_phi(xv, rq, b, k)
+    t = _direct_big_phi(xv, rq, b, k, ndtr_b)
     t *= params.ell
     if not np.minimum.reduce(t, axis=None, initial=math.inf) > -1.0:
         return None

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Iterator
 
@@ -178,17 +179,20 @@ def _impact_g_gprime(impact: SShapeParams | LinearParams, x: np.ndarray) -> tupl
 class SimPath:
     """Array-backed simulated path with indexed access to PathSample views."""
 
-    def __init__(self, t: np.ndarray, s: np.ndarray, x: np.ndarray, p: np.ndarray,
-                 config: SimConfig, seed_used: int):
-        self.t = t
+    def __init__(self, s: np.ndarray, x: np.ndarray, p: np.ndarray, config: SimConfig, seed_used: int):
         self.s = s
         self.x = x
         self.p = p
         self.config = config
         self.seed_used = seed_used
 
+    @cached_property
+    def t(self) -> np.ndarray:
+        """Sample times k dt, made on first use: one-step paths are mostly read for s, x and p."""
+        return np.arange(self.config.n_steps + 1) * self.config.dt
+
     def __len__(self) -> int:
-        return self.t.shape[0]
+        return self.x.shape[0]
 
     def __getitem__(self, i: int) -> PathSample:
         return PathSample(float(self.t[i]), float(self.s[i]), float(self.x[i]), float(self.p[i]))
@@ -301,14 +305,13 @@ def simulate_path(config: SimConfig) -> SimPath:
     np.exp(_impact_f(config.impact, x), out=p)
     p *= s
 
-    t = np.arange(n + 1) * dt
     if not np.isfinite(xsp).all():
         for name, arr in (("x", x), ("s", s), ("p", p)):
             bad = np.flatnonzero(~np.isfinite(arr))
             if bad.size:
                 k = int(bad[0])
                 raise SimulationError(f"non-finite {name} at step {k}", step=k)
-    return SimPath(t, s, x, p, config, seed_used)
+    return SimPath(s, x, p, config, seed_used)
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,12 @@
-"""Sequential reference implementation of the multi-start S-shape fit.
+"""Reference implementations of the multi-start S-shape fit.
 
 ``resid_jac`` evaluates the residuals and Jacobian on all 2n flows of a panel,
 ``run_lm`` runs one start's Levenberg-Marquardt search to its end, and
 ``fit_starts`` runs every start one after another and picks the lowest-RSS
-converged endpoint.  The library evaluates each distinct flow once and steps
-the starts together, retiring starts that merge; the tests check its fits
-against these.
+converged endpoint.  ``lockstep_starts`` steps the starts together, one
+evaluation at a time, retiring starts that merge.  The library evaluates each
+distinct flow once, and evaluates all live starts of a round together; the
+tests check its fits against these.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from liqimpact.estimation import EstimationError, RegressionPanel
+from liqimpact.estimation import EstimationError, RegressionPanel, _retire_merged, _Start
 from liqimpact.impact import SShapeParams, big_phi, feasibility_margin, phi
 
 
@@ -128,3 +129,79 @@ def fit_starts(theta0s, panel: RegressionPanel, *, max_iter: int = 500, rss_rtol
         raise EstimationError("no feasible start point; widen the grid or rescale flows")
     converged_set = [o for o in usable if o.converged]
     return outcomes, min(converged_set or usable, key=lambda o: o.rss)
+
+
+def _open_start(index: int, theta0: np.ndarray, evaluate, max_iter: int,
+                grad_atol: float) -> _Start | None:
+    out = evaluate(theta0)
+    if out is None:
+        return None
+    e, J = out
+    JtJ = J.T @ J
+    lam = 1e-3 * float(np.max(np.diag(JtJ)))
+    if lam <= 0 or not math.isfinite(lam):
+        lam = 1e-3
+    s = _Start(index=index, theta=theta0.copy(), rss=float(e @ e), JtJ=JtJ, g=J.T @ e, lam=lam)
+    if np.max(np.abs(s.g)) < grad_atol:
+        s.stop = "gtol"
+    elif max_iter <= 0:
+        s.stop = "max_iter"
+    return s
+
+
+def _lm_step(s: _Start, evaluate, max_iter: int, rss_rtol: float, grad_atol: float) -> None:
+    """One iteration with Nielsen's damping update; sets ``s.stop`` when the start is done."""
+    s.iterations += 1
+    D = np.diag(np.maximum(np.diag(s.JtJ), 1e-300))
+    try:
+        delta = np.linalg.solve(s.JtJ + s.lam * D, -s.g)
+    except np.linalg.LinAlgError:
+        s.lam *= s.nu
+        s.nu *= 2.0
+    else:
+        trial = s.theta + delta
+        res = evaluate(trial)
+        s.evaluations += 1
+        accepted = False
+        if res is not None:
+            e, J = res
+            rss_t = float(e @ e)
+            if math.isfinite(rss_t) and rss_t < s.rss:
+                pred = float(delta @ (s.lam * (D @ delta) - s.g))
+                ratio = (s.rss - rss_t) / pred if pred > 0 else 1.0
+                s.lam *= max(1.0 / 3.0, 1.0 - (2.0 * ratio - 1.0) ** 3)
+                s.nu = 2.0
+                rel_drop = (s.rss - rss_t) / max(s.rss, 1e-300)
+                s.theta, s.rss, s.JtJ, s.g = trial, rss_t, J.T @ J, J.T @ e
+                accepted = True
+                if rel_drop < rss_rtol:
+                    s.stop = "ftol"
+                elif np.max(np.abs(s.g)) < grad_atol:
+                    s.stop = "gtol"
+        if not accepted:
+            s.lam *= s.nu
+            s.nu *= 2.0
+            if s.lam > 1e15:
+                s.stop = "lambda_limit"
+    if s.stop is None and s.iterations >= max_iter:
+        s.stop = "max_iter"
+
+
+def lockstep_starts(theta0s, evaluate, n: int, *, max_iter: int = 500, rss_rtol: float = 1e-12,
+                    grad_atol: float = 1e-10) -> list[_Start | None]:
+    """Every start's outcome when each live start takes one iteration per round,
+    one start after another, with ``evaluate(theta)`` giving (e, J) or None.
+
+    After each round, starts that have merged into a lower-RSS start are
+    retired by the library's rule; None where the start point is infeasible.
+    """
+    starts = [_open_start(i, t0, evaluate, max_iter, grad_atol) for i, t0 in enumerate(theta0s)]
+    kept = [s for s in starts if s is not None]
+    live = [s for s in kept if s.stop is None]
+    while live:
+        for s in live:
+            _lm_step(s, evaluate, max_iter, rss_rtol, grad_atol)
+        _retire_merged(kept, n, rss_rtol, grad_atol)
+        kept = [s for s in kept if s.stop != "merged"]
+        live = [s for s in kept if s.stop is None]
+    return starts

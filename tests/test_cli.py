@@ -397,6 +397,7 @@ def test_fit_pooled_tries_every_model_and_names_each_failure(tmp_path, capsys):
     ("fit", "rss_rtol", None),
     ("fit", "model", "cubic"),
     ("fit", "pooled", "false"),
+    ("fit", "max_iters", 3),
     ("ingest", "tick_size", None),
     ("ingest", "session_start", 5),
     ("curves", "n_points", None),

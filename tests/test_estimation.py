@@ -423,11 +423,28 @@ def test_near_linear_curve_matches_linear_slope():
 
 
 def _run_starts(panel, grid, margin_floor=1e-6, **kw):
-    """The start points, and every start's outcome from the library's lockstep search."""
+    """The start points, and every start's outcome from the library's round loop."""
     theta0s = estimation._start_thetas(panel, grid)
-    evaluate = partial(estimation._sshape_residuals(panel), margin_floor=margin_floor)
+    residuals = estimation._SShapeResiduals(panel, len(theta0s))
     opts = dict(max_iter=500, rss_rtol=1e-12, grad_atol=1e-10) | kw
-    return theta0s, estimation._lm_starts(theta0s, evaluate, panel.n, **opts)
+    return theta0s, estimation._lm_starts(theta0s, residuals, panel.n, margin_floor=margin_floor, **opts)
+
+
+def _lockstep_oracle(panel, theta0s, margin_floor=1e-6, **kw):
+    """Every start's outcome from the one-evaluation-at-a-time lockstep oracle."""
+    return estimation_oracle.lockstep_starts(
+        theta0s, partial(estimation_oracle.resid_jac, panel=panel, margin_floor=margin_floor), panel.n, **kw)
+
+
+def _assert_same_outcomes(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert (g is None) == (w is None)
+        if g is None:
+            continue
+        assert (g.index, g.stop, g.iterations, g.evaluations, g.rss, g.merged_into) == \
+            (w.index, w.stop, w.iterations, w.evaluations, w.rss, w.merged_into)
+        assert np.array_equal(g.theta, w.theta)
 
 
 @st.composite
@@ -488,6 +505,86 @@ def test_lockstep_starts_without_merging_equal_sequential_oracle_bitwise(case):
         assert g.converged == w.converged
 
 
+@settings(max_examples=40, deadline=None)
+@given(noisy_panels_and_grids())
+def test_round_loop_equals_lockstep_oracle_bitwise(case):
+    panel, grid = case
+    theta0s, got = _run_starts(panel, grid)
+    _assert_same_outcomes(got, _lockstep_oracle(panel, theta0s))
+
+
+def test_round_loop_equals_lockstep_oracle_on_rows_that_big_phi_routes():
+    panel = make_panel(n_days=2, bars_per_day=60, noise_sd=2e-4, seed=5)
+    s = float(np.std(panel.x, ddof=1))
+    x_min = float(np.min(np.abs(panel.x)))
+    grid = [(-3e-2 / s, 1e-5 / s ** 2),  # |p| / sqrt(q) = 9.5: outside the direct band
+            (-5e-13, 1e-26),  # in the band, with the flows below 50 in the small-q limit
+            (-1e-2 / s, 1e-2 / s ** 2)]
+    assert abs(grid[0][0]) / math.sqrt(grid[0][1]) > 6.0
+    assert x_min < 1e-12 * abs(grid[1][0]) / grid[1][1] < float(np.max(np.abs(panel.x)))
+    theta0s = estimation._start_thetas(panel, grid)
+    with mock.patch.object(estimation, "big_phi", wraps=estimation.big_phi) as routed:
+        _, got = _run_starts(panel, grid)
+    assert routed.call_count > 0
+    _assert_same_outcomes(got, _lockstep_oracle(panel, theta0s))
+
+
+def test_round_loop_equals_lockstep_oracle_when_trials_turn_infeasible():
+    # The true curve's margin is 0.13, below the floor of 0.2, so the searches
+    # run into the floor and trial steps cross it mid-round.
+    panel = make_panel(n_days=2, bars_per_day=120, noise_sd=2e-4, seed=31,
+                       impact=SShapeParams(ell=8e-3, p=-3e-3, q=8e-5))
+    grid = scale_grid(panel)
+    theta0s = estimation._start_thetas(panel, grid)
+    margins = []
+
+    def recorded_margin(params):
+        margins.append(feasibility_margin(params))
+        return margins[-1]
+
+    with mock.patch.object(estimation, "feasibility_margin", recorded_margin):
+        _, got = _run_starts(panel, grid, margin_floor=0.2)
+    # The first len(grid) margins open the starts; the rest are trial steps.
+    assert min(margins[:len(grid)]) >= 0.2 and min(margins[len(grid):]) < 0.2
+    _assert_same_outcomes(got, _lockstep_oracle(panel, theta0s, margin_floor=0.2))
+
+
+def test_round_loop_equals_lockstep_oracle_over_many_blocks():
+    panel = make_panel(n_days=2, bars_per_day=200, noise_sd=5e-4, seed=43)
+    with mock.patch.object(estimation, "_BLOCK_POINTS", 3 * panel.n + 1):
+        theta0s = estimation._start_thetas(panel, None)
+        assert estimation._SShapeResiduals(panel, len(theta0s)).block == 3
+        _, got = _run_starts(panel, None)
+    _assert_same_outcomes(got, _lockstep_oracle(panel, theta0s))
+
+
+def test_round_loop_solves_one_by_one_when_the_stacked_solve_fails():
+    # Start 2's first damped system is made singular, in the library and the
+    # oracle alike: the stacked solve raises, the others are solved one by one,
+    # and start 2 raises its damping as a singular system does.
+    panel = make_panel(n_days=2, bars_per_day=100, noise_sd=5e-4, seed=29)
+    grid = scale_grid(panel)
+    theta0s = estimation._start_thetas(panel, grid)
+    opened = estimation_oracle._open_start(2, theta0s[2], partial(estimation_oracle.resid_jac, panel=panel,
+                                                                   margin_floor=1e-6), 500, 1e-10)
+    singular = opened.JtJ + opened.lam * np.diag(np.maximum(np.diag(opened.JtJ), 1e-300))
+    solve = np.linalg.solve
+    raised = []
+
+    def failing_solve(A, b):
+        if any(np.array_equal(a, singular) for a in np.reshape(A, (-1, 4, 4))):
+            raised.append(np.ndim(A))
+            raise np.linalg.LinAlgError("Singular matrix")
+        return solve(A, b)
+
+    with mock.patch.object(np.linalg, "solve", failing_solve):
+        _, got = _run_starts(panel, grid)
+        assert raised == [3, 2]
+        want = _lockstep_oracle(panel, theta0s)
+    assert raised == [3, 2, 2]
+    _assert_same_outcomes(got, want)
+
+
 def test_merged_starts_point_to_lower_rss_and_every_start_says_why_it_stopped():
     panel = make_panel(n_days=10, bars_per_day=360, noise_sd=1e-3, seed=79)
     theta0s, starts = _run_starts(panel, None)
@@ -513,10 +610,14 @@ def test_merged_starts_point_to_lower_rss_and_every_start_says_why_it_stopped():
     best = estimation._best_start(starts)
     assert best.stop in ("ftol", "gtol")
     assert fit_sshape(panel).rss == best.rss
+    # Evaluating the starts together changes no start's search.
+    _assert_same_outcomes(starts, _lockstep_oracle(panel, theta0s))
 
-    _, capped = _run_starts(panel, scale_grid(panel), max_iter=1)
+    grid = scale_grid(panel)
+    _, capped = _run_starts(panel, grid, max_iter=1)
     assert {s.stop for s in capped} <= {"max_iter", "merged"}
     assert all(s.iterations == 1 for s in capped if s.stop == "max_iter")
+    _assert_same_outcomes(capped, _lockstep_oracle(panel, estimation._start_thetas(panel, grid), max_iter=1))
 
 
 def _start(index, rss, theta=(0.0, 0.0, 0.0, 0.0)):
@@ -581,6 +682,17 @@ def test_short_panel_runs_every_start_to_the_sequential_optimum():
     assert fit_sshape(panel).rss == want.rss
 
 
+def _peak_bytes(evaluate) -> int:
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        evaluate()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
 def test_evaluation_reuses_its_work_arrays_and_matches_the_oracle_bitwise():
     # With fresh panel-sized temporaries in every evaluation, the allocator
     # returned them to the OS and faulted them in again, or not, depending on
@@ -588,21 +700,21 @@ def test_evaluation_reuses_its_work_arrays_and_matches_the_oracle_bitwise():
     # process to the next.
     panel = make_panel(n_days=4, bars_per_day=360, noise_sd=5e-4, seed=3)
     thetas = estimation._start_thetas(panel, None)
-    evaluate = estimation._sshape_residuals(panel)
+    residuals = estimation._SShapeResiduals(panel, len(thetas))
+    assert 1 < residuals.block < len(thetas)
     for theta in (thetas[17], thetas[3], thetas[17]):
-        e, J = evaluate(theta, 1e-6)
+        e, J = residuals.one(theta, 1e-6)
         want_e, want_J = estimation_oracle.resid_jac(theta, panel, 1e-6)
         assert np.array_equal(e, want_e) and np.array_equal(J, want_J)
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        evaluate(thetas[17], 1e-6)
-        peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
+    block = np.array(thetas[-residuals.block:])
+    for theta, (e, J) in zip(block, residuals.rows(block, 1e-6)):
+        want_e, want_J = estimation_oracle.resid_jac(theta, panel, 1e-6)
+        assert np.array_equal(e, want_e) and np.array_equal(J, want_J)
     # big_phi's and phi's own arrays; the old evaluation peaked near 27.
-    assert peak < 6 * panel.r.nbytes
+    assert _peak_bytes(lambda: residuals.one(thetas[17], 1e-6)) < 6 * panel.r.nbytes
+    assert _peak_bytes(lambda: list(residuals.rows(block[:1], 1e-6))) < 6 * panel.r.nbytes
+    # A full block allocates nothing panel-sized either.
+    assert _peak_bytes(lambda: list(residuals.rows(block, 1e-6))) < 6 * panel.r.nbytes
 
 
 @pytest.mark.parametrize("seed", [83, 89, 97])

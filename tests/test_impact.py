@@ -398,6 +398,19 @@ def test_direct_path_takes_zero_and_integer_flows():
         assert t.tobytes() == (NK.ell * big_phi(xs, NK)).tobytes()
 
 
+def test_direct_form_is_kept_per_instance_without_changing_its_value():
+    # The simulator's one-step calls reuse one instance; its cached constants
+    # stay out of equality, hashing and the curve's dict, and change no bit.
+    params = SShapeParams(NK.ell, NK.p, NK.q)
+    xs = np.array([0.0, -2.5, 40.0])
+    f, g = f_sshape(xs, params), g_sshape(xs, params)
+    assert "_direct_form" in vars(params)
+    assert params == NK and hash(params) == hash(NK) and curve_to_dict(params) == curve_to_dict(NK)
+    fresh = SShapeParams(NK.ell, NK.p, NK.q)
+    assert f.tobytes() == f_sshape(xs, params).tobytes() == f_sshape(xs, fresh).tobytes()
+    assert g.tobytes() == g_sshape(xs, params).tobytes() == g_sshape(xs, fresh).tobytes()
+
+
 def test_linear_alpha_identity():
     rng = np.random.default_rng(61)
     for _ in range(200):
