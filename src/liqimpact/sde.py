@@ -166,14 +166,14 @@ def _impact_f(impact: SShapeParams | LinearParams | SqrtParams, x: np.ndarray) -
     return np.asarray(f_linear(x, impact))
 
 
-def _impact_g_gprime(impact: SShapeParams | LinearParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _impact_g_gprime(impact: SShapeParams | LinearParams, x):
+    """g and g' at x, an array or a float; a linear curve gives the constants alpha and 0."""
     if isinstance(impact, SShapeParams):
-        g = np.asarray(g_sshape(x, impact))
+        g = g_sshape(x, impact)
         # derivative of the closed form: g' = -(p + qx) g - g^2
         gp = -(impact.p + impact.q * x) * g - g * g
         return g, gp
-    g = np.full_like(x, impact.alpha, dtype=float)
-    return g, np.zeros_like(g)
+    return impact.alpha, 0.0
 
 
 class SimPath:
@@ -249,6 +249,64 @@ def correlated_increments(
     return dz, dw
 
 
+def _flow_coefficients(config: SimConfig) -> tuple[float, float]:
+    """(coef, const) of the Euler flow step x' = const + eta dw + coef x."""
+    sp, dt = config.structural, config.dt
+    if config.measure == "physical":
+        return 1.0 - sp.c * dt, sp.c * sp.m * dt
+    # flow drift c(m - x) - eta*lambda^w(x) with eta*lambda^w = -tau x + delta
+    return 1.0 + (sp.tau - sp.c) * dt, (sp.c * sp.m - sp.delta) * dt
+
+
+def _s_drift(config: SimConfig, x):
+    """Drift of S at flow x (an array, or a float): mu_s, or r minus the impact terms."""
+    sp = config.structural
+    if config.measure == "physical":
+        return sp.mu_s
+    g, gp = _impact_g_gprime(config.impact, x)
+    lam_w = -sp.tau * x + sp.delta
+    drift_from_impact = (sp.c * (sp.m - x) - lam_w + sp.rho * sp.eta * sp.sigma_s) * g \
+        + 0.5 * sp.eta ** 2 * (gp + g * g)
+    return sp.r - drift_from_impact
+
+
+def _steps(config: SimConfig, rng: np.random.Generator, x: np.ndarray, s: np.ndarray) -> None:
+    """Fill x[1:] with the flow and s[1:] with the running sum of the log-steps of S."""
+    sp = config.structural
+    dt = config.dt
+    dz, dw = correlated_increments(sp.rho, dt, rng, size=config.n_steps)
+    coef, const = _flow_coefficients(config)
+    # x[k+1] = shocks[k] + coef * x[k] is the filter lfilter([1], [1, -coef]);
+    # its initial state coef * x0 is folded into the first shock.
+    shocks = const + sp.eta * dw
+    shocks[0] += coef * config.x0
+    x[1:] = _linear_filter(_FLOW_B, np.array([1.0, -coef]), shocks, -1)
+    mu = _s_drift(config, x[:-1])
+    np.add((mu - 0.5 * sp.sigma_s ** 2) * dt, sp.sigma_s * dz, out=s[1:])
+    np.add.accumulate(s, out=s)
+
+
+def _one_step(config: SimConfig, rng: np.random.Generator) -> tuple[float, float]:
+    """x[1] and the log-step of S of a one-step path, in Python floats.
+
+    Every operation of _steps on its one-element arrays is a single IEEE add,
+    multiply or sqrt, or g_sshape, so the same operations on floats give the
+    same bits at a fraction of the cost of some twenty numpy calls.
+    """
+    sp = config.structural
+    dt = config.dt
+    x0 = float(config.x0)
+    # correlated_increments' draws and arithmetic for one pair
+    u, v = rng.standard_normal(2).tolist()
+    root_dt = math.sqrt(dt)
+    dw = u * root_dt
+    dz = (v * math.sqrt(max(0.0, 1.0 - sp.rho * sp.rho)) + sp.rho * u) * root_dt
+    coef, const = _flow_coefficients(config)
+    # The filter's first output is 0 + its first shock (which turns -0.0 into 0.0).
+    x1 = 0.0 + ((const + sp.eta * dw) + coef * x0)
+    return x1, (_s_drift(config, x0) - 0.5 * sp.sigma_s ** 2) * dt + sp.sigma_s * dz
+
+
 def simulate_path(config: SimConfig) -> SimPath:
     """Simulate (X, S, P) for n_steps Euler steps of width dt.
 
@@ -256,48 +314,24 @@ def simulate_path(config: SimConfig) -> SimPath:
     log-normal update (state-dependent drift under risk-neutral), and P is
     assembled from the supply-curve identity at every sample, so s > 0 and
     p > 0 hold by construction.  Raises SimulationError with the first bad
-    step index if any sample leaves the finite range.
+    step index if any sample leaves the finite range.  A one-step path takes
+    its step in Python floats, bitwise as the array recursion would.
     """
-    sp = config.structural
     seed_used = config.seed
     if seed_used is None:
         seed_used = int(np.random.SeedSequence().entropy)
     rng = np.random.Generator(np.random.PCG64(seed_used))
 
-    n = config.n_steps
-    dt = config.dt
-    dz, dw = correlated_increments(sp.rho, dt, rng, size=n)
-
-    if config.measure == "physical":
-        coef = 1.0 - sp.c * dt
-        const = sp.c * sp.m * dt
-    else:
-        # flow drift c(m - x) - eta*lambda^w(x) with eta*lambda^w = -tau x + delta
-        coef = 1.0 + (sp.tau - sp.c) * dt
-        const = (sp.c * sp.m - sp.delta) * dt
     # x, s and p are rows of one block, so one pass checks all three for finiteness.
-    xsp = np.empty((3, n + 1))
+    xsp = np.empty((3, config.n_steps + 1))
     x, s, p = xsp
     x[0] = config.x0
-    # x[k+1] = shocks[k] + coef * x[k] is the filter lfilter([1], [1, -coef]);
-    # its initial state coef * x0 is folded into the first shock.
-    shocks = const + sp.eta * dw
-    shocks[0] += coef * config.x0
-    x[1:] = _linear_filter(_FLOW_B, np.array([1.0, -coef]), shocks, -1)
-
-    if config.measure == "physical":
-        mu = sp.mu_s
-    else:
-        xl = x[:-1]
-        g, gp = _impact_g_gprime(config.impact, xl)
-        lam_w = -sp.tau * xl + sp.delta
-        drift_from_impact = (sp.c * (sp.m - xl) - lam_w + sp.rho * sp.eta * sp.sigma_s) * g \
-            + 0.5 * sp.eta ** 2 * (gp + g * g)
-        mu = sp.r - drift_from_impact
-    # s holds the log-steps after a leading 0, then their running sum, then s itself.
+    # s holds the running sum of the log-steps after a leading 0, then s itself.
     s[0] = 0.0
-    np.add((mu - 0.5 * sp.sigma_s ** 2) * dt, sp.sigma_s * dz, out=s[1:])
-    np.add.accumulate(s, out=s)
+    if config.n_steps == 1:
+        x[1], s[1] = _one_step(config, rng)
+    else:
+        _steps(config, rng, x, s)
     # An overflow here makes s or p non-finite, so it always ends in the
     # SimulationError below; numpy warns about it first, as it does for x.
     np.exp(s, out=s)
@@ -305,7 +339,7 @@ def simulate_path(config: SimConfig) -> SimPath:
     np.exp(_impact_f(config.impact, x), out=p)
     p *= s
 
-    if not np.isfinite(xsp).all():
+    if not np.logical_and.reduce(np.isfinite(xsp), axis=None):
         for name, arr in (("x", x), ("s", s), ("p", p)):
             bad = np.flatnonzero(~np.isfinite(arr))
             if bad.size:

@@ -199,6 +199,20 @@ def test_path_matches_replayed_recursion(measure, n_steps):
     np.testing.assert_allclose(path.t, np.arange(n_steps + 1) * cfg.dt, rtol=0, atol=0)
 
 
+@pytest.mark.parametrize("measure", ["physical", "risk-neutral"])
+@pytest.mark.parametrize("impact", [NK, LinearParams(alpha=2e-5)], ids=["sshape", "linear"])
+def test_one_step_path_is_bitwise_the_first_step_of_the_array_recursion(measure, impact):
+    """The float one-step path against the array path's first step, seed by seed."""
+    for rho, x0 in ((-1.0, -20.0), (-0.5, 10.0), (0.0, 0.0), (0.4, 40.0), (1.0, 5.0)):
+        sp = dataclasses.replace(RN_SP, rho=rho)
+        cfg = make_config(structural=sp, impact=impact, measure=measure, x0=x0, dt=1e-3)
+        for seed in range(200):
+            one = simulate_path(dataclasses.replace(cfg, seed=seed, n_steps=1))
+            two = simulate_path(dataclasses.replace(cfg, seed=seed, n_steps=2))
+            for name in ("x", "s", "p"):
+                assert getattr(one, name).tobytes() == getattr(two, name)[:2].tobytes(), (rho, x0, seed, name)
+
+
 def test_supply_identity_holds_pointwise():
     path = simulate_path(make_config())
     np.testing.assert_array_equal(path.p, path.s * np.exp(f_sshape(path.x, NK)))
