@@ -59,8 +59,9 @@ logger = logging.getLogger(__name__)
 
 MODELS = ("sshape", "linear", "sqrt")
 FIT_OPTIONS = {"max_iter": int, "rss_rtol": float, "grad_atol": float, "margin_floor": float}
-# Every config key cmd_fit reads; any other key is an error, not a silent no-op.
+# Every config key cmd_fit and cmd_ingest read; any other key is an error, not a silent no-op.
 FIT_KEYS = ("out_dir", "model", "pooled", "grid", *FIT_OPTIONS)
+INGEST_KEYS = ("out_dir", "session_start", "session_end", "bar_seconds", "tick_size")
 
 
 def _setup_logging() -> None:
@@ -69,7 +70,8 @@ def _setup_logging() -> None:
                         format="%(levelname)s %(name)s: %(message)s")
 
 
-def _load_config(path: str | None) -> dict:
+def _load_config(path: str | None, command: str | None = None, keys: tuple[str, ...] = ()) -> dict:
+    """The config file's object; with ``command``, a key outside ``keys`` raises ValueError."""
     if not path:
         return {}
     p = Path(path)
@@ -79,6 +81,10 @@ def _load_config(path: str | None) -> dict:
         cfg = json.load(fh)
     if not isinstance(cfg, dict):
         raise ValueError(f"config root must be a JSON object: {p}")
+    if command:
+        for key in cfg:
+            if key not in keys:
+                raise ValueError(f"{key}: unknown config key for {command}")
     return cfg
 
 
@@ -173,7 +179,7 @@ def _contract(path: Path) -> str:
 
 
 def cmd_ingest(args) -> int:
-    config = _load_config(args.config)
+    config = _load_config(args.config, "ingest", INGEST_KEYS)
     session_start = _pick(args.session_start, config, "session_start", "09:00", _clock)
     session_end = _pick(args.session_end, config, "session_end", "15:00", _clock)
     bar_seconds = _pick(args.bar_seconds, config, "bar_seconds", 60, int)
@@ -276,10 +282,7 @@ def _fit_models(panel: RegressionPanel, models: list[str], grid, fit_kwargs: dic
 
 
 def cmd_fit(args) -> int:
-    config = _load_config(args.config)
-    for key in config:
-        if key not in FIT_KEYS:
-            raise ValueError(f"{key}: unknown config key for fit")
+    config = _load_config(args.config, "fit", FIT_KEYS)
     out_dir = _out_dir(args, config)
     model_flag = _pick(args.model, config, "model", "all", _choice(*MODELS, "all"))
     models = list(MODELS) if model_flag == "all" else [model_flag]

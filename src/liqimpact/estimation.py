@@ -30,7 +30,7 @@ from __future__ import annotations
 import logging
 import math
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Sequence
 
@@ -435,7 +435,9 @@ class _Start:
     rss_rtol), ``gtol`` (max |gradient| below grad_atol), ``max_iter``,
     ``lambda_limit`` (damping above 1e15) or ``merged`` (retired into the start
     ``merged_into``).  ``evaluations`` counts residual/Jacobian evaluations,
-    infeasible trial points included.
+    infeasible trial points included.  ``lam_min`` is lambda_min(J'J) of the
+    array ``lam_min_of``; :func:`_retire_merged` recomputes it once ``JtJ`` is
+    a new array, which happens only when a step is accepted.
     """
 
     index: int
@@ -449,6 +451,8 @@ class _Start:
     evaluations: int = 1
     stop: str | None = None
     merged_into: int | None = None
+    lam_min: float = 0.0
+    lam_min_of: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def converged(self) -> bool:
@@ -539,14 +543,20 @@ def _retire_merged(kept: list[_Start], n: int, rss_rtol: float, grad_atol: float
     retiring one of them can drop the lowest.  Short panels, whose J'J is
     nearly singular, therefore run every start to its end.
     """
+    stale = [s for s in kept if s.lam_min_of is not s.JtJ]
+    if stale:
+        JtJ = np.array([s.JtJ for s in stale])
+        finite = np.isfinite(JtJ).all(axis=(1, 2))
+        lam_min = np.zeros(len(stale))
+        lam_min[finite] = np.linalg.eigvalsh(JtJ[finite])[:, 0]
+        for s, value in zip(stale, lam_min.tolist()):
+            s.lam_min, s.lam_min_of = value, s.JtJ
     rss = np.array([s.rss for s in kept])
-    JtJ = np.array([s.JtJ for s in kept])
-    finite = np.isfinite(JtJ).all(axis=(1, 2))
-    lam_min = np.zeros(len(kept))
-    lam_min[finite] = np.linalg.eigvalsh(JtJ[finite])[:, 0]
+    lam_min = np.array([s.lam_min for s in kept])
     absorbs = (rss > 0.0) & (4.0 * grad_atol ** 2 <= rss_rtol * rss * lam_min)
     if not absorbs.any():
         return
+    JtJ = np.array([s.JtJ for s in kept])
     theta = np.array([s.theta for s in kept])
     diff = theta[:, None, :] - theta[None, :, :]
     d2 = np.einsum("ijk,jkl,ijl->ij", diff, JtJ, diff)

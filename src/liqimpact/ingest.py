@@ -9,14 +9,21 @@ and its log return.
 
 Ticks are held as columns: ``read_ticks`` returns a :class:`TickTable`, and
 ``build_bars`` works on one with array operations, never a Python loop per
-tick.  ``build_bars`` also takes a plain sequence of :class:`TickRecord`,
-converted once by :meth:`TickTable.from_records`; a table has a length and
-iterates as ``TickRecord``.  Bars are columns too: ``build_bars`` returns a
-:class:`BarTable`, and the bar writers, ``flow_descriptives``, the synthetic
-panels, the bar-file reader, the regression pairing and the depth report take
-or make one and nothing else.  This module owns both bar-file layouts: the
-bar CSV that ``write_bars_csv`` writes and the day,bar,x,r panel CSV that
-``write_panel_csv`` writes; ``read_bars_csv`` reads either.
+tick.  ``read_ticks`` parses a chunk of the file as bytes with numpy when it is
+in the plain layout: ASCII and unquoted, no blank line, seven commas a line,
+kind ``T`` or ``Q``, timestamps ``YYYY-MM-DD[T ]HH:MM:SS[.f]`` with one to six
+fraction digits, and numbers ``-?digits[.digits]`` of at most 15 digits.  Any
+other chunk (quoted cells, exponents, ``nan``, offsets, ``,`` fractions,
+non-ASCII text, blank lines) goes to the string parser, which gives the same
+columns and the same first error.  ``build_bars`` also takes a plain sequence
+of :class:`TickRecord`, converted once by :meth:`TickTable.from_records`; a
+table has a length and iterates as ``TickRecord``.  Bars are columns too:
+``build_bars`` returns a :class:`BarTable`, and the bar writers,
+``flow_descriptives``, the synthetic panels, the bar-file reader, the
+regression pairing and the depth report take or make one and nothing else.
+This module owns both bar-file layouts: the bar CSV that ``write_bars_csv``
+writes and the day,bar,x,r panel CSV that ``write_panel_csv`` writes;
+``read_bars_csv`` reads either.
 
 Rules a tick row must follow (breaking one raises ParseError with the file and
 physical line, or the record index for records):
@@ -319,8 +326,13 @@ class BarTable:
         return self.by_day().values()
 
     def get(self, day: str, default=None):
-        """The bars of one day as in :meth:`by_day`, or ``default`` for a day not in ``days``."""
-        return self.by_day().get(day, default)
+        """The bars of one day as in :meth:`by_day`, or ``default`` for a day not in ``days``.
+
+        Only that day's rows become ``MinuteBar``s.
+        """
+        if day not in self.days:
+            return default
+        return list(self.take(self.day == self.days.index(day)))
 
 
 @dataclass(frozen=True)
@@ -448,7 +460,8 @@ def _table(lines: list[str], lineno: np.ndarray, source: str) -> TickTable:
     return table
 
 
-def _parse_chunk(lines: list[str], first_lineno: int, source: str) -> TickTable:
+def _parse_lines(lines: list[str], first_lineno: int, source: str) -> TickTable:
+    """Columns of a chunk's lines through the string parser, blank and quoted lines included."""
     lineno = np.arange(first_lineno, first_lineno + len(lines), dtype=np.int64)
     if "" in lines:  # blank lines hold no tick but keep their line numbers
         keep = [i for i, line in enumerate(lines) if line]
@@ -466,11 +479,146 @@ def _parse_chunk(lines: list[str], first_lineno: int, source: str) -> TickTable:
     raise AssertionError("the column parser refused a chunk the row rules accept")
 
 
+# The plain layout that _plain_table parses as bytes.  A timestamp is
+# YYYY-MM-DD, T or a space, HH:MM:SS, then optionally '.' and 1 to 6 digits.
+_STAMP_DIGITS = [0, 1, 2, 3, 5, 6, 8, 9, 11, 12, 14, 15, 17, 18]
+_STAMP_WIDTH = 26
+_DAYS_IN_MONTH = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
+# A number is -?digits[.digits] with at most 15 digits: its digits as an
+# integer stay below 2**53 and 10**15 is exact, so one division rounds
+# correctly and equals float(cell).
+_MAX_DIGITS = 15
+_PLAIN_BYTES = b"0123456789-.:, TQ\n"
+_POW10 = 10.0 ** np.arange(_MAX_DIGITS + 1)
+_ZERO = ord("0")
+
+
+def _byte_columns(b: np.ndarray, lo: np.ndarray, w: int) -> np.ndarray:
+    """Bytes lo + k of ``b`` for k < w as a (w, len(lo)) array; ``b`` is padded past its last cell."""
+    return b[lo + np.arange(w)[:, None]]
+
+
+def _stamps_us(b: np.ndarray, lo: np.ndarray, width: np.ndarray) -> np.ndarray | None:
+    """int64 microseconds since 1970 of the timestamps at ``lo``, or None if one is not plain."""
+    if not ((width == 19) | ((width >= 21) & (width <= _STAMP_WIDTH))).all():
+        return None
+    w = int(width.max())
+    c = _byte_columns(b, lo, w)
+    d = c - np.uint8(_ZERO)  # a byte below '0' wraps past 9
+    in_fraction = np.arange(20, w)[:, None] < width
+    if not ((d[_STAMP_DIGITS] < 10).all() and ((d[20:] < 10) | ~in_fraction).all()
+            and ((c[4] == ord("-")) & (c[7] == ord("-")) & ((c[10] == ord("T")) | (c[10] == ord(" ")))
+                 & (c[13] == ord(":")) & (c[16] == ord(":"))).all()
+            and (w == 19 or ((width == 19) | (c[19] == ord("."))).all())):
+        return None
+    d = d.astype(np.int64)
+    year = d[0] * 1000 + d[1] * 100 + d[2] * 10 + d[3]
+    month, day = d[5] * 10 + d[6], d[8] * 10 + d[9]
+    hour, minute, second = d[11] * 10 + d[12], d[14] * 10 + d[15], d[17] * 10 + d[18]
+    if not ((year >= 1) & (month >= 1) & (month <= 12) & (hour < 24) & (minute < 60) & (second < 60)).all():
+        return None
+    leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
+    if not ((day >= 1) & (day <= _DAYS_IN_MONTH[month] + (leap & (month == 2)))).all():
+        return None
+    # Days since 1970-01-01 of the proleptic Gregorian date, counted in years that begin on 1 March.
+    y = year - (month <= 2)
+    era = y // 400
+    yoe = y - era * 400
+    doy = (153 * ((month + 9) % 12) + 2) // 5 + day - 1
+    days = era * 146_097 + yoe * 365 + yoe // 4 - yoe // 100 + doy - 719_468
+    us = (((days * 24 + hour) * 60 + minute) * 60 + second) * 10**6
+    for k in range(20, w):  # fraction digits, 10**5 us for the first
+        us += np.where(in_fraction[k - 20], d[k], 0) * 10 ** (25 - k)
+    return us
+
+
+def _decimals(b: np.ndarray, lo: np.ndarray, width: np.ndarray) -> np.ndarray | None:
+    """float64 values of the numeric cells at ``lo``, NaN where empty, or None if one is not plain."""
+    out = np.full(lo.shape, np.nan)
+    full = np.flatnonzero(width)
+    lo, width = lo.take(full), width.take(full)
+    if not lo.size:
+        return out
+    w = int(width.max())
+    if w > _MAX_DIGITS + 2:
+        return None
+    c = _byte_columns(b, lo, w)
+    inside = np.arange(w)[:, None] < width
+    ones = c - np.uint8(_ZERO)
+    digit = (ones < 10) & inside
+    dot = (c == ord(".")) & inside
+    minus = c[0] == ord("-")
+    dots = dot.sum(axis=0)
+    at = (dot * np.arange(w, dtype=np.uint8)[:, None]).sum(axis=0, dtype=np.int64)  # the dot's column, if any
+    n_digits = width - minus - dots
+    # Every byte a digit, a dot or a leading minus; one dot at most, with a digit on each side.
+    if not ((digit | dot).sum() + minus.sum() == width.sum()
+            and ((dots <= 1) & (n_digits >= 1) & (n_digits <= _MAX_DIGITS)
+                 & ((dots == 0) | ((at > minus) & (at < width - 1)))).all()):
+        return None
+    mantissa = np.zeros(lo.size, dtype=np.int64)
+    scale = digit * np.uint8(9) + np.uint8(1)
+    ones *= digit
+    for k in range(w):  # one byte column at a time; the sign and the dot leave the mantissa as it is
+        mantissa *= scale[k]
+        mantissa += ones[k]
+    values = mantissa / _POW10[np.where(dots, width - 1 - at, 0)]
+    np.negative(values, out=values, where=minus)
+    out.flat[full] = values
+    return out
+
+
+def _plain_table(text: str, first_lineno: int, source: str) -> TickTable | None:
+    """Columns of a chunk parsed as bytes, checked, or None where the chunk leaves the plain layout.
+
+    Plain means ASCII and unquoted, with no blank line, seven commas in every
+    line, kind T or Q, timestamps YYYY-MM-DD[T ]HH:MM:SS[.f] (1 to 6 fraction
+    digits, a real calendar date, naive) and numbers -?digits[.digits] of at
+    most 15 digits.  Every value equals what the string parser makes of it.
+    """
+    if not text.isascii():
+        return None
+    raw = text.encode("ascii")
+    if raw.translate(None, _PLAIN_BYTES):  # a quote, a letter, '+' or '/': leave the chunk at once
+        return None
+    padded = np.frombuffer(raw + b"\n" * (_STAMP_WIDTH + 2), np.uint8)
+    b = padded[:len(raw) + 1]
+    ends = np.flatnonzero(b == ord("\n"))
+    n = ends.size
+    commas = np.flatnonzero(b == ord(","))
+    if commas.size != (len(TICK_HEADER) - 1) * n:
+        return None
+    commas = commas.reshape(n, -1)
+    starts = np.concatenate([[0], ends[:-1] + 1])
+    if not ((commas[:, 0] >= starts) & (commas[:, -1] < ends)).all():  # so each line holds its own seven
+        return None
+    lo = np.concatenate([starts[None], commas.T + 1])
+    width = np.concatenate([commas.T, ends[None]]) - lo
+    kind = b[lo[1]]
+    if not ((width[1] == 1) & ((kind == ord("T")) | (kind == ord("Q")))).all():
+        return None
+    us = _stamps_us(padded, lo[0], width[0])
+    numbers = None if us is None else _decimals(padded, lo[2:], width[2:])
+    if numbers is None:
+        return None
+    table = TickTable(us, kind == ord("T"), *numbers,
+                      np.arange(first_lineno, first_lineno + n, dtype=np.int64), source=source)
+    table.validate()
+    return table
+
+
+def _parse_chunk(text: str, first_lineno: int, source: str) -> TickTable:
+    """Columns of the lines of ``text`` (no final newline), the first at line ``first_lineno``."""
+    table = _plain_table(text, first_lineno, source)
+    return table if table is not None else _parse_lines(text.split("\n"), first_lineno, source)
+
+
 def read_ticks(path: str | Path) -> TickTable:
     """Parse a tick CSV (plain or gzip, sniffed by magic bytes) into a TickTable.
 
-    The file is read in chunks of whole lines; each chunk is split once and
-    converted column by column, and the first bad row of the file raises
+    The file is read in chunks of whole lines.  A chunk in the plain layout
+    is parsed as bytes (:func:`_plain_table`); any other is split once and
+    converted column by column.  The first bad row of the file raises
     ParseError with ``<path>:<line>``.  Ordering is checked later by
     build_bars, which knows about days.
     """
@@ -488,11 +636,10 @@ def read_ticks(path: str | Path) -> TickTable:
                 rest = text
                 continue
             rest = text[cut + 1:]
-            lines = text[:cut].split("\n")
-            chunks.append(_parse_chunk(lines, first_lineno, source))
-            first_lineno += len(lines)
+            chunks.append(_parse_chunk(text[:cut], first_lineno, source))
+            first_lineno += text.count("\n", 0, cut) + 1
         if rest:
-            chunks.append(_parse_chunk([rest], first_lineno, source))
+            chunks.append(_parse_chunk(rest, first_lineno, source))
     if not chunks:
         return TickTable.from_records([])
     return TickTable(*(np.concatenate(col) for col in zip(*(c.columns() for c in chunks))), source=source)

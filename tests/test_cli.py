@@ -400,6 +400,7 @@ def test_fit_pooled_tries_every_model_and_names_each_failure(tmp_path, capsys):
     ("fit", "max_iters", 3),
     ("ingest", "tick_size", None),
     ("ingest", "session_start", 5),
+    ("ingest", "bar_second", 60),
     ("curves", "n_points", None),
 ])
 def test_bad_config_value_names_its_key(tmp_path, capsys, command, key, value):

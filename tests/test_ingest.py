@@ -11,7 +11,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import bars_oracle
@@ -514,6 +514,20 @@ ROW_VARIANTS = [
     "2024-05-06 09:00:01,Q,1.5,,99.98,100.02,1,1",
     "2024-05-06 09:00:01.250000,T,100.0,1,,,,",
     "",
+    # the edges of the byte kernel's plain layout, on each side
+    "2024-02-29 09:00:01,T,100.0,1,,,,",
+    "2023-02-29 09:00:01,T,100.0,1,,,,",
+    "0000-05-06 09:00:01,T,100.0,1,,,,",
+    "2024-05-06 09:00:59.5,T,100.0,1,,,,",
+    "2024-05-06 09:00:01.1234567,T,100.0,1,,,,",
+    "2024-05-06X09:00:01,T,100.0,1,,,,",
+    "2024-05-06 09:00:01,T,.5,1,,,,",
+    "2024-05-06 09:00:01,T,5.,1,,,,",
+    "2024-05-06 09:00:01,T,+5,1,,,,",
+    "2024-05-06 09:00:01,T,1e2,1,,,,",
+    "2024-05-06 09:00:01,T,1234567890.123456,1,,,,",
+    "2024-05-06 09:00:01,Q,,,-0,100.0,1,-0",
+    "2024-05-06 09:00:01,T,10\u0660.5,1,,,,",
 ]
 
 
@@ -543,6 +557,118 @@ def test_read_ticks_matches_the_row_reader(stream, variants, eol, zipped, chunk_
                 assert str(got.value) == str(expected)
             else:
                 assert list(read_ticks(path)) == expected
+
+
+# The byte kernel against float and datetime.fromisoformat.  A cell or a
+# timestamp goes into one plain row; where the kernel takes the row, its value
+# must equal the string parser's bit for bit.
+
+EPOCH = datetime(1970, 1, 1)
+PLAIN_NUMBER = re.compile(r"-?[0-9]+(\.[0-9]+)?")
+PLAIN_STAMP = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}[T ][0-9]{2}:[0-9]{2}:[0-9]{2}(\.[0-9]{1,6})?")
+
+digit_runs = st.text("0123456789", min_size=1, max_size=9)
+fractions = st.one_of(st.just(""), st.just("."), digit_runs.map(".".__add__))
+number_cells = st.one_of(
+    st.builds(lambda sign, whole, frac: sign + whole + frac, st.sampled_from(["", "-", "+"]), digit_runs, fractions),
+    st.builds(str.__add__, st.sampled_from(["", "-"]), st.lists(digit_runs, min_size=2, max_size=3).map(".".join)),
+    st.text("0123456789.-+eE_ naif\u0660\u00b2", min_size=1, max_size=12),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from(["-0", "0.0", "-0.000", "999999999999999", "9999999999999999", "0.000000000000001",
+                     "123456789012.345", "1.7976931348623157", "4.9406564584124654"]),
+)
+
+
+def _stamp(y, mo, d, sep, h, mi, sec, frac):
+    return f"{y:04d}-{mo:02d}-{d:02d}{sep}{h:02d}:{mi:02d}:{sec:02d}{frac}"
+
+
+iso_stamps = st.datetimes(min_value=datetime(1, 1, 1)).map(lambda t: t.isoformat(sep=" "))
+stamp_cells = st.one_of(
+    st.builds(_stamp, st.integers(0, 9999), st.integers(0, 13), st.integers(0, 32), st.sampled_from(["T", " ", "X"]),
+              st.integers(0, 25), st.integers(0, 61), st.integers(0, 61),
+              st.one_of(fractions, st.text("0123456789", min_size=7, max_size=8).map(".".__add__))),
+    iso_stamps,
+    st.builds(lambda t, at, ch: t[:at % len(t)] + ch + t[at % len(t) + 1:],  # one byte changed
+              iso_stamps, st.integers(0, 25), st.sampled_from("0-: T.X/+")),
+    st.text("0123456789-: T.+", min_size=15, max_size=27),
+)
+
+
+def _kernel_row(row):
+    """The kernel's table of one row, or None where it leaves the row to the string parser."""
+    return ingest._plain_table(row, 2, "ticks.csv")
+
+
+@settings(max_examples=500, deadline=None)
+@given(number_cells)
+@example("-0")
+@example("-12.50")
+@example("1.2.34")
+@example("95.74890682883607")  # 16 digits: the integer would round before the division
+def test_kernel_numbers_equal_float_bitwise(cell):
+    table = _kernel_row(f"2024-05-06 09:00:01,T,1,1,{cell},,,")
+    if table is None:
+        assert not (PLAIN_NUMBER.fullmatch(cell) and sum(map(str.isdigit, cell)) <= 15)
+        return
+    value = float(cell)  # raises where the kernel took a cell float rejects
+    assert math.isfinite(value)
+    assert table.bid.tobytes() == np.float64(value).tobytes()  # the sign of zero included
+
+
+@settings(max_examples=500, deadline=None)
+@given(stamp_cells)
+@example("2000-02-29 00:00:00")
+@example("1900-02-29 00:00:00")
+@example("2023-12-31T23:59:59.999999")
+@example("0001-01-01 00:00:00.000001")
+@example("9999-12-31 23:59:59.5")
+@example("2024-05-06 09:00:60")
+@example("2024-05-06 09:60:00")
+@example("2024-05-06 24:00:00")
+@example("2024-04-31 09:00:00")
+@example("2024-13-01 09:00:00")
+@example("2024-05-06 09:00-01")
+def test_kernel_timestamps_equal_fromisoformat(stamp):
+    table = _kernel_row(f"{stamp},T,1,1,,,,")
+    try:
+        parsed = datetime.fromisoformat(stamp)
+    except ValueError:
+        parsed = None
+    if table is None:
+        assert not (PLAIN_STAMP.fullmatch(stamp) and parsed is not None)
+        return
+    assert parsed is not None and parsed.tzinfo is None
+    assert table.ts_us.tolist() == [(parsed - EPOCH) // timedelta(microseconds=1)]
+
+
+def _bench_style_lines(n_rows):
+    """Rows laid out as the benchmark's tick generator writes them: ISO T
+    timestamps in whole seconds, two-decimal prices, integer sizes, empty
+    cells for the other kind's fields."""
+    rng = np.random.default_rng(5)
+    lines = []
+    for i in range(n_rows):
+        second = 8 * 3600 + 55 * 60 + i // 2
+        stamp = _stamp(2024, 5, 6 + i * 5 // n_rows, "T", second // 3600, second // 60 % 60, second % 60, "")
+        mid = int(rng.integers(49_900, 50_100))
+        if rng.random() < 0.5:
+            lines.append(f"{stamp},Q,,,{(mid - 1) / 100:.2f},{(mid + 1) / 100:.2f},"
+                         f"{rng.integers(1, 200)},{rng.integers(1, 200)}")
+        else:
+            lines.append(f"{stamp},T,{(mid + int(rng.integers(-1, 2))) / 100:.2f},{rng.integers(1, 10)},,,,")
+    return lines
+
+
+@pytest.mark.parametrize("zipped", [False, True])
+def test_bench_style_ticks_never_reach_the_string_parser(tmp_path, zipped):
+    text = "\n".join([",".join(TICK_HEADER), *_bench_style_lines(12_000)]) + "\n"
+    path = tmp_path / ("ticks.csv.gz" if zipped else "ticks.csv")
+    path.write_bytes(gzip.compress(text.encode()) if zipped else text.encode())
+    with mock.patch.object(ingest, "_parse_lines", side_effect=AssertionError("string parser reached")):
+        table = read_ticks(path)
+    assert len(table) == 12_000 and table.lineno[-1] == 12_001
+    assert list(table) == loop_read_ticks(path)
 
 
 # ---------------------------------------------------------------------------
@@ -660,6 +786,20 @@ def test_bar_table_indexes_as_bars_and_groups_dicts_by_key():
     assert bars_oracle.bar_table({"e": [], "x": bars[1:]}).by_day() == {
         "e": [], "x": [MinuteBar("x", 0, -1.0, None, None), MinuteBar("x", 0, 0.5, 99.0, 1e-3)]}
     assert len(bars_oracle.bar_table({})) == 0
+
+
+def test_bar_table_get_and_values_equal_by_day():
+    ticks = [quote("2024-05-06 09:00:00", 99.99, 100.01), trade("2024-05-06 09:01:10", 100.01, 2.0),
+             quote("2024-05-07 09:00:00", 99.98, 100.02),  # a day with no trade: listed, no bars
+             trade("2024-05-08 09:00:30", 99.98, 1.0), trade("2024-05-08 09:03:00", 100.02, 4.0)]
+    bars = build_bars(ticks, *SESSION)
+    by_day = bars.by_day()
+    assert bars.days == ("2024-05-06", "2024-05-07", "2024-05-08")
+    assert repr(list(bars.values())) == repr(list(by_day.values()))
+    for day in bars.days:
+        assert repr(bars.get(day)) == repr(by_day[day])
+    assert len(bars.get("2024-05-08")) == 5 and bars.get("2024-05-07") == []
+    assert bars.get("2024-05-09") is None and bars.get("2024-05-09", []) == []
 
 
 def _optional(values):
