@@ -4,7 +4,8 @@ Subcommands mirror the pipeline: ``ingest`` (ticks to bars), ``simulate``
 (paths or synthetic panels), ``fit`` (per-day and pooled model fits),
 ``curves`` (sampled impact curves from a fit), ``compare`` (cross-model and
 cross-contract reports).  Each run reads an optional JSON config file; flags
-given on the command line win over config values.  Every output file gets a
+given on the command line win over config values, and a config key the
+command does not read is an error.  Every output file gets a
 sibling ``.meta.json`` echoing the effective configuration (schema versioned,
 no timestamps), so identical inputs produce byte-identical outputs.
 
@@ -59,9 +60,13 @@ logger = logging.getLogger(__name__)
 
 MODELS = ("sshape", "linear", "sqrt")
 FIT_OPTIONS = {"max_iter": int, "rss_rtol": float, "grad_atol": float, "margin_floor": float}
-# Every config key cmd_fit and cmd_ingest read; any other key is an error, not a silent no-op.
+# Every config key each command reads; any other key is an error, not a silent no-op.
 FIT_KEYS = ("out_dir", "model", "pooled", "grid", *FIT_OPTIONS)
 INGEST_KEYS = ("out_dir", "session_start", "session_end", "bar_seconds", "tick_size")
+SIMULATE_KEYS = ("out_dir", "mode", "seed", "structural", "impact", "n_steps", "dt", "x0", "s0", "measure",
+                 "panel")
+CURVES_KEYS = ("out_dir", "model", "x_min", "x_max", "n_points")
+COMPARE_KEYS = ("out_dir",)
 
 
 def _setup_logging() -> None:
@@ -70,8 +75,8 @@ def _setup_logging() -> None:
                         format="%(levelname)s %(name)s: %(message)s")
 
 
-def _load_config(path: str | None, command: str | None = None, keys: tuple[str, ...] = ()) -> dict:
-    """The config file's object; with ``command``, a key outside ``keys`` raises ValueError."""
+def _load_config(path: str | None, command: str, keys: tuple[str, ...]) -> dict:
+    """The config file's object; a key outside ``command``'s ``keys`` raises ValueError."""
     if not path:
         return {}
     p = Path(path)
@@ -81,10 +86,9 @@ def _load_config(path: str | None, command: str | None = None, keys: tuple[str, 
         cfg = json.load(fh)
     if not isinstance(cfg, dict):
         raise ValueError(f"config root must be a JSON object: {p}")
-    if command:
-        for key in cfg:
-            if key not in keys:
-                raise ValueError(f"{key}: unknown config key for {command}")
+    for key in cfg:
+        if key not in keys:
+            raise ValueError(f"{key}: unknown config key for {command}")
     return cfg
 
 
@@ -120,6 +124,13 @@ def _grid(value) -> list[tuple[float, float]] | None:
 def _boolean(value) -> bool:
     if not isinstance(value, bool):
         raise ValueError(f"expected true or false, got {value!r}")
+    return value
+
+
+def _seed(value) -> int | None:
+    """A seed as given: None (one is drawn) or a non-negative int, not a bool."""
+    if value is not None and (isinstance(value, bool) or not isinstance(value, int) or value < 0):
+        raise ValueError(f"expected a non-negative integer, got {value!r}")
     return value
 
 
@@ -216,10 +227,10 @@ def _structural_from(config: dict) -> StructuralParams:
 
 
 def cmd_simulate(args) -> int:
-    config = _load_config(args.config)
+    config = _load_config(args.config, "simulate", SIMULATE_KEYS)
     out_dir = _out_dir(args, config)
     mode = _pick(args.mode, config, "mode", "path", _choice("path", "panel"))
-    seed = _pick(args.seed, config, "seed", None)
+    seed = _pick(args.seed, config, "seed", None, _seed)
     try:
         if mode == "path":
             sim_cfg = SimConfig(
@@ -251,7 +262,7 @@ def cmd_simulate(args) -> int:
                 n_days=_pick(None, block, "n_days", 1, int),
                 bars_per_day=_pick(None, block, "bars_per_day", 360, int),
                 noise_sd=_pick(None, block, "noise_sd", 0.0, float),
-                seed=int(seed),
+                seed=seed,
             )
             dest = out_dir / "panel.csv"
             panel.write_csv(dest)
@@ -352,7 +363,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_curves(args) -> int:
-    config = _load_config(args.config)
+    config = _load_config(args.config, "curves", CURVES_KEYS)
     out_dir = _out_dir(args, config)
     model = _pick(args.model, config, "model", "sshape", _choice(*MODELS, "all"))
     if model == "all":
@@ -416,7 +427,7 @@ def _select_fit(doc: dict, model: str, date: str | None) -> dict:
 
 
 def cmd_compare(args) -> int:
-    config = _load_config(args.config)
+    config = _load_config(args.config, "compare", COMPARE_KEYS)
     out_dir = _out_dir(args, config)
     fit_files = _inputs(args.fits)
     bar_files = _inputs(args.bars or [])
@@ -428,45 +439,41 @@ def cmd_compare(args) -> int:
 
     bars_by_contract = {_contract(f): read_bars_csv(f) for f in bar_files}
 
-    try:
-        for f in fit_files:
-            contract = _contract(f)
-            rows = read_daily_fits_csv(f)
-            models_present = sorted({r["model"] for r in rows})
-            series = {m: DailyMetricSeries.from_fit_rows(contract, m, rows) for m in models_present}
-            block: dict = {"models": models_present, "t_tests": [], "descriptives": {},
-                           "excluded": {m: series[m].n_excluded for m in models_present}}
+    for f in fit_files:
+        contract = _contract(f)
+        rows = read_daily_fits_csv(f)
+        models_present = sorted({r["model"] for r in rows})
+        series = {m: DailyMetricSeries.from_fit_rows(contract, m, rows) for m in models_present}
+        block: dict = {"models": models_present, "t_tests": [], "descriptives": {},
+                       "excluded": {m: series[m].n_excluded for m in models_present}}
 
-            for i, ma in enumerate(models_present):
-                for mb in models_present[i + 1:]:
-                    for metric in METRICS:
-                        res = paired_t_test(series[ma], series[mb], metric)
-                        ttest_rows.append((contract, ma, mb, res))
-                        block["t_tests"].append({"model_a": ma, "model_b": mb, **asdict(res)})
+        for i, ma in enumerate(models_present):
+            for mb in models_present[i + 1:]:
+                for metric in METRICS:
+                    res = paired_t_test(series[ma], series[mb], metric)
+                    ttest_rows.append((contract, ma, mb, res))
+                    block["t_tests"].append({"model_a": ma, "model_b": mb, **asdict(res)})
 
-            sshape_rows = [r for r in rows if r["model"] == "sshape" and r["converged"]]
-            if sshape_rows:
-                for label, key in (("ell", "ell"), ("p", "p"), ("q", "q"), ("a", "a_hat"), ("adj_r2", "adj_r2")):
-                    vals = [r[key] for r in sshape_rows if r[key] is not None]
-                    if vals:
-                        d = descriptives(vals)
-                        desc_rows.append((contract, label, d))
-                        block["descriptives"][label] = {
-                            "n": d.n, "mean": d.mean, "sd": d.sd,
-                            "percentiles": {str(k): v for k, v in d.percentiles.items()},
-                        }
-                curves = {r["date"]: SShapeParams(r["ell"], r["p"], r["q"]) if r["converged"] else None
-                          for r in rows if r["model"] == "sshape"}
-                rep = depth_report(curves, bars_by_contract.get(contract), contract=contract)
-                depth_reports.append(rep)
-                block["depth"] = {
-                    "daily_inflection": rep.daily_inflection,
-                    "n_included": rep.n_included, "n_excluded": rep.n_excluded,
-                }
-            report["contracts"][contract] = block
-    except (ValueError, EstimationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        sshape_rows = [r for r in rows if r["model"] == "sshape" and r["converged"]]
+        if sshape_rows:
+            for label, key in (("ell", "ell"), ("p", "p"), ("q", "q"), ("a", "a_hat"), ("adj_r2", "adj_r2")):
+                vals = [r[key] for r in sshape_rows if r[key] is not None]
+                if vals:
+                    d = descriptives(vals)
+                    desc_rows.append((contract, label, d))
+                    block["descriptives"][label] = {
+                        "n": d.n, "mean": d.mean, "sd": d.sd,
+                        "percentiles": {str(k): v for k, v in d.percentiles.items()},
+                    }
+            curves = {r["date"]: SShapeParams(r["ell"], r["p"], r["q"]) if r["converged"] else None
+                      for r in rows if r["model"] == "sshape"}
+            rep = depth_report(curves, bars_by_contract.get(contract), contract=contract)
+            depth_reports.append(rep)
+            block["depth"] = {
+                "daily_inflection": rep.daily_inflection,
+                "n_included": rep.n_included, "n_excluded": rep.n_excluded,
+            }
+        report["contracts"][contract] = block
 
     t_dest = out_dir / "ttests.csv"
     write_ttest_csv(ttest_rows, t_dest)

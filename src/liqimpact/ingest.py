@@ -14,11 +14,11 @@ in the plain layout: ASCII and unquoted, no blank line, seven commas a line,
 kind ``T`` or ``Q``, timestamps ``YYYY-MM-DD[T ]HH:MM:SS[.f]`` with one to six
 fraction digits, and numbers ``-?digits[.digits]`` of at most 15 digits.  Any
 other chunk (quoted cells, exponents, ``nan``, offsets, ``,`` fractions,
-non-ASCII text, blank lines) goes to the string parser, which gives the same
-columns and the same first error.  ``build_bars`` also takes a plain sequence
-of :class:`TickRecord`, converted once by :meth:`TickTable.from_records`; a
-table has a length and iterates as ``TickRecord``.  Bars are columns too:
-``build_bars`` returns a :class:`BarTable`, and the bar writers,
+non-ASCII text, blank lines) is read a row at a time under the same rules.
+``build_bars`` also takes a plain sequence of :class:`TickRecord`, converted
+once by :meth:`TickTable.from_records`; a table has a length and iterates as
+``TickRecord``.  Bars are columns too: ``build_bars`` returns a
+:class:`BarTable`, and the bar writers,
 ``flow_descriptives``, the synthetic panels, the bar-file reader, the
 regression pairing and the depth report take or make one and nothing else.
 This module owns both bar-file layouts: the bar CSV that ``write_bars_csv``
@@ -61,8 +61,7 @@ import logging
 import math
 from dataclasses import dataclass, fields
 from datetime import date, datetime, time, timedelta
-from itertools import compress, repeat
-from operator import attrgetter
+from itertools import compress
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -207,14 +206,10 @@ class TickTable:
         """
         recs = list(records)
         stop = next((i for i, rec in enumerate(recs) if _record_problem(rec)), len(recs))
-        kept = recs[:stop]
-        table = cls(
-            np.array([(r.timestamp - _EPOCH) // _ONE_US for r in kept], dtype=np.int64),
-            np.array([r.kind == "T" for r in kept], dtype=bool),
-            *(np.array([getattr(r, name) for r in kept], dtype=np.float64) for name in _NUMERIC),
-            np.array([r.lineno for r in kept], dtype=np.int64),
-        )
-        table.validate()
+        kept = recs[:stop]  # None numbers become NaN
+        table = _checked_table([((r.timestamp - _EPOCH) // _ONE_US, r.kind == "T",
+                                 *(getattr(r, name) for name in _NUMERIC)) for r in kept],
+                               [r.lineno for r in kept])
         if stop < len(recs):
             rec = recs[stop]
             raise ParseError(f"{_where('', rec.lineno, stop)}: {_record_problem(rec)}")
@@ -351,10 +346,6 @@ class FlowDescriptives:
 # tick files
 
 
-class _Malformed(Exception):
-    """A chunk holds a row the column parser cannot take; the row rules say which."""
-
-
 def _open_text(path: Path) -> io.TextIOBase:
     with path.open("rb") as fh:
         magic = fh.read(2)
@@ -367,12 +358,14 @@ def _cells(line: str) -> list[str]:
     return next(csv.reader([line])) if '"' in line else line.split(",")
 
 
-def _row_problem(cells: list[str]) -> str | None:
-    """What keeps one row out of the columns, if anything (checked in field order).
+def _row(line: str) -> tuple | str:
+    """One data line's values, or what keeps it out of the columns (checked in field order).
 
-    The column parser applies the same checks to whole chunks; this scalar
-    form only runs on a chunk the column parser refused, to name the row.
+    The values are int64 microseconds, is-trade and the six numbers, NaN where
+    a cell is empty.  The trade and quote rules are left to
+    :meth:`TickTable.validate`.
     """
+    cells = _cells(line)
     if len(cells) != len(TICK_HEADER):
         return f"expected {len(TICK_HEADER)} fields, got {len(cells)}"
     try:
@@ -381,102 +374,44 @@ def _row_problem(cells: list[str]) -> str | None:
         return f"bad timestamp {cells[0]!r}"
     if ts.tzinfo is not None:
         return f"timestamp {cells[0]!r} has a UTC offset; tick times must be naive"
+    numbers = []
     for name, cell in zip(_NUMERIC, cells[2:]):
-        if cell:
-            try:
-                value = float(cell)
-            except ValueError:
-                return f"bad number {cell!r}"
-            if not math.isfinite(value):
-                return f"{name} must be finite, got {cell!r}"
+        try:
+            value = float(cell) if cell else math.nan
+        except ValueError:
+            return f"bad number {cell!r}"
+        if cell and not math.isfinite(value):
+            return f"{name} must be finite, got {cell!r}"
+        numbers.append(value)
     if cells[1] not in ("T", "Q"):
         return f"kind must be T or Q, got {cells[1]!r}"
-    return None
+    return ((ts - _EPOCH) // _ONE_US, cells[1] == "T", *numbers)
 
 
-def _float_column(cells: list[str], mine: list[bool], others: list[bool], mask: np.ndarray) -> np.ndarray:
-    """float64 column with NaN for empty cells; _Malformed on a bad or non-finite number.
-
-    A column filled on exactly the rows of its own kind (``mine``; ``mask`` is
-    the same as an array) is converted on that subset alone.
-    """
-    values = list(compress(cells, mine))
-    if "" in values or any(compress(cells, others)):
-        present = list(map(bool, cells))
-        values = list(compress(cells, present))
-        mask = np.array(present, dtype=bool)
-    try:
-        numbers = np.array(values, dtype=np.float64)
-    except ValueError:
-        raise _Malformed from None
-    if not np.isfinite(numbers).all():
-        raise _Malformed
-    out = np.full(len(cells), np.nan)
-    out[mask] = numbers
-    return out
-
-
-def _table(lines: list[str], lineno: np.ndarray, source: str) -> TickTable:
-    """Columns of non-blank data lines, checked; _Malformed if a row cannot be parsed."""
-    n = len(lines)
-    if not n:
-        return TickTable.from_records([])
-    text = ",".join(lines)
-    if '"' in text:
-        rows = [_cells(line) for line in lines]
-        if any(len(row) != len(TICK_HEADER) for row in rows):
-            raise _Malformed
-        cols = [list(col) for col in zip(*rows)]
-    else:
-        if list(map(str.count, lines, repeat(",", n))).count(len(TICK_HEADER) - 1) != n:
-            raise _Malformed
-        flat = text.split(",")
-        cols = [flat[k::len(TICK_HEADER)] for k in range(len(TICK_HEADER))]
-
-    stamps, kinds = cols[0], cols[1]
-    distinct = list(dict.fromkeys(stamps))  # each distinct timestamp string is parsed once
-    try:
-        parsed = list(map(datetime.fromisoformat, distinct))
-    except ValueError:
-        raise _Malformed from None
-    if any(map(attrgetter("tzinfo"), parsed)):
-        raise _Malformed
-    us = dict(zip(distinct, [(ts - _EPOCH) // _ONE_US for ts in parsed]))
-    if not {"T", "Q"}.issuperset(kinds):
-        raise _Malformed
-    trades = list(map("T".__eq__, kinds))
-    quotes = list(map("Q".__eq__, kinds))
-    is_trade = np.array(trades, dtype=bool)
-    of_trades = (trades, quotes, is_trade)    # price and size
-    of_quotes = (quotes, trades, ~is_trade)   # bid, ask and their sizes
-    table = TickTable(
-        np.fromiter(map(us.__getitem__, stamps), np.int64, n),
-        is_trade,
-        *(_float_column(c, *(of_trades if k < 2 else of_quotes)) for k, c in enumerate(cols[2:])),
-        lineno,
-        source=source,
-    )
+def _checked_table(rows: list[tuple], lineno: list[int], source: str = "") -> TickTable:
+    """Columns of rows as :func:`_row` gives them, checked by the trade and quote rules."""
+    ts_us, is_trade, *numbers = zip(*rows) if rows else [()] * len(TICK_HEADER)
+    table = TickTable(np.array(ts_us, dtype=np.int64), np.array(is_trade, dtype=bool),
+                      *(np.array(c, dtype=np.float64) for c in numbers),
+                      np.array(lineno, dtype=np.int64), source=source)
     table.validate()
     return table
 
 
 def _parse_lines(lines: list[str], first_lineno: int, source: str) -> TickTable:
-    """Columns of a chunk's lines through the string parser, blank and quoted lines included."""
-    lineno = np.arange(first_lineno, first_lineno + len(lines), dtype=np.int64)
-    if "" in lines:  # blank lines hold no tick but keep their line numbers
-        keep = [i for i, line in enumerate(lines) if line]
-        lines = [lines[i] for i in keep]
-        lineno = lineno[keep]
-    try:
-        return _table(lines, lineno, source)
-    except _Malformed:
-        pass
-    for i, line in enumerate(lines):
-        problem = _row_problem(_cells(line))
-        if problem:
-            _table(lines[:i], lineno[:i], source)  # a row before it may break a trade or quote rule
-            raise ParseError(f"{source}:{lineno[i]}: {problem}")
-    raise AssertionError("the column parser refused a chunk the row rules accept")
+    """Columns of a chunk's lines read a row at a time; a blank line holds no tick but keeps its number."""
+    rows: list[tuple] = []
+    kept: list[int] = []
+    for lineno, line in enumerate(lines, first_lineno):
+        if not line:
+            continue
+        row = _row(line)
+        if isinstance(row, str):
+            _checked_table(rows, kept, source)  # a row above it may break a trade or quote rule
+            raise ParseError(f"{source}:{lineno}: {row}")
+        rows.append(row)
+        kept.append(lineno)
+    return _checked_table(rows, kept, source)
 
 
 # The plain layout that _plain_table parses as bytes.  A timestamp is
@@ -574,7 +509,7 @@ def _plain_table(text: str, first_lineno: int, source: str) -> TickTable | None:
     Plain means ASCII and unquoted, with no blank line, seven commas in every
     line, kind T or Q, timestamps YYYY-MM-DD[T ]HH:MM:SS[.f] (1 to 6 fraction
     digits, a real calendar date, naive) and numbers -?digits[.digits] of at
-    most 15 digits.  Every value equals what the string parser makes of it.
+    most 15 digits.  Every value equals what the row reader makes of it.
     """
     if not text.isascii():
         return None
@@ -617,29 +552,35 @@ def read_ticks(path: str | Path) -> TickTable:
     """Parse a tick CSV (plain or gzip, sniffed by magic bytes) into a TickTable.
 
     The file is read in chunks of whole lines.  A chunk in the plain layout
-    is parsed as bytes (:func:`_plain_table`); any other is split once and
-    converted column by column.  The first bad row of the file raises
-    ParseError with ``<path>:<line>``.  Ordering is checked later by
-    build_bars, which knows about days.
+    is parsed as bytes (:func:`_plain_table`); any other is read a row at a
+    time.  The first bad row of the file raises ParseError with
+    ``<path>:<line>``, and so does a file that cannot be decoded (a truncated
+    or corrupt gzip stream, bytes that are not UTF-8), at the first line not
+    yet parsed.  Ordering is checked later by build_bars, which knows about
+    days.
     """
     path = Path(path)
     source = str(path)
     chunks: list[TickTable] = []
-    with _open_text(path) as stream:
-        if _cells(stream.readline().rstrip("\n")) != TICK_HEADER:
-            raise ParseError(f"{path}:1: expected header {','.join(TICK_HEADER)}")
-        first_lineno, rest = 2, ""
-        for block in iter(lambda: stream.read(_CHUNK_CHARS), ""):
-            text = rest + block
-            cut = text.rfind("\n")
-            if cut < 0:
-                rest = text
-                continue
-            rest = text[cut + 1:]
-            chunks.append(_parse_chunk(text[:cut], first_lineno, source))
-            first_lineno += text.count("\n", 0, cut) + 1
-        if rest:
-            chunks.append(_parse_chunk(rest, first_lineno, source))
+    first_lineno, rest = 1, ""
+    try:
+        with _open_text(path) as stream:
+            if _cells(stream.readline().rstrip("\n")) != TICK_HEADER:
+                raise ParseError(f"{path}:1: expected header {','.join(TICK_HEADER)}")
+            first_lineno = 2
+            for block in iter(lambda: stream.read(_CHUNK_CHARS), ""):
+                text = rest + block
+                cut = text.rfind("\n")
+                if cut < 0:
+                    rest = text
+                    continue
+                rest = text[cut + 1:]
+                chunks.append(_parse_chunk(text[:cut], first_lineno, source))
+                first_lineno += text.count("\n", 0, cut) + 1
+    except (EOFError, gzip.BadGzipFile, UnicodeDecodeError) as exc:
+        raise ParseError(f"{path}:{first_lineno}: {exc}") from exc
+    if rest:
+        chunks.append(_parse_chunk(rest, first_lineno, source))
     if not chunks:
         return TickTable.from_records([])
     return TickTable(*(np.concatenate(col) for col in zip(*(c.columns() for c in chunks))), source=source)

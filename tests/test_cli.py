@@ -5,8 +5,10 @@ logging configuration.
 """
 
 import csv
+import gzip
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -22,7 +24,8 @@ from liqimpact.impact import SShapeParams
 from liqimpact.ingest import MinuteBar, read_bars_csv, write_bars_csv
 from liqimpact.sde import OUParams, synth_regression_panel
 
-DATA = Path(__file__).parent / "data"
+ROOT = Path(__file__).resolve().parent.parent
+DATA = ROOT / "tests" / "data"
 
 SIM_CONFIG = {
     "structural": {"mu_s": 0.05, "sigma_s": 0.2, "rho": 0.3, "c": 0.2, "m": 3.0,
@@ -85,6 +88,29 @@ def test_ingest_bad_inputs(tmp_path, capsys):
     bad.write_text("time,type\n1,T\n", encoding="utf-8")
     assert main(["ingest", str(bad), "--out-dir", str(tmp_path)]) == 1
     assert "error" in capsys.readouterr().err
+
+
+def _truncated(gz: bytes) -> bytes:
+    return gz[:len(gz) // 2]
+
+
+def _bad_crc(gz: bytes) -> bytes:
+    return gz[:-8] + bytes([gz[-8] ^ 0xFF]) + gz[-7:]  # the trailer is CRC-32, then the length
+
+
+@pytest.mark.parametrize("name, corrupt", [
+    ("es.csv.gz", _truncated),
+    ("es.csv.gz", _bad_crc),
+    ("es.csv", lambda text: text + b"2024-03-15 09:06:00,T,100.07,3\xff0,,,,\n"),
+], ids=["truncated-gzip", "gzip-crc", "not-utf8"])
+def test_ingest_undecodable_file_names_it(tmp_path, capsys, name, corrupt):
+    text = (DATA / "golden_ticks.csv").read_bytes()
+    src = tmp_path / name
+    src.write_bytes(corrupt(gzip.compress(text, mtime=0) if name.endswith(".gz") else text))
+    assert main(["ingest", str(src), "--out-dir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert re.match(rf"error: {re.escape(str(src))}:\d+: ", err), err
+    assert "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------
@@ -170,6 +196,16 @@ def test_simulate_bad_configs(tmp_path, capsys):
         assert main(["simulate", "--config", str(bad_family), "--out-dir", str(tmp_path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "family" in err
+
+    panel = {"flow": {"c": 0.1, "m": 5.0, "eta": 100.0}, "n_days": 1, "bars_per_day": 5}
+    for mode in ("path", "panel"):
+        for seed in (1.9, True, -1, "7"):
+            bad_seed = write_config(tmp_path, {**SIM_CONFIG, "mode": mode, "panel": panel, "seed": seed},
+                                    "seed.json")
+            assert main(["simulate", "--config", str(bad_seed), "--out-dir", str(tmp_path)]) == 1
+            assert capsys.readouterr().err.startswith("error: seed: ")
+    assert main(["simulate", "--seed", "-1", "--out-dir", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith("error: seed: ")
 
 
 def test_simulate_square_root_family(tmp_path, capsys):
@@ -402,6 +438,9 @@ def test_fit_pooled_tries_every_model_and_names_each_failure(tmp_path, capsys):
     ("ingest", "session_start", 5),
     ("ingest", "bar_second", 60),
     ("curves", "n_points", None),
+    ("simulate", "n_stepz", 5),
+    ("curves", "n_point", 5),
+    ("compare", "bars", "es.bars.csv"),
 ])
 def test_bad_config_value_names_its_key(tmp_path, capsys, command, key, value):
     panel = synth_regression_panel(a=1e-6, impact=SShapeParams(1.3e-5, -0.0034, 8.15e-5),
@@ -410,9 +449,12 @@ def test_bad_config_value_names_its_key(tmp_path, capsys, command, key, value):
     panel.write_csv(tmp_path / "nk.csv")
     fit_json = write_config(tmp_path, {"model": "sshape", "converged": True,
                                        "param_hats": {"ell": 1.3e-5, "p": -0.0034, "q": 8.15e-5}}, "fit.json")
-    source = {"fit": tmp_path / "nk.csv", "ingest": DATA / "golden_ticks.csv", "curves": fit_json}[command]
+    fits_csv = tmp_path / "nk.fits.csv"
+    write_daily_fits_csv([("2024-02-01", make_fit("sshape"))], fits_csv)
+    inputs = {"fit": [str(tmp_path / "nk.csv")], "ingest": [str(DATA / "golden_ticks.csv")],
+              "curves": [str(fit_json)], "simulate": [], "compare": ["--fits", str(fits_csv)]}[command]
     cfg = write_config(tmp_path, {key: value})
-    assert main([command, str(source), "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 1
+    assert main([command, *inputs, "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {key}: ") and "Traceback" not in err
 
@@ -594,7 +636,8 @@ SHIM = "import sys; from liqimpact.cli import main; sys.exit(main(sys.argv[1:]))
 
 
 def run_cli_subprocess(args, level):
-    env = {**os.environ, "LIQIMPACT_LOG": level}
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]  # this checkout's package first
+    env = {**os.environ, "LIQIMPACT_LOG": level, "PYTHONPATH": os.pathsep.join(filter(None, path))}
     return subprocess.run([sys.executable, "-c", SHIM, *args],
                           capture_output=True, text=True, env=env)
 

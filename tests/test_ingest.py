@@ -561,7 +561,7 @@ def test_read_ticks_matches_the_row_reader(stream, variants, eol, zipped, chunk_
 
 # The byte kernel against float and datetime.fromisoformat.  A cell or a
 # timestamp goes into one plain row; where the kernel takes the row, its value
-# must equal the string parser's bit for bit.
+# must equal the row reader's bit for bit.
 
 EPOCH = datetime(1970, 1, 1)
 PLAIN_NUMBER = re.compile(r"-?[0-9]+(\.[0-9]+)?")
@@ -596,7 +596,7 @@ stamp_cells = st.one_of(
 
 
 def _kernel_row(row):
-    """The kernel's table of one row, or None where it leaves the row to the string parser."""
+    """The kernel's table of one row, or None where it leaves the row to the row reader."""
     return ingest._plain_table(row, 2, "ticks.csv")
 
 
