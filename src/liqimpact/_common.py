@@ -74,8 +74,11 @@ def parse_float(cell: str, *, where: str, required: bool = False) -> float | Non
 
 
 def parse_int(cell: str, *, where: str) -> int:
-    """An integer cell; ParseError names ``where``."""
+    """An integer cell that fits in int64; ParseError names ``where``."""
     try:
-        return int(cell)
+        value = int(cell)
     except ValueError as exc:
         raise ParseError(f"{where}: bad integer {cell!r}") from exc
+    if not -2 ** 63 <= value < 2 ** 63:
+        raise ParseError(f"{where}: integer out of range {cell!r}")
+    return value

@@ -34,7 +34,7 @@ import numpy as np
 from ._common import SCHEMA_VERSION, write_json, write_table
 from .impact import ParameterError, SShapeParams, StructuralParams, curve_from_dict, feasibility_margin
 from .ingest import build_bars, read_bars_csv, read_ticks, write_bars_csv
-from .sde import OUParams, SimConfig, _impact_f, simulate_path, synth_regression_panel
+from .sde import OUParams, SimConfig, SimulationError, _impact_f, simulate_path, synth_regression_panel
 from .estimation import (
     EstimationError,
     FitResult,
@@ -102,7 +102,7 @@ def _pick(flag_value, config: dict, key: str, default, kind=None):
         return value
     try:
         return kind(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{key}: {exc}") from None
 
 
@@ -268,8 +268,11 @@ def cmd_simulate(args) -> int:
             panel.write_csv(dest)
             write_json(out_dir / "panel.meta.json", panel.metadata())
             print(f"{dest}: {len(panel.bars)} bars over {len(panel.days)} day(s), seed {seed}")
-    except (ParameterError, ValueError, TypeError) as exc:
+    except (ParameterError, ValueError, TypeError, SimulationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except OverflowError as exc:  # a float power such as sigma_s ** 2
+        print(f"error: parameters overflow the float range: {exc}", file=sys.stderr)
         return 1
     return 0
 
@@ -400,21 +403,27 @@ def cmd_curves(args) -> int:
     return 0
 
 
-def _select_fit(doc: dict, model: str, date: str | None) -> dict:
+def _object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
+def _select_fit(doc, model: str, date: str | None) -> dict:
     """Find the fit block for the model in a fits.json (or bare FitResult) document."""
+    doc = _object(doc, "fit JSON")
     if "param_hats" in doc:
         if doc.get("model") != model:
             raise ValueError(f"fit JSON holds model {doc.get('model')!r}, not {model!r}")
         return doc
+    days = _object(doc.get("days", {}), "fit JSON days")
     if date is not None:
-        days = doc.get("days", {})
         if date not in days or model not in days[date]:
             raise ValueError(f"no {model} fit for date {date!r} in fit JSON")
         return days[date][model]
     pooled = doc.get("pooled", {})
     if model in pooled:
         return pooled[model]
-    days = doc.get("days", {})
     if len(days) == 1:
         (only,) = days.values()
         if model in only:

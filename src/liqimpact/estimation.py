@@ -41,6 +41,7 @@ from ._common import ParseError, parse_float, parse_int, read_table, write_table
 from .impact import (
     SqrtParams,
     SShapeParams,
+    _direct_form_scalars,
     big_phi,
     f_sqrt,
     feasibility_margin,
@@ -251,7 +252,7 @@ class _SShapeResiduals:
     are evaluated once per distinct flow and gathered for both terms.  The
     rows of a block, at most ``max_rows`` and max(1, _BLOCK_POINTS // n), are
     evaluated in one pass over (rows, flows) arrays.  A row whose parameters
-    have big_phi's direct form (``SShapeParams._direct_form``, the scalars
+    have big_phi's direct form (``impact._direct_form_scalars``, the scalars
     big_phi computes) and no flow in its small-q limit takes Phi and phi in
     that pass too; any other row takes them from big_phi and phi.  Every array
     step is the ufunc of a one-row evaluation, in the same order, with each
@@ -320,7 +321,7 @@ class _SShapeResiduals:
             params = SShapeParams(ell, p, q)
             if feasibility_margin(params) < margin_floor:
                 continue
-            form = None if routed else params._direct_form
+            form = None if routed else _direct_form_scalars(ell, p, q)
             if form is None or self.min_abs_flow < form[4]:
                 other.append((i, a, params, None))
             else:

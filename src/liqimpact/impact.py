@@ -101,25 +101,30 @@ class SShapeParams:
 
     @cached_property
     def _direct_form(self) -> tuple[float, float, float, float, float] | None:
-        """(sqrt(q), b, k, N(b), small-q threshold) of big_phi's direct form
-        k (N(sqrt(q) x + b) - N(b)), b = p / sqrt(q), or None where (p, q) is
-        outside its band or ell * max(k, exp(b^2 / 2)) exceeds _DIRECT_CAP.
+        """_direct_form_scalars of these parameters, computed once per instance:
+        the simulator's one-step calls reuse one instance."""
+        return _direct_form_scalars(self.ell, self.p, self.q)
 
-        They depend on the parameters alone, so they are computed once per
-        instance, with the calls big_phi makes.  A point x != 0 with |x| below
-        the threshold is in the small-q limit.
-        """
-        p, q = self.p, self.q
-        rq = math.sqrt(q)
-        b = p / rq
-        if not _in_direct_band(b):
-            return None
-        c_half = 0.5 * math.sqrt(2.0 * math.pi / q)
-        peak = math.exp(0.5 * b * b)
-        k = 2.0 * c_half * peak
-        if not self.ell * max(k, peak) <= _DIRECT_CAP:
-            return None
-        return rq, b, k, ndtr(b), _SMALLQ_REL * abs(p) / q
+
+def _direct_form_scalars(ell: float, p: float, q: float) -> tuple[float, float, float, float, float] | None:
+    """(sqrt(q), b, k, N(b), small-q threshold) of big_phi's direct form
+    k (N(sqrt(q) x + b) - N(b)), b = p / sqrt(q), or None where (p, q) is
+    outside its band or ell * max(k, exp(b^2 / 2)) exceeds _DIRECT_CAP.
+
+    They depend on the parameters alone and are computed with the calls
+    big_phi makes.  A point x != 0 with |x| below the threshold is in the
+    small-q limit.
+    """
+    rq = math.sqrt(q)
+    b = p / rq
+    if not _in_direct_band(b):
+        return None
+    c_half = 0.5 * math.sqrt(2.0 * math.pi / q)
+    peak = math.exp(0.5 * b * b)
+    k = 2.0 * c_half * peak
+    if not ell * max(k, peak) <= _DIRECT_CAP:
+        return None
+    return rq, b, k, ndtr(b), _SMALLQ_REL * abs(p) / q
 
 
 @dataclass(frozen=True)

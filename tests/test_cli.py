@@ -4,18 +4,24 @@ Log-level behaviour runs in a subprocess because it depends on process-wide
 logging configuration.
 """
 
+import contextlib
 import csv
 import gzip
+import io
 import json
+import math
 import os
 import re
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bars_oracle import bar_table
 from liqimpact.cli import main
@@ -207,6 +213,15 @@ def test_simulate_bad_configs(tmp_path, capsys):
     assert main(["simulate", "--seed", "-1", "--out-dir", str(tmp_path)]) == 1
     assert capsys.readouterr().err.startswith("error: seed: ")
 
+    # Parameters past the float range: sigma_s ** 2 overflows, and a flow shock makes x non-finite.
+    for over, hint in (({"sigma_s": 1e308}, "error: parameters overflow the float range"),
+                       ({"eta": 1e308}, "error: non-finite x at step ")):
+        structural = {**SIM_CONFIG["structural"], **over}
+        cfg = write_config(tmp_path, {**SIM_CONFIG, "dt": 1.0, "structural": structural}, "over.json")
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith(hint)
+
 
 def test_simulate_square_root_family(tmp_path, capsys):
     sqrt_impact = {"family": "sqrt", "alpha": 1e-4}
@@ -329,6 +344,11 @@ def test_curves_single_day_and_errors(fitted, tmp_path, capsys):
     assert main(["curves", str(bare), "--model", "linear", "--out-dir", str(out)]) == 1
     assert "holds model" in capsys.readouterr().err
 
+    for doc, what in (([], "fit JSON"), ({"days": ["2"]}, "fit JSON days")):
+        bare.write_text(json.dumps(doc))
+        assert main(["curves", str(bare), "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {what} must be a JSON object, got list")
+
 
 def test_fit_reads_bar_csv(tmp_path):
     rng = np.random.default_rng(5)
@@ -438,6 +458,7 @@ def test_fit_pooled_tries_every_model_and_names_each_failure(tmp_path, capsys):
     ("ingest", "session_start", 5),
     ("ingest", "bar_second", 60),
     ("curves", "n_points", None),
+    ("curves", "n_points", math.inf),
     ("simulate", "n_stepz", 5),
     ("curves", "n_point", 5),
     ("compare", "bars", "es.bars.csv"),
@@ -622,6 +643,137 @@ def test_compare_missing_file(tmp_path, capsys):
     assert main(["compare", "--fits", str(tmp_path / "nope.fits.csv"),
                  "--out-dir", str(tmp_path)]) == 1
     assert "not found" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# no-traceback property: corrupted inputs exit 0 or 1, never with a traceback
+
+FUZZ_CELLS = st.one_of(
+    st.sampled_from(["", "abc", "nan", "inf", "-inf", "1e400", "-0", "0", "-1", "1e-320", "T", "Q",
+                     "2024-02-30 09:01:00", "2024-03-15 24:00:00", "9" * 30, '"', " 1 ", "1,2"]),
+    st.text(max_size=6))
+# JSON values for config and fit-file corruptions; no size in between, so a
+# corrupted count stays small or is rejected, and nothing large is allocated.
+FUZZ_VALUES = st.sampled_from([None, True, False, 0, 1, -1, 2.5, 1e308, -1e308, math.nan, math.inf, "",
+                               "x", "09:00", "sshape", [], {}, [[1, 2]], [[0.0, -1.0]], ["a"]])
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    """Valid input files by name, and for each corruptible one the argv that reads it."""
+    root = tmp_path_factory.mktemp("fuzz")
+    panel = synth_regression_panel(a=1e-6, impact=SShapeParams(1.3e-5, -0.0034, 8.15e-5),
+                                   flow=OUParams(c=0.1, m=5.0, eta=100.0),
+                                   n_days=2, bars_per_day=12, noise_sd=5e-4, seed=1)
+    panel.write_csv(root / "nk.csv")
+    write_bars_csv(panel.bars, root / "es.bars.csv")
+    write_daily_fits_csv([(f"2024-03-1{d}", make_fit(m)) for d in range(3) for m in ("sshape", "linear")],
+                         root / "es.fits.csv")
+    configs = {
+        "ingest": {"session_start": "09:00", "session_end": "09:05", "bar_seconds": 60, "tick_size": 0.01},
+        "fit": {"model": "all", "pooled": True, "grid": [[-3e-3, 8e-5]], "max_iter": 100},
+        "simulate": SIM_CONFIG,
+        "curves": {"model": "sshape", "x_min": -400.0, "x_max": 400.0, "n_points": 51},
+        "compare": {},
+    }
+    for command, cfg in configs.items():
+        write_config(root, cfg, f"{command}.json")
+    shutil.copy(DATA / "golden_ticks.csv", root / "es.csv")
+    assert main(["fit", str(root / "nk.csv"), "--config", str(root / "fit.json"), "--out-dir", str(root)]) == 0
+    shutil.copy(root / "nk.fits.json", root / "es.fits.json")
+    files = {p.name: p.read_bytes() for p in root.iterdir() if p.is_file()}
+    argv = {
+        "ingest": ["ingest", "es.csv", "--config", "ingest.json"],
+        "fit": ["fit", "es.bars.csv", "--config", "fit.json"],
+        "simulate": ["simulate", "--config", "simulate.json"],
+        "curves": ["curves", "es.fits.json", "--config", "curves.json"],
+        "compare": ["compare", "--fits", "es.fits.csv", "--bars", "es.bars.csv", "--config", "compare.json"],
+    }
+    targets = {"es.csv": argv["ingest"], "es.bars.csv": argv["fit"], "es.fits.csv": argv["compare"],
+               "es.fits.json": argv["curves"], "nk.csv": ["fit", "nk.csv", "--config", "fit.json"],
+               **{f"{command}.json": args for command, args in argv.items()}}
+    return files, targets
+
+
+def _corrupt_bytes(data, raw: bytes) -> bytes:
+    at = data.draw(st.integers(0, len(raw)))
+    cut = data.draw(st.integers(0, 3))
+    return raw[:at] + data.draw(st.binary(max_size=3)) + raw[at + cut:]
+
+
+def _corrupt_csv(data, raw: bytes) -> bytes:
+    lines = raw.decode("utf-8").split("\n")[:-1]
+    how = data.draw(st.sampled_from(["cell", "row", "bytes", "header"]))
+    if how == "bytes":
+        return _corrupt_bytes(data, raw)
+    i = 0 if how == "header" else data.draw(st.integers(1, len(lines) - 1))
+    if how == "row":
+        op = data.draw(st.sampled_from(["drop", "repeat", "cut", "swap"]))
+        if op == "drop":
+            del lines[i]
+        elif op == "repeat":
+            lines.insert(i, lines[i])
+        elif op == "cut":
+            lines[i] = lines[i][:data.draw(st.integers(0, len(lines[i])))]
+        else:
+            j = data.draw(st.integers(1, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+    elif how == "header" and data.draw(st.booleans()):
+        del lines[0]
+    else:
+        cells = lines[i].split(",")
+        cells[data.draw(st.integers(0, len(cells) - 1))] = data.draw(FUZZ_CELLS)
+        lines[i] = ",".join(cells)
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def _corrupt_json(data, raw: bytes) -> bytes:
+    doc = json.loads(raw)
+    how = data.draw(st.sampled_from(["value", "key", "bytes", "root"]))
+    if how == "bytes":
+        return _corrupt_bytes(data, raw)
+    if how == "root":
+        return json.dumps(data.draw(FUZZ_VALUES)).encode("utf-8")
+    nodes = [(None, None, doc)]  # (parent, key, node) of every node, the root first
+    for parent, key, node in nodes:
+        items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+        nodes.extend((node, k, v) for k, v in items)
+    if how == "value" and len(nodes) > 1:
+        parent, key, _ = data.draw(st.sampled_from(nodes[1:]))
+        parent[key] = data.draw(FUZZ_VALUES)
+    else:
+        parent = data.draw(st.sampled_from([node for _, _, node in nodes if isinstance(node, dict)]))
+        if parent and data.draw(st.booleans()):
+            del parent[data.draw(st.sampled_from(sorted(parent)))]
+        else:
+            parent[data.draw(st.sampled_from(["x", "n_steps", "grid", "model", "ell"]))] = data.draw(FUZZ_VALUES)
+    return json.dumps(doc).encode("utf-8")
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_corrupted_inputs_exit_cleanly(fuzz_inputs, data):
+    """Cells, rows, bytes and headers of tick, bar, panel and fits CSVs, and values,
+    keys and bytes of fit JSON and config files: main returns 0 or 1, never
+    raises or prints a traceback, and says ``error:`` whenever it returns 1."""
+    files, targets = fuzz_inputs
+    name = data.draw(st.sampled_from(sorted(targets)))
+    corrupt = _corrupt_json if name.endswith(".json") else _corrupt_csv
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        for file_name, raw in files.items():
+            (root / file_name).write_bytes(raw)
+        (root / name).write_bytes(corrupt(data, files[name]))
+        argv = [str(root / a) if a in files else a for a in targets[name]]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
+                np.errstate(all="ignore"):
+            code = main([*argv, "--out-dir", str(root / "out")])
+    err = err.getvalue()
+    assert code in (0, 1), err
+    assert "Traceback" not in err
+    if code == 1:
+        assert any(line.startswith("error:") for line in err.splitlines()), err
 
 
 # ---------------------------------------------------------------------------

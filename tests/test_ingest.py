@@ -841,12 +841,14 @@ BAR_CASES = [
     ("2024-01-02,0,abc,100.0,,,", "bad number 'abc'"),
     ("2024-01-02,0,,100.0,,,", "bad number ''"),
     ("2024-01-02,0,1.0,1o0,,,", "bad number '1o0'"),
+    ("2024-01-02,9223372036854775808,1.0,100.0,,,", "integer out of range '9223372036854775808'"),
 ]
 PANEL_CASES = [
     ("0,0,abc,", "bad number 'abc'"),
     ("0,x,1.0,", "bad integer 'x'"),
     ("0,1,1.0,zz", "bad number 'zz'"),
     ("0,1,1.0", "expected 4 fields"),
+    ("0,-9223372036854775809,1.0,", "integer out of range '-9223372036854775809'"),
 ]
 UNRECOGNIZED = (f"unrecognized header 'day,bar,flow,r'; expected {','.join(BAR_HEADER)} "
                 f"or {','.join(PANEL_HEADER)}")

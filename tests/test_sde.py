@@ -8,8 +8,11 @@ import numpy as np
 import pytest
 
 import bars_oracle
+import sim_oracle
+from liqimpact import sde
 from liqimpact.cli import main
 from liqimpact.impact import (
+    _SMALLQ_REL,
     LinearParams,
     ParameterError,
     SqrtParams,
@@ -211,6 +214,66 @@ def test_one_step_path_is_bitwise_the_first_step_of_the_array_recursion(measure,
             two = simulate_path(dataclasses.replace(cfg, seed=seed, n_steps=2))
             for name in ("x", "s", "p"):
                 assert getattr(one, name).tobytes() == getattr(two, name)[:2].tobytes(), (rho, x0, seed, name)
+
+
+def _assert_same_as_oracle(cfg):
+    """simulate_path gives the oracle's x, s and p byte for byte, or its
+    SimulationError message and step; returns that error, or None."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            want = sim_oracle.simulate(cfg)
+        except SimulationError as exc:
+            with pytest.raises(SimulationError) as got:
+                simulate_path(cfg)
+            assert (str(got.value), got.value.step) == (str(exc), exc.step)
+            return exc
+        path = simulate_path(cfg)
+    for name, arr in zip(("x", "s", "p"), want):
+        assert getattr(path, name).tobytes() == arr.tobytes(), name
+    return None
+
+
+@pytest.mark.parametrize("block", [7, None], ids=["block7", "default"])
+@pytest.mark.parametrize("measure", ["physical", "risk-neutral"])
+@pytest.mark.parametrize("impact", [NK, LinearParams(alpha=2e-5)], ids=["sshape", "linear"])
+def test_blocked_path_is_bitwise_the_whole_path_oracle(monkeypatch, block, measure, impact):
+    """Paths one step short of, at, just past and well past a block seam."""
+    if block is not None:
+        monkeypatch.setattr(sde, "_BLOCK_STEPS", block)
+    b = sde._BLOCK_STEPS
+    sp = RN_SP if measure == "risk-neutral" else SP
+    for n_steps in (b - 1, b, b + 1, 3 * b + 5):
+        cfg = make_config(structural=sp, impact=impact, measure=measure, n_steps=n_steps, dt=1e-3,
+                          seed=n_steps)
+        assert _assert_same_as_oracle(cfg) is None, n_steps
+
+
+def test_blocked_path_routes_big_phi_in_its_first_block_only(monkeypatch):
+    """x0 in big_phi's small-q limit: f (and g) of the first block take the
+    routed branch, those of the later blocks the direct one."""
+    monkeypatch.setattr(sde, "_BLOCK_STEPS", 7)
+    cfg = make_config(structural=RN_SP, measure="risk-neutral", x0=1e-12, n_steps=3 * 7 + 5, dt=1e-3)
+    small_q = _SMALLQ_REL * abs(NK.p) / NK.q
+    assert 0.0 < cfg.x0 < small_q
+    assert _assert_same_as_oracle(cfg) is None
+    assert np.abs(simulate_path(cfg).x[1:]).min() > small_q
+
+
+def test_simulation_error_across_block_seams(monkeypatch):
+    """test_simulation_error_carries_step's two overflows at three steps a block,
+    then first bad steps in later blocks: s at step 4, x from step 1 to 18."""
+    monkeypatch.setattr(sde, "_BLOCK_STEPS", 3)
+    s_over, x_over = dataclasses.replace(SP, mu_s=1e306), dataclasses.replace(SP, eta=1e308)
+    assert _assert_same_as_oracle(make_config(structural=s_over, n_steps=5)).step == 1
+    assert _assert_same_as_oracle(make_config(structural=x_over, dt=1.0, n_steps=20)).step == 2
+    late = _assert_same_as_oracle(make_config(structural=dataclasses.replace(SP, mu_s=2e4), n_steps=10))
+    assert str(late) == "non-finite s at step 4"
+    steps = set()
+    for seed in range(2020, 2040):
+        err = _assert_same_as_oracle(make_config(structural=x_over, dt=1.0, n_steps=20, seed=seed))
+        if err is not None:
+            steps.add(err.step)
+    assert max(steps) > 3 * 5
 
 
 def test_supply_identity_holds_pointwise():
