@@ -56,17 +56,7 @@ from .compare import (
     write_ttest_csv,
 )
 
-logger = logging.getLogger(__name__)
-
 MODELS = ("sshape", "linear", "sqrt")
-FIT_OPTIONS = {"max_iter": int, "rss_rtol": float, "grad_atol": float, "margin_floor": float}
-# Every config key each command reads; any other key is an error, not a silent no-op.
-FIT_KEYS = ("out_dir", "model", "pooled", "grid", *FIT_OPTIONS)
-INGEST_KEYS = ("out_dir", "session_start", "session_end", "bar_seconds", "tick_size")
-SIMULATE_KEYS = ("out_dir", "mode", "seed", "structural", "impact", "n_steps", "dt", "x0", "s0", "measure",
-                 "panel")
-CURVES_KEYS = ("out_dir", "model", "x_min", "x_max", "n_points")
-COMPARE_KEYS = ("out_dir",)
 
 
 def _setup_logging() -> None:
@@ -75,8 +65,8 @@ def _setup_logging() -> None:
                         format="%(levelname)s %(name)s: %(message)s")
 
 
-def _load_config(path: str | None, command: str, keys: tuple[str, ...]) -> dict:
-    """The config file's object; a key outside ``command``'s ``keys`` raises ValueError."""
+def _load_config(path: str | None) -> dict:
+    """The config file's object, or {} without a file."""
     if not path:
         return {}
     p = Path(path)
@@ -86,24 +76,13 @@ def _load_config(path: str | None, command: str, keys: tuple[str, ...]) -> dict:
         cfg = json.load(fh)
     if not isinstance(cfg, dict):
         raise ValueError(f"config root must be a JSON object: {p}")
-    for key in cfg:
-        if key not in keys:
-            raise ValueError(f"{key}: unknown config key for {command}")
     return cfg
 
 
-def _pick(flag_value, config: dict, key: str, default, kind=None):
-    """Flag wins over config wins over default; flags parse with default None.
-
-    ``kind`` converts the value; a value it rejects raises ValueError naming ``key``.
-    """
-    value = flag_value if flag_value is not None else config.get(key, default)
-    if kind is None:
-        return value
-    try:
-        return kind(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValueError(f"{key}: {exc}") from None
+def _object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(value).__name__}")
+    return value
 
 
 def _clock(value: str) -> str:
@@ -134,12 +113,106 @@ def _seed(value) -> int | None:
     return value
 
 
+def _count(value) -> int:
+    """A JSON integer, not a bool: 2.9 and true are errors, not 2 and 1."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return value
+
+
+def _real(value) -> float:
+    """A JSON number, not a bool or a string, as a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 def _choice(*choices: str):
     def check(value):
         if value not in choices:
             raise ValueError(f"expected one of {', '.join(choices)}, got {value!r}")
         return value
+    check.choices = choices
     return check
+
+
+# How argparse reads the flag of each kind; a flag of another kind keeps its string.
+_FLAG_ARGS = {_boolean: {"action": "store_true"}, _count: {"type": int}, _seed: {"type": int},
+              _real: {"type": float}}
+
+# One row (config key, default, kind, help, flag or None) per option of a command.
+OUT_DIR = ("out_dir", ".", Path, "output directory", "--out-dir")
+PANEL = (
+    ("a", 0.0, _real, "constant of the return regression", None),
+    ("n_days", 1, _count, "days to simulate", None),
+    ("bars_per_day", 360, _count, "bars in each day", None),
+    ("noise_sd", 0.0, _real, "standard deviation of the return noise", None),
+    ("flow", {}, lambda block: OUParams(**block), "OU flow parameters c, m and eta", None),
+)
+SOLVER = (
+    ("max_iter", None, _count, "LM iterations per start", None),
+    ("rss_rtol", None, _real, "relative RSS change that stops a start", None),
+    ("grad_atol", None, _real, "gradient size that stops a start", None),
+    ("margin_floor", None, _real, "least feasibility margin a trial step may keep", None),
+)
+OPTIONS = {
+    "ingest": (
+        OUT_DIR,
+        ("session_start", "09:00", _clock, "session open clock time", "--session-start"),
+        ("session_end", "15:00", _clock, "session close clock time", "--session-end"),
+        ("bar_seconds", 60, _count, "bar width in seconds", "--bar-seconds"),
+        ("tick_size", 0.01, _real, "price tick for midpoint comparison", "--tick-size"),
+    ),
+    "simulate": (
+        OUT_DIR,
+        ("mode", "path", _choice("path", "panel"), "what to generate", "--mode"),
+        ("seed", None, _seed, "RNG seed (omitted: drawn and recorded)", "--seed"),
+        ("structural", None, lambda block: StructuralParams(**block), "model primitives (path mode)", None),
+        ("impact", None, curve_from_dict, "impact curve parameters and family", None),
+        ("n_steps", 390, _count, "path steps", None),
+        ("dt", 1.0, _real, "step width", None),
+        ("x0", 0.0, _real, "initial flow", None),
+        ("s0", 100.0, _real, "initial price", None),
+        ("measure", "physical", _choice("physical", "risk-neutral"), "measure of the path", None),
+        ("panel", None, PANEL, "synthetic panel settings (panel mode)", None),
+    ),
+    "fit": (
+        OUT_DIR,
+        ("model", "all", _choice(*MODELS, "all"), "model to fit", "--model"),
+        ("pooled", False, _boolean, "also fit the pooled panel across days", "--pooled"),
+        ("grid", None, _grid, "start grid of [p, q] pairs", None),
+        *SOLVER,
+    ),
+    "curves": (
+        OUT_DIR,
+        ("model", "sshape", _choice(*MODELS, "all"), "which model's fit to sample", "--model"),
+        ("x_min", -400.0, _real, "left end of the flow range", "--x-min"),
+        ("x_max", 400.0, _real, "right end of the flow range", "--x-max"),
+        ("n_points", 201, _count, "number of samples", "--n-points"),
+    ),
+    "compare": (OUT_DIR,),
+}
+
+
+def _resolve(rows, config: dict, command: str, prefix: str = "") -> dict:
+    """Each row's kind applied to the config's value, else to its default (a None default stays None).
+
+    A kind that is a table reads a nested object; an unknown key or rejected value raises ValueError."""
+    for key in config:
+        if key not in {row[0] for row in rows}:
+            raise ValueError(f"{prefix}{key}: unknown config key for {command}")
+    values = {}
+    for key, default, kind, _help, _flag in rows:
+        if key not in config and default is None:
+            values[key] = None
+        elif isinstance(kind, tuple):
+            values[key] = _resolve(kind, _object(config[key], prefix + key), command, f"{prefix}{key}.")
+        else:
+            try:
+                values[key] = kind(config.get(key, default))
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ValueError(f"{prefix}{key}: {exc}") from None
+    return values
 
 
 def _inputs(paths) -> list[Path]:
@@ -166,12 +239,6 @@ def _write_meta(out_file: Path, command: str, effective: dict) -> None:
     })
 
 
-def _out_dir(args, config: dict) -> Path:
-    d = _pick(args.out_dir, config, "out_dir", ".", Path)
-    d.mkdir(parents=True, exist_ok=True)
-    return d
-
-
 def _stem(path: Path) -> str:
     name = path.name
     for suffix in (".csv.gz", ".csv", ".gz", ".json"):
@@ -190,22 +257,14 @@ def _contract(path: Path) -> str:
 
 
 def cmd_ingest(args) -> int:
-    config = _load_config(args.config, "ingest", INGEST_KEYS)
-    session_start = _pick(args.session_start, config, "session_start", "09:00", _clock)
-    session_end = _pick(args.session_end, config, "session_end", "15:00", _clock)
-    bar_seconds = _pick(args.bar_seconds, config, "bar_seconds", 60, int)
-    tick_size = _pick(args.tick_size, config, "tick_size", 0.01, float)
-    out_dir = _out_dir(args, config)
     files = _inputs(args.files)
-    effective = {
-        "session_start": session_start, "session_end": session_end,
-        "bar_seconds": bar_seconds, "tick_size": tick_size,
-        "out_dir": str(out_dir), "inputs": [str(f) for f in files],
-    }
+    effective = {**{key: getattr(args, key) for key, *_ in OPTIONS["ingest"]},
+                 "out_dir": str(args.out_dir), "inputs": [str(f) for f in files]}
 
     for f in files:
-        bars = build_bars(read_ticks(f), session_start, session_end, bar_seconds, tick_size)
-        dest = out_dir / f"{_stem(f)}.bars.csv"
+        bars = build_bars(read_ticks(f), args.session_start, args.session_end, args.bar_seconds,
+                          args.tick_size)
+        dest = args.out_dir / f"{_stem(f)}.bars.csv"
         write_bars_csv(bars, dest)
         _write_meta(dest, "ingest", {**effective, "input": str(f)})
         unsigned = int(bars.unsigned_count.sum())
@@ -219,60 +278,28 @@ def cmd_ingest(args) -> int:
 # simulate
 
 
-def _structural_from(config: dict) -> StructuralParams:
-    block = config.get("structural")
-    if not isinstance(block, dict):
-        raise ValueError("config needs a 'structural' object")
-    return StructuralParams(**block)
-
-
 def cmd_simulate(args) -> int:
-    config = _load_config(args.config, "simulate", SIMULATE_KEYS)
-    out_dir = _out_dir(args, config)
-    mode = _pick(args.mode, config, "mode", "path", _choice("path", "panel"))
-    seed = _pick(args.seed, config, "seed", None, _seed)
     try:
-        if mode == "path":
-            sim_cfg = SimConfig(
-                structural=_structural_from(config),
-                impact=curve_from_dict(config.get("impact") or {}),
-                n_steps=_pick(None, config, "n_steps", 390, int),
-                dt=_pick(None, config, "dt", 1.0, float),
-                x0=_pick(None, config, "x0", 0.0, float),
-                s0=_pick(None, config, "s0", 100.0, float),
-                seed=seed,
-                measure=config.get("measure", "physical"),
-            )
-            path = simulate_path(sim_cfg)
-            dest = out_dir / "path.csv"
+        for key in ("structural", "impact") if args.mode == "path" else ("panel", "impact"):
+            if getattr(args, key) is None:
+                raise ValueError(f"config needs a {key!r} object for {args.mode} mode")
+        if args.mode == "path":
+            path = simulate_path(SimConfig(
+                structural=args.structural, impact=args.impact, n_steps=args.n_steps, dt=args.dt,
+                x0=args.x0, s0=args.s0, seed=args.seed, measure=args.measure))
+            dest = args.out_dir / "path.csv"
             path.write_csv(dest)
-            write_json(out_dir / "path.meta.json", path.metadata())
+            write_json(args.out_dir / "path.meta.json", path.metadata())
             print(f"{dest}: {len(path)} samples, seed {path.seed_used}")
         else:
-            block = config.get("panel")
-            if not isinstance(block, dict):
-                raise ValueError("config needs a 'panel' object for panel mode")
-            flow = OUParams(**block.get("flow", {}))
-            if seed is None:
-                seed = int(np.random.SeedSequence().entropy)
-            panel = synth_regression_panel(
-                a=_pick(None, block, "a", 0.0, float),
-                impact=curve_from_dict(config.get("impact") or {}),
-                flow=flow,
-                n_days=_pick(None, block, "n_days", 1, int),
-                bars_per_day=_pick(None, block, "bars_per_day", 360, int),
-                noise_sd=_pick(None, block, "noise_sd", 0.0, float),
-                seed=seed,
-            )
-            dest = out_dir / "panel.csv"
+            seed = int(np.random.SeedSequence().entropy) if args.seed is None else args.seed
+            panel = synth_regression_panel(impact=args.impact, seed=seed, **args.panel)
+            dest = args.out_dir / "panel.csv"
             panel.write_csv(dest)
-            write_json(out_dir / "panel.meta.json", panel.metadata())
+            write_json(args.out_dir / "panel.meta.json", panel.metadata())
             print(f"{dest}: {len(panel.bars)} bars over {len(panel.days)} day(s), seed {seed}")
     except (ParameterError, ValueError, TypeError, SimulationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OverflowError as exc:  # a float power such as sigma_s ** 2
-        print(f"error: parameters overflow the float range: {exc}", file=sys.stderr)
         return 1
     return 0
 
@@ -296,18 +323,14 @@ def _fit_models(panel: RegressionPanel, models: list[str], grid, fit_kwargs: dic
 
 
 def cmd_fit(args) -> int:
-    config = _load_config(args.config, "fit", FIT_KEYS)
-    out_dir = _out_dir(args, config)
-    model_flag = _pick(args.model, config, "model", "all", _choice(*MODELS, "all"))
-    models = list(MODELS) if model_flag == "all" else [model_flag]
-    pooled = _pick(args.pooled, config, "pooled", False, _boolean)
-    grid = _pick(None, config, "grid", None, _grid)
-    fit_kwargs = {k: _pick(None, config, k, None, kind) for k, kind in FIT_OPTIONS.items() if k in config}
+    models = list(MODELS) if args.model == "all" else [args.model]
+    # Solver settings the config gives; the others keep fit_sshape's defaults.
+    fit_kwargs = {key: getattr(args, key) for key, *_ in SOLVER if getattr(args, key) is not None}
     files = _inputs(args.files)
     effective = {
-        "model": model_flag, "pooled": pooled,
-        "grid": grid, "fit_options": fit_kwargs,
-        "out_dir": str(out_dir), "inputs": [str(f) for f in files],
+        "model": args.model, "pooled": args.pooled,
+        "grid": args.grid, "fit_options": fit_kwargs,
+        "out_dir": str(args.out_dir), "inputs": [str(f) for f in files],
     }
 
     total_days = 0
@@ -321,29 +344,29 @@ def cmd_fit(args) -> int:
         table = replace(table, days=tuple(labels), day=recode[table.day])
 
         panels = [(day, table.take(table.day == code)) for code, day in enumerate(labels)]
-        if pooled:
+        if args.pooled:
             panels.append(("pooled", table))
         fitted: list[tuple[str, list[tuple[str, FitResult]]]] = []
         failures: dict[str, str] = {}
         for label, bars in panels:
             try:
-                fits, errors = _fit_models(RegressionPanel.from_bars(bars), models, grid, fit_kwargs)
+                fits, errors = _fit_models(RegressionPanel.from_bars(bars), models, args.grid, fit_kwargs)
             except EstimationError as exc:
                 fits, errors = [], str(exc)
             if errors:
                 failures[label] = errors
             fitted.append((label, fits))
 
-        pooled_block = {model: fit_result_to_dict(fr) for model, fr in fitted.pop()[1]} if pooled else {}
+        pooled_block = {model: fit_result_to_dict(fr) for model, fr in fitted.pop()[1]} if args.pooled else {}
         json_days = {day: {model: fit_result_to_dict(fr) for model, fr in fits} for day, fits in fitted if fits}
         total_days += len(fitted)
         failed_days += len(fitted) - len(json_days)
 
         stem = _stem(f)
-        csv_dest = out_dir / f"{stem}.fits.csv"
+        csv_dest = args.out_dir / f"{stem}.fits.csv"
         write_daily_fits_csv([(day, fr) for day, fits in fitted for _, fr in fits], csv_dest)
         _write_meta(csv_dest, "fit", {**effective, "input": str(f)})
-        write_json(out_dir / f"{stem}.fits.json", {
+        write_json(args.out_dir / f"{stem}.fits.json", {
             "schema_version": SCHEMA_VERSION,
             "config": {**effective, "input": str(f)},
             "days": json_days,
@@ -366,47 +389,35 @@ def cmd_fit(args) -> int:
 
 
 def cmd_curves(args) -> int:
-    config = _load_config(args.config, "curves", CURVES_KEYS)
-    out_dir = _out_dir(args, config)
-    model = _pick(args.model, config, "model", "sshape", _choice(*MODELS, "all"))
-    if model == "all":
+    if args.model == "all":
         print("error: curves needs a single --model", file=sys.stderr)
         return 1
-    x_min = _pick(args.x_min, config, "x_min", -400.0, float)
-    x_max = _pick(args.x_max, config, "x_max", 400.0, float)
-    n_points = _pick(args.n_points, config, "n_points", 201, int)
-    if n_points < 2 or not x_max > x_min:
+    if args.n_points < 2 or not args.x_max > args.x_min:
         print("error: need n_points >= 2 and x_max > x_min", file=sys.stderr)
         return 1
 
     (fit_path,) = _inputs([args.fit_json])
     doc = json.loads(fit_path.read_text(encoding="utf-8"))
     try:
-        fit_dict = _select_fit(doc, model, args.date)
-        curve = curve_from_dict({**fit_dict["param_hats"], "family": model})
+        fit_dict = _select_fit(doc, args.model, args.date)
+        curve = curve_from_dict({**fit_dict["param_hats"], "family": args.model})
         if isinstance(curve, SShapeParams) and not feasibility_margin(curve) > 0:
             raise ParameterError("fit parameters are infeasible; curve undefined on the real line")
-        xs = np.linspace(x_min, x_max, n_points)
+        xs = np.linspace(args.x_min, args.x_max, args.n_points)
         f_bps = 1e4 * _impact_f(curve, xs)
     except (ParameterError, ValueError, KeyError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    dest = out_dir / "curve.csv"
+    dest = args.out_dir / "curve.csv"
     write_table(dest, ["x", "f_bps"], zip(xs.tolist(), f_bps.tolist()))
     _write_meta(dest, "curves", {
-        "fit_json": str(fit_path), "model": model, "date": args.date,
-        "x_min": x_min, "x_max": x_max, "n_points": n_points,
+        "fit_json": str(fit_path), "model": args.model, "date": args.date,
+        "x_min": args.x_min, "x_max": args.x_max, "n_points": args.n_points,
         "param_hats": fit_dict["param_hats"],
     })
-    print(f"{dest}: {n_points} points over [{x_min}, {x_max}]")
+    print(f"{dest}: {args.n_points} points over [{args.x_min}, {args.x_max}]")
     return 0
-
-
-def _object(value, what: str) -> dict:
-    if not isinstance(value, dict):
-        raise ValueError(f"{what} must be a JSON object, got {type(value).__name__}")
-    return value
 
 
 def _select_fit(doc, model: str, date: str | None) -> dict:
@@ -436,8 +447,6 @@ def _select_fit(doc, model: str, date: str | None) -> dict:
 
 
 def cmd_compare(args) -> int:
-    config = _load_config(args.config, "compare", COMPARE_KEYS)
-    out_dir = _out_dir(args, config)
     fit_files = _inputs(args.fits)
     bar_files = _inputs(args.bars or [])
 
@@ -484,18 +493,18 @@ def cmd_compare(args) -> int:
             }
         report["contracts"][contract] = block
 
-    t_dest = out_dir / "ttests.csv"
+    t_dest = args.out_dir / "ttests.csv"
     write_ttest_csv(ttest_rows, t_dest)
-    d_dest = out_dir / "descriptives.csv"
+    d_dest = args.out_dir / "descriptives.csv"
     write_descriptives_csv(desc_rows, d_dest)
-    dep_dest = out_dir / "depth.csv"
+    dep_dest = args.out_dir / "depth.csv"
     write_depth_csv(depth_reports, dep_dest)
-    write_json(out_dir / "report.json", report)
+    write_json(args.out_dir / "report.json", report)
     effective = {"fits": [str(f) for f in fit_files], "bars": [str(f) for f in bar_files],
-                 "out_dir": str(out_dir)}
+                 "out_dir": str(args.out_dir)}
     for dest in (t_dest, d_dest, dep_dest):
         _write_meta(dest, "compare", effective)
-    print(f"{out_dir}: ttests.csv ({len(ttest_rows)} rows), descriptives.csv ({len(desc_rows)} rows), "
+    print(f"{args.out_dir}: ttests.csv ({len(ttest_rows)} rows), descriptives.csv ({len(desc_rows)} rows), "
           f"depth.csv ({len(depth_reports)} contract(s)), report.json")
     return 0
 
@@ -508,49 +517,28 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="liqimpact", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name: str, run, help: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run)
         p.add_argument("--config", help="JSON config file; flags override its values")
-        p.add_argument("--out-dir", help="output directory (default: current directory)")
+        for key, default, kind, help, flag in OPTIONS[name]:
+            if flag:
+                p.add_argument(flag, dest=key, default=None,
+                               **_FLAG_ARGS.get(kind, {"choices": getattr(kind, "choices", None)}),
+                               help=help if default is None else f"{help} (default {default})")
+        return p
 
-    p_ing = sub.add_parser("ingest", help="parse tick CSVs into minute bars")
-    p_ing.set_defaults(run=cmd_ingest)
-    common(p_ing)
-    p_ing.add_argument("files", nargs="+", help="tick CSV files (plain or gzip)")
-    p_ing.add_argument("--session-start", help="session open clock time (default 09:00)")
-    p_ing.add_argument("--session-end", help="session close clock time (default 15:00)")
-    p_ing.add_argument("--bar-seconds", type=int, help="bar width in seconds (default 60)")
-    p_ing.add_argument("--tick-size", type=float, help="price tick for midpoint comparison (default 0.01)")
-
-    p_sim = sub.add_parser("simulate", help="simulate a price/flow path or synthetic panel")
-    p_sim.set_defaults(run=cmd_simulate)
-    common(p_sim)
-    p_sim.add_argument("--mode", choices=["path", "panel"], help="what to generate (default path)")
-    p_sim.add_argument("--seed", type=int, help="RNG seed (omitted: drawn and recorded)")
-
-    p_fit = sub.add_parser("fit", help="fit impact models to bar/panel CSVs per day")
-    p_fit.set_defaults(run=cmd_fit)
-    common(p_fit)
-    p_fit.add_argument("files", nargs="+", help="bar CSVs or day,bar,x,r panel CSVs")
-    p_fit.add_argument("--model", choices=[*MODELS, "all"], help="model to fit (default all)")
-    p_fit.add_argument("--pooled", action="store_true", default=None,
-                       help="also fit the pooled panel across days")
-
-    p_cur = sub.add_parser("curves", help="sample a fitted impact curve to CSV")
-    p_cur.set_defaults(run=cmd_curves)
-    common(p_cur)
+    command("ingest", cmd_ingest, "parse tick CSVs into minute bars").add_argument(
+        "files", nargs="+", help="tick CSV files (plain or gzip)")
+    command("simulate", cmd_simulate, "simulate a price/flow path or synthetic panel")
+    command("fit", cmd_fit, "fit impact models to bar/panel CSVs per day").add_argument(
+        "files", nargs="+", help="bar CSVs or day,bar,x,r panel CSVs")
+    p_cur = command("curves", cmd_curves, "sample a fitted impact curve to CSV")
     p_cur.add_argument("fit_json", help="fits.json from the fit command (or a bare fit object)")
-    p_cur.add_argument("--model", choices=list(MODELS), help="which model's fit to sample (default sshape)")
     p_cur.add_argument("--date", help="sample a specific day's fit instead of the pooled one")
-    p_cur.add_argument("--x-min", type=float, help="left end of the flow range (default -400)")
-    p_cur.add_argument("--x-max", type=float, help="right end of the flow range (default 400)")
-    p_cur.add_argument("--n-points", type=int, help="number of samples (default 201)")
-
-    p_cmp = sub.add_parser("compare", help="cross-model t tests, descriptives, and depth reports")
-    p_cmp.set_defaults(run=cmd_compare)
-    common(p_cmp)
+    p_cmp = command("compare", cmd_compare, "cross-model t tests, descriptives, and depth reports")
     p_cmp.add_argument("--fits", nargs="+", required=True, help="daily fits.csv files, one per contract")
     p_cmp.add_argument("--bars", nargs="*", help="bar CSVs matching the contracts (for depth quote sizes)")
-
     return parser
 
 
@@ -558,7 +546,11 @@ def main(argv=None) -> int:
     _setup_logging()
     # The parser is built on every call, so each subcommand runs the cmd_* function bound at that time.
     args = build_parser().parse_args(argv)
+    rows = OPTIONS[args.command]
+    flags = {key: getattr(args, key) for key, *_, flag in rows if flag and getattr(args, key) is not None}
     try:
+        vars(args).update(_resolve(rows, {**_load_config(args.config), **flags}, args.command))
+        args.out_dir.mkdir(parents=True, exist_ok=True)
         return args.run(args)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

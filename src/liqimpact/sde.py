@@ -83,6 +83,7 @@ _FLOW_B = np.array([1.0])  # numerator of the flow filter; read, never written
 # (128 KiB each) fit in a 2 MiB L2 cache; on 10**6-step paths, blocks of 2**13
 # to 2**16 steps timed alike and 2**12 was slower.
 _BLOCK_STEPS = 2 ** 14
+_ROOT_MAX = math.sqrt(np.finfo(float).max)  # the largest float whose square is finite
 
 
 class SimulationError(RuntimeError):
@@ -144,6 +145,12 @@ class SimConfig:
             raise ParameterError(f"s0 must be positive, got {self.s0}")
         if self.measure not in ("physical", "risk-neutral"):
             raise ParameterError(f"measure must be physical or risk-neutral, got {self.measure!r}")
+        # The simulator squares sigma_s, and eta in the risk-neutral drift, as Python floats,
+        # where a square past the float range raises OverflowError.
+        for name in ("sigma_s", "eta") if self.measure == "risk-neutral" else ("sigma_s",):
+            value = getattr(self.structural, name)
+            if not value <= _ROOT_MAX:
+                raise ParameterError(f"{name} squared is not a finite float, got {value!r}")
         if isinstance(self.impact, SShapeParams):
             margin = feasibility_margin(self.impact)
             if not margin > 0:

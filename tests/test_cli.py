@@ -24,6 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bars_oracle import bar_table
+from liqimpact import cli
 from liqimpact.cli import main
 from liqimpact.estimation import FitResult, write_daily_fits_csv
 from liqimpact.impact import SShapeParams
@@ -84,6 +85,21 @@ def test_ingest_end_to_end(tmp_path, capsys):
     assert main(["ingest", str(src), "--out-dir", str(out),
                  "--session-start", "09:00", "--session-end", "09:05"]) == 0
     assert dest.read_bytes() == before
+
+
+def test_flag_beats_config_beats_default(tmp_path):
+    cfg = write_config(tmp_path, {"tick_size": 0.005, "bar_seconds": 30})
+    assert main(["ingest", str(DATA / "golden_ticks.csv"), "--config", str(cfg), "--bar-seconds", "60",
+                 "--out-dir", str(tmp_path / "bars")]) == 0
+    meta = json.loads((tmp_path / "bars" / "golden_ticks.bars.meta.json").read_text())["config"]
+    assert (meta["tick_size"], meta["bar_seconds"], meta["session_end"]) == (0.005, 60, "15:00")
+
+    # A store_true flag left off must not override the config's true.
+    cfg = write_config(tmp_path, {"pooled": True, "model": "linear"})
+    assert main(["fit", str(tmp_path / "bars" / "golden_ticks.bars.csv"), "--config", str(cfg),
+                 "--out-dir", str(tmp_path / "fits")]) == 0
+    doc = json.loads((tmp_path / "fits" / "golden_ticks.bars.fits.json").read_text())
+    assert doc["config"]["pooled"] is True and list(doc["pooled"]) == ["linear"]
 
 
 def test_ingest_bad_inputs(tmp_path, capsys):
@@ -213,11 +229,24 @@ def test_simulate_bad_configs(tmp_path, capsys):
     assert main(["simulate", "--seed", "-1", "--out-dir", str(tmp_path)]) == 1
     assert capsys.readouterr().err.startswith("error: seed: ")
 
-    # Parameters past the float range: sigma_s ** 2 overflows, and a flow shock makes x non-finite.
-    for over, hint in (({"sigma_s": 1e308}, "error: parameters overflow the float range"),
-                       ({"eta": 1e308}, "error: non-finite x at step ")):
+    # The panel block is as strict as the config root, and names the key it rejects.
+    for block, hint in (({**panel, "n_dayz": 5}, "error: panel.n_dayz: unknown config key for simulate"),
+                        ({**panel, "n_days": 2.5}, "error: panel.n_days: "),
+                        ({**panel, "flow": {**panel["flow"], "etta": 1.0}}, "error: panel.flow: "),
+                        (5, "error: panel must be a JSON object")):
+        cfg = write_config(tmp_path, {**SIM_CONFIG, "mode": "panel", "panel": block}, "panel.json")
+        assert main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith(hint)
+
+    # Parameters past the float range: SimConfig rejects a sigma_s, or a risk-neutral eta, whose
+    # square overflows; a physical eta that large makes x non-finite through a flow shock.
+    for over, measure, hint in (
+            ({"sigma_s": 1e308}, "physical", "error: sigma_s squared is not a finite float"),
+            ({"eta": 1e308}, "risk-neutral", "error: eta squared is not a finite float"),
+            ({"eta": 1e308}, "physical", "error: non-finite x at step ")):
         structural = {**SIM_CONFIG["structural"], **over}
-        cfg = write_config(tmp_path, {**SIM_CONFIG, "dt": 1.0, "structural": structural}, "over.json")
+        cfg = write_config(tmp_path, {**SIM_CONFIG, "dt": 1.0, "structural": structural, "measure": measure},
+                           "over.json")
         with np.errstate(over="ignore", invalid="ignore"):
             assert main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 1
         assert capsys.readouterr().err.startswith(hint)
@@ -459,6 +488,11 @@ def test_fit_pooled_tries_every_model_and_names_each_failure(tmp_path, capsys):
     ("ingest", "bar_second", 60),
     ("curves", "n_points", None),
     ("curves", "n_points", math.inf),
+    ("curves", "n_points", 2.9),
+    ("curves", "n_points", True),
+    ("curves", "x_min", "-5"),
+    ("ingest", "bar_seconds", 2.9),
+    ("fit", "max_iter", True),
     ("simulate", "n_stepz", 5),
     ("curves", "n_point", 5),
     ("compare", "bars", "es.bars.csv"),
@@ -478,6 +512,17 @@ def test_bad_config_value_names_its_key(tmp_path, capsys, command, key, value):
     assert main([command, *inputs, "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {key}: ") and "Traceback" not in err
+
+
+def test_readme_key_list_matches_option_tables():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    bullets = text.split("The keys are:\n\n", 1)[1].split("\n\n", 1)[0]
+    listed = {}
+    for item in bullets.removeprefix("- ").split("\n- "):
+        name, keys = item.split(":", 1)
+        listed[name.strip("`")] = re.findall(r"`(\w+)`", keys)
+    tables = {**cli.OPTIONS, "simulate.panel": cli.PANEL}
+    assert listed == {name: [row[0] for row in rows] for name, rows in tables.items()}
 
 
 def test_fit_missing_file(tmp_path, capsys):
@@ -673,6 +718,9 @@ def fuzz_inputs(tmp_path_factory):
         "ingest": {"session_start": "09:00", "session_end": "09:05", "bar_seconds": 60, "tick_size": 0.01},
         "fit": {"model": "all", "pooled": True, "grid": [[-3e-3, 8e-5]], "max_iter": 100},
         "simulate": SIM_CONFIG,
+        "panel": {"mode": "panel", "seed": 5, "impact": SIM_CONFIG["impact"],
+                  "panel": {"a": 1e-6, "flow": {"c": 0.1, "m": 5.0, "eta": 100.0}, "n_days": 2,
+                            "bars_per_day": 20, "noise_sd": 5e-4}},
         "curves": {"model": "sshape", "x_min": -400.0, "x_max": 400.0, "n_points": 51},
         "compare": {},
     }
@@ -686,6 +734,7 @@ def fuzz_inputs(tmp_path_factory):
         "ingest": ["ingest", "es.csv", "--config", "ingest.json"],
         "fit": ["fit", "es.bars.csv", "--config", "fit.json"],
         "simulate": ["simulate", "--config", "simulate.json"],
+        "panel": ["simulate", "--config", "panel.json"],
         "curves": ["curves", "es.fits.json", "--config", "curves.json"],
         "compare": ["compare", "--fits", "es.fits.csv", "--bars", "es.bars.csv", "--config", "compare.json"],
     }
@@ -746,7 +795,8 @@ def _corrupt_json(data, raw: bytes) -> bytes:
         if parent and data.draw(st.booleans()):
             del parent[data.draw(st.sampled_from(sorted(parent)))]
         else:
-            parent[data.draw(st.sampled_from(["x", "n_steps", "grid", "model", "ell"]))] = data.draw(FUZZ_VALUES)
+            value = data.draw(FUZZ_VALUES)
+            parent[data.draw(st.sampled_from(["x", "n_steps", "n_days", "grid", "model", "ell"]))] = value
     return json.dumps(doc).encode("utf-8")
 
 

@@ -382,6 +382,19 @@ def test_sim_config_validation():
     with pytest.raises(ParameterError):
         make_config(impact=SShapeParams(ell=1.0, p=0.0, q=1e-8))  # infeasible
 
+    # sigma_s is squared on every path and eta in the risk-neutral drift: the largest floats
+    # whose squares are finite pass, larger ones are a ParameterError, not a bare OverflowError.
+    root_max = math.sqrt(np.finfo(float).max)
+    above = math.nextafter(root_max, math.inf)
+    big = dataclasses.replace(SP, sigma_s=root_max, eta=root_max)
+    make_config(structural=big, measure="risk-neutral")
+    make_config(structural=dataclasses.replace(SP, eta=1e308))  # physical paths never square eta
+    for over, measure in (({"sigma_s": above}, "physical"), ({"sigma_s": 10 ** 400}, "physical"),
+                          ({"sigma_s": math.inf}, "risk-neutral"), ({"eta": above}, "risk-neutral"),
+                          ({"eta": 1e308}, "risk-neutral")):
+        with pytest.raises(ParameterError, match="squared is not a finite float"):
+            make_config(structural=dataclasses.replace(SP, **over), measure=measure)
+
 
 def test_path_sampling_interface():
     path = simulate_path(make_config(n_steps=4))
