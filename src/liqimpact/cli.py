@@ -21,8 +21,8 @@ WARNING, ERROR; default WARNING).
 from __future__ import annotations
 
 import argparse
-import json
 import logging
+import math
 import os
 import sys
 from dataclasses import asdict, replace
@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._common import SCHEMA_VERSION, write_json, write_table
+from ._common import SCHEMA_VERSION, read_json, write_json, write_table
 from .impact import ParameterError, SShapeParams, StructuralParams, curve_from_dict, feasibility_margin
 from .ingest import build_bars, read_bars_csv, read_ticks, write_bars_csv
 from .sde import OUParams, SimConfig, SimulationError, _impact_f, simulate_path, synth_regression_panel
@@ -72,11 +72,23 @@ def _load_config(path: str | None) -> dict:
     p = Path(path)
     if not p.is_file():
         raise FileNotFoundError(f"config file not found: {p}")
-    with p.open(encoding="utf-8") as fh:
-        cfg = json.load(fh)
+    cfg = read_json(p)
     if not isinstance(cfg, dict):
         raise ValueError(f"config root must be a JSON object: {p}")
+    _finite(cfg)
     return cfg
+
+
+def _finite(value, key: str = "") -> None:
+    """ValueError naming the key of the first NaN or infinity (NaN, Infinity, 1e999) in a config value."""
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"{key}: expected a finite number, got {value}")
+    if isinstance(value, dict):
+        for name, item in value.items():
+            _finite(item, f"{key}.{name}" if key else name)
+    elif isinstance(value, list):
+        for item in value:
+            _finite(item, key)
 
 
 def _object(value, what: str) -> dict:
@@ -94,7 +106,7 @@ def _clock(value: str) -> str:
 def _grid(value) -> list[tuple[float, float]] | None:
     if value is None:
         return None
-    pairs = [tuple(map(float, pair)) for pair in value]
+    pairs = [tuple(map(_real, pair)) for pair in value]
     if any(len(pair) != 2 for pair in pairs):
         raise ValueError("expected a list of [p, q] pairs")
     return pairs
@@ -121,10 +133,12 @@ def _count(value) -> int:
 
 
 def _real(value) -> float:
-    """A JSON number, not a bool or a string, as a float."""
+    """A finite JSON number, not a bool or a string, as a float."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"expected a number, got {value!r}")
-    return float(value)
+    if not math.isfinite(value := float(value)):
+        raise ValueError(f"expected a finite number, got {value}")
+    return value
 
 
 def _choice(*choices: str):
@@ -390,16 +404,13 @@ def cmd_fit(args) -> int:
 
 def cmd_curves(args) -> int:
     if args.model == "all":
-        print("error: curves needs a single --model", file=sys.stderr)
-        return 1
+        raise ValueError("curves needs a single --model")
     if args.n_points < 2 or not args.x_max > args.x_min:
-        print("error: need n_points >= 2 and x_max > x_min", file=sys.stderr)
-        return 1
+        raise ValueError("need n_points >= 2 and x_max > x_min")
 
     (fit_path,) = _inputs([args.fit_json])
-    doc = json.loads(fit_path.read_text(encoding="utf-8"))
     try:
-        fit_dict = _select_fit(doc, args.model, args.date)
+        fit_dict = _select_fit(read_json(fit_path), args.model, args.date)
         curve = curve_from_dict({**fit_dict["param_hats"], "family": args.model})
         if isinstance(curve, SShapeParams) and not feasibility_margin(curve) > 0:
             raise ParameterError("fit parameters are infeasible; curve undefined on the real line")

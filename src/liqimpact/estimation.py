@@ -7,18 +7,14 @@ Gauss-Newton (Levenberg-Marquardt) with the positivity constraints folded into
 the parameterization (ell = e^u, q = e^v) and the domain constraint enforced
 by rejecting trial steps whose feasibility margin drops below a safety floor.
 Searches start from a grid of (p, q) initial conditions scaled to the panel's
-flow dispersion and the lowest-RSS feasible optimum wins.  The curve and its
-derivatives are evaluated once per distinct flow, since x_prev mostly repeats
-the previous bar's x, into work arrays allocated once per fit.  The starts
-advance in rounds, one iteration each per round: a round solves every live
-start's damped system in one stacked call and evaluates all their trial
-points together, in blocks of rows, and each start's search is the one it
-would make alone.  After each round a live start is retired when it lies
-within one standard error of a start with lower RSS, in that start's
-Gauss-Newton metric (J'J): the two searches cannot yet be told apart, so only
-one goes on.  Only a start whose J'J is stiff enough for the stopping
-tolerances to pin its optimum down absorbs others, so short panels run every
-start to its end.
+flow dispersion and the lowest-RSS feasible optimum wins.  Each start's state
+is a row of arrays, and the starts advance in rounds, one iteration each: a
+round evaluates every live start's trial point together, once per distinct
+flow, and steps the live rows with array operations, so each start's search
+is bitwise the one it would make alone.  After each round a live start is
+retired when it lies within one standard error of a start with lower RSS, in
+that start's Gauss-Newton metric (J'J), if that J'J pins its optimum down to
+the stopping tolerances; short panels therefore run every start to its end.
 
 Flow dynamics are estimated by AR(1) regression over day-contiguous segments,
 mapped back to continuous-time mean reversion; standard errors come from the
@@ -30,7 +26,7 @@ from __future__ import annotations
 import logging
 import math
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -216,9 +212,8 @@ def default_start_grid(flow_sd: float) -> list[tuple[float, float]]:
     return [(p0, q0) for p0 in ps for q0 in qs]
 
 
-def _start_thetas(panel: RegressionPanel,
-                  grid: Sequence[tuple[float, float]] | None) -> list[np.ndarray]:
-    """(a, ln ell, p, ln q) for each grid point (default: the panel's flow-scaled grid).
+def _start_thetas(panel: RegressionPanel, grid: Sequence[tuple[float, float]] | None) -> np.ndarray:
+    """Rows (a, ln ell, p, ln q), one per grid point (default: the panel's flow-scaled grid).
 
     a starts at the mean return and ell at the linear fit's slope, lowered
     where needed so the start's feasibility margin is at least 1/2.
@@ -239,30 +234,28 @@ def _start_thetas(panel: RegressionPanel,
         if q0 <= 0:
             raise EstimationError(f"grid q must be positive, got {q0}")
         ln_ell = min(math.log(ell_lin), math.log(0.5) - log_feasibility_load(p0, q0))
-        theta0s.append(np.array([a0, ln_ell, p0, math.log(q0)]))
-    return theta0s
+        theta0s.append([a0, ln_ell, p0, math.log(q0)])
+    return np.array(theta0s)
 
 
 class _SShapeResiduals:
-    """Residuals and Jacobian wrt (a, u=ln ell, p, v=ln q) on one panel, for one
-    theta (:meth:`one`) or for a row of thetas each (:meth:`rows`); None where
-    theta is infeasible.
+    """Residuals and Jacobian wrt (a, u=ln ell, p, v=ln q) on one panel: e and J
+    for one theta (:meth:`one`), or e'e, J'J and J'e for each of a row of thetas
+    (:meth:`normal_equations`).
 
-    Most x_prev equal the previous bar's x, so the curve and its derivatives
-    are evaluated once per distinct flow and gathered for both terms.  The
-    rows of a block, at most ``max_rows`` and max(1, _BLOCK_POINTS // n), are
-    evaluated in one pass over (rows, flows) arrays.  A row whose parameters
-    have big_phi's direct form (``impact._direct_form_scalars``, the scalars
-    big_phi computes) and no flow in its small-q limit takes Phi and phi in
-    that pass too; any other row takes them from big_phi and phi.  Every array
+    The curve and its derivatives are evaluated once per distinct flow (most
+    x_prev are the previous bar's x) and gathered for both terms.  The rows of
+    a block, at most ``max_rows`` and max(1, _BLOCK_POINTS // n), are evaluated
+    in one pass over (rows, flows) arrays, Phi and phi included for a row with
+    big_phi's direct form (``impact._direct_form_scalars``) and no flow in its
+    small-q limit; any other row takes them from big_phi and phi.  Every array
     step is the ufunc of a one-row evaluation, in the same order, with each
     row's scalars in a column, so each row is bitwise what it would be alone.
 
-    Every evaluation writes into work arrays allocated here once per panel,
-    and the e and J it returns are overwritten by the next block.  A fit
-    makes hundreds of evaluations, and fresh panel-sized temporaries in each
-    are returned to the OS and faulted in again, or not, depending on the
-    allocator's state, and the fit time with them.
+    Every evaluation writes into work arrays allocated here once per panel
+    (the e and J of :meth:`one` last until the next).  Fresh panel-sized
+    temporaries in each of a fit's hundreds of evaluations were returned to
+    the OS and faulted in again, or not, and the fit time varied with them.
     """
 
     def __init__(self, panel: RegressionPanel, max_rows: int):
@@ -287,13 +280,28 @@ class _SShapeResiduals:
 
     def one(self, theta: np.ndarray, margin_floor: float):
         """(e, J) for theta, or None; Phi and phi come from big_phi and phi."""
-        return self._evaluate(np.asarray(theta)[None, :], margin_floor, routed=True)[0]
+        _, ok = self._evaluate(np.asarray(theta)[None, :], margin_floor, routed=True)
+        return (self.e[0], self.J[0]) if ok.any() else None
 
-    def rows(self, thetas: np.ndarray, margin_floor: float):
-        """Yield (e, J) or None for each row of ``thetas``, evaluated a block at a
-        time; each e and J holds until the next block is evaluated."""
-        for lo in range(0, len(thetas), self.block):
-            yield from self._evaluate(thetas[lo:lo + self.block], margin_floor, routed=False)
+    def normal_equations(self, thetas: np.ndarray, margin_floor: float):
+        """(e'e, J'J, J'e) for each row of ``thetas``; NaN where it is infeasible or e or J is not finite.
+
+        Each product is one stacked ``np.matmul`` over a block's e and J, which
+        makes for every row the BLAS call of ``e @ e``, ``J.T @ J`` or
+        ``J.T @ e`` on that row alone, so each is bitwise the same."""
+        k = len(thetas)
+        rss, JtJ, g = np.full(k, np.nan), np.full((k, 4, 4), np.nan), np.full((k, 4), np.nan)
+        for lo in range(0, k, self.block):
+            index, ok = self._evaluate(thetas[lo:lo + self.block], margin_floor, routed=False)
+            e, J = self.e[:len(index)], self.J[:len(index)]
+            Jt = J.transpose(0, 2, 1)
+            rows = lo + index[ok]
+            # Rows that are not usable hold infs and NaNs; their products are dropped.
+            with np.errstate(over="ignore", invalid="ignore"):
+                rss[rows] = np.matmul(e[:, None, :], e[:, :, None])[ok, 0, 0]
+                JtJ[rows] = np.matmul(Jt, J)[ok]
+                g[rows] = np.matmul(Jt, e[:, :, None])[ok, :, 0]
+        return rss, JtJ, g
 
     def _gathered_difference(self, values: np.ndarray) -> np.ndarray:
         """values[:, i_cur] - values[:, i_prev], in g_cur."""
@@ -304,9 +312,11 @@ class _SShapeResiduals:
         np.take(flat, self.i_prev[:k], out=g_prev, mode="clip")
         return np.subtract(g_cur, g_prev, out=g_cur)
 
-    def _evaluate(self, thetas: np.ndarray, margin_floor: float, routed: bool) -> list:
-        """(e, J) or None for each row of thetas, at most ``block`` of them; with
-        ``routed``, every row takes big_phi and phi."""
+    def _evaluate(self, thetas: np.ndarray, margin_floor: float, routed: bool):
+        """e and J of each feasible row of thetas, at most ``block`` of them, in
+        slots 0, 1, ... of the work arrays; with ``routed``, every row takes
+        big_phi and phi.  Returns each filled slot's row of thetas and whether
+        its e and J are finite."""
         direct, other = [], []  # (row, a, params, direct-form scalars)
         for i, (a, u, p, v) in enumerate(thetas.tolist()):
             if not (math.isfinite(u) and math.isfinite(p) and math.isfinite(v)):
@@ -326,14 +336,10 @@ class _SShapeResiduals:
                 other.append((i, a, params, None))
             else:
                 direct.append((i, a, params, form))
-        out = [None] * len(thetas)
         rows = direct + other
-        if rows:
-            ok = self._fill(rows, len(direct))
-            for slot, (i, *_) in enumerate(rows):
-                if ok[slot]:
-                    out[i] = self.e[slot], self.J[slot]
-        return out
+        if not rows:
+            return np.zeros(0, dtype=int), np.zeros(0, dtype=bool)
+        return np.array([i for i, *_ in rows]), self._fill(rows, len(direct))
 
     def _fill(self, rows: list, kd: int) -> np.ndarray:
         """e and J of each row, in that row's slot; the first kd rows take the
@@ -428,109 +434,63 @@ def _column_ufuncs():
         np.setbufsize(bufsize)
 
 
-@dataclass
-class _Start:
-    """One Levenberg-Marquardt start: its state while live, its outcome once stopped.
+# Why a start stopped, by stop code: 0 while live; codes below _MERGED are opened, unretired starts.
+_STOPS = ("live", "ftol", "gtol", "max_iter", "lambda_limit", "merged", "infeasible")
+_LIVE, _FTOL, _GTOL, _MAX_ITER, _LAMBDA_LIMIT, _MERGED, _INFEASIBLE = range(len(_STOPS))
 
-    ``stop`` is None while live, then one of ``ftol`` (relative RSS drop below
-    rss_rtol), ``gtol`` (max |gradient| below grad_atol), ``max_iter``,
-    ``lambda_limit`` (damping above 1e15) or ``merged`` (retired into the start
-    ``merged_into``).  ``evaluations`` counts residual/Jacobian evaluations,
-    infeasible trial points included.  ``lam_min`` is lambda_min(J'J) of the
-    array ``lam_min_of``; :func:`_retire_merged` recomputes it once ``JtJ`` is
-    a new array, which happens only when a step is accepted.
+
+class _Starts:
+    """Every Levenberg-Marquardt start's state while live and outcome once stopped, a row each.
+
+    Columns over the k starts: theta (a, ln ell, p, ln q), rss, JtJ and g
+    (J'J and J'e), the damping lam and its factor nu, iterations, evaluations
+    (residual/Jacobian evaluations, infeasible trial points included), stop,
+    merged_into, and lam_min, lambda_min(J'J) unless ``stale``, which a row
+    becomes when its start opens or accepts a step.  ``stop`` is ``ftol``
+    (relative RSS drop below rss_rtol), ``gtol`` (max |gradient| below
+    grad_atol), ``max_iter``, ``lambda_limit`` (damping above 1e15), ``merged``
+    (retired into the start ``merged_into``, else -1) or ``infeasible`` (the
+    start point is; the row's other columns mean nothing).
     """
 
-    index: int
-    theta: np.ndarray
-    rss: float
-    JtJ: np.ndarray
-    g: np.ndarray
-    lam: float
-    nu: float = 2.0
-    iterations: int = 0
-    evaluations: int = 1
-    stop: str | None = None
-    merged_into: int | None = None
-    lam_min: float = 0.0
-    lam_min_of: np.ndarray | None = field(default=None, repr=False)
-
-    @property
-    def converged(self) -> bool:
-        return self.stop in ("ftol", "gtol")
+    def __init__(self, theta: np.ndarray, rss: np.ndarray, JtJ: np.ndarray, g: np.ndarray,
+                 max_iter: int, grad_atol: float):
+        """The starts at the rows of theta, from their :meth:`_SShapeResiduals.normal_equations`."""
+        k = len(theta)
+        self.theta, self.rss, self.JtJ, self.g = theta.copy(), rss, JtJ, g
+        self.lam = 1e-3 * np.max(np.diagonal(JtJ, axis1=1, axis2=2), axis=1)
+        self.lam[~((self.lam > 0) & np.isfinite(self.lam))] = 1e-3
+        self.nu, self.lam_min, self.stale = np.full(k, 2.0), np.zeros(k), np.ones(k, dtype=bool)
+        self.iterations, self.evaluations, self.merged_into = np.zeros(k, int), np.ones(k, int), np.full(k, -1)
+        self.stop = np.where(np.isnan(rss), _INFEASIBLE, _LIVE)  # a usable row's e'e is never NaN
+        self.stop[(self.stop == _LIVE) & (np.max(np.abs(g), axis=1) < grad_atol)] = _GTOL
+        if max_iter <= 0:
+            self.stop[self.stop == _LIVE] = _MAX_ITER
 
 
-def _open_start(index: int, theta0: np.ndarray, res, max_iter: int, grad_atol: float) -> _Start | None:
-    """The start at theta0 from its evaluation ``res``; None where theta0 is infeasible."""
-    if res is None:
-        return None
-    e, J = res
-    JtJ = J.T @ J
-    lam = 1e-3 * float(np.max(np.diag(JtJ)))
-    if lam <= 0 or not math.isfinite(lam):
-        lam = 1e-3
-    s = _Start(index=index, theta=theta0.copy(), rss=float(e @ e), JtJ=JtJ, g=J.T @ e, lam=lam)
-    if np.max(np.abs(s.g)) < grad_atol:
-        s.stop = "gtol"
-    elif max_iter <= 0:
-        s.stop = "max_iter"
-    return s
-
-
-def _damped_steps(live: Sequence[_Start]) -> tuple[list[np.ndarray | None], np.ndarray]:
-    """Each start's step solving (J'J + lam D) delta = -g, D = diag(J'J) floored
-    at 1e-300, or None where its system is singular; and the stacked D.
-
-    The systems are solved in one stacked call; if any is singular, one by one.
-    """
-    JtJ = np.array([s.JtJ for s in live])
+def _damped_steps(JtJ: np.ndarray, lam: np.ndarray, g: np.ndarray):
+    """Each row's step solving (J'J + lam D) delta = -g, D = diag(J'J) floored at
+    1e-300, in one stacked call, or one by one if any system is singular;
+    whether each was solved; and the stacked D."""
     D = np.zeros_like(JtJ)
     diagonal = (slice(None), *np.diag_indices(4))
     D[diagonal] = np.maximum(JtJ[diagonal], 1e-300)
-    A = JtJ + np.array([s.lam for s in live])[:, None, None] * D
-    rhs = -np.array([s.g for s in live])
+    A = JtJ + lam[:, None, None] * D
+    rhs = -g
+    solved = np.ones(len(A), dtype=bool)
     try:
-        return list(np.linalg.solve(A, rhs[..., None])[..., 0]), D
+        return np.linalg.solve(A, rhs[..., None])[..., 0], solved, D
     except np.linalg.LinAlgError:
-        steps = []
-        for A_s, rhs_s in zip(A, rhs):
+        steps = np.zeros_like(rhs)
+        for i, (A_i, rhs_i) in enumerate(zip(A, rhs)):
             try:
-                steps.append(np.linalg.solve(A_s, rhs_s))
+                steps[i] = np.linalg.solve(A_i, rhs_i)
             except np.linalg.LinAlgError:
-                steps.append(None)
-        return steps, D
+                solved[i] = False
+        return steps, solved, D
 
 
-def _take_step(s: _Start, trial: np.ndarray, delta: np.ndarray, D: np.ndarray, res,
-               rss_rtol: float, grad_atol: float) -> None:
-    """Accept or reject the trial point with Nielsen's damping update (Madsen,
-    Nielsen & Tingleff, "Methods for non-linear least squares problems",
-    2004); ``res`` is the trial's evaluation.  Sets ``s.stop`` on ftol, gtol or
-    lambda_limit."""
-    accepted = False
-    if res is not None:
-        e, J = res
-        rss_t = float(e @ e)
-        if math.isfinite(rss_t) and rss_t < s.rss:
-            pred = float(delta @ (s.lam * (D @ delta) - s.g))
-            ratio = (s.rss - rss_t) / pred if pred > 0 else 1.0
-            s.lam *= max(1.0 / 3.0, 1.0 - (2.0 * ratio - 1.0) ** 3)
-            s.nu = 2.0
-            rel_drop = (s.rss - rss_t) / max(s.rss, 1e-300)
-            s.theta, s.rss, s.JtJ, s.g = trial, rss_t, J.T @ J, J.T @ e
-            accepted = True
-            if rel_drop < rss_rtol:
-                s.stop = "ftol"
-            elif np.max(np.abs(s.g)) < grad_atol:
-                s.stop = "gtol"
-    if not accepted:
-        s.lam *= s.nu
-        s.nu *= 2.0
-        if s.lam > 1e15:
-            s.stop = "lambda_limit"
-
-
-def _retire_merged(kept: list[_Start], n: int, rss_rtol: float, grad_atol: float) -> None:
+def _retire_merged(s: _Starts, n: int, rss_rtol: float, grad_atol: float) -> None:
     """Retire each live start i that lies within _MERGE_RADIUS standard errors of
     a start j with lower RSS that is kept this round:
     (theta_i - theta_j)' JtJ_j (theta_i - theta_j) <= _MERGE_RADIUS^2 RSS_j / (n - 4).
@@ -544,82 +504,89 @@ def _retire_merged(kept: list[_Start], n: int, rss_rtol: float, grad_atol: float
     retiring one of them can drop the lowest.  Short panels, whose J'J is
     nearly singular, therefore run every start to its end.
     """
-    stale = [s for s in kept if s.lam_min_of is not s.JtJ]
-    if stale:
-        JtJ = np.array([s.JtJ for s in stale])
-        finite = np.isfinite(JtJ).all(axis=(1, 2))
-        lam_min = np.zeros(len(stale))
-        lam_min[finite] = np.linalg.eigvalsh(JtJ[finite])[:, 0]
-        for s, value in zip(stale, lam_min.tolist()):
-            s.lam_min, s.lam_min_of = value, s.JtJ
-    rss = np.array([s.rss for s in kept])
-    lam_min = np.array([s.lam_min for s in kept])
-    absorbs = (rss > 0.0) & (4.0 * grad_atol ** 2 <= rss_rtol * rss * lam_min)
+    kept = np.flatnonzero(s.stop < _MERGED)
+    stale = kept[s.stale[kept]]
+    finite = np.isfinite(s.JtJ[stale]).all(axis=(1, 2))
+    s.lam_min[stale] = 0.0
+    s.lam_min[stale[finite]] = np.linalg.eigvalsh(s.JtJ[stale[finite]])[:, 0]
+    s.stale[stale] = False
+    rss = s.rss[kept]
+    absorbs = (rss > 0.0) & (4.0 * grad_atol ** 2 <= rss_rtol * rss * s.lam_min[kept])
     if not absorbs.any():
         return
-    JtJ = np.array([s.JtJ for s in kept])
-    theta = np.array([s.theta for s in kept])
+    theta = s.theta[kept]
     diff = theta[:, None, :] - theta[None, :, :]
-    d2 = np.einsum("ijk,jkl,ijl->ij", diff, JtJ, diff)
+    d2 = np.einsum("ijk,jkl,ijl->ij", diff, s.JtJ[kept], diff)
     reach = _MERGE_RADIUS ** 2 * rss / (n - 4)
     rank = np.empty(len(kept), dtype=int)
     rank[np.argsort(rss, kind="stable")] = np.arange(len(kept))
-    live = np.array([s.stop is None for s in kept])
-    near = live[:, None] & absorbs[None, :] & (rank[None, :] < rank[:, None]) & (d2 <= reach)
+    stop = s.stop[kept]
+    near = (stop == _LIVE)[:, None] & absorbs[None, :] & (rank[None, :] < rank[:, None]) & (d2 <= reach)
     # In ascending RSS, so every candidate j is already kept or retired this round.
     for i in sorted(np.flatnonzero(near.any(axis=1)), key=rank.__getitem__):
-        js = [j for j in np.flatnonzero(near[i]) if kept[j].stop != "merged"]
-        if js:
-            kept[i].stop = "merged"
-            kept[i].merged_into = kept[min(js, key=rank.__getitem__)].index
+        js = np.flatnonzero(near[i] & (stop != _MERGED))
+        if js.size:
+            stop[i] = _MERGED
+            s.merged_into[kept[i]] = kept[js[np.argmin(rank[js])]]
+    s.stop[kept] = stop
 
 
-def _lm_starts(theta0s: Sequence[np.ndarray], residuals: _SShapeResiduals, n: int, *,
-               margin_floor: float, max_iter: int, rss_rtol: float,
-               grad_atol: float) -> list[_Start | None]:
+def _lm_starts(theta0s: np.ndarray, residuals: _SShapeResiduals, n: int, *,
+               margin_floor: float, max_iter: int, rss_rtol: float, grad_atol: float) -> _Starts:
     """Run every start in rounds, one Levenberg-Marquardt iteration per live start per round.
 
-    A round solves every live start's damped system in one stacked call,
-    evaluates every trial point a block of rows at a time, then accepts or
-    rejects each start's trial; each start's search is the one it would make
-    alone.  After each round, starts that have merged into a lower-RSS start
-    are retired (see :func:`_retire_merged`).  Returns one outcome per start,
-    None where the start point itself is infeasible.
+    A round solves the live starts' damped systems in one stacked call,
+    evaluates their trial points a block of rows at a time, and takes
+    Nielsen's accept/reject and damping update (Madsen, Nielsen & Tingleff
+    2004) as array operations on the live rows, each bitwise the float
+    arithmetic of one start alone.  Then it retires merged starts.
     """
-    opened = residuals.rows(np.array(theta0s), margin_floor)
-    starts = [_open_start(i, theta0, res, max_iter, grad_atol)
-              for i, (theta0, res) in enumerate(zip(theta0s, opened))]
-    kept = [s for s in starts if s is not None]
-    live = [s for s in kept if s.stop is None]
-    while live:
-        steps, D = _damped_steps(live)
-        stepping = []
-        for s, delta, D_s in zip(live, steps, D):
-            s.iterations += 1
-            if delta is None:
-                s.lam *= s.nu
-                s.nu *= 2.0
-            else:
-                stepping.append((s, s.theta + delta, delta, D_s))
-        trials = np.array([trial for _, trial, _, _ in stepping])
-        for (s, trial, delta, D_s), res in zip(stepping, residuals.rows(trials, margin_floor)):
-            s.evaluations += 1
-            _take_step(s, trial, delta, D_s, res, rss_rtol, grad_atol)
-        for s in live:
-            if s.stop is None and s.iterations >= max_iter:
-                s.stop = "max_iter"
-        _retire_merged(kept, n, rss_rtol, grad_atol)
-        kept = [s for s in kept if s.stop != "merged"]
-        live = [s for s in kept if s.stop is None]
-    return starts
+    s = _Starts(theta0s, *residuals.normal_equations(theta0s, margin_floor), max_iter, grad_atol)
+    while (live := np.flatnonzero(s.stop == _LIVE)).size:
+        s.iterations[live] += 1
+        delta, solved, D = _damped_steps(s.JtJ[live], s.lam[live], s.g[live])
+        stepping, delta, D = live[solved], delta[solved], D[solved]
+        trial = s.theta[stepping] + delta
+        rss_t, JtJ_t, g_t = residuals.normal_equations(trial, margin_floor)
+        s.evaluations[stepping] += 1
+        better = rss_t < s.rss[stepping]  # never where the trial is unusable (NaN) or overflows
+        # A rejected trial raises the damping, and so does a singular system, which stops nothing.
+        rejected = stepping[~better]
+        raised = np.concatenate([live[~solved], rejected])
+        s.lam[raised] *= s.nu[raised]
+        s.nu[raised] *= 2.0
+        s.stop[rejected[s.lam[rejected] > 1e15]] = _LAMBDA_LIMIT
+
+        accepted, delta, rss_t, g_t = stepping[better], delta[better], rss_t[better], g_t[better]
+        rss, lam = s.rss[accepted], s.lam[accepted]
+        # delta'(lam D delta - g), each product a matmul on the rows, which makes the BLAS call of a one-row @.
+        Dd = np.matmul(D[better], delta[:, :, None])[:, :, 0]
+        pred = np.matmul(delta[:, None, :], (lam[:, None] * Dd - s.g[accepted])[:, :, None])[:, 0, 0]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.where(pred > 0, (rss - rss_t) / pred, 1.0)
+        # float_power's cube is the libm pow of Python's ** on each float; np.power's is not.
+        s.lam[accepted] = lam * np.fmax(1.0 / 3.0, 1.0 - np.float_power(2.0 * ratio - 1.0, 3.0))
+        s.nu[accepted] = 2.0
+        ftol = (rss - rss_t) / np.maximum(rss, 1e-300) < rss_rtol
+        s.theta[accepted], s.rss[accepted], s.JtJ[accepted], s.g[accepted] = (
+            trial[better], rss_t, JtJ_t[better], g_t)
+        s.stale[accepted] = True
+        s.stop[accepted[ftol]] = _FTOL
+        s.stop[accepted[~ftol & (np.max(np.abs(g_t), axis=1) < grad_atol)]] = _GTOL
+
+        s.stop[live[(s.stop[live] == _LIVE) & (s.iterations[live] >= max_iter)]] = _MAX_ITER
+        _retire_merged(s, n, rss_rtol, grad_atol)
+    return s
 
 
-def _best_start(starts: Sequence[_Start | None]) -> _Start:
-    """The lowest-RSS converged start that was not retired, else the lowest-RSS one."""
-    kept = [s for s in starts if s is not None and s.stop != "merged"]
-    if not kept:
+def _best_start(s: _Starts) -> int:
+    """The row of the lowest-RSS converged start that was not retired, else of the lowest-RSS one."""
+    kept = np.flatnonzero(s.stop < _MERGED)
+    if not kept.size:
         raise EstimationError("no feasible start point; widen the grid or rescale flows")
-    return min([s for s in kept if s.converged] or kept, key=lambda s: s.rss)
+    converged = kept[np.isin(s.stop[kept], (_FTOL, _GTOL))]
+    rows = converged if converged.size else kept
+    return int(rows[np.argmin(s.rss[rows])])
 
 
 def fit_sshape(
@@ -642,30 +609,28 @@ def fit_sshape(
     parameter's variance is not positive (a degenerate optimum), those
     standard errors and t statistics are NaN and ``message`` says which.
 
-    The starts advance in rounds, one iteration each per round.  Each round
-    evaluates the trial points of all live starts together, in blocks of
-    rows, with outcomes bitwise those of evaluating one start at a time.
-    After every round a live start is retired when its iterate lies within one standard
-    error of a start with lower RSS, measured in that start's Gauss-Newton
-    metric, and makes no more evaluations.  Retired starts are never chosen.
-    A start absorbs others only where its J'J pins the optimum down to the
-    stopping tolerances: 4 grad_atol^2 / lambda_min(J'J) <= rss_rtol * RSS.
-    On short panels no start passes, and on a panel the model fits exactly
-    (RSS 0) nothing is retired; there every start runs to its end.
+    The starts advance together in rounds, each start's search bitwise the
+    one it would make alone.  After every round a live start within one
+    standard error of a lower-RSS start, in that start's Gauss-Newton metric,
+    is retired and never chosen (see :func:`_retire_merged`); on short panels,
+    and on a panel the model fits exactly (RSS 0), every start runs to its end.
     """
     d = panel.x - panel.x_prev
     if np.ptp(d) == 0.0:
         raise EstimationError("flow never changes between bars; impact slope not identified")
     theta0s = _start_thetas(panel, grid)
     residuals = _SShapeResiduals(panel, len(theta0s))
-    best = _best_start(_lm_starts(theta0s, residuals, panel.n, margin_floor=margin_floor,
-                                  max_iter=max_iter, rss_rtol=rss_rtol, grad_atol=grad_atol))
+    starts = _lm_starts(theta0s, residuals, panel.n, margin_floor=margin_floor,
+                        max_iter=max_iter, rss_rtol=rss_rtol, grad_atol=grad_atol)
+    best = _best_start(starts)
+    theta, rss = starts.theta[best], float(starts.rss[best])
+    converged = starts.stop[best] in (_FTOL, _GTOL)
 
-    a, u, p, v = best.theta
+    a, u, p, v = theta.tolist()
     ell = math.exp(u)
     q = math.exp(v)
     n = panel.n
-    e, J = residuals.one(best.theta, 0.0)
+    _, J = residuals.one(theta, 0.0)
     # covariance in original units: d/d ell = (1/ell) d/du, d/dq = (1/q) d/dv;
     # at a degenerate optimum (ell or q near e^-700) these overflow
     with np.errstate(over="ignore"):
@@ -674,9 +639,9 @@ def fit_sshape(
         J_orig[:, 3] /= q
         JtJ = J_orig.T @ J_orig
     dof = max(n - 4, 1)
-    s2 = best.rss / dof
+    s2 = rss / dof
     names = ["a", "ell", "p", "q"]
-    notes = [] if best.converged else ["no start converged within max_iter; best endpoint returned"]
+    notes = [] if converged else ["no start converged within max_iter; best endpoint returned"]
     if np.isfinite(JtJ).all():
         try:
             cov = s2 * np.linalg.inv(JtJ)
@@ -693,7 +658,7 @@ def fit_sshape(
         notes.append("J'J overflows at the optimum; standard errors and t statistics are NaN")
     ests = np.array([a, ell, p, q])
     t = ests / se
-    adj, bic = _selection_stats(panel.r, best.rss, n, 4)
+    adj, bic = _selection_stats(panel.r, rss, n, 4)
     message = "; ".join(notes)
     if message:
         logger.warning("fit_sshape: %s", message)
@@ -703,12 +668,12 @@ def fit_sshape(
         param_hats={"ell": float(ell), "p": float(p), "q": float(q)},
         ses=dict(zip(names, map(float, se))),
         t_stats=dict(zip(names, map(float, t))),
-        rss=float(best.rss),
+        rss=rss,
         adj_r2=adj,
         bic=bic,
         n=n,
         k=4,
-        converged=bool(best.converged),
+        converged=bool(converged),
         starts_tried=len(theta0s),
         message=message,
     )

@@ -67,7 +67,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from ._common import ParseError, parse_float, parse_int, read_table, write_table
+from ._common import ParseError, parse_float, parse_int, read_table, read_text, write_table
 
 __all__ = [
     "ParseError",
@@ -786,8 +786,8 @@ def read_bars_csv(path: str | Path) -> BarTable:
     raises it with the file and line.
     """
     path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
-        first = next(csv.reader(fh), [])
+    with path.open("rb") as fh:
+        first = next(csv.reader([read_text(path, fh.readline())]), [])
     if first not in (BAR_HEADER, PANEL_HEADER):
         raise ParseError(f"{path}:1: unrecognized header {','.join(first)!r}; expected "
                          f"{','.join(BAR_HEADER)} or {','.join(PANEL_HEADER)}")

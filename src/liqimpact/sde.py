@@ -356,10 +356,11 @@ def simulate_path(config: SimConfig) -> SimPath:
     log-normal update (state-dependent drift under risk-neutral), and P is
     assembled from the supply-curve identity at every sample, so s > 0 and
     p > 0 hold by construction.  Raises SimulationError with the first bad
-    step index if any sample leaves the finite range.  A one-step path takes
-    its step in Python floats, bitwise as the array recursion would; a longer
-    path is filled block by block (_BLOCK_STEPS steps each), bitwise as one
-    whole-path pass would.
+    step index if any sample leaves the finite range, and ParameterError if
+    n_steps' arrays cannot be allocated.  A one-step path takes its step in
+    Python floats, bitwise as the array recursion would; a longer path is
+    filled block by block (_BLOCK_STEPS steps each), bitwise as one whole-path
+    pass would.
     """
     seed_used = config.seed
     if seed_used is None:
@@ -367,7 +368,10 @@ def simulate_path(config: SimConfig) -> SimPath:
     rng = np.random.Generator(np.random.PCG64(seed_used))
 
     # x, s and p are rows of one array, so one pass checks all three for finiteness.
-    xsp = np.empty((3, config.n_steps + 1))
+    try:
+        xsp = np.empty((3, config.n_steps + 1))
+    except (ValueError, MemoryError) as exc:  # numpy's limits on the shape, or the allocation
+        raise ParameterError(f"n_steps: {config.n_steps} steps do not fit in memory ({exc})") from None
     x, s, p = xsp
     x[0] = config.x0
     # s holds the running sum of the log-steps after a leading 0, then s itself.

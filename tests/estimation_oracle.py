@@ -4,20 +4,25 @@
 ``run_lm`` runs one start's Levenberg-Marquardt search to its end, and
 ``fit_starts`` runs every start one after another and picks the lowest-RSS
 converged endpoint.  ``lockstep_starts`` steps the starts together, one
-evaluation at a time, retiring starts that merge.  The library evaluates each
-distinct flow once, and evaluates all live starts of a round together; the
+evaluation at a time, each start a ``_Start`` object, retiring starts that
+merge by its own ``_retire_merged``.  The library evaluates each distinct flow
+once, and holds all starts' state in arrays that a round steps together; the
 tests check its fits against these.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from liqimpact.estimation import EstimationError, RegressionPanel, _retire_merged, _Start
+from liqimpact.estimation import EstimationError, RegressionPanel
 from liqimpact.impact import SShapeParams, big_phi, feasibility_margin, phi
+
+# A live start within this many standard errors of a kept start with lower
+# RSS, in that start's Gauss-Newton metric, is retired as a duplicate.
+MERGE_RADIUS = 1.0
 
 
 def resid_jac(theta: np.ndarray, panel: RegressionPanel, margin_floor: float):
@@ -131,6 +136,75 @@ def fit_starts(theta0s, panel: RegressionPanel, *, max_iter: int = 500, rss_rtol
     return outcomes, min(converged_set or usable, key=lambda o: o.rss)
 
 
+@dataclass
+class _Start:
+    """One Levenberg-Marquardt start: its state while live, its outcome once stopped.
+
+    ``stop`` is None while live, then one of ``ftol``, ``gtol``, ``max_iter``,
+    ``lambda_limit`` or ``merged`` (retired into the start ``merged_into``).
+    ``evaluations`` counts residual/Jacobian evaluations, infeasible trial
+    points included.  ``lam_min`` is lambda_min(J'J) of the array
+    ``lam_min_of``; :func:`_retire_merged` recomputes it once ``JtJ`` is a new
+    array, which happens only when a step is accepted.
+    """
+
+    index: int
+    theta: np.ndarray
+    rss: float
+    JtJ: np.ndarray
+    g: np.ndarray
+    lam: float
+    nu: float = 2.0
+    iterations: int = 0
+    evaluations: int = 1
+    stop: str | None = None
+    merged_into: int | None = None
+    lam_min: float = 0.0
+    lam_min_of: np.ndarray | None = field(default=None, repr=False)
+
+    @property
+    def converged(self) -> bool:
+        return self.stop in ("ftol", "gtol")
+
+
+def _retire_merged(kept: list[_Start], n: int, rss_rtol: float, grad_atol: float) -> None:
+    """Retire each live start i that lies within MERGE_RADIUS standard errors of
+    a start j with lower RSS that is kept this round:
+    (theta_i - theta_j)' JtJ_j (theta_i - theta_j) <= MERGE_RADIUS^2 RSS_j / (n - 4),
+    where j's metric pins its optimum down: RSS_j > 0 and
+    4 grad_atol^2 <= rss_rtol RSS_j lambda_min(JtJ_j).  Equal RSS goes to the
+    lower index, and i goes into the lowest-RSS such j not retired this round.
+    """
+    stale = [s for s in kept if s.lam_min_of is not s.JtJ]
+    if stale:
+        JtJ = np.array([s.JtJ for s in stale])
+        finite = np.isfinite(JtJ).all(axis=(1, 2))
+        lam_min = np.zeros(len(stale))
+        lam_min[finite] = np.linalg.eigvalsh(JtJ[finite])[:, 0]
+        for s, value in zip(stale, lam_min.tolist()):
+            s.lam_min, s.lam_min_of = value, s.JtJ
+    rss = np.array([s.rss for s in kept])
+    lam_min = np.array([s.lam_min for s in kept])
+    absorbs = (rss > 0.0) & (4.0 * grad_atol ** 2 <= rss_rtol * rss * lam_min)
+    if not absorbs.any():
+        return
+    JtJ = np.array([s.JtJ for s in kept])
+    theta = np.array([s.theta for s in kept])
+    diff = theta[:, None, :] - theta[None, :, :]
+    d2 = np.einsum("ijk,jkl,ijl->ij", diff, JtJ, diff)
+    reach = MERGE_RADIUS ** 2 * rss / (n - 4)
+    rank = np.empty(len(kept), dtype=int)
+    rank[np.argsort(rss, kind="stable")] = np.arange(len(kept))
+    live = np.array([s.stop is None for s in kept])
+    near = live[:, None] & absorbs[None, :] & (rank[None, :] < rank[:, None]) & (d2 <= reach)
+    # In ascending RSS, so every candidate j is already kept or retired this round.
+    for i in sorted(np.flatnonzero(near.any(axis=1)), key=rank.__getitem__):
+        js = [j for j in np.flatnonzero(near[i]) if kept[j].stop != "merged"]
+        if js:
+            kept[i].stop = "merged"
+            kept[i].merged_into = kept[min(js, key=rank.__getitem__)].index
+
+
 def _open_start(index: int, theta0: np.ndarray, evaluate, max_iter: int,
                 grad_atol: float) -> _Start | None:
     out = evaluate(theta0)
@@ -193,7 +267,7 @@ def lockstep_starts(theta0s, evaluate, n: int, *, max_iter: int = 500, rss_rtol:
     one start after another, with ``evaluate(theta)`` giving (e, J) or None.
 
     After each round, starts that have merged into a lower-RSS start are
-    retired by the library's rule; None where the start point is infeasible.
+    retired (see :func:`_retire_merged`); None where the start point is infeasible.
     """
     starts = [_open_start(i, t0, evaluate, max_iter, grad_atol) for i, t0 in enumerate(theta0s)]
     kept = [s for s in starts if s is not None]

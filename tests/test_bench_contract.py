@@ -14,11 +14,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from liqimpact import cli
+from liqimpact import cli, estimation, sde
 from liqimpact.estimation import RegressionPanel
-from liqimpact.impact import SShapeParams
+from liqimpact.impact import SShapeParams, StructuralParams
 from liqimpact.ingest import TickRecord, build_bars, write_bars_csv
-from liqimpact.sde import OUParams, synth_regression_panel
+from liqimpact.sde import OUParams, SimConfig, synth_regression_panel
 
 DATA = Path(__file__).parent / "data"
 
@@ -166,3 +166,32 @@ def test_simulate_passes_the_config_first_with_its_step_count(monkeypatch, tmp_p
     capsys.readouterr()
     (args, _, _), = calls
     assert args[0].n_steps == 7
+
+
+def test_fit_sshape_looks_up_big_phi_phi_and_feasibility_margin_through_estimation(monkeypatch):
+    # impact.big_phi and impact.phi (_points: np.size(args[0])) and impact.feasibility_margin are
+    # required spans of every traced fit, wrapped at estimation's names.
+    panel = RegressionPanel.from_synthetic(_panel())
+    calls = {name: _spy(monkeypatch, estimation, name) for name in ("big_phi", "phi", "feasibility_margin")}
+    for grid in ([(-3e-3, 8e-5)], None):
+        before = {name: len(seen) for name, seen in calls.items()}
+        estimation.fit_sshape(panel, grid)
+        assert all(len(seen) > before[name] for name, seen in calls.items()), before
+    assert all(np.size(args[0]) > 0 for name in ("big_phi", "phi") for args, _, _ in calls[name])
+
+
+def test_simulation_looks_up_f_g_and_feasibility_margin_through_sde(monkeypatch):
+    # impact.f_sshape, impact.g_sshape (risk-neutral paths) and impact.feasibility_margin are
+    # required spans of traced simulation runs, wrapped at sde's names: synth_regression_panel
+    # checks the curve and evaluates f, a SimConfig checks the curve, and a path evaluates f and g.
+    calls = {name: _spy(monkeypatch, sde, name) for name in ("f_sshape", "g_sshape", "feasibility_margin")}
+    _panel()
+    assert len(calls["f_sshape"]) > 0 and len(calls["feasibility_margin"]) > 0
+    structural = StructuralParams(mu_s=0.05, sigma_s=0.2, rho=0.3, c=0.2, m=3.0, eta=80.0,
+                                  delta=0.0, tau=0.0, r=0.03, kappa0=0.0)
+    for n_steps in (1, 7):
+        before = {name: len(seen) for name, seen in calls.items()}
+        config = SimConfig(structural=structural, impact=SShapeParams(1.3e-5, -0.0034, 8.15e-5), n_steps=n_steps,
+                           dt=1.0 / 252.0, x0=5.0, s0=100.0, seed=1, measure="risk-neutral")
+        sde.simulate_path(config)
+        assert all(len(seen) > before[name] for name, seen in calls.items()), (n_steps, before)

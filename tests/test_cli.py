@@ -135,6 +135,55 @@ def test_ingest_undecodable_file_names_it(tmp_path, capsys, name, corrupt):
     assert "Traceback" not in err
 
 
+def _fits_csv(tmp_path):
+    dest = tmp_path / "es.fits.csv"
+    write_daily_fits_csv([(f"2024-02-0{d}", make_fit("sshape")) for d in (1, 2)], dest)
+    return dest
+
+
+@pytest.mark.parametrize("command, name, corrupt", [
+    # A bar row with a byte that is not UTF-8, past the header's read.
+    ("fit", "golden_bars.csv", lambda text: text.replace(b"\n2024-03-15,2,", b"\n2024-03-15,2,\xff", 1)),
+    # A fits table whose header is not UTF-8.
+    ("compare", "es.fits.csv", lambda text: text.replace(b"model", b"mod\xffel", 1)),
+], ids=["bars-row", "fits-header"])
+def test_undecodable_table_names_it(tmp_path, capsys, command, name, corrupt):
+    src = tmp_path / name
+    text = corrupt((DATA / name).read_bytes() if command == "fit" else _fits_csv(tmp_path).read_bytes())
+    src.write_bytes(text)
+    line = text.count(b"\n", 0, text.index(b"\xff")) + 1
+    args = [str(src)] if command == "fit" else ["--fits", str(src)]
+    assert main([command, *args, "--out-dir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {src}:{line}: 'utf-8' codec can't decode byte 0xff"), err
+
+
+@pytest.mark.parametrize("content, line, message", [
+    (b'{"a": 1,,}', 1, "Expecting property name enclosed in double quotes (column 9)"),
+    (b'{"model": "sshape",\n "pooled": tru}', 2, "Expecting value (column 12)"),
+    (b"\xff\xfe{}", 1, "'utf-8' codec can't decode byte 0xff in position 0"),
+    (b'{"model":\n "sh\xe9pe"}', 2, "'utf-8' codec can't decode byte 0xe9 in position 14"),
+], ids=["syntax", "syntax-line-2", "utf16-bom", "latin1"])
+def test_json_errors_name_file_and_line(tmp_path, capsys, content, line, message):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    for argv in (["fit", str(DATA / "golden_bars.csv"), "--config", str(bad)], ["curves", str(bad)]):
+        assert main([*argv, "--out-dir", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}:{line}: {message}"), err
+
+
+def test_fit_json_reads_nan_but_real_flags_must_be_finite(tmp_path, capsys):
+    # fit writes NaN standard errors, so a fits JSON reads NaN and Infinity where a config does not.
+    bare = tmp_path / "bare.json"
+    bare.write_text('{"model": "sshape", "ses": {"a": NaN, "ell": Infinity}, '
+                    '"param_hats": {"ell": 1.3e-5, "p": -0.0034, "q": 8.15e-5}}', encoding="utf-8")
+    assert main(["curves", str(bare), "--n-points", "3", "--out-dir", str(tmp_path / "out")]) == 0
+    assert "3 points" in capsys.readouterr().out
+    assert main(["curves", str(bare), "--x-min=-inf", "--out-dir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == "error: x_min: expected a finite number, got -inf\n"
+
+
 # ---------------------------------------------------------------------------
 # simulate
 
@@ -249,6 +298,20 @@ def test_simulate_bad_configs(tmp_path, capsys):
                            "over.json")
         with np.errstate(over="ignore", invalid="ignore"):
             assert main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith(hint)
+
+    # Non-finite reals in a config, nested or not, name their key; so does a path too long for memory.
+    for cfg, hint in (
+            ({**SIM_CONFIG, "mode": "panel", "panel": {**panel, "noise_sd": math.nan, "a": math.inf}},
+             "error: panel.noise_sd: expected a finite number, got nan"),
+            ({**SIM_CONFIG, "structural": {**SIM_CONFIG["structural"], "m": -math.inf}},
+             "error: structural.m: expected a finite number, got -inf"),
+            ({**SIM_CONFIG, "n_steps": 10 ** 30},
+             f"error: n_steps: {10 ** 30} steps do not fit in memory (Maximum allowed dimension exceeded)"),
+            ({**SIM_CONFIG, "n_steps": 2 ** 62},
+             f"error: n_steps: {2 ** 62} steps do not fit in memory (array is too big")):
+        assert main(["simulate", "--config", str(write_config(tmp_path, cfg, "big.json")),
+                     "--out-dir", str(tmp_path)]) == 1
         assert capsys.readouterr().err.startswith(hint)
 
 
@@ -496,6 +559,10 @@ def test_fit_pooled_tries_every_model_and_names_each_failure(tmp_path, capsys):
     ("simulate", "n_stepz", 5),
     ("curves", "n_point", 5),
     ("compare", "bars", "es.bars.csv"),
+    ("curves", "x_min", -math.inf),
+    ("fit", "rss_rtol", math.nan),
+    ("fit", "grid", [["-3e-3", True]]),
+    ("fit", "grid", [[-3e-3, math.inf]]),
 ])
 def test_bad_config_value_names_its_key(tmp_path, capsys, command, key, value):
     panel = synth_regression_panel(a=1e-6, impact=SShapeParams(1.3e-5, -0.0034, 8.15e-5),

@@ -7,6 +7,7 @@ import re
 import tracemalloc
 import warnings
 from functools import partial
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -423,7 +424,7 @@ def test_near_linear_curve_matches_linear_slope():
 
 
 def _run_starts(panel, grid, margin_floor=1e-6, **kw):
-    """The start points, and every start's outcome from the library's round loop."""
+    """The start points, and the columns of every start's outcome from the library's round loop."""
     theta0s = estimation._start_thetas(panel, grid)
     residuals = estimation._SShapeResiduals(panel, len(theta0s))
     opts = dict(max_iter=500, rss_rtol=1e-12, grad_atol=1e-10) | kw
@@ -436,7 +437,17 @@ def _lockstep_oracle(panel, theta0s, margin_floor=1e-6, **kw):
         theta0s, partial(estimation_oracle.resid_jac, panel=panel, margin_floor=margin_floor), panel.n, **kw)
 
 
-def _assert_same_outcomes(got, want):
+def _outcomes(starts):
+    """The library's columns as one record per start, as the oracle's; None where the start is infeasible."""
+    return [None if stop == estimation._INFEASIBLE else SimpleNamespace(
+        index=i, stop=estimation._STOPS[stop], iterations=int(starts.iterations[i]),
+        evaluations=int(starts.evaluations[i]), rss=float(starts.rss[i]), theta=starts.theta[i],
+        merged_into=None if starts.merged_into[i] < 0 else int(starts.merged_into[i]),
+        converged=stop in (estimation._FTOL, estimation._GTOL)) for i, stop in enumerate(starts.stop.tolist())]
+
+
+def _assert_same_outcomes(starts, want):
+    got = _outcomes(starts)
     assert len(got) == len(want)
     for g, w in zip(got, want):
         assert (g is None) == (w is None)
@@ -486,9 +497,9 @@ def test_fit_sshape_rss_never_above_sequential_oracle(case):
 def test_lockstep_starts_without_merging_equal_sequential_oracle_bitwise(case):
     panel, grid = case
     with mock.patch.object(estimation, "_MERGE_RADIUS", 0.0):
-        theta0s, got = _run_starts(panel, grid)
+        theta0s, starts = _run_starts(panel, grid)
     want = [estimation_oracle.run_lm(t0, panel, 1e-6, 500, 1e-12, 1e-10) for t0 in theta0s]
-    for g, w in zip(got, want):
+    for g, w in zip(_outcomes(starts), want):
         assert (g is None) == (w is None)
         if g is None:
             continue
@@ -587,7 +598,8 @@ def test_round_loop_solves_one_by_one_when_the_stacked_solve_fails():
 
 def test_merged_starts_point_to_lower_rss_and_every_start_says_why_it_stopped():
     panel = make_panel(n_days=10, bars_per_day=360, noise_sd=1e-3, seed=79)
-    theta0s, starts = _run_starts(panel, None)
+    theta0s, columns = _run_starts(panel, None)
+    starts = _outcomes(columns)
     assert len(starts) == 35 and all(s is not None for s in starts)
     merged = [s for s in starts if s.stop == "merged"]
     assert merged, "the default grid's starts should share an optimum"
@@ -607,69 +619,98 @@ def test_merged_starts_point_to_lower_rss_and_every_start_says_why_it_stopped():
     sequential = [estimation_oracle.run_lm(t0, panel, 1e-6, 500, 1e-12, 1e-10) for t0 in theta0s]
     assert sum(s.evaluations for s in starts) < 0.5 * sum(o.iterations + 1 for o in sequential)
     # The merged start never wins: the fit reports a kept start's endpoint.
-    best = estimation._best_start(starts)
+    best = starts[estimation._best_start(columns)]
     assert best.stop in ("ftol", "gtol")
     assert fit_sshape(panel).rss == best.rss
     # Evaluating the starts together changes no start's search.
-    _assert_same_outcomes(starts, _lockstep_oracle(panel, theta0s))
+    _assert_same_outcomes(columns, _lockstep_oracle(panel, theta0s))
 
     grid = scale_grid(panel)
     _, capped = _run_starts(panel, grid, max_iter=1)
-    assert {s.stop for s in capped} <= {"max_iter", "merged"}
-    assert all(s.iterations == 1 for s in capped if s.stop == "max_iter")
+    assert {s.stop for s in _outcomes(capped)} <= {"max_iter", "merged"}
+    assert all(s.iterations == 1 for s in _outcomes(capped) if s.stop == "max_iter")
     _assert_same_outcomes(capped, _lockstep_oracle(panel, estimation._start_thetas(panel, grid), max_iter=1))
 
 
-def _start(index, rss, theta=(0.0, 0.0, 0.0, 0.0)):
-    return estimation._Start(index=index, theta=np.array(theta), rss=rss, JtJ=np.eye(4),
-                             g=np.zeros(4), lam=1e-3)
+def _starts(rss, a=None):
+    """Live starts with these RSS at theta (a_i, 0, 0, 0), each with J'J the identity."""
+    k = len(rss)
+    theta = np.zeros((k, 4))
+    theta[:, 0] = 0.0 if a is None else a
+    return estimation._Starts(theta, np.array(rss, dtype=float), np.tile(np.eye(4), (k, 1, 1)), np.ones((k, 4)),
+                              max_iter=500, grad_atol=1e-10)
 
 
-def _retire(kept, n):
-    estimation._retire_merged(kept, n, rss_rtol=1e-12, grad_atol=1e-10)
+def _retire(starts, n=104):
+    """Each start's stop and merge target after one pass of the library's merge rule.
+
+    n = 104 makes rss / (n - 4) the squared standard error, so RSS 100 reaches 1."""
+    estimation._retire_merged(starts, n, rss_rtol=1e-12, grad_atol=1e-10)
+    return [estimation._STOPS[code] for code in starts.stop], starts.merged_into.tolist()
 
 
 def test_retire_merged_rule():
-    n = 104  # rss / (n - 4) is the squared standard error, so rss 100 gives reach 1
     # Within reach (1 for start 1, 2 for start 0) of a lower-RSS start: retired into it; beyond: kept.
-    kept = [_start(0, 200.0, (0.5, 0, 0, 0)), _start(1, 100.0), _start(2, 300.0, (3.0, 0, 0, 0))]
-    _retire(kept, n)
-    assert [s.stop for s in kept] == ["merged", None, None]
-    assert kept[0].merged_into == 1
+    assert _retire(_starts([200.0, 100.0, 300.0], a=[0.5, 0.0, 3.0])) == (["merged", "live", "live"], [1, -1, -1])
+    # Exactly at the reach is within it; just beyond is not.
+    assert _retire(_starts([100.0, 200.0], a=[0.0, 1.0])) == (["live", "merged"], [-1, 0])
+    assert _retire(_starts([100.0, 200.0], a=[0.0, 1.0 + 1e-12])) == (["live", "live"], [-1, -1])
     # Equal RSS: the higher index goes; zero RSS absorbs nothing.
-    tie = [_start(0, 100.0), _start(1, 100.0)]
-    _retire(tie, n)
-    assert [s.stop for s in tie] == [None, "merged"] and tie[1].merged_into == 0
-    exact = [_start(0, 0.0), _start(1, 0.0), _start(2, 5.0)]
-    _retire(exact, n)
-    assert [s.stop for s in exact] == [None, None, None]
-    # A stopped start absorbs live ones but is never retired itself.
-    done = [_start(0, 100.0), _start(1, 200.0), _start(2, 300.0)]
-    done[0].stop, done[2].stop = "ftol", "max_iter"
-    _retire(done, n)
-    assert [s.stop for s in done] == ["ftol", "merged", "max_iter"]
-    assert done[1].merged_into == 0
+    assert _retire(_starts([100.0, 100.0])) == (["live", "merged"], [-1, 0])
+    assert _retire(_starts([0.0, 0.0, 5.0])) == (["live"] * 3, [-1] * 3)
+    # Within reach of two kept starts: retired into the one with lower RSS, not the lower index.
+    two = _starts([150.0, 100.0, 300.0], a=[0.0, 0.0, 0.5])
+    two.stop[[0, 1]] = estimation._FTOL
+    assert _retire(two) == (["ftol", "ftol", "merged"], [-1, -1, 1])
+    # A stopped start absorbs live ones but is never retired itself; an infeasible one takes no part.
+    done = _starts([100.0, 200.0, 300.0, 50.0])
+    done.stop[[0, 2, 3]] = estimation._FTOL, estimation._MAX_ITER, estimation._INFEASIBLE
+    assert _retire(done) == (["ftol", "merged", "max_iter", "infeasible"], [-1, 0, -1, -1])
 
 
 def test_retire_merged_only_into_kept_starts():
     # Start 1 lies within reach of start 0 and is retired into it; start 2 lies
     # within start 1's reach (1.5) but not start 0's (1), so it stays live.
-    chain = [_start(0, 100.0), _start(1, 150.0, (0.9, 0, 0, 0)), _start(2, 200.0, (1.9, 0, 0, 0))]
-    _retire(chain, 104)
-    assert [s.stop for s in chain] == [None, "merged", None]
-    assert chain[1].merged_into == 0
+    chain = _starts([100.0, 150.0, 200.0], a=[0.0, 0.9, 1.9])
+    assert _retire(chain) == (["live", "merged", "live"], [-1, 0, -1])
 
 
 def test_retire_merged_skips_starts_whose_metric_is_too_soft():
     # With lambda_min(J'J) = 1e-12 a point that passes the gradient test can lie
     # 4e-20 / 1e-12 = 4e-8 above the optimum, beyond 1e-12 of an RSS of 100.
-    soft = [_start(0, 100.0), _start(1, 200.0)]
-    soft[0].JtJ = np.diag([1.0, 1.0, 1.0, 1e-12])
-    _retire(soft, 104)
-    assert [s.stop for s in soft] == [None, None]
-    soft[0].JtJ = np.diag([1.0, 1.0, 1.0, 1e-9])
-    _retire(soft, 104)
-    assert [s.stop for s in soft] == [None, "merged"]
+    for smallest, stops in ((1e-12, ["live", "live"]), (1e-9, ["live", "merged"])):
+        soft = _starts([100.0, 200.0])
+        soft.JtJ[0] = np.diag([1.0, 1.0, 1.0, smallest])
+        assert _retire(soft)[0] == stops
+
+
+@st.composite
+def merge_rounds(draw):
+    """One round's starts on a small lattice, so equal RSS, d2 exactly at the
+    reach and several absorbers within reach all come up: (rss, a, J'J scale, stop) each."""
+    k = draw(st.integers(1, 7))
+    return [(100.0 * draw(st.integers(0, 4)), float(draw(st.integers(0, 3))),
+             draw(st.sampled_from([1e-12, 1.0, 4.0])),
+             draw(st.sampled_from(["live", "live", "ftol", "max_iter", "merged", "infeasible"])))
+            for _ in range(k)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(merge_rounds())
+def test_retire_merged_matches_the_oracle_rule(round_):
+    rss, a, scale, stops = map(list, zip(*round_))
+    starts = _starts(rss, a=a)
+    starts.JtJ[:] = np.array(scale)[:, None, None] * np.eye(4)
+    starts.stop[:] = [estimation._STOPS.index(stop) for stop in stops]
+    kept = [estimation_oracle._Start(index=i, theta=starts.theta[i].copy(), rss=rss[i], JtJ=starts.JtJ[i].copy(),
+                                     g=np.zeros(4), lam=1e-3, stop=None if stop == "live" else stop)
+            for i, stop in enumerate(stops) if stop not in ("merged", "infeasible")]
+    estimation_oracle._retire_merged(kept, 104, rss_rtol=1e-12, grad_atol=1e-10)
+    want_stops, want_into = list(stops), [-1] * len(stops)
+    for s in kept:
+        want_stops[s.index] = s.stop or "live"
+        want_into[s.index] = -1 if s.merged_into is None else s.merged_into
+    assert _retire(starts) == (want_stops, want_into)
 
 
 def test_short_panel_runs_every_start_to_the_sequential_optimum():
@@ -677,7 +718,7 @@ def test_short_panel_runs_every_start_to_the_sequential_optimum():
     # panel: a start retired at the first round would have found the lowest optimum.
     panel = make_panel(n_days=1, bars_per_day=16, noise_sd=2e-4, seed=7)
     theta0s, starts = _run_starts(panel, None)
-    assert not any(s.stop == "merged" for s in starts if s is not None)
+    assert not (starts.stop == estimation._MERGED).any()
     _, want = estimation_oracle.fit_starts(theta0s, panel)
     assert fit_sshape(panel).rss == want.rss
 
@@ -706,15 +747,18 @@ def test_evaluation_reuses_its_work_arrays_and_matches_the_oracle_bitwise():
         e, J = residuals.one(theta, 1e-6)
         want_e, want_J = estimation_oracle.resid_jac(theta, panel, 1e-6)
         assert np.array_equal(e, want_e) and np.array_equal(J, want_J)
+    # A block's stacked products are bitwise each row's own e'e, J'J and J'e.
     block = np.array(thetas[-residuals.block:])
-    for theta, (e, J) in zip(block, residuals.rows(block, 1e-6)):
-        want_e, want_J = estimation_oracle.resid_jac(theta, panel, 1e-6)
-        assert np.array_equal(e, want_e) and np.array_equal(J, want_J)
+    rss, JtJ, g = residuals.normal_equations(block, 1e-6)
+    assert not np.isnan(rss).any()
+    for theta, rss_i, JtJ_i, g_i in zip(block, rss, JtJ, g):
+        e, J = estimation_oracle.resid_jac(theta, panel, 1e-6)
+        assert rss_i == float(e @ e) and np.array_equal(JtJ_i, J.T @ J) and np.array_equal(g_i, J.T @ e)
     # big_phi's and phi's own arrays; the old evaluation peaked near 27.
     assert _peak_bytes(lambda: residuals.one(thetas[17], 1e-6)) < 6 * panel.r.nbytes
-    assert _peak_bytes(lambda: list(residuals.rows(block[:1], 1e-6))) < 6 * panel.r.nbytes
+    assert _peak_bytes(lambda: residuals.normal_equations(block[:1], 1e-6)) < 6 * panel.r.nbytes
     # A full block allocates nothing panel-sized either.
-    assert _peak_bytes(lambda: list(residuals.rows(block, 1e-6))) < 6 * panel.r.nbytes
+    assert _peak_bytes(lambda: residuals.normal_equations(block, 1e-6)) < 6 * panel.r.nbytes
 
 
 @pytest.mark.parametrize("seed", [83, 89, 97])
@@ -724,7 +768,7 @@ def test_fit_sshape_matches_scipy_minpack_lm(seed):
     theta0s, starts = _run_starts(panel, grid)
     best = estimation._best_start(starts)
     fit = fit_sshape(panel, grid)
-    assert fit.rss == best.rss
+    assert fit.rss == starts.rss[best]
 
     def resid(theta):
         return estimation_oracle.resid_jac(theta, panel, 0.0)[0]
@@ -732,7 +776,7 @@ def test_fit_sshape_matches_scipy_minpack_lm(seed):
     def jac(theta):
         return estimation_oracle.resid_jac(theta, panel, 0.0)[1]
 
-    sol = least_squares(resid, theta0s[best.index], jac=jac, method="lm",
+    sol = least_squares(resid, theta0s[best], jac=jac, method="lm",
                         xtol=1e-15, ftol=1e-15, gtol=1e-15)
     a, u, p, v = sol.x
     want = {"a": a, "ell": math.exp(u), "p": p, "q": math.exp(v)}

@@ -351,6 +351,26 @@ def test_discounted_price_is_martingale_with_flow_compensation():
     assert abs(z) < 3.0
 
 
+def test_path_too_long_for_memory_is_a_parameter_error(monkeypatch):
+    # numpy's own shape limits, which it checks before allocating.
+    for n_steps, reason in ((10 ** 30, "Maximum allowed dimension exceeded"), (2 ** 62, "array is too big")):
+        with pytest.raises(ParameterError, match=rf"^n_steps: {n_steps} steps do not fit in memory \({reason}"):
+            simulate_path(make_config(n_steps=n_steps))
+    # A refused allocation is simulated, not attempted: where the OS overcommits
+    # memory, a real array of 10**12 steps can be handed out and its fill then
+    # exhausts the machine.
+    empty = np.empty
+
+    def refused(shape, *args, **kwargs):
+        if math.prod(shape) > 10 ** 9:
+            raise MemoryError(f"Unable to allocate an array with shape {shape}")
+        return empty(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "empty", refused)
+    with pytest.raises(ParameterError, match=r"^n_steps: 1000000000000 steps do not fit in memory \(Unable"):
+        simulate_path(make_config(n_steps=10 ** 12))
+
+
 def test_simulation_error_carries_step():
     sp = dataclasses.replace(SP, mu_s=1e306)
     with pytest.raises(SimulationError, match="non-finite s at step 1$") as exc_info, \
