@@ -10,9 +10,10 @@ sibling ``.meta.json`` echoing the effective configuration (schema versioned,
 no timestamps), so identical inputs produce byte-identical outputs.
 
 Every command runs in a single thread: files, days and fit starts are
-processed one after another.  ``simulate`` reads its curve with
-:func:`liqimpact.impact.curve_from_dict`; path mode takes the sshape and
-linear families, panel mode all three.
+processed one after another.  ``simulate`` path mode takes the sshape and
+linear curve families, panel mode all three.  There is one error path: the
+option tables check every value, parameter blocks field by field, and only
+:func:`main` prints a failure, as one ``error: ...`` line, and exits 1.
 
 Verbosity comes from the LIQIMPACT_LOG environment variable (DEBUG, INFO,
 WARNING, ERROR; default WARNING).
@@ -25,14 +26,14 @@ import logging
 import math
 import os
 import sys
-from dataclasses import asdict, replace
+from dataclasses import MISSING, asdict, fields, is_dataclass, replace
 from datetime import time
 from pathlib import Path
 
 import numpy as np
 
 from ._common import SCHEMA_VERSION, read_json, write_json, write_table
-from .impact import ParameterError, SShapeParams, StructuralParams, curve_from_dict, feasibility_margin
+from .impact import ParameterError, SShapeParams, StructuralParams, curve_class, feasibility_margin
 from .ingest import build_bars, read_bars_csv, read_ticks, write_bars_csv
 from .sde import OUParams, SimConfig, SimulationError, _impact_f, simulate_path, synth_regression_panel
 from .estimation import (
@@ -91,9 +92,13 @@ def _finite(value, key: str = "") -> None:
             _finite(item, key)
 
 
+class _KeyedError(ValueError):
+    """A rejected input whose message already names its key or block."""
+
+
 def _object(value, what: str) -> dict:
     if not isinstance(value, dict):
-        raise ValueError(f"{what} must be a JSON object, got {type(value).__name__}")
+        raise _KeyedError(f"{what} must be a JSON object, got {type(value).__name__}")
     return value
 
 
@@ -161,7 +166,7 @@ PANEL = (
     ("n_days", 1, _count, "days to simulate", None),
     ("bars_per_day", 360, _count, "bars in each day", None),
     ("noise_sd", 0.0, _real, "standard deviation of the return noise", None),
-    ("flow", {}, lambda block: OUParams(**block), "OU flow parameters c, m and eta", None),
+    ("flow", {}, OUParams, "OU flow parameters c, m and eta", None),
 )
 SOLVER = (
     ("max_iter", None, _count, "LM iterations per start", None),
@@ -181,8 +186,8 @@ OPTIONS = {
         OUT_DIR,
         ("mode", "path", _choice("path", "panel"), "what to generate", "--mode"),
         ("seed", None, _seed, "RNG seed (omitted: drawn and recorded)", "--seed"),
-        ("structural", None, lambda block: StructuralParams(**block), "model primitives (path mode)", None),
-        ("impact", None, curve_from_dict, "impact curve parameters and family", None),
+        ("structural", None, StructuralParams, "model primitives (path mode)", None),
+        ("impact", None, curve_class, "impact curve parameters and family", None),
         ("n_steps", 390, _count, "path steps", None),
         ("dt", 1.0, _real, "step width", None),
         ("x0", 0.0, _real, "initial flow", None),
@@ -211,21 +216,35 @@ OPTIONS = {
 def _resolve(rows, config: dict, command: str, prefix: str = "") -> dict:
     """Each row's kind applied to the config's value, else to its default (a None default stays None).
 
-    A kind that is a table reads a nested object; an unknown key or rejected value raises ValueError."""
+    The rows may be a parameter dataclass: a finite number per field, required unless it has a default.
+    A kind that is a table reads a nested object, and so does a dataclass, built from the numbers as
+    given once they pass; for ``curve_class`` the object's ``family`` (default sshape) picks the class.
+    An unknown, missing or rejected value raises ValueError naming its key."""
+    if is_dataclass(rows):
+        rows = tuple((f.name, f.default, _real, "", None) for f in fields(rows))
     for key in config:
         if key not in {row[0] for row in rows}:
-            raise ValueError(f"{prefix}{key}: unknown config key for {command}")
+            raise _KeyedError(f"{prefix}{key}: unknown config key for {command}")
     values = {}
     for key, default, kind, _help, _flag in rows:
-        if key not in config and default is None:
-            values[key] = None
-        elif isinstance(kind, tuple):
-            values[key] = _resolve(kind, _object(config[key], prefix + key), command, f"{prefix}{key}.")
-        else:
-            try:
-                values[key] = kind(config.get(key, default))
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise ValueError(f"{prefix}{key}: {exc}") from None
+        name, value = prefix + key, config.get(key, default)
+        try:
+            if key not in config and default is None:
+                values[key] = None
+            elif value is MISSING:
+                raise _KeyedError(f"{name}: missing")
+            elif isinstance(kind, tuple):
+                values[key] = _resolve(kind, _object(value, name), command, name + ".")
+            elif is_dataclass(kind) or kind is curve_class:
+                block = dict(_object(value, name))
+                cls = curve_class(block.pop("family", "sshape")) if kind is curve_class else kind
+                values[key] = cls(**{**_resolve(cls, block, command, name + "."), **block})
+            else:
+                values[key] = kind(value)
+        except _KeyedError:
+            raise
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise _KeyedError(f"{name}: {exc}") from None
     return values
 
 
@@ -238,19 +257,10 @@ def _inputs(paths) -> list[Path]:
     return files
 
 
-def _meta_path(out_file: Path) -> Path:
-    name = out_file.name
-    if name.endswith(".csv"):
-        name = name[: -len(".csv")]
-    return out_file.with_name(name + ".meta.json")
-
-
 def _write_meta(out_file: Path, command: str, effective: dict) -> None:
-    write_json(_meta_path(out_file), {
-        "schema_version": SCHEMA_VERSION,
-        "command": command,
-        "config": effective,
-    })
+    """out_file's sibling .meta.json: es.bars.csv gets es.bars.meta.json."""
+    write_json(out_file.with_name(out_file.name.removesuffix(".csv") + ".meta.json"),
+               {"schema_version": SCHEMA_VERSION, "command": command, "config": effective})
 
 
 def _stem(path: Path) -> str:
@@ -293,28 +303,24 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    try:
-        for key in ("structural", "impact") if args.mode == "path" else ("panel", "impact"):
-            if getattr(args, key) is None:
-                raise ValueError(f"config needs a {key!r} object for {args.mode} mode")
-        if args.mode == "path":
-            path = simulate_path(SimConfig(
-                structural=args.structural, impact=args.impact, n_steps=args.n_steps, dt=args.dt,
-                x0=args.x0, s0=args.s0, seed=args.seed, measure=args.measure))
-            dest = args.out_dir / "path.csv"
-            path.write_csv(dest)
-            write_json(args.out_dir / "path.meta.json", path.metadata())
-            print(f"{dest}: {len(path)} samples, seed {path.seed_used}")
-        else:
-            seed = int(np.random.SeedSequence().entropy) if args.seed is None else args.seed
-            panel = synth_regression_panel(impact=args.impact, seed=seed, **args.panel)
-            dest = args.out_dir / "panel.csv"
-            panel.write_csv(dest)
-            write_json(args.out_dir / "panel.meta.json", panel.metadata())
-            print(f"{dest}: {len(panel.bars)} bars over {len(panel.days)} day(s), seed {seed}")
-    except (ParameterError, ValueError, TypeError, SimulationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    for key in ("structural", "impact") if args.mode == "path" else ("panel", "impact"):
+        if getattr(args, key) is None:
+            raise ValueError(f"config needs a {key!r} object for {args.mode} mode")
+    if args.mode == "path":
+        path = simulate_path(SimConfig(
+            structural=args.structural, impact=args.impact, n_steps=args.n_steps, dt=args.dt,
+            x0=args.x0, s0=args.s0, seed=args.seed, measure=args.measure))
+        dest = args.out_dir / "path.csv"
+        path.write_csv(dest)
+        write_json(args.out_dir / "path.meta.json", path.metadata())
+        print(f"{dest}: {len(path)} samples, seed {path.seed_used}")
+    else:
+        seed = int(np.random.SeedSequence().entropy) if args.seed is None else args.seed
+        panel = synth_regression_panel(impact=args.impact, seed=seed, **args.panel)
+        dest = args.out_dir / "panel.csv"
+        panel.write_csv(dest)
+        write_json(args.out_dir / "panel.meta.json", panel.metadata())
+        print(f"{dest}: {len(panel.bars)} bars over {len(panel.days)} day(s), seed {seed}")
     return 0
 
 
@@ -409,48 +415,42 @@ def cmd_curves(args) -> int:
         raise ValueError("need n_points >= 2 and x_max > x_min")
 
     (fit_path,) = _inputs([args.fit_json])
-    try:
-        fit_dict = _select_fit(read_json(fit_path), args.model, args.date)
-        curve = curve_from_dict({**fit_dict["param_hats"], "family": args.model})
-        if isinstance(curve, SShapeParams) and not feasibility_margin(curve) > 0:
-            raise ParameterError("fit parameters are infeasible; curve undefined on the real line")
-        xs = np.linspace(args.x_min, args.x_max, args.n_points)
-        f_bps = 1e4 * _impact_f(curve, xs)
-    except (ParameterError, ValueError, KeyError, TypeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    hats = _select_fit(read_json(fit_path), args.model, args.date)
+    cls = curve_class(args.model)
+    curve = cls(**_resolve(cls, hats, "curves", "param_hats."))
+    if isinstance(curve, SShapeParams) and not feasibility_margin(curve) > 0:
+        raise ParameterError("fit parameters are infeasible; curve undefined on the real line")
+    xs = np.linspace(args.x_min, args.x_max, args.n_points)
+    f_bps = 1e4 * _impact_f(curve, xs)
 
     dest = args.out_dir / "curve.csv"
     write_table(dest, ["x", "f_bps"], zip(xs.tolist(), f_bps.tolist()))
     _write_meta(dest, "curves", {
         "fit_json": str(fit_path), "model": args.model, "date": args.date,
         "x_min": args.x_min, "x_max": args.x_max, "n_points": args.n_points,
-        "param_hats": fit_dict["param_hats"],
+        "param_hats": hats,
     })
     print(f"{dest}: {args.n_points} points over [{args.x_min}, {args.x_max}]")
     return 0
 
 
 def _select_fit(doc, model: str, date: str | None) -> dict:
-    """Find the fit block for the model in a fits.json (or bare FitResult) document."""
-    doc = _object(doc, "fit JSON")
-    if "param_hats" in doc:
-        if doc.get("model") != model:
-            raise ValueError(f"fit JSON holds model {doc.get('model')!r}, not {model!r}")
-        return doc
-    days = _object(doc.get("days", {}), "fit JSON days")
-    if date is not None:
-        if date not in days or model not in days[date]:
-            raise ValueError(f"no {model} fit for date {date!r} in fit JSON")
-        return days[date][model]
-    pooled = doc.get("pooled", {})
-    if model in pooled:
-        return pooled[model]
-    if len(days) == 1:
-        (only,) = days.values()
-        if model in only:
-            return only[model]
-    raise ValueError("fit JSON has no pooled fit for this model; pass --date")
+    """The param_hats object of the model's fit in a fits.json (or bare FitResult) document."""
+    fit = _object(doc, "fit JSON")
+    if "param_hats" not in fit:
+        days = _object(fit.get("days", {}), "fit JSON days")
+        where = "pooled" if date is None else f"days.{date}"
+        fits = _object(fit.get("pooled", {}) if date is None else days.get(date, {}), f"fit JSON {where}")
+        if date is None and model not in fits and len(days) == 1:
+            ((day, fits),) = days.items()
+            where, fits = f"days.{day}", _object(fits, f"fit JSON days.{day}")
+        if model not in fits:
+            raise ValueError("fit JSON has no pooled fit for this model; pass --date" if date is None
+                             else f"no {model} fit for date {date!r} in fit JSON")
+        fit = _object(fits[model], f"fit JSON {where}.{model}")
+    elif fit.get("model") != model:
+        raise ValueError(f"fit JSON holds model {fit.get('model')!r}, not {model!r}")
+    return _object(fit.get("param_hats"), "param_hats")
 
 
 # ---------------------------------------------------------------------------
@@ -563,7 +563,7 @@ def main(argv=None) -> int:
         vars(args).update(_resolve(rows, {**_load_config(args.config), **flags}, args.command))
         args.out_dir.mkdir(parents=True, exist_ok=True)
         return args.run(args)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, SimulationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -86,18 +86,15 @@ class RegressionPanel:
     x_prev: np.ndarray
 
     def __post_init__(self) -> None:
-        r = np.asarray(self.r, dtype=float)
-        x = np.asarray(self.x, dtype=float)
-        xp = np.asarray(self.x_prev, dtype=float)
+        for name in ("r", "x", "x_prev"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+        r, x, xp = self.r, self.x, self.x_prev
         if not (r.shape == x.shape == xp.shape) or r.ndim != 1:
             raise EstimationError("r, x, x_prev must be 1-d arrays of equal length")
         if r.size < 10:
             raise EstimationError(f"need at least 10 observations, got {r.size}")
         if not (np.isfinite(r).all() and np.isfinite(x).all() and np.isfinite(xp).all()):
             raise EstimationError("panel contains non-finite values")
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "x_prev", xp)
 
     @property
     def n(self) -> int:

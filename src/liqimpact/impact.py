@@ -38,6 +38,7 @@ __all__ = [
     "LinearParams",
     "SqrtParams",
     "curve_to_dict",
+    "curve_class",
     "curve_from_dict",
     "StructuralParams",
     "PQDecomposition",
@@ -159,6 +160,14 @@ def curve_to_dict(params: SShapeParams | LinearParams | SqrtParams) -> dict:
     return {"family": params.family, **asdict(params)}
 
 
+def curve_class(family: str) -> type[SShapeParams | LinearParams | SqrtParams]:
+    """The curve class of a family name; ParameterError for an unknown one."""
+    cls = _FAMILIES.get(family)
+    if cls is None:
+        raise ParameterError(f"impact family must be one of {', '.join(_FAMILIES)}, got {family!r}")
+    return cls
+
+
 def curve_from_dict(block: dict) -> SShapeParams | LinearParams | SqrtParams:
     """Build a curve from its parameters and ``family`` name (default sshape).
 
@@ -166,11 +175,7 @@ def curve_from_dict(block: dict) -> SShapeParams | LinearParams | SqrtParams:
     names raise TypeError from the constructor.
     """
     fields = dict(block)
-    family = fields.pop("family", "sshape")
-    cls = _FAMILIES.get(family)
-    if cls is None:
-        raise ParameterError(f"impact family must be one of {', '.join(_FAMILIES)}, got {family!r}")
-    return cls(**fields)
+    return curve_class(fields.pop("family", "sshape"))(**fields)
 
 
 @dataclass(frozen=True)

@@ -787,7 +787,7 @@ def read_bars_csv(path: str | Path) -> BarTable:
     """
     path = Path(path)
     with path.open("rb") as fh:
-        first = next(csv.reader([read_text(path, fh.readline())]), [])
+        first = next(csv.reader(io.StringIO(read_text(path, fh.readline()), newline="")), [])
     if first not in (BAR_HEADER, PANEL_HEADER):
         raise ParseError(f"{path}:1: unrecognized header {','.join(first)!r}; expected "
                          f"{','.join(BAR_HEADER)} or {','.join(PANEL_HEADER)}")

@@ -103,9 +103,9 @@ class OUParams:
     eta: float
 
     def __post_init__(self) -> None:
-        if self.c <= 0:
+        if not self.c > 0:
             raise ParameterError(f"c must be positive, got {self.c}")
-        if self.eta <= 0:
+        if not self.eta > 0:
             raise ParameterError(f"eta must be positive, got {self.eta}")
 
     @classmethod
@@ -137,11 +137,11 @@ class SimConfig:
     measure: str = "physical"
 
     def __post_init__(self) -> None:
-        if self.dt <= 0:
+        if not self.dt > 0:
             raise ParameterError(f"dt must be positive, got {self.dt}")
         if self.n_steps < 1:
             raise ParameterError(f"n_steps must be at least 1, got {self.n_steps}")
-        if self.s0 <= 0:
+        if not self.s0 > 0:
             raise ParameterError(f"s0 must be positive, got {self.s0}")
         if self.measure not in ("physical", "risk-neutral"):
             raise ParameterError(f"measure must be physical or risk-neutral, got {self.measure!r}")
@@ -219,15 +219,8 @@ class SimPath:
             "schema_version": SCHEMA_VERSION,
             "kind": "path",
             "rng": {"algorithm": RNG_ALGORITHM, "seed": self.seed_used},
-            "config": {
-                "structural": asdict(cfg.structural),
-                "impact": curve_to_dict(cfg.impact),
-                "n_steps": cfg.n_steps,
-                "dt": cfg.dt,
-                "x0": cfg.x0,
-                "s0": cfg.s0,
-                "measure": cfg.measure,
-            },
+            "config": {"structural": asdict(cfg.structural), "impact": curve_to_dict(cfg.impact),
+                       **{key: getattr(cfg, key) for key in ("n_steps", "dt", "x0", "s0", "measure")}},
         }
 
     def write_csv(self, dest: str | Path) -> None:
@@ -246,7 +239,7 @@ def correlated_increments(
     """
     if not -1.0 <= rho <= 1.0:
         raise ParameterError(f"rho must lie in [-1, 1], got {rho}")
-    if dt <= 0:
+    if not dt > 0:
         raise ParameterError(f"dt must be positive, got {dt}")
     n = 1 if size is None else int(size)
     # Built in place: the columns of z turn from (u, v) into (dw, dz) through
@@ -425,10 +418,11 @@ def synth_regression_panel(
     start each day at 100 and compound the generated returns, so last_price
     and log_return stay mutually consistent.  The first bar of a day has no
     return.  Generating parameters (and the seed) are returned in ``truth``.
+    A panel whose arrays cannot be allocated is a ParameterError.
     """
     if n_days < 1 or bars_per_day < 2:
         raise ParameterError("need n_days >= 1 and bars_per_day >= 2")
-    if noise_sd < 0:
+    if not noise_sd >= 0:
         raise ParameterError(f"noise_sd must be non-negative, got {noise_sd}")
     if isinstance(impact, SShapeParams):
         if not feasibility_margin(impact) > 0:
@@ -436,8 +430,11 @@ def synth_regression_panel(
 
     rng = np.random.Generator(np.random.PCG64(seed))
     decay, trans_sd = flow.transition(1.0)
-    x0 = flow.m + flow.stationary_sd * rng.standard_normal(n_days)
-    shocks = trans_sd * rng.standard_normal((n_days, bars_per_day - 1))
+    try:
+        x0 = flow.m + flow.stationary_sd * rng.standard_normal(n_days)
+        shocks = trans_sd * rng.standard_normal((n_days, bars_per_day - 1))
+    except (ValueError, MemoryError) as exc:  # numpy's limits on the shape, or the allocation
+        raise ParameterError(f"n_days x bars_per_day: {n_days} x {bars_per_day} bars do not fit ({exc})") from None
     eps = noise_sd * rng.standard_normal((n_days, bars_per_day - 1))
 
     zi = (decay * (x0 - flow.m))[:, None]

@@ -43,6 +43,10 @@ SIM_CONFIG = {
 }
 
 
+PARAMETER_BLOCKS = {"structural": SIM_CONFIG["structural"], "impact": SIM_CONFIG["impact"],
+                    "panel": {"flow": {"c": 0.1, "m": 5.0, "eta": 100.0}}}
+
+
 def write_config(tmp_path, payload, name="config.json"):
     p = tmp_path / name
     p.write_text(json.dumps(payload), encoding="utf-8")
@@ -281,11 +285,18 @@ def test_simulate_bad_configs(tmp_path, capsys):
     # The panel block is as strict as the config root, and names the key it rejects.
     for block, hint in (({**panel, "n_dayz": 5}, "error: panel.n_dayz: unknown config key for simulate"),
                         ({**panel, "n_days": 2.5}, "error: panel.n_days: "),
-                        ({**panel, "flow": {**panel["flow"], "etta": 1.0}}, "error: panel.flow: "),
+                        ({**panel, "flow": {**panel["flow"], "etta": 1.0}},
+                         "error: panel.flow.etta: unknown config key for simulate"),
                         (5, "error: panel must be a JSON object")):
         cfg = write_config(tmp_path, {**SIM_CONFIG, "mode": "panel", "panel": block}, "panel.json")
         assert main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 1
         assert capsys.readouterr().err.startswith(hint)
+
+    # A parameter block missing a field names it (bad and unknown fields: test_bad_config_value_names_its_key).
+    structural = {k: v for k, v in SIM_CONFIG["structural"].items() if k != "m"}
+    cfg = write_config(tmp_path, {**SIM_CONFIG, "structural": structural}, "block.json")
+    assert main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == "error: structural.m: missing\n"
 
     # Parameters past the float range: SimConfig rejects a sigma_s, or a risk-neutral eta, whose
     # square overflows; a physical eta that large makes x non-finite through a flow shock.
@@ -309,7 +320,9 @@ def test_simulate_bad_configs(tmp_path, capsys):
             ({**SIM_CONFIG, "n_steps": 10 ** 30},
              f"error: n_steps: {10 ** 30} steps do not fit in memory (Maximum allowed dimension exceeded)"),
             ({**SIM_CONFIG, "n_steps": 2 ** 62},
-             f"error: n_steps: {2 ** 62} steps do not fit in memory (array is too big")):
+             f"error: n_steps: {2 ** 62} steps do not fit in memory (array is too big"),
+            ({**SIM_CONFIG, "mode": "panel", "panel": {**panel, "bars_per_day": 10 ** 15}},
+             f"error: n_days x bars_per_day: 1 x {10 ** 15} bars do not fit (Unable to allocate")):
         assert main(["simulate", "--config", str(write_config(tmp_path, cfg, "big.json")),
                      "--out-dir", str(tmp_path)]) == 1
         assert capsys.readouterr().err.startswith(hint)
@@ -441,6 +454,20 @@ def test_curves_single_day_and_errors(fitted, tmp_path, capsys):
         assert main(["curves", str(bare), "--out-dir", str(out)]) == 1
         assert capsys.readouterr().err.startswith(f"error: {what} must be a JSON object, got list")
 
+    # The fit's parameters, and the blocks on the way to them, name the key they reject.
+    hats = {"ell": 1.3e-5, "p": -0.0034, "q": 8.15e-5}
+    for doc, date, hint in (
+            ({"pooled": {"sshape": {"param_hats": {**hats, "ell": "x"}}}}, [],
+             "error: param_hats.ell: expected a number, got 'x'"),
+            ({"pooled": {"sshape": {"param_hats": {**hats, "p": "x"}}}}, [],
+             "error: param_hats.p: expected a number, got 'x'"),
+            ({"days": {"d": 5}}, ["--date", "d"], "error: fit JSON days.d must be a JSON object, got int"),
+            ({"pooled": 5}, [], "error: fit JSON pooled must be a JSON object, got int")):
+        bare.write_text(json.dumps(doc))
+        assert main(["curves", str(bare), *date, "--out-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(hint) and "Traceback" not in err
+
 
 def test_fit_reads_bar_csv(tmp_path):
     rng = np.random.default_rng(5)
@@ -563,6 +590,10 @@ def test_fit_pooled_tries_every_model_and_names_each_failure(tmp_path, capsys):
     ("fit", "rss_rtol", math.nan),
     ("fit", "grid", [["-3e-3", True]]),
     ("fit", "grid", [[-3e-3, math.inf]]),
+    ("simulate", "structural.m", [1]),
+    ("simulate", "panel.flow.m", "5"),
+    ("simulate", "impact.p", "x"),
+    ("simulate", "impact.pp", 1.0),
 ])
 def test_bad_config_value_names_its_key(tmp_path, capsys, command, key, value):
     panel = synth_regression_panel(a=1e-6, impact=SShapeParams(1.3e-5, -0.0034, 8.15e-5),
@@ -575,7 +606,16 @@ def test_bad_config_value_names_its_key(tmp_path, capsys, command, key, value):
     write_daily_fits_csv([("2024-02-01", make_fit("sshape"))], fits_csv)
     inputs = {"fit": [str(tmp_path / "nk.csv")], "ingest": [str(DATA / "golden_ticks.csv")],
               "curves": [str(fit_json)], "simulate": [], "compare": ["--fits", str(fits_csv)]}[command]
-    cfg = write_config(tmp_path, {key: value})
+    # A dotted key sets one field of an otherwise valid parameter block.
+    top, *path = key.split(".")
+    config = {top: value}
+    if path:
+        config[top] = json.loads(json.dumps(PARAMETER_BLOCKS[top]))
+        block = config[top]
+        for name in path[:-1]:
+            block = block[name]
+        block[path[-1]] = value
+    cfg = write_config(tmp_path, config)
     assert main([command, *inputs, "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {key}: ") and "Traceback" not in err

@@ -866,6 +866,14 @@ def test_read_bars_csv_bad_cell_location(tmp_path, header, good_row, row, line, 
         read_bars_csv(path)
 
 
+def test_read_bars_csv_bare_carriage_return_in_header(tmp_path):
+    # A lone \r ends a line for the csv module, so the header is read up to it.
+    path = tmp_path / "es.bars.csv"
+    path.write_bytes(b"day,bar,x\r,r\n0,0,1.0,\n")
+    with pytest.raises(ParseError, match=re.escape(f"{path}:1: unrecognized header 'day,bar,x'")):
+        read_bars_csv(path)
+
+
 @pytest.mark.parametrize("header", [BAR_HEADER, PANEL_HEADER], ids=["bars", "panel"])
 def test_read_bars_csv_header_only_is_empty(tmp_path, header):
     path = tmp_path / "es.bars.csv"

@@ -92,6 +92,8 @@ def test_correlated_increments_validation():
         correlated_increments(1.2, 0.01, rng)
     with pytest.raises(ParameterError):
         correlated_increments(0.0, 0.0, rng)
+    with pytest.raises(ParameterError):
+        correlated_increments(0.0, math.nan, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -397,6 +399,9 @@ def test_sim_config_validation():
         make_config(n_steps=0)
     with pytest.raises(ParameterError):
         make_config(s0=0.0)
+    for nan in ({"dt": math.nan}, {"s0": math.nan}):  # NaN fails every comparison, so none may pass a check
+        with pytest.raises(ParameterError):
+            make_config(**nan)
     with pytest.raises(ParameterError):
         make_config(measure="pricing")
     with pytest.raises(ParameterError):
@@ -598,6 +603,11 @@ def test_panel_validation():
     with pytest.raises(ParameterError):
         synth_regression_panel(a=0.0, impact=NK, flow=flow, n_days=1, bars_per_day=10,
                                noise_sd=-1e-4)
+    with pytest.raises(ParameterError, match="noise_sd must be non-negative, got nan"):
+        synth_regression_panel(a=0.0, impact=NK, flow=flow, n_days=1, bars_per_day=10, noise_sd=math.nan)
+    # 10**15 bars (7 PiB) lie past a 47-bit address space, so the allocation fails at once.
+    with pytest.raises(ParameterError, match=r"^n_days x bars_per_day: 1 x 1000000000000000 bars do not fit \(Unable"):
+        synth_regression_panel(a=0.0, impact=NK, flow=flow, n_days=1, bars_per_day=10 ** 15)
     with pytest.raises(ParameterError):
         synth_regression_panel(a=0.0, impact=SShapeParams(ell=1.0, p=0.0, q=1e-8),
                                flow=flow, n_days=1, bars_per_day=10)
@@ -615,3 +625,6 @@ def test_ou_params_helpers():
         OUParams(c=0.0, m=0.0, eta=1.0)
     with pytest.raises(ParameterError):
         OUParams(c=0.1, m=0.0, eta=0.0)
+    for nan in ({"c": math.nan}, {"eta": math.nan}):
+        with pytest.raises(ParameterError):
+            OUParams(**{"c": 0.1, "m": 0.0, "eta": 1.0, **nan})
