@@ -420,7 +420,10 @@ def cmd_curves(args) -> int:
     curve = cls(**_resolve(cls, hats, "curves", "param_hats."))
     if isinstance(curve, SShapeParams) and not feasibility_margin(curve) > 0:
         raise ParameterError("fit parameters are infeasible; curve undefined on the real line")
-    xs = np.linspace(args.x_min, args.x_max, args.n_points)
+    try:
+        xs = np.linspace(args.x_min, args.x_max, args.n_points)
+    except (ValueError, IndexError, MemoryError) as exc:  # numpy's limits on the size, or the allocation
+        raise ParameterError(f"n_points: {args.n_points} points do not fit in memory ({exc})") from None
     f_bps = 1e4 * _impact_f(curve, xs)
 
     dest = args.out_dir / "curve.csv"

@@ -31,13 +31,14 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy.special import ndtr
 
 from ._common import ParseError, parse_float, parse_int, read_table, write_table
 from .impact import (
     SqrtParams,
     SShapeParams,
-    _direct_form_scalars,
+    _band_form,
+    _direct_big_phi,
+    _exponent,
     big_phi,
     f_sqrt,
     feasibility_margin,
@@ -202,8 +203,8 @@ _BLOCK_POINTS = 16_384
 def default_start_grid(flow_sd: float) -> list[tuple[float, float]]:
     """Scale-adaptive (p0, q0) start grid: p = -1e-2/s_x * k for k in -3..3
     crossed with q = 1e-2/s_x^2 * 10^j for j in -2..2."""
-    if flow_sd <= 0:
-        raise EstimationError("flow sd must be positive to build the start grid")
+    if not 0.0 < flow_sd < math.inf:
+        raise EstimationError(f"flow sd must be positive and finite to build the start grid, got {flow_sd}")
     ps = [-1e-2 / flow_sd * k for k in range(-3, 4)]
     qs = [1e-2 / flow_sd ** 2 * 10.0 ** j for j in range(-2, 3)]
     return [(p0, q0) for p0 in ps for q0 in qs]
@@ -228,8 +229,10 @@ def _start_thetas(panel: RegressionPanel, grid: Sequence[tuple[float, float]] | 
         ell_lin = 1e-6 / max(s_x, 1.0)
     theta0s = []
     for p0, q0 in starts:
-        if q0 <= 0:
-            raise EstimationError(f"grid q must be positive, got {q0}")
+        if not math.isfinite(p0):
+            raise EstimationError(f"grid p must be finite, got {p0}")
+        if not 0.0 < q0 < math.inf:
+            raise EstimationError(f"grid q must be positive and finite, got {q0}")
         ln_ell = min(math.log(ell_lin), math.log(0.5) - log_feasibility_load(p0, q0))
         theta0s.append([a0, ln_ell, p0, math.log(q0)])
     return np.array(theta0s)
@@ -243,9 +246,10 @@ class _SShapeResiduals:
     The curve and its derivatives are evaluated once per distinct flow (most
     x_prev are the previous bar's x) and gathered for both terms.  The rows of
     a block, at most ``max_rows`` and max(1, _BLOCK_POINTS // n), are evaluated
-    in one pass over (rows, flows) arrays, Phi and phi included for a row with
-    big_phi's direct form (``impact._direct_form_scalars``) and no flow in its
-    small-q limit; any other row takes them from big_phi and phi.  Every array
+    in one pass over (rows, flows) arrays, Phi and phi included for a row in the
+    band of big_phi's direct form (``impact._band_form``) with no flow in its
+    small-q limit, by impact's ``_direct_big_phi`` and ``_exponent`` on (rows, 1)
+    columns; any other row takes them from big_phi and phi.  Every array
     step is the ufunc of a one-row evaluation, in the same order, with each
     row's scalars in a column, so each row is bitwise what it would be alone.
 
@@ -328,7 +332,7 @@ class _SShapeResiduals:
             params = SShapeParams(ell, p, q)
             if feasibility_margin(params) < margin_floor:
                 continue
-            form = None if routed else _direct_form_scalars(ell, p, q)
+            form = None if routed else _band_form(p, q)
             if form is None or self.min_abs_flow < form[4]:
                 other.append((i, a, params, None))
             else:
@@ -350,7 +354,6 @@ class _SShapeResiduals:
         a, ell, p, q = np.array([(a, s.ell, s.p, s.q) for _, a, s, _ in rows]).T[:, :, None]
 
         # Each step is one ufunc into a work array, in the order of the plain expressions
-        #   Phi = k (N(rq x + b) - N(b)), phi = exp(-(p x + (q/2) x x)),
         #   f = log1p(ell Phi), df_du = ell Phi / den, den = 1 + ell Phi,
         #   dPhi_dp = (p Phi + phi - 1) / q,
         #   dPhi_dq = -(1/2) ((p^2 Phi + p (phi - 1)) / q^2 + (Phi - x phi) / q),
@@ -359,18 +362,8 @@ class _SShapeResiduals:
         with _column_ufuncs():
             if kd:
                 rq, b, kk, ndtr_b = np.array([form[:4] for *_, form in rows[:kd]]).T[:, :, None]
-                Phi_d, ph_d, tmp_d = Phi[:kd], ph[:kd], tmp[:kd]
-                np.multiply(rq, flows, out=Phi_d)
-                np.add(Phi_d, b, out=Phi_d)
-                ndtr(Phi_d, out=Phi_d)
-                np.subtract(Phi_d, ndtr_b, out=Phi_d)
-                np.multiply(Phi_d, kk, out=Phi_d)
-                np.multiply(p[:kd], flows, out=ph_d)
-                np.multiply(0.5 * q[:kd], flows, out=tmp_d)
-                np.multiply(tmp_d, flows, out=tmp_d)
-                np.add(ph_d, tmp_d, out=tmp_d)
-                np.negative(tmp_d, out=tmp_d)
-                np.exp(tmp_d, out=ph_d)
+                _direct_big_phi(flows, rq, b, kk, ndtr_b, out=Phi[:kd])
+                np.exp(_exponent(flows, p[:kd], q[:kd], out=tmp[:kd], work=ph[:kd]), out=ph[:kd])
             for slot, (_, _, params, _) in enumerate(rows[kd:], start=kd):
                 Phi[slot] = big_phi(flows, params)
                 ph[slot] = phi(flows, params)

@@ -19,7 +19,9 @@ is used only where it is well conditioned (``|p|/sqrt(q) <= 6`` and
 ``p^2/2q <= 300``). Outside that band the same quantity is computed from
 scaled complementary error functions and log-CDF differences, which keep
 full relative precision through the far tails. A separate small-q branch
-covers ``q x^2`` vanishing relative to ``|p x|``.
+covers ``q x^2`` vanishing relative to ``|p x|``. The direct form's scalars
+(``_band_form``), its kernel and phi's exponent live here alone; f and g share
+one ell * Phi (``_ell_phi``), and the fitter calls the same kernels on columns.
 """
 
 from __future__ import annotations
@@ -102,30 +104,13 @@ class SShapeParams:
 
     @cached_property
     def _direct_form(self) -> tuple[float, float, float, float, float] | None:
-        """_direct_form_scalars of these parameters, computed once per instance:
-        the simulator's one-step calls reuse one instance."""
-        return _direct_form_scalars(self.ell, self.p, self.q)
-
-
-def _direct_form_scalars(ell: float, p: float, q: float) -> tuple[float, float, float, float, float] | None:
-    """(sqrt(q), b, k, N(b), small-q threshold) of big_phi's direct form
-    k (N(sqrt(q) x + b) - N(b)), b = p / sqrt(q), or None where (p, q) is
-    outside its band or ell * max(k, exp(b^2 / 2)) exceeds _DIRECT_CAP.
-
-    They depend on the parameters alone and are computed with the calls
-    big_phi makes.  A point x != 0 with |x| below the threshold is in the
-    small-q limit.
-    """
-    rq = math.sqrt(q)
-    b = p / rq
-    if not _in_direct_band(b):
-        return None
-    c_half = 0.5 * math.sqrt(2.0 * math.pi / q)
-    peak = math.exp(0.5 * b * b)
-    k = 2.0 * c_half * peak
-    if not ell * max(k, peak) <= _DIRECT_CAP:
-        return None
-    return rq, b, k, ndtr(b), _SMALLQ_REL * abs(p) / q
+        """_band_form of (p, q), or None where ell * K or ell * exp(b^2 / 2),
+        the bounds of |ell * Phi| and ell * phi, exceeds _DIRECT_CAP; computed
+        once per instance, as the simulator's one-step calls reuse one."""
+        form = _band_form(self.p, self.q)
+        if form is None or not self.ell * max(form[2], math.exp(0.5 * form[1] * form[1])) <= _DIRECT_CAP:
+            return None
+        return form
 
 
 @dataclass(frozen=True)
@@ -244,8 +229,17 @@ def phi(x, params: SShapeParams):
     """Kernel phi(x) = exp(-p x - q x^2 / 2). phi(0) = 1."""
     xv, scalar = _vec(x)
     with np.errstate(over="ignore"):
-        out = np.exp(-(params.p * xv + 0.5 * params.q * xv * xv))
+        out = np.exp(_exponent(xv, params.p, params.q))
     return _devec(out, scalar)
+
+
+def _exponent(xv: np.ndarray, p, q, out=None, work=None) -> np.ndarray:
+    """phi's exponent -(p x + (q/2) x x) at xv, in out, with work as scratch; p and q
+    are scalars or (rows, 1) columns of them, each row bitwise the scalar evaluation.
+    Without out and work each step allocates: on a few points, an array updated in
+    place by another array costs more than a new one."""
+    half = np.multiply(np.multiply(0.5 * q, xv, out=work), xv, out=work)
+    return np.negative(np.add(np.multiply(p, xv, out=out), half, out=out), out=out)
 
 
 def big_phi(x, params: SShapeParams):
@@ -281,14 +275,21 @@ def _small_q(xv: np.ndarray, threshold: float) -> np.ndarray:
     return (a < threshold) & (a > 0.0)
 
 
-def _in_direct_band(b: float) -> bool:
-    """Whether the normal-CDF difference is well conditioned at b = p / sqrt(q)."""
-    return abs(b) <= _TAIL_Z and 0.5 * b * b <= _TAIL_LOG
+def _band_form(p: float, q: float) -> tuple[float, float, float, float, float] | None:
+    """(sqrt(q), b, k, N(b), small-q threshold) of Phi's direct form k (N(sqrt(q) x + b) - N(b)),
+    b = p / sqrt(q), k = sqrt(2 pi / q) exp(b^2 / 2), or None outside the band where it is well
+    conditioned.  A point x != 0 with |x| below the threshold is in the small-q limit."""
+    rq = math.sqrt(q)
+    b = p / rq
+    if not (abs(b) <= _TAIL_Z and 0.5 * b * b <= _TAIL_LOG):
+        return None
+    return rq, b, math.sqrt(2.0 * math.pi / q) * math.exp(0.5 * b * b), ndtr(b), _SMALLQ_REL * abs(p) / q
 
 
-def _direct_big_phi(xv: np.ndarray, rq: float, b: float, k: float, ndtr_b: float) -> np.ndarray:
-    """The direct form k * (N(sqrt(q) x + b) - N(b)) of Phi, k = sqrt(2 pi / q) exp(b^2 / 2)."""
-    out = rq * xv
+def _direct_big_phi(xv: np.ndarray, rq, b, k, ndtr_b, out=None) -> np.ndarray:
+    """Phi's direct form k (N(rq x + b) - N(b)) at xv, in out, from the scalars of
+    _band_form or (rows, 1) columns of them, each row bitwise the scalar evaluation."""
+    out = np.multiply(rq, xv, out=out)
     out += b
     ndtr(out, out=out)
     out -= ndtr_b
@@ -297,11 +298,12 @@ def _direct_big_phi(xv: np.ndarray, rq: float, b: float, k: float, ndtr_b: float
 
 
 def _big_phi_gaussian(xv: np.ndarray, p: float, q: float) -> np.ndarray:
+    form = _band_form(p, q)
+    if form is not None:
+        return _direct_big_phi(xv, *form[:4])
     rq = math.sqrt(q)
     b = p / rq
     c_half = 0.5 * math.sqrt(2.0 * math.pi / q)
-    if _in_direct_band(b):
-        return _direct_big_phi(xv, rq, b, 2.0 * c_half * math.exp(0.5 * b * b), ndtr(b))
     a = rq * xv + b
     with np.errstate(over="ignore"):
         if b >= 0.0:
@@ -328,42 +330,43 @@ def _log_ell_phi_huge(xv: np.ndarray, params: SShapeParams) -> np.ndarray:
     )
 
 
-def _ell_phi_direct(xv: np.ndarray, params: SShapeParams) -> np.ndarray | None:
-    """ell * Phi(x) from big_phi's direct branch alone, or None if any point needs more.
+def _log1p_ell_phi(t: np.ndarray, xv: np.ndarray, params: SShapeParams) -> np.ndarray:
+    """log(1 + t) for t = ell * Phi(xv) from big_phi, in log space where t overflowed to +inf."""
+    with np.errstate(invalid="ignore"):
+        out = np.log1p(t)
+    huge = np.isinf(t)
+    if huge.any():
+        out[huge] = _log_ell_phi_huge(xv[huge], params)
+    return out
 
-    Bit-identical to the routed evaluation where it applies: (p, q) in the
-    well-conditioned band, no point in the small-q limit, and
-    ell * Phi(x) > -1 everywhere (which also rules out NaN). Keeping ell * K
-    and ell * exp(b^2 / 2), the bounds of |ell * Phi| and ell * phi, under
-    _DIRECT_CAP rules out overflow in either. On None the caller takes the
-    general path, with its tail, small-q and overflow branches and the
-    ParameterError for an infeasible point.
+
+def _ell_phi(xv: np.ndarray, params: SShapeParams) -> tuple[np.ndarray, bool]:
+    """ell * Phi(x), and whether it came from the capped direct form alone.
+
+    That form (``params._direct_form``) serves where no point is in the
+    small-q limit and ell * Phi(x) > -1 everywhere (which also rules out NaN),
+    bit-identical to big_phi there; its cap rules out overflow in ell * Phi
+    and ell * phi.  Elsewhere ell * big_phi(x) may overflow to +inf, which f
+    and g take in log space.  Raises ParameterError where 1 + ell * Phi(x) <= 0.
     """
     form = params._direct_form
-    if form is None:
-        return None
-    rq, b, k, ndtr_b, small_q = form
-    # The point nearest 0 clears every point in the usual case, in fewer calls.
-    if np.minimum.reduce(np.abs(xv), axis=None, initial=math.inf) < small_q and _small_q(xv, small_q).any():
-        return None
-    t = _direct_big_phi(xv, rq, b, k, ndtr_b)
-    t *= params.ell
-    if not np.minimum.reduce(t, axis=None, initial=math.inf) > -1.0:
-        return None
-    return t
-
-
-def _ell_phi_checked(xv: np.ndarray, params: SShapeParams) -> np.ndarray:
-    # ell * Phi may overflow to +inf; f_sshape and g_sshape take such points in log space.
+    if form is not None:
+        rq, b, k, ndtr_b, small_q = form
+        # The point nearest 0 clears every point in the usual case, in fewer calls.
+        nearest_small = np.minimum.reduce(np.abs(xv), axis=None, initial=math.inf) < small_q
+        if not (nearest_small and _small_q(xv, small_q).any()):
+            t = _direct_big_phi(xv, rq, b, k, ndtr_b)
+            t *= params.ell
+            if np.minimum.reduce(t, axis=None, initial=math.inf) > -1.0:
+                return t, True
     with np.errstate(over="ignore"):
         t = params.ell * big_phi(xv, params)
     bad = t <= -1.0
     if bad.any():
-        xb = float(xv[bad][0])
         raise ParameterError(
-            f"impact curve undefined at x={xb:g}: 1 + ell*Phi(x) <= 0 for {params}"
+            f"impact curve undefined at x={float(xv[bad][0]):g}: 1 + ell*Phi(x) <= 0 for {params}"
         )
-    return t
+    return t, False
 
 
 def f_sshape(x, params: SShapeParams):
@@ -375,16 +378,8 @@ def f_sshape(x, params: SShapeParams):
     yields finite f for feasible parameters.
     """
     xv, scalar = _vec(x)
-    t = _ell_phi_direct(xv, params)
-    if t is not None:
-        return _devec(np.log1p(t), scalar)
-    t = _ell_phi_checked(xv, params)
-    with np.errstate(invalid="ignore"):
-        out = np.log1p(t)
-    huge = np.isinf(t)
-    if huge.any():
-        out[huge] = _log_ell_phi_huge(xv[huge], params)
-    return _devec(out, scalar)
+    t, direct = _ell_phi(xv, params)
+    return _devec(np.log1p(t) if direct else _log1p_ell_phi(t, xv, params), scalar)
 
 
 def g_sshape(x, params: SShapeParams):
@@ -394,11 +389,10 @@ def g_sshape(x, params: SShapeParams):
     Bernoulli equation g' = -(p + q x) g - g^2.
     """
     xv, scalar = _vec(x)
-    t = _ell_phi_direct(xv, params)
-    expo = -(params.p * xv + 0.5 * params.q * xv * xv)
-    if t is not None:
+    t, direct = _ell_phi(xv, params)
+    expo = _exponent(xv, params.p, params.q)
+    if direct:
         return _devec(params.ell * np.exp(expo) / (1.0 + t), scalar)
-    t = _ell_phi_checked(xv, params)
     with np.errstate(over="ignore"):
         num = params.ell * np.exp(expo)
     den = 1.0 + t
@@ -407,13 +401,7 @@ def g_sshape(x, params: SShapeParams):
     np.divide(num, den, out=out, where=safe)
     if not safe.all():
         rough = ~safe
-        log_den = np.empty(rough.sum())
-        t_rough = t[rough]
-        fin = np.isfinite(t_rough)
-        log_den[fin] = np.log1p(t_rough[fin])
-        if (~fin).any():
-            log_den[~fin] = _log_ell_phi_huge(xv[rough][~fin], params)
-        out[rough] = np.exp(math.log(params.ell) + expo[rough] - log_den)
+        out[rough] = np.exp(math.log(params.ell) + expo[rough] - _log1p_ell_phi(t[rough], xv[rough], params))
     return _devec(out, scalar)
 
 

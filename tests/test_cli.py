@@ -7,6 +7,7 @@ logging configuration.
 import contextlib
 import csv
 import gzip
+import importlib.util
 import io
 import json
 import math
@@ -454,17 +455,22 @@ def test_curves_single_day_and_errors(fitted, tmp_path, capsys):
         assert main(["curves", str(bare), "--out-dir", str(out)]) == 1
         assert capsys.readouterr().err.startswith(f"error: {what} must be a JSON object, got list")
 
-    # The fit's parameters, and the blocks on the way to them, name the key they reject.
+    # The fit's parameters, and the blocks on the way to them, name the key they reject; so does a
+    # sample count too large for memory or for numpy's sizes.
     hats = {"ell": 1.3e-5, "p": -0.0034, "q": 8.15e-5}
-    for doc, date, hint in (
+    for doc, extra, hint in (
             ({"pooled": {"sshape": {"param_hats": {**hats, "ell": "x"}}}}, [],
              "error: param_hats.ell: expected a number, got 'x'"),
             ({"pooled": {"sshape": {"param_hats": {**hats, "p": "x"}}}}, [],
              "error: param_hats.p: expected a number, got 'x'"),
             ({"days": {"d": 5}}, ["--date", "d"], "error: fit JSON days.d must be a JSON object, got int"),
-            ({"pooled": 5}, [], "error: fit JSON pooled must be a JSON object, got int")):
+            ({"pooled": 5}, [], "error: fit JSON pooled must be a JSON object, got int"),
+            ({"pooled": {"sshape": {"param_hats": hats}}}, ["--n-points", str(10 ** 15)],
+             f"error: n_points: {10 ** 15} points do not fit in memory (Unable to allocate"),
+            ({"pooled": {"sshape": {"param_hats": hats}}}, ["--n-points", str(2 ** 63 - 1)],
+             f"error: n_points: {2 ** 63 - 1} points do not fit in memory (index -1 is out of bounds")):
         bare.write_text(json.dumps(doc))
-        assert main(["curves", str(bare), *date, "--out-dir", str(out)]) == 1
+        assert main(["curves", str(bare), *extra, "--out-dir", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith(hint) and "Traceback" not in err
 
@@ -742,6 +748,33 @@ def test_ingest_fit_compare_with_default_names(tmp_path, capsys):
     assert depth[0]["days_included"] == "2"
     assert [float(depth[1]["mean"]), float(depth[2]["mean"])] == [10.5, 20.5]
     assert list(json.loads((reports / "report.json").read_text())["contracts"]) == ["es"]
+
+
+def test_ticks_to_depth_recovers_the_generating_curve(tmp_path, capsys):
+    """The benchmark's tick generator knows the curve behind its prices; through
+    signing, bars and the pooled fit, each parameter lands within 3 SE of it.
+
+    The generator is read from bench/ as it is, and the file is the benchmark's
+    tick_pipeline input (5 days, 35 trades a bar).  On 20 seeds (11-30) every
+    |z| was below 3 and 17-19 of 20 were below 2."""
+    spec = importlib.util.spec_from_file_location("bench_ticks", ROOT / "bench" / "liqbench" / "ticks.py")
+    ticks = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = ticks  # dataclasses look their module up there
+    try:
+        spec.loader.exec_module(ticks)
+    finally:
+        del sys.modules[spec.name]
+    for seed in (11, 12):
+        source = tmp_path / f"s{seed}.csv.gz"
+        source.write_bytes(ticks.generate(seed, 5, 35.0).data)
+        assert main(["ingest", str(source), "--out-dir", str(tmp_path)]) == 0
+        assert main(["fit", str(tmp_path / f"s{seed}.bars.csv"), "--pooled", "--model", "sshape",
+                     "--out-dir", str(tmp_path)]) == 0
+        fit = json.loads((tmp_path / f"s{seed}.bars.fits.json").read_text())["pooled"]["sshape"]
+        assert fit["converged"]
+        for name, truth in (("ell", ticks.ELL), ("p", ticks.P), ("q", ticks.Q)):
+            assert abs(fit["param_hats"][name] - truth) <= 3.0 * fit["ses"][name], (seed, name, fit)
+    capsys.readouterr()
 
 
 def test_compare_single_model_no_ttests(tmp_path):

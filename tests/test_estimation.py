@@ -406,6 +406,16 @@ def test_fit_sshape_bad_grids_raise():
     for q0 in (0.0, -1e-5):
         with pytest.raises(EstimationError, match="grid q must be positive"):
             fit_sshape(panel, [(-3e-3, 8e-5), (-3e-3, q0)])
+    # Non-finite grid values are named, not left to fail every start.
+    for point, hint in (((-3e-3, math.nan), "grid q must be positive and finite, got nan"),
+                        ((-3e-3, math.inf), "grid q must be positive and finite, got inf"),
+                        ((math.nan, 8e-5), "grid p must be finite, got nan"),
+                        ((-math.inf, 8e-5), "grid p must be finite, got -inf")):
+        with pytest.raises(EstimationError, match=f"^{re.escape(hint)}$"):
+            fit_sshape(panel, [(-3e-3, 8e-5), point])
+    for flow_sd in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(EstimationError, match=f"start grid, got {flow_sd}$"):
+            default_start_grid(flow_sd)
 
 
 def test_near_linear_curve_matches_linear_slope():

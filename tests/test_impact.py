@@ -37,7 +37,7 @@ from liqimpact.impact import (
     solve_ode_numeric,
     structural_to_pq,
 )
-from liqimpact.impact import _SMALLQ_REL, _ell_phi_direct
+from liqimpact.impact import _SMALLQ_REL, _ell_phi
 
 NK = SShapeParams(ell=1.3e-5, p=-0.0034, q=8.15e-5)
 
@@ -393,8 +393,8 @@ def test_curve_stays_finite_where_ell_phi_overflows_in_the_direct_band():
 def test_direct_path_takes_zero_and_integer_flows():
     # x = 0 is never a small-q point, so bar flows (integers, zero among them) stay on the direct path.
     for xs in (np.array([0.0, -2.5, 400.0]), np.arange(-50, 51)):
-        t = _ell_phi_direct(np.asarray(xs, dtype=float), NK)
-        assert t is not None
+        t, direct = _ell_phi(np.asarray(xs, dtype=float), NK)
+        assert direct
         assert t.tobytes() == (NK.ell * big_phi(xs, NK)).tobytes()
 
 
