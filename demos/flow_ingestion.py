@@ -1,29 +1,34 @@
 """From raw ticks to signed order flow bars.
 
-Builds a small trade-and-quote stream in memory, classifies each trade
-against the prevailing quote midpoint, aggregates everything into one-minute
-bars, and prints the flow descriptives.  The same pipeline reads tick CSVs
-(plain or gzip) through read_ticks.
+Writes a small trade-and-quote stream as tick CSV text to a temporary file,
+reads it back with read_ticks (plain or gzip files alike), classifies each
+trade against the prevailing quote midpoint, aggregates everything into
+one-minute bars, and prints the flow descriptives.
 """
 
+import tempfile
 from datetime import datetime, timedelta
+from pathlib import Path
 
-from liqimpact import TickRecord, build_bars, flow_descriptives, sign_trade
+from liqimpact import build_bars, flow_descriptives, read_ticks, sign_trade
+from liqimpact.ingest import TICK_HEADER
 
 base = datetime(2024, 5, 7, 9, 0, 0)
 
 
+def stamp(sec):
+    return (base + timedelta(seconds=sec)).isoformat(sep=" ")
+
+
 def quote(sec, bid, ask, bid_size=50.0, ask_size=40.0):
-    return TickRecord(timestamp=base + timedelta(seconds=sec), kind="Q",
-                      bid=bid, ask=ask, bid_size=bid_size, ask_size=ask_size)
+    return f"{stamp(sec)},Q,,,{bid},{ask},{bid_size},{ask_size}"
 
 
 def trade(sec, price, size):
-    return TickRecord(timestamp=base + timedelta(seconds=sec), kind="T",
-                      price=price, size=size)
+    return f"{stamp(sec)},T,{price},{size},,,,"
 
 
-ticks = [
+rows = [
     quote(5, 99.98, 100.02),
     trade(20, 100.02, 5.0),    # at the ask: buyer-initiated
     trade(40, 99.98, 3.0),     # at the bid: seller-initiated
@@ -34,6 +39,11 @@ ticks = [
     trade(150, 100.00, 6.0),   # below the new midpoint: seller-initiated
     trade(170, 100.05, 2.0),
 ]
+
+with tempfile.TemporaryDirectory() as tmp:
+    path = Path(tmp) / "ticks.csv"
+    path.write_text("\n".join([",".join(TICK_HEADER), *rows]) + "\n", encoding="utf-8")
+    ticks = read_ticks(path)
 
 print("trade classification against the prevailing quote:")
 bid = ask = None

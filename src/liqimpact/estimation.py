@@ -203,10 +203,13 @@ _BLOCK_POINTS = 16_384
 def default_start_grid(flow_sd: float) -> list[tuple[float, float]]:
     """Scale-adaptive (p0, q0) start grid: p = -1e-2/s_x * k for k in -3..3
     crossed with q = 1e-2/s_x^2 * 10^j for j in -2..2."""
-    if not 0.0 < flow_sd < math.inf:
-        raise EstimationError(f"flow sd must be positive and finite to build the start grid, got {flow_sd}")
-    ps = [-1e-2 / flow_sd * k for k in range(-3, 4)]
-    qs = [1e-2 / flow_sd ** 2 * 10.0 ** j for j in range(-2, 3)]
+    try:
+        ps = [-1e-2 / flow_sd * k for k in range(-3, 4)]
+        qs = [1e-2 / flow_sd ** 2 * 10.0 ** j for j in range(-2, 3)]
+    except (ZeroDivisionError, OverflowError):  # flow_sd zero, or flow_sd ** 2 past the float range
+        ps = qs = [math.nan]
+    if not (0.0 < flow_sd < math.inf and all(map(math.isfinite, ps + qs)) and min(qs) > 0.0):
+        raise EstimationError(f"flow sd must give a finite start grid with every q > 0, got {flow_sd}")
     return [(p0, q0) for p0 in ps for q0 in qs]
 
 
@@ -718,8 +721,8 @@ def estimate_ou(flows, dt: float = 1.0) -> OUEstimate:
     AR(1) regression X_t on X_{t-1} never pairs observations across segment
     boundaries.  Requires at least 30 observations and nonzero variance.
     """
-    if dt <= 0:
-        raise EstimationError(f"dt must be positive, got {dt}")
+    if not 0 < dt < math.inf:
+        raise EstimationError(f"dt must be positive and finite, got {dt}")
     segs = [s for s in _segments(flows) if s.size >= 2]
     if not segs:
         raise EstimationError("need at least one segment with two observations")

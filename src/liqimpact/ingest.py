@@ -15,18 +15,18 @@ kind ``T`` or ``Q``, timestamps ``YYYY-MM-DD[T ]HH:MM:SS[.f]`` with one to six
 fraction digits, and numbers ``-?digits[.digits]`` of at most 15 digits.  Any
 other chunk (quoted cells, exponents, ``nan``, offsets, ``,`` fractions,
 non-ASCII text, blank lines) is read a row at a time under the same rules.
-``build_bars`` also takes a plain sequence of :class:`TickRecord`, converted
-once by :meth:`TickTable.from_records`; a table has a length and iterates as
-``TickRecord``.  Bars are columns too: ``build_bars`` returns a
-:class:`BarTable`, and the bar writers,
-``flow_descriptives``, the synthetic panels, the bar-file reader, the
-regression pairing and the depth report take or make one and nothing else.
+``build_bars`` takes only a ``TickTable``; a table has a length and iterates
+as ``TickRecord``.  To build one in memory, fill its columns and call
+:meth:`TickTable.validate`.  Bars are columns too: ``build_bars`` returns a
+:class:`BarTable`, and the bar writers, ``flow_descriptives``, the synthetic
+panels, the bar-file reader, the regression pairing and the depth report take
+or make one and nothing else.
 This module owns both bar-file layouts: the bar CSV that ``write_bars_csv``
 writes and the day,bar,x,r panel CSV that ``write_panel_csv`` writes;
 ``read_bars_csv`` reads either.
 
 Rules a tick row must follow (breaking one raises ParseError with the file and
-physical line, or the record index for records):
+physical line):
 
 * the header is ``ts,kind,price,size,bid,ask,bid_size,ask_size``; cells may be
   quoted (a quoted cell ends on its own line), and ``\\r\\n`` line endings and
@@ -63,7 +63,7 @@ from dataclasses import dataclass, fields
 from datetime import date, datetime, time, timedelta
 from itertools import compress
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -104,7 +104,7 @@ _CHUNK_CHARS = 1 << 18
 
 @dataclass(frozen=True)
 class TickRecord:
-    """One trade (kind 'T') or quote (kind 'Q') event.
+    """One trade (kind 'T') or quote (kind 'Q') event: the row a TickTable iterates as.
 
     Trade records populate price/size; quote records populate bid/ask and the
     two size fields.  ``lineno`` is the 1-based source line for diagnostics.
@@ -138,6 +138,9 @@ class TickTable:
     float64, NaN where the cell is empty (present values are always finite).
     ``lineno`` is the 1-based source line (0 when unknown) and ``source`` the
     file the rows came from; both serve only error messages.
+
+    ``read_ticks`` makes one from a file; one built in memory from columns
+    must be checked with :meth:`validate`.
     """
 
     ts_us: np.ndarray
@@ -177,7 +180,10 @@ class TickTable:
 
     def where(self, i: int) -> str:
         """Location of row ``i`` for messages: file and line, line, or record index."""
-        return _where(self.source, int(self.lineno[i]), i)
+        lineno = int(self.lineno[i])
+        if self.source:
+            return f"{self.source}:{lineno}"
+        return f"line {lineno}" if lineno else f"record {i}"
 
     def validate(self) -> None:
         """Raise ParseError at the first row that breaks a trade or quote rule."""
@@ -196,43 +202,6 @@ class TickTable:
         messages = ("trade needs price > 0 and size > 0", "quote needs bid and ask",
                     f"crossed quote bid {bid[i]} > ask {ask[i]}", "negative quote size")
         raise ParseError(f"{self.where(i)}: {messages[firsts.index(i)]}")
-
-    @classmethod
-    def from_records(cls, records: Iterable[TickRecord]) -> TickTable:
-        """Columns from TickRecords, checked by the same rules as a tick file.
-
-        Locations in messages are ``line N`` for records with a line number
-        and ``record I`` (the position in ``records``) otherwise.
-        """
-        recs = list(records)
-        stop = next((i for i, rec in enumerate(recs) if _record_problem(rec)), len(recs))
-        kept = recs[:stop]  # None numbers become NaN
-        table = _checked_table([((r.timestamp - _EPOCH) // _ONE_US, r.kind == "T",
-                                 *(getattr(r, name) for name in _NUMERIC)) for r in kept],
-                               [r.lineno for r in kept])
-        if stop < len(recs):
-            rec = recs[stop]
-            raise ParseError(f"{_where('', rec.lineno, stop)}: {_record_problem(rec)}")
-        return table
-
-
-def _record_problem(rec: TickRecord) -> str | None:
-    """What keeps one record out of the columns, if anything (the row rules of a file)."""
-    if rec.timestamp.tzinfo is not None:
-        return f"timestamp {rec.timestamp} has a UTC offset; tick times must be naive"
-    for name in _NUMERIC:
-        value = getattr(rec, name)
-        if value is not None and not math.isfinite(value):
-            return f"{name} must be finite, got {value!r}"
-    if rec.kind not in ("T", "Q"):
-        return f"kind must be T or Q, got {rec.kind!r}"
-    return None
-
-
-def _where(source: str, lineno: int, index: int) -> str:
-    if source:
-        return f"{source}:{lineno}"
-    return f"line {lineno}" if lineno else f"record {index}"
 
 
 @dataclass(frozen=True)
@@ -582,7 +551,7 @@ def read_ticks(path: str | Path) -> TickTable:
     if rest:
         chunks.append(_parse_chunk(rest, first_lineno, source))
     if not chunks:
-        return TickTable.from_records([])
+        return _checked_table([], [], source)
     return TickTable(*(np.concatenate(col) for col in zip(*(c.columns() for c in chunks))), source=source)
 
 
@@ -617,14 +586,10 @@ def sign_trade(
     return 0
 
 
-def _as_time(value: time | str) -> time:
-    return value if isinstance(value, time) else time.fromisoformat(value)
-
-
-def _session(session_start: time | str, session_end: time | str, bar_seconds: int) -> tuple[int, int, int]:
+def _session(session_start: str, session_end: str, bar_seconds: int) -> tuple[int, int, int]:
     """(session open as microseconds into the day, bar width in microseconds, bars per session)."""
-    start = _as_time(session_start)
-    end = _as_time(session_end)
+    start = time.fromisoformat(session_start)
+    end = time.fromisoformat(session_end)
     if start.tzinfo is not None or end.tzinfo is not None:
         raise ValueError("session times must be naive, like tick timestamps")
     if bar_seconds <= 0:
@@ -639,30 +604,33 @@ def _session(session_start: time | str, session_end: time | str, bar_seconds: in
 
 
 def build_bars(
-    ticks: TickTable | Sequence[TickRecord],
-    session_start: time | str = "09:00",
-    session_end: time | str = "15:00",
+    ticks: TickTable,
+    session_start: str = "09:00",
+    session_end: str = "15:00",
     bar_seconds: int = 60,
     tick_size: float = DEFAULT_TICK_SIZE,
 ) -> BarTable:
     """Aggregate an ordered tick stream into one table of per-day bar sequences.
 
-    Quotes set the freshest-quote state, and trades in session hours are
-    signed against it and summed into the bar their timestamp falls in, all
-    as array operations over the whole stream.  Timestamps running backwards
-    within a day raise ParseError with the offending row's location.
+    ``ticks`` is the table ``read_ticks`` makes (or one built in memory and
+    validated); session times are ISO strings such as ``"09:00"``.  Quotes set
+    the freshest-quote state, and trades in session hours are signed against
+    it and summed into the bar their timestamp falls in, all as array
+    operations over the whole stream.  Timestamps running backwards within a
+    day raise ParseError with the offending row's location.
 
     ``days`` lists the ISO day strings in order of first appearance.  A day
     with an in-session trade gets every bar of the session, in order; a day
     without one gets no rows, with a warning.
     """
+    if not isinstance(ticks, TickTable):
+        raise TypeError(f"build_bars takes the TickTable that read_ticks makes, got {type(ticks).__name__}")
     open_us, bar_us, n_bars = _session(session_start, session_end, bar_seconds)
     if not (math.isfinite(tick_size) and tick_size > 0):
         raise ValueError("tick_size must be a positive number")
-    t = ticks if isinstance(ticks, TickTable) else TickTable.from_records(ticks)
 
     # Days in order of first appearance; the stable sort keeps input order inside each day.
-    days, first, inverse = np.unique(t.ts_us // _US_PER_DAY, return_index=True, return_inverse=True)
+    days, first, inverse = np.unique(ticks.ts_us // _US_PER_DAY, return_index=True, return_inverse=True)
     by_first = np.argsort(first)
     days = days[by_first]
     rank = np.empty_like(by_first)
@@ -670,17 +638,17 @@ def build_bars(
     d = rank[inverse]
     order = np.argsort(d, kind="stable")
     d = d[order]
-    ts = t.ts_us[order]
+    ts = ticks.ts_us[order]
     back = np.flatnonzero((d[1:] == d[:-1]) & (ts[1:] < ts[:-1]))
     if back.size:
         j = back[0] + 1
-        raise ParseError(f"{t.where(order[j])}: timestamp {_as_datetime(ts[j])} precedes "
+        raise ParseError(f"{ticks.where(order[j])}: timestamp {_as_datetime(ts[j])} precedes "
                          f"{_as_datetime(ts[j - 1])}")
     day_first = np.searchsorted(d, np.arange(days.size))
     tod = ts - days[d] * _US_PER_DAY
 
     # Freshest quote at or before each row, in file order, forgotten at day boundaries.
-    trade = t.is_trade[order]
+    trade = ticks.is_trade[order]
     quote = np.maximum.accumulate(np.where(trade, -1, np.arange(ts.size)))
     quote[quote < day_first[d]] = -1
 
@@ -693,19 +661,19 @@ def build_bars(
     quote_rows = order[q[quoted]]
     # sign_trade on whole columns: tick counts rounded half to even, exact below 2**53.
     sign = np.zeros(live.size)
-    sign[quoted] = np.sign(2 * np.rint(t.price[rows[quoted]] / tick_size)
-                           - (np.rint(t.bid[quote_rows] / tick_size) + np.rint(t.ask[quote_rows] / tick_size)))
+    sign[quoted] = np.sign(2 * np.rint(ticks.price[rows[quoted]] / tick_size)
+                           - (np.rint(ticks.bid[quote_rows] / tick_size) + np.rint(ticks.ask[quote_rows] / tick_size)))
 
     slots = days.size * n_bars
     signed = sign != 0
-    flow = np.bincount(slot[signed], weights=sign[signed] * t.size[rows[signed]], minlength=slots)
+    flow = np.bincount(slot[signed], weights=sign[signed] * ticks.size[rows[signed]], minlength=slots)
     flow = flow.astype(np.float64, copy=False)  # bincount of no weights is int64
     n_signed = np.bincount(slot[signed], minlength=slots)
     n_unsigned = np.bincount(slot[~signed], minlength=slots)
     ends = np.ones(live.size, dtype=bool)  # the last trade of each bar
     ends[:-1] = slot[1:] != slot[:-1]
     close = np.full(slots, np.nan)
-    close[slot[ends]] = t.price[rows[ends]]
+    close[slot[ends]] = ticks.price[rows[ends]]
     close = close.reshape(days.size, n_bars)
     seen = np.where(np.isnan(close), -1, np.arange(n_bars))
     np.maximum.accumulate(seen, axis=1, out=seen)
@@ -718,8 +686,8 @@ def build_bars(
     before = np.searchsorted(d * stride + tod, bar_open)
     snap = np.where(before > np.repeat(day_first, n_bars), quote[before - 1], -1)
     snap_rows = order[np.maximum(snap, 0)]
-    open_bid = np.where(snap >= 0, t.bid_size[snap_rows], np.nan)
-    open_ask = np.where(snap >= 0, t.ask_size[snap_rows], np.nan)
+    open_bid = np.where(snap >= 0, ticks.bid_size[snap_rows], np.nan)
+    open_ask = np.where(snap >= 0, ticks.ask_size[snap_rows], np.nan)
 
     trades_per_day = np.bincount(d[live], minlength=days.size)
     labels = tuple(date.fromordinal(_EPOCH.toordinal() + n).isoformat() for n in days.tolist())

@@ -123,6 +123,12 @@ class OUParams:
         return decay, sd
 
 
+def _integer(name: str, value) -> None:
+    """ParameterError naming ``name`` unless ``value`` is an integer: a float count fails later, bare."""
+    if not isinstance(value, (int, np.integer)):
+        raise ParameterError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Full description of one path simulation; everything needed to reproduce it."""
@@ -139,6 +145,7 @@ class SimConfig:
     def __post_init__(self) -> None:
         if not self.dt > 0:
             raise ParameterError(f"dt must be positive, got {self.dt}")
+        _integer("n_steps", self.n_steps)
         if self.n_steps < 1:
             raise ParameterError(f"n_steps must be at least 1, got {self.n_steps}")
         if not self.s0 > 0:
@@ -420,6 +427,8 @@ def synth_regression_panel(
     return.  Generating parameters (and the seed) are returned in ``truth``.
     A panel whose arrays cannot be allocated is a ParameterError.
     """
+    _integer("n_days", n_days)
+    _integer("bars_per_day", bars_per_day)
     if n_days < 1 or bars_per_day < 2:
         raise ParameterError("need n_days >= 1 and bars_per_day >= 2")
     if not noise_sd >= 0:

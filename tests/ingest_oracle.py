@@ -4,6 +4,8 @@
 ``loop_build_bars`` walks the ticks one at a time, keeping the quote state in
 local variables.  The library does both on columns; the tests check that it
 gives the same records, bars and error messages as these loops.
+``tick_table`` builds the ``TickTable`` of hand-written ``TickRecord`` lists,
+for tests that feed the library ticks without a file.
 """
 
 from __future__ import annotations
@@ -16,7 +18,29 @@ from datetime import datetime, time, timedelta
 from pathlib import Path
 from typing import Sequence
 
-from liqimpact.ingest import TICK_HEADER, MinuteBar, ParseError, TickRecord, sign_trade
+import numpy as np
+
+from liqimpact.ingest import TICK_HEADER, MinuteBar, ParseError, TickRecord, TickTable, sign_trade
+
+EPOCH = datetime(1970, 1, 1)
+
+
+def tick_table(records) -> TickTable:
+    """Columns from TickRecords (None becomes NaN), checked by ``TickTable.validate``.
+
+    Messages name ``line N``, or ``record I`` for a record without a line number.
+    """
+    records = list(records)
+
+    def column(name: str, dtype) -> np.ndarray:
+        return np.array([getattr(r, name) for r in records], dtype=dtype)
+
+    table = TickTable(np.array([(r.timestamp - EPOCH) // timedelta(microseconds=1) for r in records],
+                               dtype=np.int64),
+                      np.array([r.kind == "T" for r in records], dtype=bool),
+                      *(column(name, np.float64) for name in TICK_HEADER[2:]), column("lineno", np.int64))
+    table.validate()
+    return table
 
 
 def _number(cell: str, name: str, where: str) -> float | None:

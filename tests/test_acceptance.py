@@ -19,6 +19,7 @@ from scipy.signal import lfilter
 from scipy.special import ndtr
 
 import conftest
+from ingest_oracle import tick_table
 from liqimpact.compare import DailyMetricSeries, PERCENTILE_LEVELS, descriptives, paired_t_test
 from liqimpact.estimation import RegressionPanel, estimate_ou, fit_ols, fit_sshape
 from liqimpact.impact import (
@@ -278,7 +279,7 @@ def test_08_ingestion_golden_and_flow_conservation(tmp_path):
         rng = np.random.default_rng(55)
         for _ in range(1000):
             stream, expected = _random_stream(rng)
-            bars = build_bars(stream, "09:00", "10:00", 60, 0.01)
+            bars = build_bars(tick_table(stream), "09:00", "10:00", 60, 0.01)
             total = sum(b.order_flow for day in bars.values() for b in day)
             assert total == expected
 

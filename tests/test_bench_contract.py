@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ingest_oracle import tick_table
 from liqimpact import cli, estimation, sde
 from liqimpact.estimation import RegressionPanel
 from liqimpact.impact import SShapeParams, StructuralParams
@@ -61,7 +62,7 @@ def test_build_bars_values_carry_signed_counts():
              TickRecord(at("06", "09:00:03"), "T", price=100.00, size=1.0),
              TickRecord(at("06", "09:01:04"), "T", price=99.99, size=2.0),
              TickRecord(at("07", "16:00:00"), "T", price=100.01, size=4.0)]  # after the close: an empty day
-    result = build_bars(ticks, "09:00", "09:05")
+    result = build_bars(tick_table(ticks), "09:00", "09:05")
     bars = [b for day in result.values() for b in day]
     assert len(bars) == 5
     assert sum(b.signed_count for b in bars) == 2

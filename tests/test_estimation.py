@@ -413,9 +413,11 @@ def test_fit_sshape_bad_grids_raise():
                         ((-math.inf, 8e-5), "grid p must be finite, got -inf")):
         with pytest.raises(EstimationError, match=f"^{re.escape(hint)}$"):
             fit_sshape(panel, [(-3e-3, 8e-5), point])
-    for flow_sd in (0.0, -1.0, math.nan, math.inf):
-        with pytest.raises(EstimationError, match=f"start grid, got {flow_sd}$"):
+    # Past the float range flow_sd ** 2 underflows, overflows or leaves q = inf: still an EstimationError.
+    for flow_sd in (0.0, -1.0, math.nan, math.inf, 1e-200, 1e-160, 5e-324, 1e160, 1e200):
+        with pytest.raises(EstimationError, match=f"start grid with every q > 0, got {re.escape(str(flow_sd))}$"):
             default_start_grid(flow_sd)
+
 
 
 def test_near_linear_curve_matches_linear_slope():
@@ -874,6 +876,10 @@ def test_estimate_ou_validation():
         estimate_ou(np.zeros(29) + np.arange(29))  # too few observations
     with pytest.raises(EstimationError):
         estimate_ou(np.full(100, 3.0))  # no variance
+    for dt in (0.0, math.nan, math.inf):  # nan gave NaN estimates and inf a c_hat of 0.0
+        with pytest.raises(EstimationError, match=f"^dt must be positive and finite, got {dt}$"):
+            estimate_ou(_exact_ou(0.2, 1.0, 30.0, 300, seed=59), dt=dt)
+
 
 
 # ---------------------------------------------------------------------------

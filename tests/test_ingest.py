@@ -5,7 +5,7 @@ import logging
 import math
 import re
 import tempfile
-from datetime import datetime, time, timedelta, timezone
+from datetime import datetime, time, timedelta
 from pathlib import Path
 from unittest import mock
 
@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import bars_oracle
-from ingest_oracle import loop_build_bars, loop_read_ticks
+from ingest_oracle import loop_build_bars, loop_read_ticks, tick_table
 from liqimpact import ingest
 from liqimpact.cli import main
 from liqimpact.ingest import (
@@ -25,7 +25,6 @@ from liqimpact.ingest import (
     ParseError,
     TICK_HEADER,
     TickRecord,
-    TickTable,
     build_bars,
     flow_descriptives,
     read_bars_csv,
@@ -142,7 +141,7 @@ def test_flows_conserve_signed_sizes():
     rng = np.random.default_rng(71)
     for _ in range(50):
         ticks, expected = _random_stream(rng)
-        days = build_bars(ticks, session_start="09:00", session_end="09:30", bar_seconds=60)
+        days = build_bars(tick_table(ticks), session_start="09:00", session_end="09:30", bar_seconds=60)
         total = sum(b.order_flow for bars in days.values() for b in bars)
         assert total == pytest.approx(expected, abs=1e-9)
 
@@ -184,7 +183,7 @@ def test_quote_at_bar_open_instant_not_in_snapshot():
         quote("2024-05-06 09:01:00", 99.98, 100.02, 70.0, 80.0),
         trade("2024-05-06 09:01:30", 100.02, 2.0),
     ]
-    days = build_bars(ticks, session_start="09:00", session_end="09:02", bar_seconds=60)
+    days = build_bars(tick_table(ticks), session_start="09:00", session_end="09:02", bar_seconds=60)
     bars = days.by_day()["2024-05-06"]
     assert (bars[0].open_bid_size, bars[0].open_ask_size) == (5.0, 6.0)
     assert (bars[1].open_bid_size, bars[1].open_ask_size) == (5.0, 6.0)
@@ -200,7 +199,7 @@ def test_session_boundary_trades():
         trade("2024-05-06 09:01:59", 100.01, 2.0),   # last in-session second
         trade("2024-05-06 09:02:00", 100.01, 4.0),   # at the close: dropped
     ]
-    days = build_bars(ticks, session_start="09:00", session_end="09:02", bar_seconds=60)
+    days = build_bars(tick_table(ticks), session_start="09:00", session_end="09:02", bar_seconds=60)
     bars = days.by_day()["2024-05-06"]
     assert [b.order_flow for b in bars] == [1.0, 2.0]
 
@@ -211,7 +210,7 @@ def test_zero_trade_day_warns_and_yields_empty(caplog):
         trade("2024-05-06 16:00:00", 100.01, 5.0),  # after close
     ]
     with caplog.at_level(logging.WARNING, logger="liqimpact.ingest"):
-        days = build_bars(ticks, session_start="09:00", session_end="10:00", bar_seconds=60)
+        days = build_bars(tick_table(ticks), session_start="09:00", session_end="10:00", bar_seconds=60)
     assert days.by_day()["2024-05-06"] == []
     assert any("no in-session trades" in rec.message for rec in caplog.records)
 
@@ -258,7 +257,7 @@ def test_multi_day_state_reset():
         trade("2024-05-06 09:00:30", 100.01, 5.0),
         trade("2024-05-07 09:00:30", 100.01, 7.0),
     ]
-    days = build_bars(ticks, session_start="09:00", session_end="09:01", bar_seconds=60)
+    days = build_bars(tick_table(ticks), session_start="09:00", session_end="09:01", bar_seconds=60)
     assert days.by_day()["2024-05-06"][0].order_flow == 5.0
     d2 = days.by_day()["2024-05-07"][0]
     assert d2.order_flow == 0.0
@@ -267,16 +266,16 @@ def test_multi_day_state_reset():
 
 
 def test_out_of_order_ticks_rejected():
-    ticks = [
+    ticks = tick_table([
         trade("2024-05-06 09:00:30", 100.01, 5.0),
         trade("2024-05-06 09:00:10", 100.01, 5.0),
-    ]
-    with pytest.raises(ParseError, match="precedes"):
+    ])
+    with pytest.raises(ParseError, match="record 1: timestamp 2024-05-06 09:00:10 precedes"):
         build_bars(ticks, session_start="09:00", session_end="09:01", bar_seconds=60)
 
 
 def test_bar_width_must_divide_session():
-    ticks = [trade("2024-05-06 09:00:30", 100.01, 5.0)]
+    ticks = tick_table([trade("2024-05-06 09:00:30", 100.01, 5.0)])
     with pytest.raises(ValueError):
         build_bars(ticks, session_start="09:00", session_end="09:05", bar_seconds=90)
     with pytest.raises(ValueError):
@@ -453,7 +452,7 @@ def _write_records(path, records, sep=" "):
 @settings(max_examples=200, deadline=None)
 @given(tick_streams(), bar_widths)
 def test_columnar_bars_equal_the_loop(stream, bar_seconds):
-    new = build_bars(stream, *SESSION, bar_seconds)
+    new = build_bars(tick_table(stream), *SESSION, bar_seconds)
     old = loop_build_bars(stream, *SESSION, bar_seconds)
     assert new.days == tuple(old)
     assert repr(new.by_day()) == repr(old)  # field for field, float reprs (and signs of zero) included
@@ -469,7 +468,7 @@ def test_bar_flow_sums_to_signed_in_session_size(stream):
             quotes[r.timestamp.date()] = (r.bid, r.ask)
         elif time(9) <= r.timestamp.time() < time(9, 5):
             expected += sign_trade(r.price, *quotes.get(r.timestamp.date(), (None, None))) * r.size
-    days = build_bars(stream, *SESSION)
+    days = build_bars(tick_table(stream), *SESSION)
     # sizes are multiples of 1/4, so every partial sum is exact
     assert sum(b.order_flow for bars in days.values() for b in bars) == expected
 
@@ -481,11 +480,11 @@ def test_records_and_their_csv_give_identical_bars(stream, sep):
         path = Path(tmp) / "ticks.csv"
         _write_records(path, stream, sep)
         table = read_ticks(path)
-    from_records = TickTable.from_records(stream)
-    for a, b in zip(table.columns()[:-1], from_records.columns()[:-1]):  # all but the line numbers
+    built = tick_table(stream)
+    for a, b in zip(table.columns()[:-1], built.columns()[:-1]):  # all but the line numbers
         np.testing.assert_array_equal(a, b)
     assert table.lineno.tolist() == list(range(2, len(stream) + 2))
-    assert repr(build_bars(table, *SESSION).by_day()) == repr(build_bars(stream, *SESSION).by_day())
+    assert repr(build_bars(table, *SESSION).by_day()) == repr(build_bars(built, *SESSION).by_day())
 
 
 # Whole rows that break one rule each, and valid rows that take a slower path.
@@ -699,25 +698,6 @@ def test_read_ticks_rejects_a_file_all_in_one_offset(tmp_path):
         read_ticks(path)
 
 
-@pytest.mark.parametrize("field, value", [("price", math.nan), ("price", math.inf), ("size", -math.inf)])
-def test_build_bars_rejects_non_finite_records(field, value):
-    ticks = [quote("2024-05-06 09:00:00", 99.99, 100.01),
-             TickRecord(timestamp=_ts("2024-05-06 09:00:10"), kind="T",
-                        **{"price": 100.01, "size": 1.0, field: value})]
-    with pytest.raises(ParseError, match=rf"record 1: {field} must be finite"):
-        build_bars(ticks, session_start="09:00", session_end="09:01")
-
-
-def test_build_bars_rejects_records_with_offsets():
-    utc = timezone.utc
-    ticks = [TickRecord(timestamp=_ts("2024-05-06 09:00:00").replace(tzinfo=utc), kind="Q",
-                        bid=99.99, ask=100.01),
-             TickRecord(timestamp=_ts("2024-05-06 09:00:10").replace(tzinfo=utc), kind="T",
-                        price=100.01, size=1.0)]
-    with pytest.raises(ParseError, match="record 0: .*UTC offset"):
-        build_bars(ticks, session_start="09:00", session_end="09:01")
-
-
 def test_read_ticks_accepts_quoted_cells_crlf_and_blank_lines(tmp_path):
     path = tmp_path / "ticks.csv"
     path.write_bytes(b"ts,kind,price,size,bid,ask,bid_size,ask_size\r\n"
@@ -747,7 +727,7 @@ def test_out_of_order_error_names_file_and_line(tmp_path):
 def test_table_iterates_and_indexes_as_records():
     records = [quote("2024-05-06 09:00:00", 99.99, 100.01, None, 4.0),
                trade("2024-05-06 09:00:10", 100.01, 2.0)]
-    table = TickTable.from_records(records)
+    table = tick_table(records)
     assert len(table) == 2
     assert list(table) == records
     assert table[-1] == records[1]
@@ -755,10 +735,24 @@ def test_table_iterates_and_indexes_as_records():
         table[2]
 
 
+def test_build_bars_takes_only_a_tick_table():
+    records = [trade("2024-05-06 09:00:10", 100.01, 2.0)]
+    with pytest.raises(TypeError, match="TickTable that read_ticks makes, got list"):
+        build_bars(records)
+
+
+def test_read_ticks_of_a_header_only_file_is_an_empty_table_from_that_file(tmp_path):
+    path = _write_tick_file(tmp_path, [])
+    table = read_ticks(path)
+    assert len(table) == 0 and table.source == str(path)
+    assert [c.dtype for c in table.columns()] == [np.int64, bool] + [np.float64] * 6 + [np.int64]
+    assert len(build_bars(table)) == 0
+
+
 @settings(max_examples=50, deadline=None)
 @given(tick_streams())
 def test_bar_table_round_trips_built_bars(stream):
-    built = build_bars(stream, *SESSION)
+    built = build_bars(tick_table(stream), *SESSION)
     days = built.by_day()
     table = bars_oracle.bar_table(days)
     assert table.days == built.days == tuple(days)  # days without trades included
@@ -792,7 +786,7 @@ def test_bar_table_get_and_values_equal_by_day():
     ticks = [quote("2024-05-06 09:00:00", 99.99, 100.01), trade("2024-05-06 09:01:10", 100.01, 2.0),
              quote("2024-05-07 09:00:00", 99.98, 100.02),  # a day with no trade: listed, no bars
              trade("2024-05-08 09:00:30", 99.98, 1.0), trade("2024-05-08 09:03:00", 100.02, 4.0)]
-    bars = build_bars(ticks, *SESSION)
+    bars = build_bars(tick_table(ticks), *SESSION)
     by_day = bars.by_day()
     assert bars.days == ("2024-05-06", "2024-05-07", "2024-05-08")
     assert repr(list(bars.values())) == repr(list(by_day.values()))

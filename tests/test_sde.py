@@ -392,6 +392,7 @@ def test_simulation_error_carries_step():
     assert exc_info.value.step == first
 
 
+
 def test_sim_config_validation():
     with pytest.raises(ParameterError):
         make_config(dt=0.0)
@@ -402,6 +403,10 @@ def test_sim_config_validation():
     for nan in ({"dt": math.nan}, {"s0": math.nan}):  # NaN fails every comparison, so none may pass a check
         with pytest.raises(ParameterError):
             make_config(**nan)
+    for value in (2.5, math.nan, 3.0):  # a float count used to fail in simulate_path with a bare TypeError
+        with pytest.raises(ParameterError, match=f"^n_steps must be an integer, got {value!r}$"):
+            make_config(n_steps=value)
+    assert make_config(n_steps=np.int64(3)).n_steps == 3
     with pytest.raises(ParameterError):
         make_config(measure="pricing")
     with pytest.raises(ParameterError):
@@ -605,12 +610,17 @@ def test_panel_validation():
                                noise_sd=-1e-4)
     with pytest.raises(ParameterError, match="noise_sd must be non-negative, got nan"):
         synth_regression_panel(a=0.0, impact=NK, flow=flow, n_days=1, bars_per_day=10, noise_sd=math.nan)
+    for key in ("n_days", "bars_per_day"):  # a float count used to reach numpy's shapes, a bare TypeError
+        for value in (2.5, math.nan, 10.0):
+            with pytest.raises(ParameterError, match=f"^{key} must be an integer, got {value!r}$"):
+                synth_regression_panel(a=0.0, impact=NK, flow=flow, **{"n_days": 2, "bars_per_day": 10, key: value})
     # 10**15 bars (7 PiB) lie past a 47-bit address space, so the allocation fails at once.
     with pytest.raises(ParameterError, match=r"^n_days x bars_per_day: 1 x 1000000000000000 bars do not fit \(Unable"):
         synth_regression_panel(a=0.0, impact=NK, flow=flow, n_days=1, bars_per_day=10 ** 15)
     with pytest.raises(ParameterError):
         synth_regression_panel(a=0.0, impact=SShapeParams(ell=1.0, p=0.0, q=1e-8),
                                flow=flow, n_days=1, bars_per_day=10)
+
 
 
 def test_ou_params_helpers():

@@ -6,6 +6,7 @@ ParseError that names the file and line.  The one exception: a bar file's
 ``nan`` price or quote size reads as missing and is written back empty.
 """
 
+import json
 import re
 import tempfile
 from datetime import date
@@ -113,3 +114,12 @@ def test_read_daily_fits_csv_takes_unconverged_row_without_parameters(tmp_path):
                     encoding="utf-8")
     (row,) = read_daily_fits_csv(path)
     assert row["converged"] is False and row["ell"] is None and row["p"] == -0.0034
+
+
+def test_newest_bench_file_records_the_src_line_count():
+    """The performance trajectory at the repo root keeps up with src: the newest
+    BENCH_<n>.json's ``src_lines.change`` is what ``wc -l src/liqimpact/*.py`` totals."""
+    root = Path(__file__).resolve().parent.parent
+    newest = max(root.glob("BENCH_*.json"), key=lambda p: int(p.stem.split("_")[1]))
+    lines = sum(p.read_bytes().count(b"\n") for p in (root / "src" / "liqimpact").glob("*.py"))
+    assert json.loads(newest.read_text())["src_lines"]["change"] == lines, newest.name
