@@ -7,14 +7,18 @@ Gauss-Newton (Levenberg-Marquardt) with the positivity constraints folded into
 the parameterization (ell = e^u, q = e^v) and the domain constraint enforced
 by rejecting trial steps whose feasibility margin drops below a safety floor.
 Searches start from a grid of (p, q) initial conditions scaled to the panel's
-flow dispersion and the lowest-RSS feasible optimum wins.  Each start's state
-is a row of arrays, and the starts advance in rounds, one iteration each: a
-round evaluates every live start's trial point together, once per distinct
-flow, and steps the live rows with array operations, so each start's search
-is bitwise the one it would make alone.  After each round a live start is
-retired when it lies within one standard error of a start with lower RSS, in
-that start's Gauss-Newton metric (J'J), if that J'J pins its optimum down to
-the stopping tolerances; short panels therefore run every start to its end.
+flow dispersion, less two points that start on the no-impact plateau (see
+``default_start_grid``), and the lowest-RSS converged optimum wins.  Each
+start's state is a row of arrays, and the starts advance in rounds, one
+iteration each: a round evaluates every live start's trial point together,
+on the flows in panel order (so that f(x_t) - f(x_{t-1}) is a difference of
+neighbours), forms J'J and J'e only for trials that lower their start's RSS,
+and steps the live rows with array operations, so each start's search is
+bitwise the one it would make alone.
+After each round a live start is retired when it lies within one standard
+error of a start with lower RSS, in that start's Gauss-Newton metric (J'J), if
+that J'J pins its optimum down to the stopping tolerances; short panels
+therefore run every start to its end.
 
 Flow dynamics are estimated by AR(1) regression over day-contiguous segments,
 mapped back to continuous-time mean reversion; standard errors come from the
@@ -202,15 +206,31 @@ _BLOCK_POINTS = 16_384
 
 def default_start_grid(flow_sd: float) -> list[tuple[float, float]]:
     """Scale-adaptive (p0, q0) start grid: p = -1e-2/s_x * k for k in -3..3
-    crossed with q = 1e-2/s_x^2 * 10^j for j in -2..2."""
+    crossed with q = 1e-2/s_x^2 * 10^j for j in -2..2, less the two points
+    with p0/sqrt(q0) >= 2, (k, j) = (-3, -2) and (-2, -2): 33 points.
+
+    Those two start on the no-impact plateau: keeping their feasibility margin
+    at 1/2 cuts their start ell to about 1/50 and 1/4 of the other starts', so
+    f is nearly flat over the flows.  On recovery panels (100 days x 360 bars,
+    seeds 1000-1009) and on the days and pooled panels of the benchmark's
+    5-day tick files (seeds 11-14) they stayed there, at 1.1-4.7 times the
+    winner's RSS, or merged late; they took 19-37 % of a recovery fit's
+    evaluations and 12-24 % of a tick fit's, running 36-70 rounds against
+    14-19 for the other starts, and every fit was bitwise the same without
+    them.  Where (-2, -2) does reach the optimum, other starts reach the same
+    RSS: on 3 of 120 more recovery panels it had won, and without it the fit
+    differs only in the parameters' last digits (within 3e-10 relative).
+    """
+    ks, js = range(-3, 4), range(-2, 3)
     try:
-        ps = [-1e-2 / flow_sd * k for k in range(-3, 4)]
-        qs = [1e-2 / flow_sd ** 2 * 10.0 ** j for j in range(-2, 3)]
+        ps = [-1e-2 / flow_sd * k for k in ks]
+        qs = [1e-2 / flow_sd ** 2 * 10.0 ** j for j in js]
     except (ZeroDivisionError, OverflowError):  # flow_sd zero, or flow_sd ** 2 past the float range
         ps = qs = [math.nan]
     if not (0.0 < flow_sd < math.inf and all(map(math.isfinite, ps + qs)) and min(qs) > 0.0):
         raise EstimationError(f"flow sd must give a finite start grid with every q > 0, got {flow_sd}")
-    return [(p0, q0) for p0 in ps for q0 in qs]
+    # p0 / sqrt(q0) = -k 10^(-j/2) / 10, which is at least 2 only at j = -2 with k <= -2.
+    return [(p0, q0) for k, p0 in zip(ks, ps) for j, q0 in zip(js, qs) if not (j == -2 and k <= -2)]
 
 
 def _start_thetas(panel: RegressionPanel, grid: Sequence[tuple[float, float]] | None) -> np.ndarray:
@@ -246,15 +266,25 @@ class _SShapeResiduals:
     for one theta (:meth:`one`), or e'e, J'J and J'e for each of a row of thetas
     (:meth:`normal_equations`).
 
-    The curve and its derivatives are evaluated once per distinct flow (most
-    x_prev are the previous bar's x) and gathered for both terms.  The rows of
-    a block, at most ``max_rows`` and max(1, _BLOCK_POINTS // n), are evaluated
-    in one pass over (rows, flows) arrays, Phi and phi included for a row in the
-    band of big_phi's direct form (``impact._band_form``) with no flow in its
-    small-q limit, by impact's ``_direct_big_phi`` and ``_exponent`` on (rows, 1)
-    columns; any other row takes them from big_phi and phi.  Every array
-    step is the ufunc of a one-row evaluation, in the same order, with each
-    row's scalars in a column, so each row is bitwise what it would be alone.
+    The curve and its derivatives are evaluated on the flows in panel order:
+    x, then the "seam" x_prev that are not the previous x (the first one, day
+    starts, skipped returns).  A difference f(x) - f(x_prev) is then one
+    subtraction of neighbouring columns, with the seams put right after it.
+    A flow that repeats (integer bar flows) is evaluated at each place it
+    appears, to the same bits.  Evaluating each distinct flow once instead
+    needs both terms of every difference gathered by index, two panel-sized
+    takes per column: on integer bar flows, where a day has about half as many
+    distinct flows as bars, that fits a tick file about a tenth faster, and on
+    continuous flows, where none repeats, it is slower; one layout serves both.
+
+    The rows of a block, at most ``max_rows`` and max(1, _BLOCK_POINTS // n),
+    are evaluated in one pass over (rows, flows) arrays, Phi and phi included
+    for a row in the band of big_phi's direct form (``impact._band_form``)
+    with no flow in its small-q limit, by impact's ``_direct_big_phi`` and
+    ``_exponent`` on (rows, 1) columns; any other row takes them from big_phi
+    and phi.  Every array step is the ufunc of a one-row evaluation, in the
+    same order, with each row's scalars in a column, so each row is bitwise
+    what it would be alone.
 
     Every evaluation writes into work arrays allocated here once per panel
     (the e and J of :meth:`one` last until the next).  Fresh panel-sized
@@ -264,20 +294,19 @@ class _SShapeResiduals:
 
     def __init__(self, panel: RegressionPanel, max_rows: int):
         n = panel.n
-        self.r = panel.r
-        self.flows, where = np.unique(np.concatenate([panel.x, panel.x_prev]), return_inverse=True)
+        self.n, self.r = n, panel.r
+        self.block = max(1, min(max_rows, _BLOCK_POINTS // n))
+        # Rows whose x_prev is not the previous row's x; row 0 always is one.
+        self.seams = np.flatnonzero(np.concatenate([[True], panel.x_prev[1:] != panel.x[:-1]]))
+        self.flows = np.concatenate([panel.x, panel.x_prev[self.seams]])
         m = self.flows.size
         nonzero = np.abs(self.flows[self.flows != 0.0])
         # big_phi takes its small-q limit at some flow iff this one is below the threshold.
         self.min_abs_flow = float(nonzero.min()) if nonzero.size else math.inf
-        self.block = max(1, min(max_rows, _BLOCK_POINTS // n))
-        # Flat indices of each block row's flows, so one take gathers the block.
-        offsets = np.arange(self.block)[:, None] * m
-        self.i_cur, self.i_prev = offsets + where[:n], offsets + where[n:]
         (self.Phi, self.ph, self.ell_phi, self.den, self.f, self.df_du, self.dphi_dp, self.dphi_dq,
          self.tmp) = (np.empty((self.block, m)) for _ in range(9))
         self.ok_m = np.empty((self.block, m), dtype=bool)
-        self.e, self.g_cur, self.g_prev = (np.empty((self.block, n)) for _ in range(3))
+        self.e, self.g_cur = np.empty((self.block, n)), np.empty((self.block, n))
         self.J = np.empty((self.block, n, 4))
         self.J[:, :, 0] = -1.0
         self.ok_e, self.ok_J = np.empty((self.block, n), dtype=bool), np.empty((self.block, n, 4), dtype=bool)
@@ -287,34 +316,42 @@ class _SShapeResiduals:
         _, ok = self._evaluate(np.asarray(theta)[None, :], margin_floor, routed=True)
         return (self.e[0], self.J[0]) if ok.any() else None
 
-    def normal_equations(self, thetas: np.ndarray, margin_floor: float):
-        """(e'e, J'J, J'e) for each row of ``thetas``; NaN where it is infeasible or e or J is not finite.
+    def normal_equations(self, thetas: np.ndarray, margin_floor: float, beat: np.ndarray):
+        """(e'e, J'J, J'e) for each row of ``thetas``; NaN where it is infeasible
+        or e or J is not finite.  J'J and J'e are formed only for rows whose e'e
+        is at most ``beat``, a per-row RSS, and are NaN for the others: a trial
+        that does not lower its start's RSS is rejected, and its products go
+        unused.  A start's opening evaluation passes an infinite ``beat``.
 
-        Each product is one stacked ``np.matmul`` over a block's e and J, which
-        makes for every row the BLAS call of ``e @ e``, ``J.T @ J`` or
-        ``J.T @ e`` on that row alone, so each is bitwise the same."""
+        Each product is one ``np.matmul`` stacked over the rows it is formed
+        for: the block's work arrays, or where some row is left out, C-contiguous
+        copies of the others laid out like them (a copy in every evaluation
+        would be a fresh panel-sized temporary).  It makes for every row the
+        BLAS call of ``e @ e``, ``J.T @ J`` or ``J.T @ e`` on that row alone,
+        so each is bitwise the same."""
         k = len(thetas)
         rss, JtJ, g = np.full(k, np.nan), np.full((k, 4, 4), np.nan), np.full((k, 4), np.nan)
         for lo in range(0, k, self.block):
             index, ok = self._evaluate(thetas[lo:lo + self.block], margin_floor, routed=False)
             e, J = self.e[:len(index)], self.J[:len(index)]
-            Jt = J.transpose(0, 2, 1)
-            rows = lo + index[ok]
             # Rows that are not usable hold infs and NaNs; their products are dropped.
             with np.errstate(over="ignore", invalid="ignore"):
-                rss[rows] = np.matmul(e[:, None, :], e[:, :, None])[ok, 0, 0]
-                JtJ[rows] = np.matmul(Jt, J)[ok]
-                g[rows] = np.matmul(Jt, e[:, :, None])[ok, :, 0]
+                rss[lo + index[ok]] = np.matmul(e[:, None, :], e[:, :, None])[ok, 0, 0]
+                ok &= rss[lo + index] <= beat[lo + index]
+                if not ok.all():
+                    e, J = e[ok], J[ok]
+                Jt = J.transpose(0, 2, 1)
+                JtJ[lo + index[ok]] = np.matmul(Jt, J)
+                g[lo + index[ok]] = np.matmul(Jt, e[:, :, None])[:, :, 0]
         return rss, JtJ, g
 
-    def _gathered_difference(self, values: np.ndarray) -> np.ndarray:
-        """values[:, i_cur] - values[:, i_prev], in g_cur."""
-        k = len(values)
-        flat = values.reshape(-1)
-        g_cur, g_prev = self.g_cur[:k], self.g_prev[:k]
-        np.take(flat, self.i_cur[:k], out=g_cur, mode="clip")
-        np.take(flat, self.i_prev[:k], out=g_prev, mode="clip")
-        return np.subtract(g_cur, g_prev, out=g_cur)
+    def _difference(self, values: np.ndarray) -> np.ndarray:
+        """Each row's values at x less its values at x_prev, in g_cur: a
+        difference of neighbouring columns, put right at the seams."""
+        n, g_cur = self.n, self.g_cur[:len(values)]
+        np.subtract(values[:, 1:n], values[:, :n - 1], out=g_cur[:, 1:])
+        g_cur[:, self.seams] = values[:, self.seams] - values[:, n:]
+        return g_cur
 
     def _evaluate(self, thetas: np.ndarray, margin_floor: float, routed: bool):
         """e and J of each feasible row of thetas, at most ``block`` of them, in
@@ -400,10 +437,10 @@ class _SShapeResiduals:
             np.divide(df_dv, den, out=df_dv)
 
             np.subtract(self.r, a, out=e)
-            np.subtract(e, self._gathered_difference(f), out=e)
-            np.negative(self._gathered_difference(df_du), out=J[:, :, 1])
-            np.negative(self._gathered_difference(df_dp), out=J[:, :, 2])
-            np.negative(self._gathered_difference(df_dv), out=J[:, :, 3])
+            np.subtract(e, self._difference(f), out=e)
+            np.negative(self._difference(df_du), out=J[:, :, 1])
+            np.negative(self._difference(df_dp), out=J[:, :, 2])
+            np.negative(self._difference(df_dv), out=J[:, :, 3])
         ok &= np.isfinite(e, out=self.ok_e[:k]).all(axis=1)
         ok &= np.isfinite(J, out=self.ok_J[:k]).all(axis=(1, 2))
         return ok
@@ -440,8 +477,10 @@ class _Starts:
     (residual/Jacobian evaluations, infeasible trial points included), stop,
     merged_into, and lam_min, lambda_min(J'J) unless ``stale``, which a row
     becomes when its start opens or accepts a step.  ``stop`` is ``ftol``
-    (relative RSS drop below rss_rtol), ``gtol`` (max |gradient| below
-    grad_atol), ``max_iter``, ``lambda_limit`` (damping above 1e15), ``merged``
+    (relative RSS drop below rss_rtol: the actual drop of an accepted step, or
+    the drop the Gauss-Newton model predicts where the damping passes 1e15),
+    ``gtol`` (max |gradient| below grad_atol), ``max_iter``, ``lambda_limit``
+    (damping above 1e15 where the model predicts more), ``merged``
     (retired into the start ``merged_into``, else -1) or ``infeasible`` (the
     start point is; the row's other columns mean nothing).
     """
@@ -481,6 +520,26 @@ def _damped_steps(JtJ: np.ndarray, lam: np.ndarray, g: np.ndarray):
             except np.linalg.LinAlgError:
                 solved[i] = False
         return steps, solved, D
+
+
+def _predicts_no_drop(JtJ: np.ndarray, g: np.ndarray, rss: np.ndarray, rss_rtol: float) -> np.ndarray:
+    """Whether the Gauss-Newton model predicts each row's relative RSS drop,
+    g' (J'J)^-1 g / RSS, below rss_rtol (False where J'J is singular).
+
+    MINPACK's ftol test takes the predicted drop as well as the actual one.
+    A start whose trial steps are all rejected until the damping limit, at a
+    point where the model predicts no more than that, has converged as far as
+    its RSS can be computed.  On one recovery panel of 100 days x 360 bars the
+    only start left at the optimum stopped so, at g' (J'J)^-1 g / RSS = 3e-17.
+    """
+    flat = np.zeros(len(rss), dtype=bool)
+    for i, (JtJ_i, g_i, rss_i) in enumerate(zip(JtJ, g, rss.tolist())):
+        try:
+            drop = float(g_i @ np.linalg.solve(JtJ_i, g_i))
+        except np.linalg.LinAlgError:
+            continue
+        flat[i] = 0.0 <= drop / max(rss_i, 1e-300) < rss_rtol
+    return flat
 
 
 def _retire_merged(s: _Starts, n: int, rss_rtol: float, grad_atol: float) -> None:
@@ -534,13 +593,14 @@ def _lm_starts(theta0s: np.ndarray, residuals: _SShapeResiduals, n: int, *,
     2004) as array operations on the live rows, each bitwise the float
     arithmetic of one start alone.  Then it retires merged starts.
     """
-    s = _Starts(theta0s, *residuals.normal_equations(theta0s, margin_floor), max_iter, grad_atol)
+    opening = residuals.normal_equations(theta0s, margin_floor, np.full(len(theta0s), np.inf))
+    s = _Starts(theta0s, *opening, max_iter, grad_atol)
     while (live := np.flatnonzero(s.stop == _LIVE)).size:
         s.iterations[live] += 1
         delta, solved, D = _damped_steps(s.JtJ[live], s.lam[live], s.g[live])
         stepping, delta, D = live[solved], delta[solved], D[solved]
         trial = s.theta[stepping] + delta
-        rss_t, JtJ_t, g_t = residuals.normal_equations(trial, margin_floor)
+        rss_t, JtJ_t, g_t = residuals.normal_equations(trial, margin_floor, s.rss[stepping])
         s.evaluations[stepping] += 1
         better = rss_t < s.rss[stepping]  # never where the trial is unusable (NaN) or overflows
         # A rejected trial raises the damping, and so does a singular system, which stops nothing.
@@ -548,7 +608,9 @@ def _lm_starts(theta0s: np.ndarray, residuals: _SShapeResiduals, n: int, *,
         raised = np.concatenate([live[~solved], rejected])
         s.lam[raised] *= s.nu[raised]
         s.nu[raised] *= 2.0
-        s.stop[rejected[s.lam[rejected] > 1e15]] = _LAMBDA_LIMIT
+        limited = rejected[s.lam[rejected] > 1e15]
+        s.stop[limited] = np.where(_predicts_no_drop(s.JtJ[limited], s.g[limited], s.rss[limited], rss_rtol),
+                                   _FTOL, _LAMBDA_LIMIT)
 
         accepted, delta, rss_t, g_t = stepping[better], delta[better], rss_t[better], g_t[better]
         rss, lam = s.rss[accepted], s.lam[accepted]

@@ -129,6 +129,14 @@ def _integer(name: str, value) -> None:
         raise ParameterError(f"{name} must be an integer, got {value!r}")
 
 
+def _seed(value) -> None:
+    """ParameterError unless ``value`` is None or a non-negative integer, what numpy's seeding takes."""
+    if value is not None:
+        _integer("seed", value)
+        if value < 0:
+            raise ParameterError(f"seed must be non-negative, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Full description of one path simulation; everything needed to reproduce it."""
@@ -143,13 +151,14 @@ class SimConfig:
     measure: str = "physical"
 
     def __post_init__(self) -> None:
-        if not self.dt > 0:
-            raise ParameterError(f"dt must be positive, got {self.dt}")
+        if not 0 < self.dt < math.inf:
+            raise ParameterError(f"dt must be positive and finite, got {self.dt}")
         _integer("n_steps", self.n_steps)
         if self.n_steps < 1:
             raise ParameterError(f"n_steps must be at least 1, got {self.n_steps}")
         if not self.s0 > 0:
             raise ParameterError(f"s0 must be positive, got {self.s0}")
+        _seed(self.seed)
         if self.measure not in ("physical", "risk-neutral"):
             raise ParameterError(f"measure must be physical or risk-neutral, got {self.measure!r}")
         # The simulator squares sigma_s, and eta in the risk-neutral drift, as Python floats,
@@ -429,6 +438,7 @@ def synth_regression_panel(
     """
     _integer("n_days", n_days)
     _integer("bars_per_day", bars_per_day)
+    _seed(seed)
     if n_days < 1 or bars_per_day < 2:
         raise ParameterError("need n_days >= 1 and bars_per_day >= 2")
     if not noise_sd >= 0:

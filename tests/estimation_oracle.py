@@ -5,9 +5,9 @@
 ``fit_starts`` runs every start one after another and picks the lowest-RSS
 converged endpoint.  ``lockstep_starts`` steps the starts together, one
 evaluation at a time, each start a ``_Start`` object, retiring starts that
-merge by its own ``_retire_merged``.  The library evaluates each distinct flow
-once, and holds all starts' state in arrays that a round steps together; the
-tests check its fits against these.
+merge by its own ``_retire_merged``.  The library evaluates the flows in panel
+order, once per x and seam x_prev, and holds all starts' state in arrays that a
+round steps together; the tests check its fits against these.
 """
 
 from __future__ import annotations
@@ -66,6 +66,15 @@ def resid_jac(theta: np.ndarray, panel: RegressionPanel, margin_floor: float):
     return e, J
 
 
+def predicts_no_drop(JtJ: np.ndarray, g: np.ndarray, rss: float, rss_rtol: float) -> bool:
+    """Whether the Gauss-Newton model predicts a relative RSS drop g' (J'J)^-1 g / RSS below rss_rtol."""
+    try:
+        drop = float(g @ np.linalg.solve(JtJ, g))
+    except np.linalg.LinAlgError:
+        return False
+    return 0.0 <= drop / max(rss, 1e-300) < rss_rtol
+
+
 @dataclass
 class StartOutcome:
     theta: np.ndarray
@@ -121,6 +130,8 @@ def run_lm(theta0: np.ndarray, panel: RegressionPanel, margin_floor: float,
             lam *= nu
             nu *= 2.0
             if lam > 1e15:
+                # No step lowers the RSS; converged if the model predicts no drop either.
+                converged = predicts_no_drop(JtJ, g, rss, rss_rtol)
                 break
     return StartOutcome(theta=theta, rss=rss, converged=converged, iterations=it)
 
@@ -140,8 +151,10 @@ def fit_starts(theta0s, panel: RegressionPanel, *, max_iter: int = 500, rss_rtol
 class _Start:
     """One Levenberg-Marquardt start: its state while live, its outcome once stopped.
 
-    ``stop`` is None while live, then one of ``ftol``, ``gtol``, ``max_iter``,
-    ``lambda_limit`` or ``merged`` (retired into the start ``merged_into``).
+    ``stop`` is None while live, then one of ``ftol`` (also at the damping
+    limit when the Gauss-Newton model predicts no drop, see
+    :func:`predicts_no_drop`), ``gtol``, ``max_iter``, ``lambda_limit`` or
+    ``merged`` (retired into the start ``merged_into``).
     ``evaluations`` counts residual/Jacobian evaluations, infeasible trial
     points included.  ``lam_min`` is lambda_min(J'J) of the array
     ``lam_min_of``; :func:`_retire_merged` recomputes it once ``JtJ`` is a new
@@ -256,7 +269,7 @@ def _lm_step(s: _Start, evaluate, max_iter: int, rss_rtol: float, grad_atol: flo
             s.lam *= s.nu
             s.nu *= 2.0
             if s.lam > 1e15:
-                s.stop = "lambda_limit"
+                s.stop = "ftol" if predicts_no_drop(s.JtJ, s.g, s.rss, rss_rtol) else "lambda_limit"
     if s.stop is None and s.iterations >= max_iter:
         s.stop = "max_iter"
 

@@ -612,7 +612,7 @@ def test_merged_starts_point_to_lower_rss_and_every_start_says_why_it_stopped():
     panel = make_panel(n_days=10, bars_per_day=360, noise_sd=1e-3, seed=79)
     theta0s, columns = _run_starts(panel, None)
     starts = _outcomes(columns)
-    assert len(starts) == 35 and all(s is not None for s in starts)
+    assert len(starts) == len(default_start_grid(float(np.std(panel.x, ddof=1)))) and all(s is not None for s in starts)
     merged = [s for s in starts if s.stop == "merged"]
     assert merged, "the default grid's starts should share an optimum"
     for s in merged:
@@ -627,7 +627,7 @@ def test_merged_starts_point_to_lower_rss_and_every_start_says_why_it_stopped():
         assert (s.merged_into is not None) == (s.stop == "merged")
         assert 1 <= s.evaluations <= s.iterations + 1
     # Retiring the duplicates is the saving: the sequential search evaluates
-    # each start once to open it and once per iteration (527 here, against 254).
+    # each start once to open it and once per iteration (474 here, against 208).
     sequential = [estimation_oracle.run_lm(t0, panel, 1e-6, 500, 1e-12, 1e-10) for t0 in theta0s]
     assert sum(s.evaluations for s in starts) < 0.5 * sum(o.iterations + 1 for o in sequential)
     # The merged start never wins: the fit reports a kept start's endpoint.
@@ -642,6 +642,48 @@ def test_merged_starts_point_to_lower_rss_and_every_start_says_why_it_stopped():
     assert {s.stop for s in _outcomes(capped)} <= {"max_iter", "merged"}
     assert all(s.iterations == 1 for s in _outcomes(capped) if s.stop == "max_iter")
     _assert_same_outcomes(capped, _lockstep_oracle(panel, estimation._start_thetas(panel, grid), max_iter=1))
+
+
+def test_a_start_held_at_the_damping_limit_with_no_predicted_drop_has_converged():
+    # On this recovery panel no damped step from the optimum lowers the RSS, so
+    # the one start left there stops at the damping limit, where the
+    # Gauss-Newton model predicts a relative drop of 3e-17.  Counted as
+    # unconverged, it gave the fit to a start stuck on the no-impact plateau
+    # at 2.3 times its RSS, or with the plateau starts gone to no converged start.
+    panel = make_panel(n_days=100, bars_per_day=360, noise_sd=5e-4, seed=101021)
+    theta0s, starts = _run_starts(panel, None)
+    best = estimation._best_start(starts)
+    assert starts.stop[best] == estimation._FTOL and starts.lam[best] > 1e15
+    kept = starts.stop < estimation._MERGED
+    assert starts.rss[best] == starts.rss[kept].min()
+    fit = fit_sshape(panel)
+    assert fit.converged and fit.rss == starts.rss[best]
+    for name in ("ell", "p", "q"):
+        assert abs(fit.param_hats[name] - TRUTH[name]) < 3.0 * fit.ses[name]
+    want = estimation_oracle.run_lm(theta0s[best], panel, 1e-6, 500, 1e-12, 1e-10)
+    assert want.converged and want.rss == starts.rss[best] and np.array_equal(want.theta, starts.theta[best])
+    # A row whose J'J is singular predicts nothing.
+    assert not estimation._predicts_no_drop(np.zeros((1, 4, 4)), np.zeros((1, 4)), np.ones(1), 1e-12).any()
+
+
+def _grid_with_plateau_starts(flow_sd):
+    """The 35-point grid that default_start_grid made before it left out the two plateau starts."""
+    ps = [-1e-2 / flow_sd * k for k in range(-3, 4)]
+    qs = [1e-2 / flow_sd ** 2 * 10.0 ** j for j in range(-2, 3)]
+    return [(p0, q0) for p0 in ps for q0 in qs]
+
+
+def test_default_grid_leaves_out_the_plateau_starts_and_the_fit_is_bitwise_the_same():
+    panel = make_panel(n_days=10, bars_per_day=360, noise_sd=1e-3, seed=79)
+    s = float(np.std(panel.x, ddof=1))
+    old, grid = _grid_with_plateau_starts(s), default_start_grid(s)
+    assert grid == [point for i, point in enumerate(old) if i not in (0, 5)]
+    assert [p0 / math.sqrt(q0) for p0, q0 in (old[0], old[5])] == pytest.approx([3.0, 2.0])
+    assert max(p0 / math.sqrt(q0) for p0, q0 in grid) == pytest.approx(1.0)
+    got, want = fit_sshape(panel), fit_sshape(panel, old)
+    assert (got.starts_tried, want.starts_tried) == (33, 35)
+    assert repr(dataclasses.replace(got, starts_tried=35)) == repr(want)
+    assert _run_starts(panel, None)[1].evaluations.sum() < _run_starts(panel, old)[1].evaluations.sum()
 
 
 def _starts(rss, a=None):
@@ -761,16 +803,92 @@ def test_evaluation_reuses_its_work_arrays_and_matches_the_oracle_bitwise():
         assert np.array_equal(e, want_e) and np.array_equal(J, want_J)
     # A block's stacked products are bitwise each row's own e'e, J'J and J'e.
     block = np.array(thetas[-residuals.block:])
-    rss, JtJ, g = residuals.normal_equations(block, 1e-6)
+    unbeaten = np.full(len(block), np.inf)
+    rss, JtJ, g = residuals.normal_equations(block, 1e-6, unbeaten)
     assert not np.isnan(rss).any()
     for theta, rss_i, JtJ_i, g_i in zip(block, rss, JtJ, g):
         e, J = estimation_oracle.resid_jac(theta, panel, 1e-6)
         assert rss_i == float(e @ e) and np.array_equal(JtJ_i, J.T @ J) and np.array_equal(g_i, J.T @ e)
+    # Only the rows at most their RSS to beat get J'J and J'e, the same bits; e'e comes for all.
+    beat = np.where(np.arange(len(block)) % 2 == 0, np.inf, 0.0)
+    beat[1], beat[3] = rss[1], np.nextafter(rss[3], -np.inf)  # at, and just below, the row's own e'e
+    rss_b, JtJ_b, g_b = residuals.normal_equations(block, 1e-6, beat)
+    assert np.array_equal(rss_b, rss)
+    formed = rss <= beat
+    assert formed[1] and not formed[3]
+    assert formed.sum() > 1 and not formed.all()
+    assert np.array_equal(JtJ_b[formed], JtJ[formed]) and np.array_equal(g_b[formed], g[formed])
+    assert np.isnan(JtJ_b[~formed]).all() and np.isnan(g_b[~formed]).all()
     # big_phi's and phi's own arrays; the old evaluation peaked near 27.
     assert _peak_bytes(lambda: residuals.one(thetas[17], 1e-6)) < 6 * panel.r.nbytes
-    assert _peak_bytes(lambda: residuals.normal_equations(block[:1], 1e-6)) < 6 * panel.r.nbytes
+    assert _peak_bytes(lambda: residuals.normal_equations(block[:1], 1e-6, unbeaten[:1])) < 6 * panel.r.nbytes
     # A full block allocates nothing panel-sized either.
-    assert _peak_bytes(lambda: residuals.normal_equations(block, 1e-6)) < 6 * panel.r.nbytes
+    assert _peak_bytes(lambda: residuals.normal_equations(block, 1e-6, unbeaten)) < 6 * panel.r.nbytes
+
+
+def _assert_evaluation_matches_oracle(panel, thetas):
+    """one()'s e and J and a block's e'e, J'J and J'e are bitwise the oracle's; returns the evaluator."""
+    residuals = estimation._SShapeResiduals(panel, len(thetas))
+    wants = [estimation_oracle.resid_jac(theta, panel, 1e-6) for theta in thetas]
+    for theta, want in zip(thetas, wants):
+        got = residuals.one(theta, 1e-6)
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    rss, JtJ, g = residuals.normal_equations(np.array(thetas), 1e-6, np.full(len(thetas), np.inf))
+    for want, rss_i, JtJ_i, g_i in zip(wants, rss, JtJ, g):
+        if want is None:
+            assert np.isnan(rss_i) and np.isnan(JtJ_i).all() and np.isnan(g_i).all()
+            continue
+        e, J = want
+        assert rss_i == float(e @ e) and np.array_equal(JtJ_i, J.T @ J) and np.array_equal(g_i, J.T @ e)
+    return residuals
+
+
+def test_flows_are_evaluated_in_panel_order_and_match_the_oracle_bitwise():
+    # Three days of 40 bars, with day 1's bar 20 missing its return: the pair
+    # (19, 20) is skipped, so the next row's x_prev is no row's x.
+    synth = synth_regression_panel(a=TRUTH["a"], impact=SShapeParams(TRUTH["ell"], TRUTH["p"], TRUTH["q"]),
+                                   flow=FLOW, n_days=3, bars_per_day=40, noise_sd=2e-4, seed=17)
+    has_return = synth.bars.has_return.copy()
+    has_return[40 + 20] = False
+    panel = RegressionPanel.from_bars(dataclasses.replace(synth.bars, has_return=has_return))
+    assert panel.n == 3 * 39 - 1
+    thetas = estimation._start_thetas(panel, None)
+    residuals = _assert_evaluation_matches_oracle(panel, thetas)
+    # Seams: the first row, the row after the skipped return and the two later day starts.
+    assert residuals.seams.tolist() == [0, 39, 58, 77]
+    assert np.array_equal(residuals.flows, np.concatenate([panel.x, panel.x_prev[[0, 39, 58, 77]]]))
+
+    # Integer flows repeat; they are laid out the same way, each repeat evaluated again.
+    rounded = RegressionPanel(panel.r, np.rint(panel.x / 10.0), np.rint(panel.x_prev / 10.0))
+    residuals = _assert_evaluation_matches_oracle(rounded, estimation._start_thetas(rounded, None))
+    assert np.unique(residuals.flows).size < rounded.n
+    assert np.array_equal(residuals.flows, np.concatenate([rounded.x, rounded.x_prev[residuals.seams]]))
+
+
+@st.composite
+def mixed_flow_panels(draw):
+    """Panels of 10 to 60 rows whose flows mix repeated integers and distinct
+    floats, where x_prev is the previous x except at drawn seams."""
+    n = draw(st.integers(10, 60))
+    flow = st.one_of(st.integers(-20, 20).map(float), st.floats(-500.0, 500.0))
+    x = draw(st.lists(flow, min_size=n, max_size=n))
+    seams = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    x_prev = [draw(flow) if i == 0 or seam else x[i - 1] for i, seam in enumerate(seams)]
+    r = np.random.default_rng(draw(st.integers(0, 2 ** 20))).normal(0.0, 1e-3, n)
+    return RegressionPanel(r, x, x_prev)
+
+
+@settings(max_examples=60, deadline=None)
+@given(mixed_flow_panels())
+def test_panel_order_matches_the_oracle_bitwise_with_repeated_and_distinct_flows(panel):
+    s = max(float(np.std(panel.x)), 1.0)
+    grid = [(-1e-2 / s * k, 1e-2 / s ** 2 * 10.0 ** j) for k in (-1, 0, 2) for j in (-1, 1)]
+    residuals = _assert_evaluation_matches_oracle(panel, estimation._start_thetas(panel, grid))
+    seam = np.concatenate([[True], panel.x_prev[1:] != panel.x[:-1]])
+    assert np.array_equal(residuals.seams, np.flatnonzero(seam))
+    assert np.array_equal(residuals.flows, np.concatenate([panel.x, panel.x_prev[seam]]))
 
 
 @pytest.mark.parametrize("seed", [83, 89, 97])

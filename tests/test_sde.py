@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -403,6 +404,16 @@ def test_sim_config_validation():
     for nan in ({"dt": math.nan}, {"s0": math.nan}):  # NaN fails every comparison, so none may pass a check
         with pytest.raises(ParameterError):
             make_config(**nan)
+    # An infinite step passed `dt > 0`, and simulate_path warned and then failed at step 1.
+    with pytest.raises(ParameterError, match="^dt must be positive and finite, got inf$"):
+        make_config(dt=math.inf)
+    # A float or negative seed reached numpy's SeedSequence, a bare TypeError or ValueError.
+    for value in (2.5, math.nan, 3.0):
+        with pytest.raises(ParameterError, match=f"^seed must be an integer, got {value!r}$"):
+            make_config(seed=value)
+    with pytest.raises(ParameterError, match="^seed must be non-negative, got -1$"):
+        make_config(seed=-1)
+    assert make_config(seed=np.int64(3)).seed == 3 and make_config(seed=None).seed is None
     for value in (2.5, math.nan, 3.0):  # a float count used to fail in simulate_path with a bare TypeError
         with pytest.raises(ParameterError, match=f"^n_steps must be an integer, got {value!r}$"):
             make_config(n_steps=value)
@@ -614,6 +625,11 @@ def test_panel_validation():
         for value in (2.5, math.nan, 10.0):
             with pytest.raises(ParameterError, match=f"^{key} must be an integer, got {value!r}$"):
                 synth_regression_panel(a=0.0, impact=NK, flow=flow, **{"n_days": 2, "bars_per_day": 10, key: value})
+    for value, message in ((2.5, "seed must be an integer, got 2.5"), (-1, "seed must be non-negative, got -1")):
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            synth_regression_panel(a=0.0, impact=NK, flow=flow, n_days=1, bars_per_day=10, seed=value)
+    drawn = synth_regression_panel(a=0.0, impact=NK, flow=flow, n_days=1, bars_per_day=10, seed=None)
+    assert drawn.truth["rng"]["seed"] is None
     # 10**15 bars (7 PiB) lie past a 47-bit address space, so the allocation fails at once.
     with pytest.raises(ParameterError, match=r"^n_days x bars_per_day: 1 x 1000000000000000 bars do not fit \(Unable"):
         synth_regression_panel(a=0.0, impact=NK, flow=flow, n_days=1, bars_per_day=10 ** 15)
