@@ -5,9 +5,10 @@ Subcommands mirror the pipeline: ``ingest`` (ticks to bars), ``simulate``
 ``curves`` (sampled impact curves from a fit), ``compare`` (cross-model and
 cross-contract reports).  Each run reads an optional JSON config file; flags
 given on the command line win over config values, and a config key the
-command does not read is an error.  Every output file gets a
-sibling ``.meta.json`` echoing the effective configuration (schema versioned,
-no timestamps), so identical inputs produce byte-identical outputs.
+command does not read is an error.  Every output file gets a sibling
+``.meta.json`` echoing the run's settings, or for ``simulate`` the library's
+metadata (schema versioned, no timestamps), so identical inputs produce
+byte-identical outputs.
 
 Every command runs in a single thread: files, days and fit starts are
 processed one after another.  ``simulate`` path mode takes the sshape and
@@ -257,10 +258,17 @@ def _inputs(paths) -> list[Path]:
     return files
 
 
-def _write_meta(out_file: Path, command: str, effective: dict) -> None:
-    """out_file's sibling .meta.json: es.bars.csv gets es.bars.meta.json."""
+def _echo(args) -> dict:
+    """The run's settings: each option of the command as resolved (a solver option left at
+    fit_sshape's default is None) and its inputs as given, a Path as a str."""
+    return {key: str(value) if isinstance(value, Path) else value
+            for key, value in vars(args).items() if key not in ("command", "config", "run")}
+
+
+def _write_meta(out_file: Path, args, **extra) -> None:
+    """out_file's sibling .meta.json, the run's settings and extra: es.bars.csv gets es.bars.meta.json."""
     write_json(out_file.with_name(out_file.name.removesuffix(".csv") + ".meta.json"),
-               {"schema_version": SCHEMA_VERSION, "command": command, "config": effective})
+               {"schema_version": SCHEMA_VERSION, "command": args.command, "config": {**_echo(args), **extra}})
 
 
 def _stem(path: Path) -> str:
@@ -281,16 +289,12 @@ def _contract(path: Path) -> str:
 
 
 def cmd_ingest(args) -> int:
-    files = _inputs(args.files)
-    effective = {**{key: getattr(args, key) for key, *_ in OPTIONS["ingest"]},
-                 "out_dir": str(args.out_dir), "inputs": [str(f) for f in files]}
-
-    for f in files:
+    for f in _inputs(args.files):
         bars = build_bars(read_ticks(f), args.session_start, args.session_end, args.bar_seconds,
                           args.tick_size)
         dest = args.out_dir / f"{_stem(f)}.bars.csv"
         write_bars_csv(bars, dest)
-        _write_meta(dest, "ingest", {**effective, "input": str(f)})
+        _write_meta(dest, args, input=str(f))
         unsigned = int(bars.unsigned_count.sum())
         total = int(bars.signed_count.sum()) + unsigned
         pct = 100.0 * unsigned / total if total else 0.0
@@ -346,16 +350,9 @@ def cmd_fit(args) -> int:
     models = list(MODELS) if args.model == "all" else [args.model]
     # Solver settings the config gives; the others keep fit_sshape's defaults.
     fit_kwargs = {key: getattr(args, key) for key, *_ in SOLVER if getattr(args, key) is not None}
-    files = _inputs(args.files)
-    effective = {
-        "model": args.model, "pooled": args.pooled,
-        "grid": args.grid, "fit_options": fit_kwargs,
-        "out_dir": str(args.out_dir), "inputs": [str(f) for f in files],
-    }
-
     total_days = 0
     failed_days = 0
-    for f in files:
+    for f in _inputs(args.files):
         table = read_bars_csv(f)
         # Day codes in label order, so the pooled panel lists the days as the day fits do.
         labels = sorted(table.days)
@@ -385,10 +382,10 @@ def cmd_fit(args) -> int:
         stem = _stem(f)
         csv_dest = args.out_dir / f"{stem}.fits.csv"
         write_daily_fits_csv([(day, fr) for day, fits in fitted for _, fr in fits], csv_dest)
-        _write_meta(csv_dest, "fit", {**effective, "input": str(f)})
+        _write_meta(csv_dest, args, input=str(f))
         write_json(args.out_dir / f"{stem}.fits.json", {
             "schema_version": SCHEMA_VERSION,
-            "config": {**effective, "input": str(f)},
+            "config": {**_echo(args), "input": str(f)},
             "days": json_days,
             "pooled": pooled_block,
             "failures": failures,
@@ -428,11 +425,7 @@ def cmd_curves(args) -> int:
 
     dest = args.out_dir / "curve.csv"
     write_table(dest, ["x", "f_bps"], zip(xs.tolist(), f_bps.tolist()))
-    _write_meta(dest, "curves", {
-        "fit_json": str(fit_path), "model": args.model, "date": args.date,
-        "x_min": args.x_min, "x_max": args.x_max, "n_points": args.n_points,
-        "param_hats": hats,
-    })
+    _write_meta(dest, args, param_hats=hats)
     print(f"{dest}: {args.n_points} points over [{args.x_min}, {args.x_max}]")
     return 0
 
@@ -462,14 +455,13 @@ def _select_fit(doc, model: str, date: str | None) -> dict:
 
 def cmd_compare(args) -> int:
     fit_files = _inputs(args.fits)
-    bar_files = _inputs(args.bars or [])
 
     ttest_rows = []
     desc_rows = []
     depth_reports = []
     report: dict = {"schema_version": SCHEMA_VERSION, "contracts": {}}
 
-    bars_by_contract = {_contract(f): read_bars_csv(f) for f in bar_files}
+    bars_by_contract = {_contract(f): read_bars_csv(f) for f in _inputs(args.bars or [])}
 
     for f in fit_files:
         contract = _contract(f)
@@ -482,7 +474,10 @@ def cmd_compare(args) -> int:
         for i, ma in enumerate(models_present):
             for mb in models_present[i + 1:]:
                 for metric in METRICS:
-                    res = paired_t_test(series[ma], series[mb], metric)
+                    try:
+                        res = paired_t_test(series[ma], series[mb], metric)
+                    except ValueError as exc:
+                        raise ValueError(f"{f}: {ma} vs {mb}: {exc}") from None
                     ttest_rows.append((contract, ma, mb, res))
                     block["t_tests"].append({"model_a": ma, "model_b": mb, **asdict(res)})
 
@@ -514,10 +509,8 @@ def cmd_compare(args) -> int:
     dep_dest = args.out_dir / "depth.csv"
     write_depth_csv(depth_reports, dep_dest)
     write_json(args.out_dir / "report.json", report)
-    effective = {"fits": [str(f) for f in fit_files], "bars": [str(f) for f in bar_files],
-                 "out_dir": str(args.out_dir)}
     for dest in (t_dest, d_dest, dep_dest):
-        _write_meta(dest, "compare", effective)
+        _write_meta(dest, args)
     print(f"{args.out_dir}: ttests.csv ({len(ttest_rows)} rows), descriptives.csv ({len(desc_rows)} rows), "
           f"depth.csv ({len(depth_reports)} contract(s)), report.json")
     return 0

@@ -696,7 +696,8 @@ def fit_sshape(
     dof = max(n - 4, 1)
     s2 = rss / dof
     names = ["a", "ell", "p", "q"]
-    notes = [] if converged else ["no start converged within max_iter; best endpoint returned"]
+    stop = "within max_iter" if starts.stop[best] == _MAX_ITER else "before the damping limit"
+    notes = [] if converged else [f"no start converged {stop}; best endpoint returned"]
     if np.isfinite(JtJ).all():
         try:
             cov = s2 * np.linalg.inv(JtJ)

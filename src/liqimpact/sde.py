@@ -255,8 +255,8 @@ def correlated_increments(
     """
     if not -1.0 <= rho <= 1.0:
         raise ParameterError(f"rho must lie in [-1, 1], got {rho}")
-    if not dt > 0:
-        raise ParameterError(f"dt must be positive, got {dt}")
+    if not 0 < dt < math.inf:
+        raise ParameterError(f"dt must be positive and finite, got {dt}")
     n = 1 if size is None else int(size)
     # Built in place: the columns of z turn from (u, v) into (dw, dz) through
     # the same products and sums as the formulas above.

@@ -393,6 +393,8 @@ def test_fit_outputs(fitted):
     meta = json.loads((fitted / "nk.fits.meta.json").read_text())
     assert meta["command"] == "fit"
     assert meta["config"]["grid"] == [[-3e-3, 8e-5]]
+    assert meta["config"]["max_iter"] is None  # left at fit_sshape's default
+    assert doc["config"] == meta["config"]
 
 
 def test_curves_from_pooled_sshape(fitted, tmp_path, capsys):
@@ -824,10 +826,54 @@ def test_compare_malformed_fits_row(tmp_path, capsys, edit, hint):
     assert "Traceback" not in err
 
 
+def test_compare_names_file_and_pair_without_shared_dates(tmp_path, capsys):
+    fits_csv = tmp_path / "cl.fits.csv"
+    write_daily_fits_csv([("2024-02-01", make_fit(m)) for m in ("sshape", "linear")], fits_csv)
+    assert main(["compare", "--fits", str(fits_csv), "--out-dir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {fits_csv}: linear vs sshape: need at least 2 shared dates, got 1\n")
+
+
 def test_compare_missing_file(tmp_path, capsys):
     assert main(["compare", "--fits", str(tmp_path / "nope.fits.csv"),
                  "--out-dir", str(tmp_path)]) == 1
     assert "not found" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# settings echo: each .meta.json holds the command's options, inputs and that output's extras
+
+ECHOES = {  # meta file, inputs, extras
+    "ingest": ("bars/golden_ticks.bars.meta.json", {"files"}, {"input"}),
+    "fit": ("fits/golden_ticks.bars.fits.meta.json", {"files"}, {"input"}),
+    "curves": ("curves/curve.meta.json", {"fit_json", "date"}, {"param_hats"}),
+    "compare": ("reports/ttests.meta.json", {"fits", "bars"}, set()),
+}
+
+
+@pytest.fixture(scope="module")
+def pipeline_out(tmp_path_factory):
+    """ingest, fit, curves and compare on the golden ticks, each with default settings."""
+    out = tmp_path_factory.mktemp("echo")
+    bars = out / "bars" / "golden_ticks.bars.csv"
+    fits = out / "fits" / "golden_ticks.bars.fits.csv"
+    for argv in (["ingest", str(DATA / "golden_ticks.csv"), "--out-dir", str(bars.parent)],
+                 ["fit", str(bars), "--model", "linear", "--out-dir", str(fits.parent)],
+                 ["curves", str(fits.with_suffix(".json")), "--model", "linear", "--out-dir", str(out / "curves")],
+                 ["compare", "--fits", str(fits), "--out-dir", str(out / "reports")]):
+        assert main(argv) == 0
+    return out
+
+
+@pytest.mark.parametrize("command", list(ECHOES))
+def test_meta_echoes_options_inputs_and_extras(pipeline_out, command):
+    meta_file, inputs, extras = ECHOES[command]
+    meta = json.loads((pipeline_out / meta_file).read_text())
+    assert meta["command"] == command
+    assert set(meta["config"]) == {key for key, *_ in cli.OPTIONS[command]} | inputs | extras
+    assert meta["config"]["out_dir"] == str(pipeline_out / Path(meta_file).parent)
+    if command == "compare":
+        assert meta["config"]["bars"] is None  # no --bars given
 
 
 # ---------------------------------------------------------------------------

@@ -364,6 +364,21 @@ def test_fit_sshape_max_iter_one_reports_unconverged(caplog):
     assert fit.message in warnings[0].getMessage()
 
 
+def test_fit_sshape_unconverged_note_names_the_damping_limit(monkeypatch):
+    panel = make_panel(n_days=3, bars_per_day=60, noise_sd=2e-4, seed=71)
+    lm_starts = estimation._lm_starts
+
+    def damped_out(*args, **kwargs):
+        starts = lm_starts(*args, **kwargs)
+        starts.stop[starts.stop == estimation._MAX_ITER] = estimation._LAMBDA_LIMIT
+        return starts
+
+    monkeypatch.setattr(estimation, "_lm_starts", damped_out)
+    fit = fit_sshape(panel, scale_grid(panel), max_iter=1)
+    assert not fit.converged
+    assert fit.message == "no start converged before the damping limit; best endpoint returned"
+
+
 def test_fit_sshape_overflowing_covariance_gives_nan_ses_without_warnings():
     # On pure noise this start ends at q near 1e-107, where d/dq = (1/q) d/dv overflows J'J.
     rng = np.random.default_rng(1)

@@ -95,6 +95,8 @@ def test_correlated_increments_validation():
         correlated_increments(0.0, 0.0, rng)
     with pytest.raises(ParameterError):
         correlated_increments(0.0, math.nan, rng)
+    with pytest.raises(ParameterError, match="positive and finite, got inf"):
+        correlated_increments(0.0, math.inf, rng, size=3)
 
 
 # ---------------------------------------------------------------------------
