@@ -750,8 +750,8 @@ def read_bars_csv(path: str | Path) -> BarTable:
     Rows keep file order and days are coded in order of first appearance.  A
     panel row is a bar row with no price and no sizes; trade counts come back
     as 0.  An empty price or size cell, or a ``nan`` one, is missing (NaN).
-    Any other header raises ParseError at line 1; a bad row length or number
-    raises it with the file and line.
+    Any other header raises ParseError at line 1; a bad row length or number,
+    or a second row for the same day and bar, raises it with the file and line.
     """
     path = Path(path)
     with path.open("rb") as fh:
@@ -763,6 +763,7 @@ def read_bars_csv(path: str | Path) -> BarTable:
     if first == PANEL_HEADER:
         rows = ((where, (day, bar, x, "", r, "", "")) for where, (day, bar, x, r) in rows)
     codes: dict[str, int] = {}
+    seen: set[tuple[str, int]] = set()
     day, bar_index, order_flow, last_price, log_return, open_bid, open_ask = ([] for _ in range(7))
     for where, (label, bar, x, price, r, bid_size, ask_size) in rows:
         day.append(codes.setdefault(label, len(codes)))
@@ -772,6 +773,10 @@ def read_bars_csv(path: str | Path) -> BarTable:
         log_return.append(parse_float(r, where=where))
         open_bid.append(parse_float(bid_size, where=where))
         open_ask.append(parse_float(ask_size, where=where))
+        key = (label, bar_index[-1])
+        if key in seen:
+            raise ParseError(f"{where}: repeated bar {label} {key[1]}")
+        seen.add(key)
 
     def floats(values: list) -> np.ndarray:
         return np.array(values, dtype=np.float64)  # None becomes NaN

@@ -29,6 +29,11 @@ the same numbers, bit for bit, as one pass over the whole path.
 synth_regression_panel builds day-structured regression panels instead: flow
 sampled from the exact OU transition (stationary start each day), returns
 assembled from the impact curve plus iid Gaussian noise.
+
+Of scipy, importing this module loads only scipy.special (through impact).
+scipy.signal, which takes about a second to import and pulls in scipy.stats,
+loads on the first call that filters a flow: a path of more than one step,
+or a panel.  So the CLI's ingest, fit and compare never load it.
 """
 
 from __future__ import annotations
@@ -40,10 +45,6 @@ from pathlib import Path
 from typing import Iterator
 
 import numpy as np
-from scipy.signal import lfilter
-# The C kernel behind lfilter: the same recursion and rounding, without
-# lfilter's argument handling, which costs several times a one-step path.
-from scipy.signal._sigtools import _linear_filter
 
 from ._common import SCHEMA_VERSION, write_table
 from .impact import (
@@ -312,6 +313,10 @@ def _fill_blocks(config: SimConfig, rng: np.random.Generator, x: np.ndarray, s: 
     restarts from x[lo] as the whole path starts from x0, and the running
     log-sum of S is carried into the next block's first step.
     """
+    # The C kernel behind lfilter: the same recursion and rounding, without
+    # lfilter's argument handling, which costs several times a one-step path.
+    from scipy.signal._sigtools import _linear_filter
+
     sp = config.structural
     dt = config.dt
     coef, const = _flow_coefficients(config)
@@ -455,6 +460,8 @@ def synth_regression_panel(
     except (ValueError, MemoryError) as exc:  # numpy's limits on the shape, or the allocation
         raise ParameterError(f"n_days x bars_per_day: {n_days} x {bars_per_day} bars do not fit ({exc})") from None
     eps = noise_sd * rng.standard_normal((n_days, bars_per_day - 1))
+
+    from scipy.signal import lfilter
 
     zi = (decay * (x0 - flow.m))[:, None]
     dev, _ = lfilter([1.0], [1.0, -decay], shocks, axis=1, zi=zi)

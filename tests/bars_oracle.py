@@ -18,7 +18,7 @@ from operator import attrgetter
 import numpy as np
 from scipy.signal import lfilter
 
-from liqimpact._common import parse_float, parse_int, read_table, write_table
+from liqimpact._common import ParseError, parse_float, parse_int, read_table, write_table
 from liqimpact.estimation import RegressionPanel
 from liqimpact.ingest import BAR_HEADER, PANEL_HEADER, BarTable, MinuteBar
 from liqimpact.sde import _impact_f
@@ -90,11 +90,17 @@ def write_panel_csv(bars: list[MinuteBar], dest) -> None:
     write_table(dest, PANEL_HEADER, ((b.day, b.bar_index, float(b.order_flow), b.log_return) for b in bars))
 
 
+def _no_repeat(bars: list[MinuteBar], bar: MinuteBar, where: str) -> None:
+    """ParseError unless ``bar`` is the first of ``bars`` with its day and index."""
+    if any(b.day == bar.day and b.bar_index == bar.bar_index for b in bars):
+        raise ParseError(f"{where}: repeated bar {bar.day} {bar.bar_index}")
+
+
 def read_bars_csv(path) -> dict[str, list[MinuteBar]]:
-    """A bar CSV as per-day MinuteBar lists (counts come back as 0)."""
+    """A bar CSV as per-day MinuteBar lists (counts come back as 0); a repeated day and bar is a ParseError."""
     out: dict[str, list[MinuteBar]] = {}
     for where, (day, bar, flow, last, ret, bid, ask) in read_table(path, BAR_HEADER):
-        out.setdefault(day, []).append(MinuteBar(
+        record = MinuteBar(
             day=day,
             bar_index=parse_int(bar, where=where),
             order_flow=parse_float(flow, where=where, required=True),
@@ -102,22 +108,26 @@ def read_bars_csv(path) -> dict[str, list[MinuteBar]]:
             log_return=parse_float(ret, where=where),
             open_bid_size=parse_float(bid, where=where),
             open_ask_size=parse_float(ask, where=where),
-        ))
+        )
+        _no_repeat(out.get(day, []), record, where)
+        out.setdefault(day, []).append(record)
     return out
 
 
 def read_panel_csv(path) -> list[MinuteBar]:
-    """A day,bar,x,r panel CSV as MinuteBar records (no price fields)."""
-    return [
-        MinuteBar(
+    """A day,bar,x,r panel CSV as MinuteBar records (no price fields); a repeated day and bar is a ParseError."""
+    out: list[MinuteBar] = []
+    for where, (day, bar, x, r) in read_table(path, PANEL_HEADER):
+        record = MinuteBar(
             day=day,
             bar_index=parse_int(bar, where=where),
             order_flow=parse_float(x, where=where, required=True),
             last_price=None,
             log_return=parse_float(r, where=where),
         )
-        for where, (day, bar, x, r) in read_table(path, PANEL_HEADER)
-    ]
+        _no_repeat(out, record, where)
+        out.append(record)
+    return out
 
 
 def from_bars(bars) -> RegressionPanel:

@@ -11,6 +11,7 @@ byte-identical to these.
 from __future__ import annotations
 
 import numpy as np
+from scipy.signal._sigtools import _linear_filter
 
 from liqimpact.sde import (
     _FLOW_B,
@@ -18,7 +19,6 @@ from liqimpact.sde import (
     SimulationError,
     _flow_coefficients,
     _impact_f,
-    _linear_filter,
     _s_drift,
     correlated_increments,
 )

@@ -1043,3 +1043,39 @@ def test_log_level_gates_ingest_warning(tmp_path):
                              "ERROR")
     assert res.returncode == 0
     assert "no in-session trades" not in res.stderr
+
+
+# ---------------------------------------------------------------------------
+# what a fresh interpreter imports (subprocess: sys.modules is process-wide)
+
+IMPORT_PROBE = """
+import json, sys
+from liqimpact import cli
+loaded = ["scipy.signal" in sys.modules]
+ticks, out, config = sys.argv[1:]
+assert cli.main(["ingest", ticks, "--out-dir", out, "--session-end", "13:00", "--tick-size", "1e-6"]) == 0
+assert cli.main(["fit", out + "/es.bars.csv", "--pooled", "--out-dir", out, "--config", config]) == 0
+assert cli.main(["compare", "--fits", out + "/es.bars.fits.csv", "--bars", out + "/es.bars.csv",
+                 "--out-dir", out]) == 0
+loaded.append("scipy.signal" in sys.modules)
+from liqimpact.sde import SimConfig, simulate_path
+from liqimpact.impact import SShapeParams, StructuralParams
+structural = StructuralParams(0.05, 0.2, 0.3, 0.2, 3.0, 80.0, 0.0, 0.0, 0.03, 0.0)
+simulate_path(SimConfig(structural, SShapeParams(1.3e-5, -0.0034, 8.15e-5), n_steps=2, dt=0.01, seed=1))
+loaded.append("scipy.signal" in sys.modules)
+print(json.dumps(loaded))
+"""
+
+
+def test_cli_commands_that_do_not_simulate_never_import_scipy_signal(tmp_path):
+    """scipy.signal takes about a second to import; only the simulator's flow
+    filter uses it, so import, ingest, fit and compare leave it unloaded, and
+    the first path of more than one step loads it."""
+    _model_ticks(tmp_path / "es.csv")
+    config = write_config(tmp_path, {"grid": [[-3e-3, 8e-5]]})
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    res = subprocess.run([sys.executable, "-c", IMPORT_PROBE, str(tmp_path / "es.csv"), str(tmp_path / "out"),
+                          str(config)], capture_output=True, text=True, env=env)
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout.splitlines()[-1]) == [False, False, True]

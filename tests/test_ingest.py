@@ -836,6 +836,7 @@ BAR_CASES = [
     ("2024-01-02,0,,100.0,,,", "bad number ''"),
     ("2024-01-02,0,1.0,1o0,,,", "bad number '1o0'"),
     ("2024-01-02,9223372036854775808,1.0,100.0,,,", "integer out of range '9223372036854775808'"),
+    ("2024-01-02,00,5.0,99.0,,,", "repeated bar 2024-01-02 0"),
 ]
 PANEL_CASES = [
     ("0,0,abc,", "bad number 'abc'"),
@@ -843,6 +844,7 @@ PANEL_CASES = [
     ("0,1,1.0,zz", "bad number 'zz'"),
     ("0,1,1.0", "expected 4 fields"),
     ("0,-9223372036854775809,1.0,", "integer out of range '-9223372036854775809'"),
+    ("0,0,2.0,1e-3", "repeated bar 0 0"),
 ]
 UNRECOGNIZED = (f"unrecognized header 'day,bar,flow,r'; expected {','.join(BAR_HEADER)} "
                 f"or {','.join(PANEL_HEADER)}")

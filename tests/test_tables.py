@@ -35,13 +35,15 @@ def _rewrites_identically(write, read, value, rebuild=lambda rows: rows):
 
 
 def _bar(day: str):
+    """A bar of ``day``; a file holds each day and bar index at most once, so callers draw them unique."""
     return st.builds(MinuteBar, day=st.just(day), bar_index=st.integers(0, 10**6), order_flow=FLOW,
                      last_price=CELL, log_return=CELL, open_bid_size=CELL, open_ask_size=CELL)
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.lists(DAYS, unique=True, max_size=4).flatmap(
-    lambda days: st.fixed_dictionaries({d: st.lists(_bar(d), max_size=5) for d in days})))
+    lambda days: st.fixed_dictionaries({d: st.lists(_bar(d), max_size=5, unique_by=lambda b: b.bar_index)
+                                        for d in days})))
 def test_bars_csv_rewrites_identically(bars):
     # A BarTable holds a missing price or quote size as NaN, so a nan in those
     # three columns is written as an empty cell; every other cell, nan in the
@@ -50,7 +52,7 @@ def test_bars_csv_rewrites_identically(bars):
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.lists(DAYS.flatmap(_bar), max_size=12))
+@given(st.lists(DAYS.flatmap(_bar), max_size=12, unique_by=lambda b: (b.day, b.bar_index)))
 def test_panel_csv_rewrites_identically(bars):
     _rewrites_identically(write_panel_csv, read_bars_csv, bar_table(bars))
 
