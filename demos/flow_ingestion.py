@@ -60,10 +60,10 @@ print()
 
 bars = build_bars(ticks, session_start="09:00", session_end="09:05",
                   bar_seconds=60, tick_size=0.01)
-for day, day_bars in bars.by_day().items():
+for day in bars.days:
     print(f"bars for {day}:")
     print(f"{'bar':>4} {'flow':>6} {'last':>8} {'log ret':>10} {'bid sz':>7} {'ask sz':>7}")
-    for b in day_bars:
+    for b in bars.get(day):
         ret = "" if b.log_return is None else f"{b.log_return:.6f}"
         bs = "" if b.open_bid_size is None else f"{b.open_bid_size:.0f}"
         asz = "" if b.open_ask_size is None else f"{b.open_ask_size:.0f}"

@@ -59,7 +59,6 @@ from .ingest import (
 )
 from .sde import (
     OUParams,
-    PathSample,
     SimConfig,
     SimPath,
     SimulationError,

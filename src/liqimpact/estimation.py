@@ -868,10 +868,13 @@ def write_daily_fits_csv(rows: list[tuple[str, FitResult]], dest: str | Path) ->
 def read_daily_fits_csv(path: str | Path) -> list[dict]:
     """Rows of the daily-fit CSV as dicts with floats parsed and '' -> None.
 
-    A bad header, row length, number or integer, or a converged row without
-    its model's parameters, raises ParseError with the file and line.
+    A bad header, row length, number or integer, a second row for a date and
+    model, a converged row without its model's parameters, or a converged
+    S-shape row whose ell or q is not positive raises ParseError with the file
+    and line.
     """
     out: list[dict] = []
+    seen: set[tuple[str, str]] = set()
     for where, row in read_table(path, DAILY_FIT_HEADER):
         rec = dict(zip(DAILY_FIT_HEADER, row))
         for key in ("a_hat", "ell", "p", "q", "alpha", "rss", "adj_r2", "bic"):
@@ -882,5 +885,11 @@ def read_daily_fits_csv(path: str | Path) -> list[dict]:
         missing = [name for name in _MODEL_PARAMS.get(rec["model"], ()) if rec[name] is None]
         if rec["converged"] and missing:
             raise ParseError(f"{where}: converged {rec['model']} fit lacks {', '.join(missing)}")
+        for name in ("ell", "q") if rec["converged"] and rec["model"] == "sshape" else ():
+            if not rec[name] > 0:
+                raise ParseError(f"{where}: {name} must be positive, got {rec[name]!r}")
+        if (key := (rec["date"], rec["model"])) in seen:
+            raise ParseError(f"{where}: second {rec['model']} row for {rec['date']}")
+        seen.add(key)
         out.append(rec)
     return out

@@ -20,7 +20,8 @@ as ``TickRecord``.  To build one in memory, fill its columns and call
 :meth:`TickTable.validate`.  Bars are columns too: ``build_bars`` returns a
 :class:`BarTable`, and the bar writers, ``flow_descriptives``, the synthetic
 panels, the bar-file reader, the regression pairing and the depth report take
-or make one and nothing else.
+or make one and nothing else.  A ``BarTable`` has rows only per day: ``get(day)``
+and ``values()`` give a day's bars as ``MinuteBar`` lists.
 This module owns both bar-file layouts: the bar CSV that ``write_bars_csv``
 writes and the day,bar,x,r panel CSV that ``write_panel_csv`` writes;
 ``read_bars_csv`` reads either.
@@ -158,17 +159,10 @@ class TickTable:
         return self.ts_us.size
 
     def __iter__(self) -> Iterator[TickRecord]:
-        return self._records(slice(None))
-
-    def __getitem__(self, i: int) -> TickRecord:
-        i = range(len(self))[i]
-        return next(self._records(slice(i, i + 1)))
-
-    def _records(self, rows: slice) -> Iterator[TickRecord]:
-        stamps = map(_as_datetime, self.ts_us[rows].tolist())
-        kinds = np.where(self.is_trade[rows], "T", "Q").tolist()
-        numbers = [_nan_to_none(c[rows]) for c in self.numbers()]
-        return map(TickRecord, stamps, kinds, *numbers, self.lineno[rows].tolist())
+        stamps = map(_as_datetime, self.ts_us.tolist())
+        kinds = np.where(self.is_trade, "T", "Q").tolist()
+        numbers = [_nan_to_none(c) for c in self.numbers()]
+        return map(TickRecord, stamps, kinds, *numbers, self.lineno.tolist())
 
     def numbers(self) -> tuple[np.ndarray, ...]:
         """The six numeric columns, in header order."""
@@ -206,7 +200,7 @@ class TickTable:
 
 @dataclass(frozen=True)
 class MinuteBar:
-    """Aggregated flow and price state for one intraday interval.
+    """Aggregated flow and price state for one intraday interval: the row of ``BarTable.get``.
 
     ``order_flow`` is buyer-initiated minus seller-initiated contracts over the
     bar.  ``last_price`` is the final trade price at or before the bar end,
@@ -236,9 +230,8 @@ class BarTable:
     columns hold NaN where a :class:`MinuteBar` field is None.  A return is the
     one field where None and NaN differ, since a regression skips a missing
     return but rejects a NaN one, so ``has_return`` marks the rows whose
-    ``log_return`` is given.  A table has a length and indexes and iterates as
-    ``MinuteBar``; ``values()`` and ``get(day)`` are per day, as in
-    :meth:`by_day`.
+    ``log_return`` is given.  A table has a length; its only row views are
+    ``get(day)`` and ``values()``, a day's bars as a list of ``MinuteBar``.
     """
 
     days: tuple[str, ...]
@@ -256,20 +249,13 @@ class BarTable:
     def __len__(self) -> int:
         return self.day.size
 
-    def __iter__(self) -> Iterator[MinuteBar]:
-        return map(MinuteBar, *self._fields())
-
-    def __getitem__(self, i: int) -> MinuteBar:
-        i = range(len(self))[i]
-        return MinuteBar(*(column[0] for column in self._fields(slice(i, i + 1))))
-
-    def _fields(self, rows: slice = slice(None)) -> list[list]:
-        """The MinuteBar fields of the rows as lists, in field order, None where missing."""
-        return [list(map(self.days.__getitem__, self.day[rows].tolist())), self.bar_index[rows].tolist(),
-                self.order_flow[rows].tolist(), _nan_to_none(self.last_price[rows]),
-                np.where(self.has_return[rows], self.log_return[rows], None).tolist(),
-                self.signed_count[rows].tolist(), self.unsigned_count[rows].tolist(),
-                _nan_to_none(self.open_bid_size[rows]), _nan_to_none(self.open_ask_size[rows])]
+    def _fields(self) -> list[list]:
+        """The MinuteBar fields of every row as lists, in field order, None where missing."""
+        return [list(map(self.days.__getitem__, self.day.tolist())), self.bar_index.tolist(),
+                self.order_flow.tolist(), _nan_to_none(self.last_price),
+                np.where(self.has_return, self.log_return, None).tolist(),
+                self.signed_count.tolist(), self.unsigned_count.tolist(),
+                _nan_to_none(self.open_bid_size), _nan_to_none(self.open_ask_size)]
 
     def take(self, rows) -> BarTable:
         """The rows a boolean mask or an integer index array selects, in that order.
@@ -278,25 +264,15 @@ class BarTable:
         """
         return BarTable(self.days, *(getattr(self, f.name)[rows] for f in fields(self)[1:]))
 
-    def by_day(self) -> dict[str, list[MinuteBar]]:
-        """Bars per day label, every day of ``days`` included, rows in table order."""
-        out: dict[str, list[MinuteBar]] = {day: [] for day in self.days}
-        for b in self:
-            out[b.day].append(b)
-        return out
-
-    def values(self):
-        """The bar lists of :meth:`by_day`, one per day."""
-        return self.by_day().values()
+    def values(self) -> list[list[MinuteBar]]:
+        """The bars of each day of ``days``, in that order, as :meth:`get` gives them."""
+        return [self.get(day) for day in self.days]
 
     def get(self, day: str, default=None):
-        """The bars of one day as in :meth:`by_day`, or ``default`` for a day not in ``days``.
-
-        Only that day's rows become ``MinuteBar``s.
-        """
+        """The bars of one day as ``MinuteBar``s in table order, or ``default`` for a day not in ``days``."""
         if day not in self.days:
             return default
-        return list(self.take(self.day == self.days.index(day)))
+        return list(map(MinuteBar, *self.take(self.day == self.days.index(day))._fields()))
 
 
 @dataclass(frozen=True)
@@ -728,6 +704,15 @@ def flow_descriptives(bars: BarTable) -> FlowDescriptives:
                             {bars.days[i]: neg[i] for i in present}, n)
 
 
+def _no_repeat(day: list[str], bar: list[int]) -> None:
+    """ValueError at the first day and bar given twice, a file that read_bars_csv would refuse."""
+    seen: set[tuple[str, int]] = set()
+    for key in zip(day, bar):
+        if key in seen:
+            raise ValueError(f"repeated bar {key[0]} {key[1]}: the bar file could not be read back")
+        seen.add(key)
+
+
 def write_bars_csv(bars: BarTable, dest: str | Path) -> None:
     """Write bars as CSV with header day,bar,order_flow,last_price,log_return,open_bid_size,open_ask_size.
 
@@ -735,12 +720,14 @@ def write_bars_csv(bars: BarTable, dest: str | Path) -> None:
     files; trade counts are in-memory diagnostics and are not serialized.
     """
     day, bar, flow, last, ret, _, _, bid, ask = bars._fields()
+    _no_repeat(day, bar)
     write_table(dest, BAR_HEADER, zip(day, bar, flow, last, ret, bid, ask))
 
 
 def write_panel_csv(bars: BarTable, dest: str | Path) -> None:
     """Write a regression panel as CSV with header day,bar,x,r (empty r on bars without a return)."""
     day, bar, flow, _, ret, *_ = bars._fields()
+    _no_repeat(day, bar)
     write_table(dest, PANEL_HEADER, zip(day, bar, flow, ret))
 
 

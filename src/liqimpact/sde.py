@@ -24,7 +24,8 @@ Simulation is Euler-Maruyama in X with an exact log-normal update for S per
 step; paths are deterministic given the seed (counter-based generator, the
 algorithm name is recorded in output metadata).  A long path is filled one
 block of steps at a time, so its work arrays stay in cache; the blocks give
-the same numbers, bit for bit, as one pass over the whole path.
+the same numbers, bit for bit, as one pass over the whole path.  A path is
+held as arrays: ``SimPath`` has the columns t, s, x and p and a length.
 
 synth_regression_panel builds day-structured regression panels instead: flow
 sampled from the exact OU transition (stationary start each day), returns
@@ -42,7 +43,6 @@ import math
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Iterator
 
 import numpy as np
 
@@ -67,7 +67,6 @@ __all__ = [
     "SimulationError",
     "OUParams",
     "SimConfig",
-    "PathSample",
     "SimPath",
     "SyntheticPanel",
     "correlated_increments",
@@ -125,8 +124,8 @@ class OUParams:
 
 
 def _integer(name: str, value) -> None:
-    """ParameterError naming ``name`` unless ``value`` is an integer: a float count fails later, bare."""
-    if not isinstance(value, (int, np.integer)):
+    """ParameterError naming ``name`` unless ``value`` is a non-bool integer: a float count fails later, bare."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ParameterError(f"{name} must be an integer, got {value!r}")
 
 
@@ -178,16 +177,6 @@ class SimConfig:
             raise ParameterError(f"impact must be SShapeParams or LinearParams, got {type(self.impact)!r}")
 
 
-@dataclass(frozen=True)
-class PathSample:
-    """One simulated observation; p always equals s * exp(f(x))."""
-
-    t: float
-    s: float
-    x: float
-    p: float
-
-
 def _impact_f(impact: SShapeParams | LinearParams | SqrtParams, x: np.ndarray) -> np.ndarray:
     if isinstance(impact, SShapeParams):
         return np.asarray(f_sshape(x, impact))
@@ -207,7 +196,7 @@ def _impact_g_gprime(impact: SShapeParams | LinearParams, x):
 
 
 class SimPath:
-    """Array-backed simulated path with indexed access to PathSample views."""
+    """A simulated path as the arrays t, s, x and p (p always s * exp(f(x))); its length is the sample count."""
 
     def __init__(self, s: np.ndarray, x: np.ndarray, p: np.ndarray, config: SimConfig, seed_used: int):
         self.s = s
@@ -223,12 +212,6 @@ class SimPath:
 
     def __len__(self) -> int:
         return self.x.shape[0]
-
-    def __getitem__(self, i: int) -> PathSample:
-        return PathSample(float(self.t[i]), float(self.s[i]), float(self.x[i]), float(self.p[i]))
-
-    def __iter__(self) -> Iterator[PathSample]:
-        return (self[i] for i in range(len(self)))
 
     def metadata(self) -> dict:
         cfg = self.config

@@ -7,7 +7,8 @@
 from the simulated arrays or the file's cells and pairs by index arithmetic
 over it; the tests check it against these.  ``bar_table`` builds the
 ``BarTable`` of hand-written ``MinuteBar`` lists, for tests that feed the
-library bars.
+library bars; ``rows`` and ``by_day`` turn a table back into ``MinuteBar``s,
+for tests that read the library's bars one at a time.
 """
 
 from __future__ import annotations
@@ -53,6 +54,26 @@ def bar_table(bars) -> BarTable:
         column("signed_count", np.int64), column("unsigned_count", np.int64),
         column("open_bid_size", np.float64), column("open_ask_size", np.float64),
     )
+
+
+def rows(table: BarTable) -> list[MinuteBar]:
+    """One MinuteBar per row, in table order: None for a NaN price or size and for a row without a return."""
+    def given(values: np.ndarray) -> list:
+        return [None if math.isnan(v) else v for v in values.tolist()]
+
+    returns = [r if has else None for r, has in zip(table.log_return.tolist(), table.has_return.tolist())]
+    return [MinuteBar(*fields) for fields in zip(
+        [table.days[d] for d in table.day.tolist()], table.bar_index.tolist(), table.order_flow.tolist(),
+        given(table.last_price), returns, table.signed_count.tolist(), table.unsigned_count.tolist(),
+        given(table.open_bid_size), given(table.open_ask_size))]
+
+
+def by_day(table: BarTable) -> dict[str, list[MinuteBar]]:
+    """The rows of each day label, every day of ``days`` included, rows in table order."""
+    out: dict[str, list[MinuteBar]] = {day: [] for day in table.days}
+    for b in rows(table):
+        out[b.day].append(b)
+    return out
 
 
 def synth_regression_panel(a, impact, flow, n_days, bars_per_day, noise_sd=0.0, seed=0) -> list[MinuteBar]:

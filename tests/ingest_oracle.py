@@ -5,7 +5,8 @@
 local variables.  The library does both on columns; the tests check that it
 gives the same records, bars and error messages as these loops.
 ``tick_table`` builds the ``TickTable`` of hand-written ``TickRecord`` lists,
-for tests that feed the library ticks without a file.
+for tests that feed the library ticks without a file, and ``rows`` turns a
+table back into ``TickRecord``s.
 """
 
 from __future__ import annotations
@@ -41,6 +42,14 @@ def tick_table(records) -> TickTable:
                       *(column(name, np.float64) for name in TICK_HEADER[2:]), column("lineno", np.int64))
     table.validate()
     return table
+
+
+def rows(table: TickTable) -> list[TickRecord]:
+    """One TickRecord per tick, in table order, None where a numeric column holds NaN."""
+    numbers = [[None if math.isnan(v) else v for v in column.tolist()] for column in table.numbers()]
+    return [TickRecord(EPOCH + timedelta(microseconds=us), "T" if trade else "Q", *cells, lineno)
+            for us, trade, *cells, lineno in zip(table.ts_us.tolist(), table.is_trade.tolist(), *numbers,
+                                                table.lineno.tolist())]
 
 
 def _number(cell: str, name: str, where: str) -> float | None:

@@ -24,7 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bars_oracle import bar_table
+from bars_oracle import bar_table, by_day
 from liqimpact import cli
 from liqimpact.cli import main
 from liqimpact.estimation import FitResult, write_daily_fits_csv
@@ -720,7 +720,7 @@ def _model_ticks(path, n_days=2, bars=240):
                                    flow=OUParams(c=0.1, m=5.0, eta=100.0), n_days=n_days,
                                    bars_per_day=bars, noise_sd=5e-4, seed=8)
     lines = ["ts,kind,price,size,bid,ask,bid_size,ask_size"]
-    for d, day_bars in enumerate(panel.bars.by_day().values()):
+    for d, day_bars in enumerate(by_day(panel.bars).values()):
         for b in day_bars:
             stamp = f"2024-05-{6 + d:02d} {9 + b.bar_index // 60:02d}:{b.bar_index % 60:02d}"
             price, size = b.last_price, abs(b.order_flow)
@@ -812,7 +812,9 @@ def test_compare_takes_panel_csv_as_bars_without_sizes(tmp_path, capsys):
     (lambda cells: cells[:5], "expected 13 fields"),
     (lambda cells: cells[:10] + ["abc"] + cells[11:], "bad number 'abc'"),
     (lambda cells: cells[:6] + [""] + cells[7:], "converged sshape fit lacks ell"),
-], ids=["short-row", "bad-number", "sshape-without-ell"])
+    (lambda cells: cells[:6] + ["-1e-05"] + cells[7:], "ell must be positive, got -1e-05"),
+    (lambda cells: ["2024-02-01"] + cells[1:], "second sshape row for 2024-02-01"),
+], ids=["short-row", "bad-number", "sshape-without-ell", "sshape-negative-ell", "repeated-date-and-model"])
 def test_compare_malformed_fits_row(tmp_path, capsys, edit, hint):
     days = [f"2024-02-{i:02d}" for i in range(1, 4)]
     fits_csv = tmp_path / "cl.fits.csv"

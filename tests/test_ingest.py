@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import bars_oracle
 from ingest_oracle import loop_build_bars, loop_read_ticks, tick_table
+from ingest_oracle import rows as tick_rows
 from liqimpact import ingest
 from liqimpact.cli import main
 from liqimpact.ingest import (
@@ -101,7 +102,7 @@ def test_golden_fixture_fields():
     assert len(ticks) == 20
     days = build_bars(ticks, session_start="09:00", session_end="09:05", bar_seconds=60)
     assert days.days == ("2024-03-15",)
-    bars = days.by_day()["2024-03-15"]
+    bars = bars_oracle.by_day(days)["2024-03-15"]
     assert [b.order_flow for b in bars] == [4.0, 4.0, -1.0, 0.0, 7.0]
     assert [b.last_price for b in bars] == [99.99, 100.04, 100.01, 100.01, 100.08]
     assert bars[0].log_return is None
@@ -121,9 +122,9 @@ def test_golden_fixture_round_trips_through_csv(tmp_path):
                       session_start="09:00", session_end="09:05", bar_seconds=60)
     dest = tmp_path / "bars.csv"
     write_bars_csv(days, dest)
-    back = read_bars_csv(dest).by_day()
+    back = bars_oracle.by_day(read_bars_csv(dest))
     assert list(back) == list(days.days)
-    for a, b in zip(days.by_day()["2024-03-15"], back["2024-03-15"]):
+    for a, b in zip(bars_oracle.by_day(days)["2024-03-15"], back["2024-03-15"]):
         assert a.day == b.day and a.bar_index == b.bar_index
         assert a.order_flow == b.order_flow
         assert a.last_price == b.last_price
@@ -184,7 +185,7 @@ def test_quote_at_bar_open_instant_not_in_snapshot():
         trade("2024-05-06 09:01:30", 100.02, 2.0),
     ]
     days = build_bars(tick_table(ticks), session_start="09:00", session_end="09:02", bar_seconds=60)
-    bars = days.by_day()["2024-05-06"]
+    bars = bars_oracle.by_day(days)["2024-05-06"]
     assert (bars[0].open_bid_size, bars[0].open_ask_size) == (5.0, 6.0)
     assert (bars[1].open_bid_size, bars[1].open_ask_size) == (5.0, 6.0)
 
@@ -200,7 +201,7 @@ def test_session_boundary_trades():
         trade("2024-05-06 09:02:00", 100.01, 4.0),   # at the close: dropped
     ]
     days = build_bars(tick_table(ticks), session_start="09:00", session_end="09:02", bar_seconds=60)
-    bars = days.by_day()["2024-05-06"]
+    bars = bars_oracle.by_day(days)["2024-05-06"]
     assert [b.order_flow for b in bars] == [1.0, 2.0]
 
 
@@ -211,7 +212,7 @@ def test_zero_trade_day_warns_and_yields_empty(caplog):
     ]
     with caplog.at_level(logging.WARNING, logger="liqimpact.ingest"):
         days = build_bars(tick_table(ticks), session_start="09:00", session_end="10:00", bar_seconds=60)
-    assert days.by_day()["2024-05-06"] == []
+    assert bars_oracle.by_day(days)["2024-05-06"] == []
     assert any("no in-session trades" in rec.message for rec in caplog.records)
 
 
@@ -258,8 +259,8 @@ def test_multi_day_state_reset():
         trade("2024-05-07 09:00:30", 100.01, 7.0),
     ]
     days = build_bars(tick_table(ticks), session_start="09:00", session_end="09:01", bar_seconds=60)
-    assert days.by_day()["2024-05-06"][0].order_flow == 5.0
-    d2 = days.by_day()["2024-05-07"][0]
+    assert bars_oracle.by_day(days)["2024-05-06"][0].order_flow == 5.0
+    d2 = bars_oracle.by_day(days)["2024-05-07"][0]
     assert d2.order_flow == 0.0
     assert d2.unsigned_count == 1
     assert d2.open_bid_size is None and d2.open_ask_size is None
@@ -302,7 +303,7 @@ def test_read_ticks_parses_both_kinds(tmp_path):
         "2024-05-06 09:00:00,Q,,,99.99,100.01,10.0,12.0",
         "2024-05-06 09:00:05,T,100.01,3.0,,,,",
     ])
-    ticks = read_ticks(path)
+    ticks = tick_rows(read_ticks(path))
     assert ticks[0].kind == "Q" and ticks[0].bid == 99.99 and ticks[0].ask_size == 12.0
     assert ticks[1].kind == "T" and ticks[1].price == 100.01 and ticks[1].size == 3.0
     assert ticks[1].lineno == 3
@@ -383,7 +384,7 @@ def test_flow_descriptives_of_built_bars():
     days = build_bars(read_ticks(DATA / "golden_ticks.csv"),
                       session_start="09:00", session_end="09:05", bar_seconds=60)
     desc = flow_descriptives(days)
-    flows = [b.order_flow for b in days.by_day()["2024-03-15"]]
+    flows = [b.order_flow for b in bars_oracle.by_day(days)["2024-03-15"]]
     assert desc.mean_flow == pytest.approx(np.mean(flows), rel=1e-14)
     assert desc.sd_flow == pytest.approx(np.std(flows, ddof=1), rel=1e-14)
     assert desc.daily_positive == {"2024-03-15": 15.0}
@@ -455,7 +456,7 @@ def test_columnar_bars_equal_the_loop(stream, bar_seconds):
     new = build_bars(tick_table(stream), *SESSION, bar_seconds)
     old = loop_build_bars(stream, *SESSION, bar_seconds)
     assert new.days == tuple(old)
-    assert repr(new.by_day()) == repr(old)  # field for field, float reprs (and signs of zero) included
+    assert repr(bars_oracle.by_day(new)) == repr(old)  # field for field, float reprs (and signs of zero) included
 
 
 @settings(max_examples=100, deadline=None)
@@ -484,7 +485,8 @@ def test_records_and_their_csv_give_identical_bars(stream, sep):
     for a, b in zip(table.columns()[:-1], built.columns()[:-1]):  # all but the line numbers
         np.testing.assert_array_equal(a, b)
     assert table.lineno.tolist() == list(range(2, len(stream) + 2))
-    assert repr(build_bars(table, *SESSION).by_day()) == repr(build_bars(built, *SESSION).by_day())
+    assert (repr(bars_oracle.by_day(build_bars(table, *SESSION)))
+            == repr(bars_oracle.by_day(build_bars(built, *SESSION))))
 
 
 # Whole rows that break one rule each, and valid rows that take a slower path.
@@ -709,7 +711,7 @@ def test_read_ticks_accepts_quoted_cells_crlf_and_blank_lines(tmp_path):
     with pytest.raises(ParseError, match=r"ticks\.csv:6: bad number 'x'"):
         read_ticks(path)
     path.write_bytes(path.read_bytes().rsplit(b"\r\n", 2)[0] + b"\r\n")
-    ticks = read_ticks(path)
+    ticks = tick_rows(read_ticks(path))
     assert [t.lineno for t in ticks] == [3, 5]
     assert ticks[0].bid == 99.98 and ticks[1].price == 100.02
 
@@ -730,9 +732,9 @@ def test_table_iterates_and_indexes_as_records():
     table = tick_table(records)
     assert len(table) == 2
     assert list(table) == records
-    assert table[-1] == records[1]
+    assert tick_rows(table)[-1] == records[1]
     with pytest.raises(IndexError):
-        table[2]
+        tick_rows(table)[2]
 
 
 def test_build_bars_takes_only_a_tick_table():
@@ -753,13 +755,13 @@ def test_read_ticks_of_a_header_only_file_is_an_empty_table_from_that_file(tmp_p
 @given(tick_streams())
 def test_bar_table_round_trips_built_bars(stream):
     built = build_bars(tick_table(stream), *SESSION)
-    days = built.by_day()
+    days = bars_oracle.by_day(built)
     table = bars_oracle.bar_table(days)
     assert table.days == built.days == tuple(days)  # days without trades included
     assert len(table) == len(built) == sum(map(len, days.values()))
-    assert repr(table.by_day()) == repr(days)
-    flat = list(built)
-    assert repr(list(bars_oracle.bar_table(flat))) == repr(flat)
+    assert repr(bars_oracle.by_day(table)) == repr(days)
+    flat = bars_oracle.rows(built)
+    assert repr(bars_oracle.rows(bars_oracle.bar_table(flat))) == repr(flat)
 
 
 def test_bar_table_indexes_as_bars_and_groups_dicts_by_key():
@@ -770,14 +772,14 @@ def test_bar_table_indexes_as_bars_and_groups_dicts_by_key():
     assert table.days == ("b", "a")
     assert table.day.tolist() == [0, 1, 0]
     assert len(table) == 3
-    assert repr(table[0]) == repr(bars[0])  # a NaN return stays NaN, a missing one None
-    assert table[-2] == bars[1]
+    assert repr(bars_oracle.rows(table)[0]) == repr(bars[0])  # a NaN return stays NaN, a missing one None
+    assert bars_oracle.rows(table)[-2] == bars[1]
     with pytest.raises(IndexError):
-        table[3]
+        bars_oracle.rows(table)[3]
     assert repr(list(table.values())) == repr([[bars[0], bars[2]], [bars[1]]])
     assert table.get("a") == [bars[1]]
     assert table.get("c") is None and table.get("c", []) == []
-    assert bars_oracle.bar_table({"e": [], "x": bars[1:]}).by_day() == {
+    assert bars_oracle.by_day(bars_oracle.bar_table({"e": [], "x": bars[1:]})) == {
         "e": [], "x": [MinuteBar("x", 0, -1.0, None, None), MinuteBar("x", 0, 0.5, 99.0, 1e-3)]}
     assert len(bars_oracle.bar_table({})) == 0
 
@@ -787,7 +789,7 @@ def test_bar_table_get_and_values_equal_by_day():
              quote("2024-05-07 09:00:00", 99.98, 100.02),  # a day with no trade: listed, no bars
              trade("2024-05-08 09:00:30", 99.98, 1.0), trade("2024-05-08 09:03:00", 100.02, 4.0)]
     bars = build_bars(tick_table(ticks), *SESSION)
-    by_day = bars.by_day()
+    by_day = bars_oracle.by_day(bars)
     assert bars.days == ("2024-05-06", "2024-05-07", "2024-05-08")
     assert repr(list(bars.values())) == repr(list(by_day.values()))
     for day in bars.days:
@@ -823,7 +825,8 @@ def test_bar_table_take_equals_table_of_the_selected_bars(bars, by_mask, data):
     got = table.take(rows)
     assert got.days == table.days
     assert len(got) == len(picked)
-    assert [repr(b) for b in got] == [repr(b) for b in bars_oracle.bar_table(picked)]
+    want = bars_oracle.rows(bars_oracle.bar_table(picked))
+    assert [repr(b) for b in bars_oracle.rows(got)] == [repr(b) for b in want]
 
 
 # ---------------------------------------------------------------------------
@@ -875,7 +878,7 @@ def test_read_bars_csv_header_only_is_empty(tmp_path, header):
     path = tmp_path / "es.bars.csv"
     path.write_text(",".join(header) + "\n", encoding="utf-8")
     table = read_bars_csv(path)
-    assert table.days == () and len(table) == 0 and list(table) == []
+    assert table.days == () and len(table) == 0 and bars_oracle.rows(table) == []
 
 
 # Cells the per-row readers parse alike: empty (missing), finite, signed
@@ -925,9 +928,9 @@ def test_read_bars_csv_matches_per_row_readers(spec):
             return
         got = read_bars_csv(path)
     assert got.days == want.days
-    assert repr(got.by_day()) == repr(want.by_day())
+    assert repr(bars_oracle.by_day(got)) == repr(bars_oracle.by_day(want))
     # Rows keep file order; the bar oracle groups them by day, the panel one does not.
     labels = [line.split(",")[0] for line in text.splitlines()[1:] if line]
-    assert [b.day for b in got] == labels
+    assert [b.day for b in bars_oracle.rows(got)] == labels
     if header == PANEL_HEADER:
-        assert [repr(b) for b in got] == [repr(b) for b in want]
+        assert [repr(b) for b in bars_oracle.rows(got)] == [repr(b) for b in bars_oracle.rows(want)]

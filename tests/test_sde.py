@@ -439,13 +439,22 @@ def test_sim_config_validation():
             make_config(structural=dataclasses.replace(SP, **over), measure=measure)
 
 
+def test_counts_and_seeds_are_not_bools():
+    # True is an int to Python: as n_steps it ran a one-step path, as a seed it was
+    # recorded as true, and as n_days it reached numpy's shapes, a bare TypeError.
+    for key in ("n_steps", "seed"):
+        with pytest.raises(ParameterError, match=f"^{key} must be an integer, got True$"):
+            make_config(**{key: True})
+    flow = OUParams(c=0.1, m=5.0, eta=100.0)
+    for key in ("n_days", "bars_per_day", "seed"):
+        with pytest.raises(ParameterError, match=f"^{key} must be an integer, got True$"):
+            synth_regression_panel(a=0.0, impact=NK, flow=flow, **{"n_days": 2, "bars_per_day": 10, key: True})
+
+
 def test_path_sampling_interface():
     path = simulate_path(make_config(n_steps=4))
-    assert len(path) == 5
-    sample = path[2]
-    assert sample.t == path.t[2]
-    assert sample.p == path.p[2]
-    assert len(list(path)) == 5
+    assert len(path) == len(path.t) == 5
+    assert path.t[2] == 2 * path.config.dt
 
 
 def test_path_metadata_and_csv(tmp_path):
@@ -487,7 +496,7 @@ def test_panel_replay_matches_direct_recursion():
     shocks = trans_sd * rng.standard_normal((3, 49))
     eps = 5e-4 * rng.standard_normal((3, 49))
 
-    by_day = panel.bars.by_day()
+    by_day = bars_oracle.by_day(panel.bars)
     for d in range(3):
         dev = x0[d] - flow.m
         xs = [x0[d]]
@@ -510,14 +519,14 @@ def test_panel_shape_days_and_truth():
                                    bars_per_day=30, seed=3)
     assert panel.days == ["0", "1", "2", "3"]
     assert len(panel.bars) == 120
-    assert all(len(v) == 30 for v in panel.bars.by_day().values())
+    assert all(len(v) == 30 for v in bars_oracle.by_day(panel.bars).values())
     truth = panel.truth
     assert truth["impact"]["family"] == "sshape"
     assert truth["flow"] == {"c": 0.2, "m": 0.0, "eta": 50.0}
     assert truth["rng"] == {"algorithm": "PCG64", "seed": 3}
     assert panel.metadata()["kind"] == "panel"
     # Prices compound the returns from a base of 100.
-    bars = panel.bars.by_day()["1"]
+    bars = bars_oracle.by_day(panel.bars)["1"]
     assert bars[0].last_price == pytest.approx(100.0, rel=1e-12)
     ratio = bars[5].last_price / bars[4].last_price
     assert math.log(ratio) == pytest.approx(bars[5].log_return, rel=1e-9)
@@ -528,7 +537,7 @@ def test_panel_with_square_root_impact():
     panel = synth_regression_panel(a=1e-6, impact=imp, flow=OUParams(c=0.2, m=0.0, eta=50.0),
                                    n_days=3, bars_per_day=20, noise_sd=0.0, seed=6)
     assert panel.truth["impact"] == {"family": "sqrt", "alpha": 1e-4}
-    for bars in panel.bars.by_day().values():
+    for bars in bars_oracle.by_day(panel.bars).values():
         x = np.array([b.order_flow for b in bars])
         r = np.array([b.log_return for b in bars[1:]])
         assert np.array_equal(r, 1e-6 + f_sqrt(x[1:], imp) - f_sqrt(x[:-1], imp))
@@ -538,7 +547,7 @@ def test_panel_day_open_draws_are_stationary():
     flow = OUParams(c=0.3, m=-2.0, eta=40.0)
     panel = synth_regression_panel(a=0.0, impact=NK, flow=flow, n_days=3000,
                                    bars_per_day=2, seed=12)
-    opens = np.array([bars[0].order_flow for bars in panel.bars.by_day().values()])
+    opens = np.array([bars[0].order_flow for bars in bars_oracle.by_day(panel.bars).values()])
     sd = flow.eta / math.sqrt(2.0 * flow.c)
     assert np.mean(opens) == pytest.approx(flow.m, abs=3.5 * sd / math.sqrt(3000))
     assert np.std(opens, ddof=1) == pytest.approx(sd, rel=0.1)
@@ -548,7 +557,7 @@ def test_panel_vanishing_depth_returns_equal_intercept():
     imp = SShapeParams(ell=1e-300, p=0.0, q=1e-6)
     panel = synth_regression_panel(a=2.5e-6, impact=imp, flow=OUParams(c=0.1, m=0.0, eta=10.0),
                                    n_days=2, bars_per_day=20, seed=4)
-    rs = [b.log_return for b in panel.bars if b.log_return is not None]
+    rs = [b.log_return for b in bars_oracle.rows(panel.bars) if b.log_return is not None]
     np.testing.assert_allclose(rs, 2.5e-6, rtol=0, atol=1e-280)
 
 
@@ -563,7 +572,7 @@ def test_panel_csv_round_trip(tmp_path):
     back = read_bars_csv(dest)
     assert back.days == panel.bars.days
     assert len(back) == len(panel.bars)
-    for a, b in zip(panel.bars, back):
+    for a, b in zip(bars_oracle.rows(panel.bars), bars_oracle.rows(back)):
         assert (a.day, a.bar_index) == (b.day, b.bar_index)
         assert b.order_flow == a.order_flow
         assert b.log_return == a.log_return
@@ -585,13 +594,13 @@ def test_panel_table_matches_per_bar_oracle(tmp_path, seed, impact, n_days, bars
                                    bars_per_day=bars_per_day, noise_sd=noise_sd, seed=seed)
     want = bars_oracle.synth_regression_panel(1e-6, impact, flow, n_days, bars_per_day, noise_sd, seed)
     assert len(panel.bars) == len(want)
-    assert repr(list(panel.bars)) == repr(want)
-    assert repr(panel.bars[-1]) == repr(want[-1])
+    assert repr(bars_oracle.rows(panel.bars)) == repr(want)
+    assert repr(bars_oracle.rows(panel.bars)[-1]) == repr(want[-1])
     assert panel.days == [str(d) for d in range(n_days)]
     by_day: dict = {}
     for b in want:
         by_day.setdefault(b.day, []).append(b)
-    assert repr(panel.bars.by_day()) == repr(by_day)
+    assert repr(bars_oracle.by_day(panel.bars)) == repr(by_day)
 
     bars_oracle.write_panel_csv(want, tmp_path / "want.csv")
     panel.write_csv(tmp_path / "panel.csv")

@@ -64,8 +64,11 @@ PARAMS = {"sshape": ("ell", "p", "q"), "linear": ("alpha",), "sqrt": ("alpha",)}
 def fit_rows(draw):
     model = draw(st.sampled_from(sorted(PARAMS)))
     converged = draw(st.booleans())
-    # A converged fit has all its parameters; an unconverged one may lack any.
-    hats = {name: draw(st.floats()) for name in PARAMS[model] if converged or draw(st.booleans())}
+    # A converged fit has all its parameters, and a converged S-shape a positive
+    # ell and q; an unconverged one may lack any.
+    positive = {"ell", "q"} if converged and model == "sshape" else set()
+    hats = {name: draw(st.floats(min_value=0.0, exclude_min=True) if name in positive else st.floats())
+            for name in PARAMS[model] if converged or draw(st.booleans())}
     fit = FitResult(model=model, a_hat=draw(st.floats()), param_hats=hats, ses={}, t_stats={},
                     rss=draw(st.floats()), adj_r2=draw(st.floats()), bic=draw(st.floats()),
                     n=draw(st.integers(0, 10**6)), k=draw(st.integers(1, 4)), converged=converged)
@@ -82,9 +85,19 @@ def _as_fits(records: list[dict]) -> list[tuple[str, FitResult]]:
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.lists(fit_rows(), max_size=8))
+@given(st.lists(fit_rows(), max_size=8, unique_by=lambda row: (row[0], row[1].model)))  # one row a date and model
 def test_daily_fits_csv_rewrites_identically(rows):
     _rewrites_identically(write_daily_fits_csv, read_daily_fits_csv, rows, _as_fits)
+
+
+@pytest.mark.parametrize("write", [write_bars_csv, write_panel_csv])
+def test_bar_writers_refuse_a_repeated_bar_before_writing(tmp_path, write):
+    # read_bars_csv refuses a file that holds a day and bar twice, so neither writer makes one.
+    bars = [MinuteBar(day, i, 1.0, 100.0, None) for day, i in (("a", 0), ("b", 0), ("a", 1), ("b", 0))]
+    dest = tmp_path / "bars.csv"
+    with pytest.raises(ValueError, match="^repeated bar b 0"):
+        write(bar_table(bars), dest)
+    assert not dest.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -102,7 +115,11 @@ LINEAR = "2024-01-02,linear,1,240,2,1e-06,,,,0.0001,2e-08,0.3,-2900.0"
     (f"{HEADER}\n{SSHAPE}\n{SSHAPE.replace(',240,', ',2x0,')}\n", ":3: bad integer '2x0'"),
     (f"{HEADER}\n{SSHAPE}\n{SSHAPE.replace('1.3e-05', '')}\n", ":3: converged sshape fit lacks ell"),
     (f"{HEADER}\n{SSHAPE}\n\n{LINEAR.replace('0.0001', '')}\n", ":4: converged linear fit lacks alpha"),
-], ids=["header", "short-row", "bad-number", "bad-integer", "sshape-without-ell", "linear-without-alpha"])
+    (f"{HEADER}\n{SSHAPE.replace('1.3e-05', '-1e-05')}\n", ":2: ell must be positive, got -1e-05"),
+    (f"{HEADER}\n{SSHAPE.replace('8.15e-05', '0.0')}\n", ":2: q must be positive, got 0.0"),
+    (f"{HEADER}\n{SSHAPE}\n{LINEAR}\n{SSHAPE}\n", ":4: second sshape row for 2024-01-02"),
+], ids=["header", "short-row", "bad-number", "bad-integer", "sshape-without-ell", "linear-without-alpha",
+        "sshape-negative-ell", "sshape-zero-q", "repeated-date-and-model"])
 def test_read_daily_fits_csv_bad_row_location(tmp_path, text, hint):
     path = tmp_path / "es.fits.csv"
     path.write_text(text, encoding="utf-8")
