@@ -856,8 +856,36 @@ def fit_result_to_dict(fr: FitResult) -> dict:
     return asdict(fr)
 
 
+def _fit_row_fault(rec: dict, seen: set[tuple[str, str]]) -> str | None:
+    """Why read_daily_fits_csv refuses a row (date, model, converged and the
+    parameter columns of ``rec``) after the rows whose (date, model) are in
+    ``seen``, or None, adding the row's (date, model) to ``seen``."""
+    missing = [name for name in _MODEL_PARAMS.get(rec["model"], ()) if rec[name] is None]
+    if rec["converged"] and missing:
+        return f"converged {rec['model']} fit lacks {', '.join(missing)}"
+    for name in ("ell", "q") if rec["converged"] and rec["model"] == "sshape" else ():
+        if not rec[name] > 0:
+            return f"{name} must be positive, got {rec[name]!r}"
+    if (key := (rec["date"], rec["model"])) in seen:
+        return f"second {rec['model']} row for {rec['date']}"
+    seen.add(key)
+    return None
+
+
 def write_daily_fits_csv(rows: list[tuple[str, FitResult]], dest: str | Path) -> None:
-    """One row per (date, fit): shared columns plus the union of model parameters."""
+    """One row per (date, fit): shared columns plus the union of model parameters.
+
+    Raises ValueError naming the date and model, before the file is opened,
+    for a row that read_daily_fits_csv would refuse: a second row for a date
+    and model, a converged row without its model's parameters, or a converged
+    S-shape row whose ell or q is not positive.
+    """
+    seen: set[tuple[str, str]] = set()
+    for date, fr in rows:
+        rec = {"date": date, "model": fr.model, "converged": fr.converged,
+               **{name: fr.param_hats.get(name) for name in ("ell", "p", "q", "alpha")}}
+        if fault := _fit_row_fault(rec, seen):
+            raise ValueError(f"{date} {fr.model}: {fault}: the fits file could not be read back")
     write_table(dest, DAILY_FIT_HEADER, (
         (date, fr.model, "1" if fr.converged else "0", fr.n, fr.k, fr.a_hat,
          *(fr.param_hats.get(name) for name in ("ell", "p", "q", "alpha")), fr.rss, fr.adj_r2, fr.bic)
@@ -882,14 +910,7 @@ def read_daily_fits_csv(path: str | Path) -> list[dict]:
         rec["converged"] = rec["converged"] == "1"
         rec["n"] = parse_int(rec["n"], where=where)
         rec["k"] = parse_int(rec["k"], where=where)
-        missing = [name for name in _MODEL_PARAMS.get(rec["model"], ()) if rec[name] is None]
-        if rec["converged"] and missing:
-            raise ParseError(f"{where}: converged {rec['model']} fit lacks {', '.join(missing)}")
-        for name in ("ell", "q") if rec["converged"] and rec["model"] == "sshape" else ():
-            if not rec[name] > 0:
-                raise ParseError(f"{where}: {name} must be positive, got {rec[name]!r}")
-        if (key := (rec["date"], rec["model"])) in seen:
-            raise ParseError(f"{where}: second {rec['model']} row for {rec['date']}")
-        seen.add(key)
+        if fault := _fit_row_fault(rec, seen):
+            raise ParseError(f"{where}: {fault}")
         out.append(rec)
     return out

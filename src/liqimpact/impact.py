@@ -283,7 +283,7 @@ def _band_form(p: float, q: float) -> tuple[float, float, float, float, float] |
     b = p / rq
     if not (abs(b) <= _TAIL_Z and 0.5 * b * b <= _TAIL_LOG):
         return None
-    return rq, b, math.sqrt(2.0 * math.pi / q) * math.exp(0.5 * b * b), ndtr(b), _SMALLQ_REL * abs(p) / q
+    return rq, b, math.sqrt(2.0 * math.pi / q) * math.exp(0.5 * b * b), float(ndtr(b)), _SMALLQ_REL * abs(p) / q
 
 
 def _direct_big_phi(xv: np.ndarray, rq, b, k, ndtr_b, out=None) -> np.ndarray:
@@ -369,14 +369,37 @@ def _ell_phi(xv: np.ndarray, params: SShapeParams) -> tuple[np.ndarray, bool]:
     return t, False
 
 
+def _ell_phi_float(x: float, params: SShapeParams) -> float | None:
+    """ell * Phi(x) at a Python float x by the direct form, in floats, or None
+    where _ell_phi would not take that form alone: no ``_direct_form``, x in the
+    small-q limit, or ell * Phi(x) not above -1.
+
+    The steps are _direct_big_phi's and _ell_phi's, one IEEE operation each on
+    floats and numpy's own ndtr, so the value is bitwise _ell_phi's on [x].
+    """
+    form = params._direct_form
+    if form is None:
+        return None
+    rq, b, k, ndtr_b, small_q = form
+    if 0.0 < abs(x) < small_q:
+        return None
+    t = (float(ndtr(rq * x + b)) - ndtr_b) * k * params.ell
+    return t if t > -1.0 else None
+
+
 def f_sshape(x, params: SShapeParams):
     """Impact on log-price scale: f(x) = log(1 + ell * Phi(x)).
 
     Raises ParameterError if 1 + ell * Phi(x) <= 0 at an evaluated point
     (the parameters are infeasible there). Where ell * Phi overflows the
     float range the log is taken in log space instead, so finite x always
-    yields finite f for feasible parameters.
+    yields finite f for feasible parameters.  A Python float x that the
+    direct form serves is evaluated in floats (``_ell_phi_float``), bitwise
+    the array evaluation at a fraction of its cost; any other point takes the
+    array route.
     """
+    if isinstance(x, float) and (t := _ell_phi_float(x, params)) is not None:
+        return float(np.log1p(t))
     xv, scalar = _vec(x)
     t, direct = _ell_phi(xv, params)
     return _devec(np.log1p(t) if direct else _log1p_ell_phi(t, xv, params), scalar)
@@ -386,8 +409,12 @@ def g_sshape(x, params: SShapeParams):
     """Gradient of the S-shape curve: g = ell * phi / (1 + ell * Phi).
 
     Positive everywhere, g(0) = ell exactly, and g solves the s = 0
-    Bernoulli equation g' = -(p + q x) g - g^2.
+    Bernoulli equation g' = -(p + q x) g - g^2.  A Python float x takes the
+    float route of :func:`f_sshape`, with _exponent's steps in floats.
     """
+    if isinstance(x, float) and (t := _ell_phi_float(x, params)) is not None:
+        expo = -((params.p * x) + ((0.5 * params.q) * x) * x)
+        return float(params.ell * np.exp(expo) / (1.0 + t))
     xv, scalar = _vec(x)
     t, direct = _ell_phi(xv, params)
     expo = _exponent(xv, params.p, params.q)

@@ -24,8 +24,12 @@ Simulation is Euler-Maruyama in X with an exact log-normal update for S per
 step; paths are deterministic given the seed (counter-based generator, the
 algorithm name is recorded in output metadata).  A long path is filled one
 block of steps at a time, so its work arrays stay in cache; the blocks give
-the same numbers, bit for bit, as one pass over the whole path.  A path is
-held as arrays: ``SimPath`` has the columns t, s, x and p and a length.
+the same numbers, bit for bit, as one pass over the whole path.  A one-step
+path, which the one-step moment checks call hundreds of thousands of times,
+is taken in Python floats instead, f and g included (their float route), with
+numpy called for the two normals, one exp and the final array; it is bit for
+bit the first step of a longer path.  A path is held as arrays: ``SimPath``
+has the columns t, s, x and p and a length.
 
 synth_regression_panel builds day-structured regression panels instead: flow
 sampled from the exact OU transition (stationary start each day), returns
@@ -177,12 +181,13 @@ class SimConfig:
             raise ParameterError(f"impact must be SShapeParams or LinearParams, got {type(self.impact)!r}")
 
 
-def _impact_f(impact: SShapeParams | LinearParams | SqrtParams, x: np.ndarray) -> np.ndarray:
+def _impact_f(impact: SShapeParams | LinearParams | SqrtParams, x):
+    """f at x, an array or a float, as the curve's own function returns it."""
     if isinstance(impact, SShapeParams):
-        return np.asarray(f_sshape(x, impact))
+        return f_sshape(x, impact)
     if isinstance(impact, SqrtParams):
-        return np.asarray(f_sqrt(x, impact))
-    return np.asarray(f_linear(x, impact))
+        return f_sqrt(x, impact)
+    return f_linear(x, impact)
 
 
 def _impact_g_gprime(impact: SShapeParams | LinearParams, x):
@@ -277,7 +282,7 @@ def _s_drift(config: SimConfig, x):
 
 
 def _finish(config: SimConfig, x: np.ndarray, s: np.ndarray, p: np.ndarray) -> None:
-    """Turn the running log-sums in s into S, and fill p = S exp(f(x)), in place."""
+    """Turn a block's running log-sums in s into S, and fill p = S exp(f(x)), in place."""
     # An overflow here makes s or p non-finite, so it always ends in
     # simulate_path's SimulationError; numpy warns about it first, as it does for x.
     np.exp(s, out=s)
@@ -325,27 +330,6 @@ def _fill_blocks(config: SimConfig, rng: np.random.Generator, x: np.ndarray, s: 
         _finish(config, x[first:hi + 1], s[first:hi + 1], p[first:hi + 1])
 
 
-def _one_step(config: SimConfig, rng: np.random.Generator) -> tuple[float, float]:
-    """x[1] and the log-step of S of a one-step path, in Python floats.
-
-    Every operation of _fill_blocks on a one-step block is a single IEEE add,
-    multiply or sqrt, or g_sshape, so the same operations on floats give the
-    same bits at a fraction of the cost of some twenty numpy calls.
-    """
-    sp = config.structural
-    dt = config.dt
-    x0 = float(config.x0)
-    # correlated_increments' draws and arithmetic for one pair
-    u, v = rng.standard_normal(2).tolist()
-    root_dt = math.sqrt(dt)
-    dw = u * root_dt
-    dz = (v * math.sqrt(max(0.0, 1.0 - sp.rho * sp.rho)) + sp.rho * u) * root_dt
-    coef, const = _flow_coefficients(config)
-    # The filter's first output is 0 + its first shock (which turns -0.0 into 0.0).
-    x1 = 0.0 + ((const + sp.eta * dw) + coef * x0)
-    return x1, (_s_drift(config, x0) - 0.5 * sp.sigma_s ** 2) * dt + sp.sigma_s * dz
-
-
 def simulate_path(config: SimConfig) -> SimPath:
     """Simulate (X, S, P) for n_steps Euler steps of width dt.
 
@@ -354,15 +338,45 @@ def simulate_path(config: SimConfig) -> SimPath:
     assembled from the supply-curve identity at every sample, so s > 0 and
     p > 0 hold by construction.  Raises SimulationError with the first bad
     step index if any sample leaves the finite range, and ParameterError if
-    n_steps' arrays cannot be allocated.  A one-step path takes its step in
-    Python floats, bitwise as the array recursion would; a longer path is
-    filled block by block (_BLOCK_STEPS steps each), bitwise as one whole-path
-    pass would.
+    n_steps' arrays cannot be allocated.  A one-step path is taken in Python
+    floats, f and g included, with one np.exp call and one array at the end, bitwise
+    as the array recursion would take it; a longer path is filled block by
+    block (_BLOCK_STEPS steps each), bitwise as one whole-path pass would.
     """
     seed_used = config.seed
     if seed_used is None:
         seed_used = int(np.random.SeedSequence().entropy)
     rng = np.random.Generator(np.random.PCG64(seed_used))
+
+    if config.n_steps == 1:
+        # Each operation that _fill_blocks and _finish apply to a one-step
+        # block is an IEEE add, multiply or sqrt, a curve evaluation (whose
+        # float route is bitwise its array route) or exp, which stays numpy's:
+        # its SIMD kernel may differ from libm's in the last bit.  So the same
+        # operations on floats give the same bits, without some twenty numpy
+        # calls on 2-element arrays.
+        sp = config.structural
+        dt = config.dt
+        x0, s0 = float(config.x0), float(config.s0)  # s[0] = exp(0) * s0 = s0
+        # correlated_increments' draws and arithmetic for one pair
+        u, v = rng.standard_normal(2).tolist()
+        root_dt = math.sqrt(dt)
+        dw = u * root_dt
+        dz = (v * math.sqrt(max(0.0, 1.0 - sp.rho * sp.rho)) + sp.rho * u) * root_dt
+        coef, const = _flow_coefficients(config)
+        # The filter's first output is 0 + its first shock (which turns -0.0 into 0.0).
+        x1 = 0.0 + ((const + sp.eta * dw) + coef * x0)
+        log_step = (_s_drift(config, x0) - 0.5 * sp.sigma_s ** 2) * dt + sp.sigma_s * dz
+        step, ef0, ef1 = np.exp([log_step, _impact_f(config.impact, x0),
+                                 _impact_f(config.impact, x1)]).tolist()
+        s1 = step * s0
+        rows = ((x0, x1), (s0, s1), (ef0 * s0, ef1 * s1))
+        for name, row in zip("xsp", rows):
+            for k, value in enumerate(row):
+                if not math.isfinite(value):
+                    raise SimulationError(f"non-finite {name} at step {k}", step=k)
+        x, s, p = np.array(rows)
+        return SimPath(s, x, p, config, seed_used)
 
     # x, s and p are rows of one array, so one pass checks all three for finiteness.
     try:
@@ -373,11 +387,7 @@ def simulate_path(config: SimConfig) -> SimPath:
     x[0] = config.x0
     # s holds the running sum of the log-steps after a leading 0, then s itself.
     s[0] = 0.0
-    if config.n_steps == 1:
-        x[1], s[1] = _one_step(config, rng)
-        _finish(config, x, s, p)
-    else:
-        _fill_blocks(config, rng, x, s, p)
+    _fill_blocks(config, rng, x, s, p)
 
     if not np.logical_and.reduce(np.isfinite(xsp), axis=None):
         for name, arr in (("x", x), ("s", s), ("p", p)):

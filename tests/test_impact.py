@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 from scipy.special import log_ndtr
@@ -37,7 +37,7 @@ from liqimpact.impact import (
     solve_ode_numeric,
     structural_to_pq,
 )
-from liqimpact.impact import _SMALLQ_REL, _ell_phi
+from liqimpact.impact import _SMALLQ_REL, _ell_phi, _ell_phi_float
 
 NK = SShapeParams(ell=1.3e-5, p=-0.0034, q=8.15e-5)
 
@@ -373,6 +373,33 @@ def test_infeasible_array_raises_at_first_undefined_point(case):
             assert str(exc_info.value) == errors[0]
         else:
             assert fn(xs, params).tobytes() == np.array(each, dtype=float).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(curve_and_points(feasible=True))
+@example((NK, np.array([0.0, -0.0, 40.0, -250.0, 1e4])))  # the direct form's band
+@example((SShapeParams(ell=1e-3, p=-0.5, q=1e-3), np.array([0.0, 3.0, -300.0])))  # off it: no direct form
+@example((NK, np.array([1e-12, -3e-11])))  # the small-q band, |x| < 4.2e-11
+@example((SShapeParams(ell=1.7e308, p=0.0, q=1.0), np.array([1.0, 3.0])))  # ell * Phi(3) overflows: log space
+def test_float_evaluation_is_bitwise_the_one_point_array(case):
+    """A Python float takes f's and g's float route where the direct form
+    serves, and the array route elsewhere; either way the value is [0] of the
+    one-point array evaluation, bit for bit, and a Python float."""
+    params, xs = case
+    for v in xs.tolist():
+        for fn in (f_sshape, g_sshape):
+            got = fn(v, params)
+            assert type(got) is float
+            assert np.array([got]).tobytes() == fn(np.array([v]), params).tobytes(), (fn.__name__, params, v)
+
+
+def test_float_route_serves_the_direct_form_only():
+    # Which points the float route takes: the examples above each reach their branch.
+    assert _ell_phi_float(40.0, NK) is not None and _ell_phi_float(0.0, NK) is not None
+    assert _ell_phi_float(1e-12, NK) is None  # small-q limit
+    assert _ell_phi_float(3.0, SShapeParams(ell=1e-3, p=-0.5, q=1e-3)) is None  # |b| > 6
+    assert _ell_phi_float(3.0, SShapeParams(ell=1.7e308, p=0.0, q=1.0)) is None  # past the direct form's cap
+    assert _ell_phi_float(math.nan, NK) is None
 
 
 def test_curve_stays_finite_where_ell_phi_overflows_in_the_direct_band():

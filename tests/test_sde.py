@@ -207,11 +207,17 @@ def test_path_matches_replayed_recursion(measure, n_steps):
     np.testing.assert_allclose(path.t, np.arange(n_steps + 1) * cfg.dt, rtol=0, atol=0)
 
 
+NO_DIRECT = SShapeParams(ell=1e-3, p=-0.5, q=1e-3)  # b = p / sqrt(q) = -15.8, off the direct form's band
+
+
 @pytest.mark.parametrize("measure", ["physical", "risk-neutral"])
-@pytest.mark.parametrize("impact", [NK, LinearParams(alpha=2e-5)], ids=["sshape", "linear"])
+@pytest.mark.parametrize("impact", [NK, NO_DIRECT, LinearParams(alpha=2e-5)],
+                         ids=["sshape", "sshape-no-direct-form", "linear"])
 def test_one_step_path_is_bitwise_the_first_step_of_the_array_recursion(measure, impact):
-    """The float one-step path against the array path's first step, seed by seed."""
-    for rho, x0 in ((-1.0, -20.0), (-0.5, 10.0), (0.0, 0.0), (0.4, 40.0), (1.0, 5.0)):
+    """The float one-step path against the array path's first step, seed by seed;
+    x0 = 1e-12 is in NK's small-q band, where f and g take the array route."""
+    assert NO_DIRECT._direct_form is None and 0.0 < 1e-12 < _SMALLQ_REL * abs(NK.p) / NK.q
+    for rho, x0 in ((-1.0, -20.0), (-0.5, 10.0), (0.0, 0.0), (0.4, 40.0), (1.0, 5.0), (0.3, 1e-12)):
         sp = dataclasses.replace(RN_SP, rho=rho)
         cfg = make_config(structural=sp, impact=impact, measure=measure, x0=x0, dt=1e-3)
         for seed in range(200):
@@ -378,10 +384,11 @@ def test_path_too_long_for_memory_is_a_parameter_error(monkeypatch):
 
 def test_simulation_error_carries_step():
     sp = dataclasses.replace(SP, mu_s=1e306)
-    with pytest.raises(SimulationError, match="non-finite s at step 1$") as exc_info, \
-            np.errstate(over="ignore"):
-        simulate_path(make_config(structural=sp, n_steps=5))
-    assert exc_info.value.step == 1
+    for n_steps in (5, 1):  # the array path and the one-step float path
+        with pytest.raises(SimulationError, match="non-finite s at step 1$") as exc_info, \
+                np.errstate(over="ignore"):
+            simulate_path(make_config(structural=sp, n_steps=n_steps))
+        assert exc_info.value.step == 1
 
     # A flow shock of eta * dw beyond the float range makes x the first bad array.
     cfg = make_config(structural=dataclasses.replace(SP, eta=1e308), dt=1.0, n_steps=20)

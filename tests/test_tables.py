@@ -100,6 +100,29 @@ def test_bar_writers_refuse_a_repeated_bar_before_writing(tmp_path, write):
     assert not dest.exists()
 
 
+def _fit(model, converged=True, **hats):
+    return FitResult(model=model, a_hat=0.0, param_hats=hats, ses={}, t_stats={}, rss=1.0, adj_r2=0.1,
+                     bic=-1.0, n=30, k=len(hats) + 1, converged=converged)
+
+
+@pytest.mark.parametrize("rows, message", [
+    ([("d1", _fit("sshape", ell=1e-5, p=-3e-3, q=8e-5)), ("d1", _fit("linear", alpha=1e-4)),
+      ("d1", _fit("sshape", False))], "d1 sshape: second sshape row for d1"),
+    ([("d1", _fit("linear", alpha=1e-4)), ("d2", _fit("sshape", ell=1e-5, q=8e-5))],
+     "d2 sshape: converged sshape fit lacks p"),
+    ([("d3", _fit("sqrt"))], "d3 sqrt: converged sqrt fit lacks alpha"),
+    ([("d1", _fit("sshape", ell=-1e-5, p=-3e-3, q=8e-5))], "d1 sshape: ell must be positive, got -1e-05"),
+    ([("d1", _fit("sshape", ell=1e-5, p=-3e-3, q=float("nan")))], "d1 sshape: q must be positive, got nan"),
+], ids=["repeated-date-and-model", "sshape-without-p", "sqrt-without-alpha", "negative-ell", "nan-q"])
+def test_daily_fits_writer_refuses_a_row_the_reader_refuses_before_writing(tmp_path, rows, message):
+    # read_daily_fits_csv refuses these rows, so write_daily_fits_csv does not write them;
+    # an unconverged row may lack its parameters.
+    dest = tmp_path / "es.fits.csv"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}: the fits file could not be read back$"):
+        write_daily_fits_csv(rows, dest)
+    assert not dest.exists()
+
+
 # ---------------------------------------------------------------------------
 # malformed daily fits name the file and line
 
