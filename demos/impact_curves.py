@@ -3,15 +3,14 @@
 Walks through the S-shape curve for a liquid futures contract: feasibility,
 the inflection point read as market depth, marginal impact, and how the
 curve compares to linear and square-root alternatives with the same slope
-at the origin.  Finishes with an independent Runge-Kutta cross-check of the
-closed-form gradient.
+at the origin.  Finishes by checking that the closed-form gradient solves
+its defining Bernoulli equation.
 """
 
 import numpy as np
 
 from liqimpact import (
     LinearParams,
-    OdeSpec,
     SqrtParams,
     SShapeParams,
     f_linear,
@@ -20,7 +19,6 @@ from liqimpact import (
     feasibility_margin,
     g_sshape,
     inflection_point,
-    solve_ode_numeric,
 )
 
 params = SShapeParams(ell=1.3e-5, p=-0.0034, q=8.15e-5)
@@ -63,9 +61,14 @@ for x, g in zip(probes, g_vals):
     print(f"  g({x:7.1f}) = {g:.6e}{marker}")
 print()
 
-# Cross-check: integrate the gradient's defining first-order equation with a
-# plain RK4 scheme and compare against the closed form.
+# Cross-check: with s(x) = 0 and p(x) = p + q x, the gradient g = f' solves
+# the Bernoulli equation 0 = g' + (p + q x) g + g^2.  Take g' by central
+# differences of the closed form and compare the residual with g' itself.
 span = 5.0 / np.sqrt(params.q)
-sol = solve_ode_numeric(OdeSpec.from_sshape(params), (-span, span), step=span / 1000.0)
-err = float(np.max(np.abs(sol.g - g_sshape(sol.x, params))))
-print(f"RK4 cross-check over [{-span:.0f}, {span:.0f}]: sup |g_numeric - g_closed| = {err:.2e}")
+x = np.linspace(-span, span, 201)
+h = 1e-5 * np.maximum(1.0, np.abs(x))
+g = g_sshape(x, params)
+gprime = (g_sshape(x + h, params) - g_sshape(x - h, params)) / (2.0 * h)
+residual = float(np.max(np.abs(gprime + (params.p + params.q * x) * g + g * g)))
+print(f"Bernoulli residual over [{-span:.0f}, {span:.0f}]: sup |g' + (p + q x) g + g^2| = {residual:.2e}"
+      f" against sup |g'| = {float(np.max(np.abs(gprime))):.2e}")

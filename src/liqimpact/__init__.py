@@ -3,8 +3,7 @@
 The package is organized by pipeline stage:
 
 - :mod:`liqimpact.impact` -- closed-form impact curves (S-shape, linear,
-  square-root), the structural parameter mapping, Ito identities, and an
-  independent Runge-Kutta oracle for the defining Bernoulli equation.
+  square-root), the structural parameter mapping and Ito identities.
 - :mod:`liqimpact.sde` -- coupled price/flow simulation and synthetic
   regression panels with recorded ground truth.
 - :mod:`liqimpact.ingest` -- columnar tick-file parsing, trade signing,
@@ -19,15 +18,11 @@ The package is organized by pipeline stage:
 
 from .impact import (
     LinearParams,
-    OdeBlowupError,
-    OdeSolution,
-    OdeSpec,
     ParameterError,
     PQDecomposition,
     SqrtParams,
     SShapeParams,
     StructuralParams,
-    bernoulli_residual,
     big_phi,
     f_linear,
     f_sqrt,
@@ -39,7 +34,6 @@ from .impact import (
     mu_p,
     phi,
     sigma_p_squared,
-    solve_ode_numeric,
     structural_to_pq,
 )
 from .ingest import (

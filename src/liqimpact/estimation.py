@@ -19,6 +19,15 @@ After each round a live start is retired when it lies within one standard
 error of a start with lower RSS, in that start's Gauss-Newton metric (J'J), if
 that J'J pins its optimum down to the stopping tolerances; short panels
 therefore run every start to its end.
+A panel of more than 8,192 rows first runs every start on every 8th row (the
+screen), drops each surviving start within one standard error or within
+rss_rtol in RSS of a lower-RSS survivor, and runs the rest on the full panel
+from where they stopped; panels of at most 8,192 rows are fit from the grid
+alone, exactly as before the screen.
+
+Every sum over a panel's rows (e'e, J'J and J'e, the covariances, the OLS fit
+and RSS) runs over chunks of at most 8,192 rows added in order, so no BLAS
+thread count changes a fit; a panel of at most 8,192 rows is one chunk.
 
 Flow dynamics are estimated by AR(1) regression over day-contiguous segments,
 mapped back to continuous-time mean reversion; standard errors come from the
@@ -145,6 +154,26 @@ class FitResult:
     message: str = ""
 
 
+# Every sum over a panel's rows runs over chunks of at most this many rows, added
+# in order: OpenBLAS splits a dot product of more than 10,000 elements across
+# its threads, and the order of that sum, and so its last bits, followed the
+# thread count.  A panel of at most _CHUNK rows is one chunk and one BLAS call.
+_CHUNK = 8_192
+
+
+def _chunk_sum(product, n: int):
+    """product(rows) summed over consecutive slices of at most _CHUNK of n panel rows, in order."""
+    total = product(slice(0, _CHUNK))
+    for lo in range(_CHUNK, n, _CHUNK):
+        total = total + product(slice(lo, lo + _CHUNK))
+    return total
+
+
+def _tdot(a: np.ndarray, b: np.ndarray):
+    """a.T @ b, over the rows of a and b in chunks (``_chunk_sum``)."""
+    return _chunk_sum(lambda rows: a[rows].T @ b[rows], len(a))
+
+
 def _selection_stats(r: np.ndarray, rss: float, n: int, k: int) -> tuple[float, float]:
     """(adjusted R^2, BIC).  The adjustment uses (n-1)/(n-k-1) with k counting
     the intercept; BIC is the Gaussian concentrated form n ln(RSS/n) + k ln n."""
@@ -166,15 +195,30 @@ def fit_ols(panel: RegressionPanel, model: str) -> FitResult:
     if np.ptp(d) == 0.0:
         raise EstimationError(f"design column delta_f({model}) is constant; slope not identified")
     n = panel.n
+    collinear = EstimationError(f"design column delta_f({model}) is collinear with the intercept")
     A = np.column_stack([np.ones(n), d])
-    beta, _, rank, _ = np.linalg.lstsq(A, panel.r, rcond=None)
-    if rank < 2:
-        raise EstimationError(f"design column delta_f({model}) is collinear with the intercept")
+    if n > _CHUNK:
+        # LAPACK's least squares sums over the whole panel: take the centred
+        # closed form in chunked sums instead, as estimate_ou does.  It holds no
+        # column scale; as in lstsq's rank test, the slope is unidentified where
+        # d's spread about its mean is within n * eps of its size.
+        d_bar, r_bar = float(d.mean()), float(panel.r.mean())
+        dc = d - d_bar
+        sdd = float(_tdot(dc, dc))
+        if sdd <= (n * np.finfo(float).eps) ** 2 * float(_tdot(d, d)):
+            raise collinear
+        slope = float(_tdot(dc, panel.r - r_bar)) / sdd
+        beta = np.array([r_bar - slope * d_bar, slope])
+        cov_diag = np.array([1.0 / n + d_bar * d_bar / sdd, 1.0 / sdd])
+    else:
+        beta, _, rank, _ = np.linalg.lstsq(A, panel.r, rcond=None)
+        if rank < 2:
+            raise collinear
+        cov_diag = np.diag(np.linalg.inv(A.T @ A))
     resid = panel.r - A @ beta
-    rss = float(resid @ resid)
+    rss = float(_tdot(resid, resid))
     s2 = rss / (n - 2)
-    cov = s2 * np.linalg.inv(A.T @ A)
-    se = np.sqrt(np.diag(cov))
+    se = np.sqrt(s2 * cov_diag)
     adj, bic = _selection_stats(panel.r, rss, n, 2)
     with np.errstate(divide="ignore", invalid="ignore"):
         t = beta / se
@@ -202,6 +246,10 @@ _MERGE_RADIUS = 1.0
 # An evaluation block holds max(1, _BLOCK_POINTS // n) rows on a panel of n
 # observations: larger blocks of continuous flows leave the cache and ran slower.
 _BLOCK_POINTS = 16_384
+# A panel of more than _SCREEN_ROWS rows first runs its starts on every
+# _SCREEN_STRIDE-th row (see fit_sshape).
+_SCREEN_ROWS = _CHUNK
+_SCREEN_STRIDE = 8
 
 
 def default_start_grid(flow_sd: float) -> list[tuple[float, float]]:
@@ -323,26 +371,27 @@ class _SShapeResiduals:
         that does not lower its start's RSS is rejected, and its products go
         unused.  A start's opening evaluation passes an infinite ``beat``.
 
-        Each product is one ``np.matmul`` stacked over the rows it is formed
+        Each product is summed over chunks of the panel's rows (``_chunk_sum``),
+        a chunk's product one ``np.matmul`` stacked over the rows it is formed
         for: the block's work arrays, or where some row is left out, C-contiguous
         copies of the others laid out like them (a copy in every evaluation
         would be a fresh panel-sized temporary).  It makes for every row the
-        BLAS call of ``e @ e``, ``J.T @ J`` or ``J.T @ e`` on that row alone,
-        so each is bitwise the same."""
-        k = len(thetas)
+        BLAS call of ``e @ e``, ``J.T @ J`` or ``J.T @ e`` on that row's chunk
+        alone, so each is bitwise the same."""
+        k, n = len(thetas), self.n
         rss, JtJ, g = np.full(k, np.nan), np.full((k, 4, 4), np.nan), np.full((k, 4), np.nan)
         for lo in range(0, k, self.block):
             index, ok = self._evaluate(thetas[lo:lo + self.block], margin_floor, routed=False)
             e, J = self.e[:len(index)], self.J[:len(index)]
             # Rows that are not usable hold infs and NaNs; their products are dropped.
             with np.errstate(over="ignore", invalid="ignore"):
-                rss[lo + index[ok]] = np.matmul(e[:, None, :], e[:, :, None])[ok, 0, 0]
+                rss[lo + index[ok]] = _chunk_sum(lambda c: np.matmul(e[:, None, c], e[:, c, None]), n)[ok, 0, 0]
                 ok &= rss[lo + index] <= beat[lo + index]
                 if not ok.all():
                     e, J = e[ok], J[ok]
-                Jt = J.transpose(0, 2, 1)
-                JtJ[lo + index[ok]] = np.matmul(Jt, J)
-                g[lo + index[ok]] = np.matmul(Jt, e[:, :, None])[:, :, 0]
+                JtJ[lo + index[ok]] = _chunk_sum(lambda c: np.matmul(J[:, c].transpose(0, 2, 1), J[:, c]), n)
+                g[lo + index[ok]] = _chunk_sum(
+                    lambda c: np.matmul(J[:, c].transpose(0, 2, 1), e[:, c, None])[:, :, 0], n)
         return rss, JtJ, g
 
     def _difference(self, values: np.ndarray) -> np.ndarray:
@@ -542,21 +591,25 @@ def _predicts_no_drop(JtJ: np.ndarray, g: np.ndarray, rss: np.ndarray, rss_rtol:
     return flat
 
 
-def _retire_merged(s: _Starts, n: int, rss_rtol: float, grad_atol: float) -> None:
-    """Retire each live start i that lies within _MERGE_RADIUS standard errors of
-    a start j with lower RSS that is kept this round:
-    (theta_i - theta_j)' JtJ_j (theta_i - theta_j) <= _MERGE_RADIUS^2 RSS_j / (n - 4).
-    Equal RSS goes to the lower index; a start with zero RSS (a noise-free
-    panel) absorbs nothing.
+def _rank(rss: np.ndarray) -> np.ndarray:
+    """Each row's place in ascending RSS, equal RSS in ascending row order."""
+    rank = np.empty(len(rss), dtype=int)
+    rank[np.argsort(rss, kind="stable")] = np.arange(len(rss))
+    return rank
 
-    Only a start whose metric pins its optimum down absorbs others.  Where the
-    gradient test passes (|g|^2 <= 4 grad_atol^2) the RSS can still lie up to
-    4 grad_atol^2 / lambda_min(JtJ) above the optimum; unless that is within
-    rss_rtol of the RSS, searches into one basin stop at scattered points, and
-    retiring one of them can drop the lowest.  Short panels, whose J'J is
-    nearly singular, therefore run every start to its end.
+
+def _within_reach(s: _Starts, kept: np.ndarray, n: int, rss_rtol: float, grad_atol: float) -> np.ndarray | None:
+    """near[i, j] over the starts ``kept``: j ranks below i in RSS, j's metric
+    pins its optimum down, and (theta_i - theta_j)' JtJ_j (theta_i - theta_j)
+    <= _MERGE_RADIUS^2 RSS_j / (n - 4); None where no start's metric does.
+
+    A start with zero RSS (a noise-free panel) absorbs nothing, and neither
+    does one whose metric is too soft.  Where the gradient test passes (|g|^2
+    <= 4 grad_atol^2) the RSS can still lie up to 4 grad_atol^2 /
+    lambda_min(JtJ) above the optimum; unless that is within rss_rtol of the
+    RSS, searches into one basin stop at scattered points, and retiring one of
+    them can drop the lowest.
     """
-    kept = np.flatnonzero(s.stop < _MERGED)
     stale = kept[s.stale[kept]]
     finite = np.isfinite(s.JtJ[stale]).all(axis=(1, 2))
     s.lam_min[stale] = 0.0
@@ -565,22 +618,59 @@ def _retire_merged(s: _Starts, n: int, rss_rtol: float, grad_atol: float) -> Non
     rss = s.rss[kept]
     absorbs = (rss > 0.0) & (4.0 * grad_atol ** 2 <= rss_rtol * rss * s.lam_min[kept])
     if not absorbs.any():
-        return
+        return None
     theta = s.theta[kept]
     diff = theta[:, None, :] - theta[None, :, :]
     d2 = np.einsum("ijk,jkl,ijl->ij", diff, s.JtJ[kept], diff)
     reach = _MERGE_RADIUS ** 2 * rss / (n - 4)
-    rank = np.empty(len(kept), dtype=int)
-    rank[np.argsort(rss, kind="stable")] = np.arange(len(kept))
+    rank = _rank(rss)
+    return absorbs[None, :] & (rank[None, :] < rank[:, None]) & (d2 <= reach)
+
+
+def _merge(s: _Starts, kept: np.ndarray, near: np.ndarray) -> None:
+    """Retire each start kept[i] with some near[i, j] into the lowest-RSS such
+    kept[j] that is not retired itself, taking the starts in ascending RSS."""
+    rank = _rank(s.rss[kept])
     stop = s.stop[kept]
-    near = (stop == _LIVE)[:, None] & absorbs[None, :] & (rank[None, :] < rank[:, None]) & (d2 <= reach)
-    # In ascending RSS, so every candidate j is already kept or retired this round.
+    # In ascending RSS, so every candidate j is already kept or retired.
     for i in sorted(np.flatnonzero(near.any(axis=1)), key=rank.__getitem__):
         js = np.flatnonzero(near[i] & (stop != _MERGED))
         if js.size:
             stop[i] = _MERGED
             s.merged_into[kept[i]] = kept[js[np.argmin(rank[js])]]
     s.stop[kept] = stop
+
+
+def _retire_merged(s: _Starts, n: int, rss_rtol: float, grad_atol: float) -> None:
+    """Retire each live start that lies within _MERGE_RADIUS standard errors of
+    a start with lower RSS that is kept this round, in that start's metric
+    (see :func:`_within_reach`).  Short panels, whose J'J is nearly singular,
+    therefore run every start to its end.
+    """
+    kept = np.flatnonzero(s.stop < _MERGED)
+    near = _within_reach(s, kept, n, rss_rtol, grad_atol)
+    if near is not None:
+        _merge(s, kept, near & (s.stop[kept] == _LIVE)[:, None])
+
+
+def _distinct_survivors(s: _Starts, n: int, rss_rtol: float, grad_atol: float) -> np.ndarray:
+    """The rows of the stopped starts that are neither retired, infeasible nor
+    a duplicate of a lower-RSS one, which is each start within _MERGE_RADIUS
+    standard errors of it, as :func:`_retire_merged` takes them, or with an RSS
+    within rss_rtol of its RSS.
+
+    The RSS tie stands in where the metric is too soft to absorb: on the
+    pooled panels of tick files every start reached one optimum by ftol, at
+    scattered points, and none absorbed another.
+    """
+    kept = np.flatnonzero(s.stop < _MERGED)
+    rss = s.rss[kept]
+    rank = _rank(rss)
+    near = (rank[None, :] < rank[:, None]) & (rss[:, None] - rss[None, :] <= rss_rtol * rss[None, :])
+    if (within := _within_reach(s, kept, n, rss_rtol, grad_atol)) is not None:
+        near |= within
+    _merge(s, kept, near)
+    return kept[s.stop[kept] < _MERGED]
 
 
 def _lm_starts(theta0s: np.ndarray, residuals: _SShapeResiduals, n: int, *,
@@ -669,14 +759,30 @@ def fit_sshape(
     standard error of a lower-RSS start, in that start's Gauss-Newton metric,
     is retired and never chosen (see :func:`_retire_merged`); on short panels,
     and on a panel the model fits exactly (RSS 0), every start runs to its end.
+
+    On a panel of more than 8,192 rows the grid is first run on every 8th row;
+    of the starts that end there, each within one standard error of a lower-RSS
+    one or with an RSS within ``rss_rtol`` of its RSS is dropped (see
+    :func:`_distinct_survivors`), and the rest run on the full panel from
+    their endpoints.  On recovery panels of 100 days x 360 bars, one start was
+    left and the fit took about half the time.  Panels of at most 8,192 rows
+    are fit from the grid alone, as before.  Every sum over the panel's rows
+    runs over chunks of at most 8,192 rows in order, so the result does not
+    depend on the BLAS thread count.  Standard errors come from the full
+    panel's J at the optimum, and ``starts_tried`` counts the grid.
     """
     d = panel.x - panel.x_prev
     if np.ptp(d) == 0.0:
         raise EstimationError("flow never changes between bars; impact slope not identified")
     theta0s = _start_thetas(panel, grid)
-    residuals = _SShapeResiduals(panel, len(theta0s))
-    starts = _lm_starts(theta0s, residuals, panel.n, margin_floor=margin_floor,
-                        max_iter=max_iter, rss_rtol=rss_rtol, grad_atol=grad_atol)
+    options = dict(margin_floor=margin_floor, max_iter=max_iter, rss_rtol=rss_rtol, grad_atol=grad_atol)
+    thetas = theta0s
+    if panel.n > _SCREEN_ROWS:
+        sub = RegressionPanel(*(column[::_SCREEN_STRIDE] for column in (panel.r, panel.x, panel.x_prev)))
+        screened = _lm_starts(theta0s, _SShapeResiduals(sub, len(theta0s)), sub.n, **options)
+        thetas = screened.theta[_distinct_survivors(screened, sub.n, rss_rtol, grad_atol)]
+    residuals = _SShapeResiduals(panel, len(thetas))
+    starts = _lm_starts(thetas, residuals, panel.n, **options)
     best = _best_start(starts)
     theta, rss = starts.theta[best], float(starts.rss[best])
     converged = starts.stop[best] in (_FTOL, _GTOL)
@@ -692,7 +798,7 @@ def fit_sshape(
         J_orig = J.copy()
         J_orig[:, 1] /= ell
         J_orig[:, 3] /= q
-        JtJ = J_orig.T @ J_orig
+        JtJ = _tdot(J_orig, J_orig)
     dof = max(n - 4, 1)
     s2 = rss / dof
     names = ["a", "ell", "p", "q"]
@@ -805,7 +911,7 @@ def estimate_ou(flows, dt: float = 1.0) -> OUEstimate:
     beta1 = float(np.sum((xlag - xlag.mean()) * (y - y.mean())) / sxx)
     beta0 = float(y.mean() - beta1 * xlag.mean())
     resid = y - beta0 - beta1 * xlag
-    rss = float(resid @ resid)
+    rss = float(_tdot(resid, resid))
     s2 = rss / (n - 2)
     se_b1 = math.sqrt(s2 / sxx)
     xbar = float(xlag.mean())

@@ -8,6 +8,9 @@ evaluation at a time, each start a ``_Start`` object, retiring starts that
 merge by its own ``_retire_merged``.  The library evaluates the flows in panel
 order, once per x and seam x_prev, and holds all starts' state in arrays that a
 round steps together; the tests check its fits against these.
+
+Both sum e'e, J'J and J'e over chunks of at most CHUNK rows, added in order
+(``sse``, ``gram``, ``grad``), so no BLAS thread count changes them.
 """
 
 from __future__ import annotations
@@ -23,6 +26,29 @@ from liqimpact.impact import SShapeParams, big_phi, feasibility_margin, phi
 # A live start within this many standard errors of a kept start with lower
 # RSS, in that start's Gauss-Newton metric, is retired as a duplicate.
 MERGE_RADIUS = 1.0
+# Sums over a panel's rows run over chunks of at most this many rows.
+CHUNK = 8192
+
+
+def chunk_sum(product, *arrays):
+    """product of the arrays' chunks of at most CHUNK rows, summed in row order."""
+    parts = [product(*(a[lo:lo + CHUNK] for a in arrays)) for lo in range(0, len(arrays[0]), CHUNK)]
+    total = parts[0]
+    for part in parts[1:]:
+        total = total + part
+    return total
+
+
+def sse(e: np.ndarray) -> float:
+    return float(chunk_sum(lambda ec: ec @ ec, e))
+
+
+def gram(J: np.ndarray) -> np.ndarray:
+    return chunk_sum(lambda Jc: Jc.T @ Jc, J)
+
+
+def grad(J: np.ndarray, e: np.ndarray) -> np.ndarray:
+    return chunk_sum(lambda Jc, ec: Jc.T @ ec, J, e)
 
 
 def resid_jac(theta: np.ndarray, panel: RegressionPanel, margin_floor: float):
@@ -90,9 +116,9 @@ def run_lm(theta0: np.ndarray, panel: RegressionPanel, margin_floor: float,
         return None
     e, J = out
     theta = theta0.copy()
-    rss = float(e @ e)
-    JtJ = J.T @ J
-    g = J.T @ e
+    rss = sse(e)
+    JtJ = gram(J)
+    g = grad(J, e)
     lam = 1e-3 * float(np.max(np.diag(JtJ)))
     if lam <= 0 or not math.isfinite(lam):
         lam = 1e-3
@@ -113,7 +139,7 @@ def run_lm(theta0: np.ndarray, panel: RegressionPanel, margin_floor: float,
         accepted = False
         if res is not None:
             e_t, J_t = res
-            rss_t = float(e_t @ e_t)
+            rss_t = sse(e_t)
             if math.isfinite(rss_t) and rss_t < rss:
                 pred = float(delta @ (lam * (D @ delta) - g))
                 ratio = (rss - rss_t) / pred if pred > 0 else 1.0
@@ -121,8 +147,8 @@ def run_lm(theta0: np.ndarray, panel: RegressionPanel, margin_floor: float,
                 nu = 2.0
                 rel_drop = (rss - rss_t) / max(rss, 1e-300)
                 theta, e, J, rss = trial, e_t, J_t, rss_t
-                JtJ = J.T @ J
-                g = J.T @ e
+                JtJ = gram(J)
+                g = grad(J, e)
                 accepted = True
                 if rel_drop < rss_rtol or np.max(np.abs(g)) < grad_atol:
                     converged = True
@@ -224,11 +250,11 @@ def _open_start(index: int, theta0: np.ndarray, evaluate, max_iter: int,
     if out is None:
         return None
     e, J = out
-    JtJ = J.T @ J
+    JtJ = gram(J)
     lam = 1e-3 * float(np.max(np.diag(JtJ)))
     if lam <= 0 or not math.isfinite(lam):
         lam = 1e-3
-    s = _Start(index=index, theta=theta0.copy(), rss=float(e @ e), JtJ=JtJ, g=J.T @ e, lam=lam)
+    s = _Start(index=index, theta=theta0.copy(), rss=sse(e), JtJ=JtJ, g=grad(J, e), lam=lam)
     if np.max(np.abs(s.g)) < grad_atol:
         s.stop = "gtol"
     elif max_iter <= 0:
@@ -252,14 +278,14 @@ def _lm_step(s: _Start, evaluate, max_iter: int, rss_rtol: float, grad_atol: flo
         accepted = False
         if res is not None:
             e, J = res
-            rss_t = float(e @ e)
+            rss_t = sse(e)
             if math.isfinite(rss_t) and rss_t < s.rss:
                 pred = float(delta @ (s.lam * (D @ delta) - s.g))
                 ratio = (s.rss - rss_t) / pred if pred > 0 else 1.0
                 s.lam *= max(1.0 / 3.0, 1.0 - (2.0 * ratio - 1.0) ** 3)
                 s.nu = 2.0
                 rel_drop = (s.rss - rss_t) / max(s.rss, 1e-300)
-                s.theta, s.rss, s.JtJ, s.g = trial, rss_t, J.T @ J, J.T @ e
+                s.theta, s.rss, s.JtJ, s.g = trial, rss_t, gram(J), grad(J, e)
                 accepted = True
                 if rel_drop < rss_rtol:
                     s.stop = "ftol"

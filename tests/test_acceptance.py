@@ -20,10 +20,10 @@ from scipy.special import ndtr
 
 import conftest
 from ingest_oracle import tick_table
+from ode_oracle import OdeSpec, solve_ode_numeric
 from liqimpact.compare import DailyMetricSeries, PERCENTILE_LEVELS, descriptives, paired_t_test
 from liqimpact.estimation import RegressionPanel, estimate_ou, fit_ols, fit_sshape
 from liqimpact.impact import (
-    OdeSpec,
     SShapeParams,
     StructuralParams,
     f_sshape,
@@ -32,7 +32,6 @@ from liqimpact.impact import (
     inflection_point,
     linear_alpha_from_ps,
     sigma_p_squared,
-    solve_ode_numeric,
 )
 from liqimpact.ingest import TickRecord, build_bars, read_ticks, sign_trade, write_bars_csv
 from liqimpact.sde import OUParams, SimConfig, simulate_path, synth_regression_panel

@@ -1,12 +1,17 @@
 """Tests for panel assembly, curve fitting, and the flow-process estimator."""
 
 import dataclasses
+import importlib.util
 import logging
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from functools import partial
+from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
 
@@ -42,9 +47,12 @@ from liqimpact.impact import (
     f_sshape,
     feasibility_margin,
 )
-from liqimpact.ingest import MinuteBar, ParseError, read_bars_csv, write_bars_csv, write_panel_csv
+from liqimpact.ingest import (
+    MinuteBar, ParseError, build_bars, read_bars_csv, read_ticks, write_bars_csv, write_panel_csv,
+)
 from liqimpact.sde import OUParams, synth_regression_panel
 
+ROOT = Path(__file__).resolve().parent.parent
 TRUTH = dict(a=1e-6, ell=1e-5, p=-3e-3, q=8e-5)
 FLOW = OUParams(c=0.1, m=5.0, eta=100.0)
 
@@ -227,30 +235,34 @@ def test_fit_ols_sqrt_exact_recovery():
 
 
 def test_fit_ols_matches_brute_force_stats():
-    rng = np.random.default_rng(33)
-    x = rng.normal(0.0, 100.0, 150)
-    x_prev = np.concatenate(([0.0], x[:-1]))
-    r = 1e-6 + 2e-6 * (x - x_prev) + rng.normal(0.0, 1e-4, 150)
-    panel = RegressionPanel(r=r, x=x, x_prev=x_prev)
-    fit = fit_ols(panel, "linear")
+    # Above 8,192 rows the fit takes the centred closed form, summed in chunks.
+    # It holds no column scale: flows in large or small units fit alike.
+    for n, flow_sd in ((150, 100.0), (20_000, 100.0), (20_000, 1e8), (20_000, 1e-8)):
+        rng = np.random.default_rng(33)
+        x = rng.normal(0.0, flow_sd, n)
+        x_prev = np.concatenate(([0.0], x[:-1]))
+        r = 1e-6 + 2e-4 / flow_sd * (x - x_prev) + rng.normal(0.0, 1e-4, n)
+        panel = RegressionPanel(r=r, x=x, x_prev=x_prev)
+        fit = fit_ols(panel, "linear")
 
-    design = np.column_stack([np.ones(150), x - x_prev])
-    beta, *_ = np.linalg.lstsq(design, r, rcond=None)
-    resid = r - design @ beta
-    rss = float(resid @ resid)
-    assert fit.a_hat == pytest.approx(beta[0], rel=1e-10)
-    assert fit.param_hats["alpha"] == pytest.approx(beta[1], rel=1e-10)
-    assert fit.rss == pytest.approx(rss, rel=1e-12)
-    tss = float(np.sum((r - r.mean()) ** 2))
-    r2 = 1.0 - rss / tss
-    want_adj = 1.0 - (1.0 - r2) * (150 - 1) / (150 - 2 - 1)
-    assert fit.adj_r2 == pytest.approx(want_adj, rel=1e-12)
-    assert fit.bic == pytest.approx(150 * math.log(rss / 150) + 2 * math.log(150), rel=1e-12)
-    # Classical standard errors from the unscaled covariance.
-    s2 = rss / (150 - 2)
-    cov = s2 * np.linalg.inv(design.T @ design)
-    assert fit.ses["alpha"] == pytest.approx(math.sqrt(cov[1, 1]), rel=1e-10)
-    assert fit.t_stats["alpha"] == pytest.approx(fit.param_hats["alpha"] / fit.ses["alpha"], rel=1e-10)
+        design = np.column_stack([np.ones(n), x - x_prev])
+        beta, *_ = np.linalg.lstsq(design, r, rcond=None)
+        resid = r - design @ beta
+        rss = float(resid @ resid)
+        assert fit.a_hat == pytest.approx(beta[0], rel=1e-10)
+        assert fit.param_hats["alpha"] == pytest.approx(beta[1], rel=1e-10)
+        assert fit.rss == pytest.approx(rss, rel=1e-12)
+        tss = float(np.sum((r - r.mean()) ** 2))
+        r2 = 1.0 - rss / tss
+        want_adj = 1.0 - (1.0 - r2) * (n - 1) / (n - 2 - 1)
+        assert fit.adj_r2 == pytest.approx(want_adj, rel=1e-12)
+        assert fit.bic == pytest.approx(n * math.log(rss / n) + 2 * math.log(n), rel=1e-12)
+        # Classical standard errors from the unscaled covariance.
+        s2 = rss / (n - 2)
+        cov = s2 * np.linalg.inv(design.T @ design)
+        assert fit.ses["a"] == pytest.approx(math.sqrt(cov[0, 0]), rel=1e-10)
+        assert fit.ses["alpha"] == pytest.approx(math.sqrt(cov[1, 1]), rel=1e-10)
+        assert fit.t_stats["alpha"] == pytest.approx(fit.param_hats["alpha"] / fit.ses["alpha"], rel=1e-10)
 
 
 def test_fit_ols_se_coverage():
@@ -671,10 +683,14 @@ def test_a_start_held_at_the_damping_limit_with_no_predicted_drop_has_converged(
     assert starts.stop[best] == estimation._FTOL and starts.lam[best] > 1e15
     kept = starts.stop < estimation._MERGED
     assert starts.rss[best] == starts.rss[kept].min()
-    fit = fit_sshape(panel)
+    with mock.patch.object(estimation, "_SCREEN_ROWS", panel.n):
+        fit = fit_sshape(panel)
     assert fit.converged and fit.rss == starts.rss[best]
     for name in ("ell", "p", "q"):
         assert abs(fit.param_hats[name] - TRUTH[name]) < 3.0 * fit.ses[name]
+    # Screened on every 8th row first, the fit polishes its survivor to the same optimum.
+    screened = fit_sshape(panel)
+    assert screened.converged and screened.rss <= (1.0 + 1e-12) * starts.rss[best]
     want = estimation_oracle.run_lm(theta0s[best], panel, 1e-6, 500, 1e-12, 1e-10)
     assert want.converged and want.rss == starts.rss[best] and np.array_equal(want.theta, starts.theta[best])
     # A row whose J'J is singular predicts nothing.
@@ -856,7 +872,8 @@ def _assert_evaluation_matches_oracle(panel, thetas):
             assert np.isnan(rss_i) and np.isnan(JtJ_i).all() and np.isnan(g_i).all()
             continue
         e, J = want
-        assert rss_i == float(e @ e) and np.array_equal(JtJ_i, J.T @ J) and np.array_equal(g_i, J.T @ e)
+        assert rss_i == estimation_oracle.sse(e)
+        assert np.array_equal(JtJ_i, estimation_oracle.gram(J)) and np.array_equal(g_i, estimation_oracle.grad(J, e))
     return residuals
 
 
@@ -929,6 +946,141 @@ def test_fit_sshape_matches_scipy_minpack_lm(seed):
     for name, value in want.items():
         assert got[name] == pytest.approx(value, rel=1e-6), name
     assert fit.rss == pytest.approx(2.0 * sol.cost, rel=1e-10)
+
+
+def _bench_ticks():
+    """The benchmark's tick generator, read from bench/ as it is."""
+    spec = importlib.util.spec_from_file_location("bench_ticks", ROOT / "bench" / "liqbench" / "ticks.py")
+    ticks = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = ticks  # dataclasses look their module up there
+    try:
+        spec.loader.exec_module(ticks)
+    finally:
+        del sys.modules[spec.name]
+    return ticks
+
+
+@pytest.fixture(scope="module")
+def screened_panels(tmp_path_factory):
+    """Panels above the screen's threshold: a recovery panel (100 days x 360
+    bars, continuous flows) and the pooled panel of a 60-day tick file from
+    the benchmark's generator (integer flows)."""
+    source = tmp_path_factory.mktemp("ticks") / "s15.csv.gz"
+    source.write_bytes(_bench_ticks().generate(15, 60, 35.0).data)
+    return {"recovery": make_panel(n_days=100, bars_per_day=360, noise_sd=5e-4, seed=4001),
+            "ticks": RegressionPanel.from_bars(build_bars(read_ticks(source)))}
+
+
+@pytest.mark.parametrize("kind", ["recovery", "ticks"])
+def test_screened_fit_reaches_the_best_minpack_optimum_from_the_same_starts(screened_panels, kind):
+    panel = screened_panels[kind]
+    assert panel.n > estimation._SCREEN_ROWS
+    carried = []
+    collapse = estimation._distinct_survivors
+    with mock.patch.object(estimation, "_distinct_survivors", lambda *a: carried.append(collapse(*a)) or carried[-1]):
+        fit = fit_sshape(panel)
+    # Every start reaches one optimum on the strided rows, and one is polished.
+    assert [len(rows) for rows in carried] == [1]
+    assert fit.converged and fit.starts_tried == 33
+    evaluations = {}
+
+    def evaluate(theta):
+        # MINPACK asks for J at the point whose e it has just taken; a point
+        # that is infeasible gets residuals far above any feasible RSS.
+        key = theta.tobytes()
+        if key not in evaluations:
+            evaluations.clear()
+            evaluations[key] = estimation_oracle.resid_jac(theta, panel, 0.0) or (np.ones(panel.n), None)
+        return evaluations[key]
+
+    best = min(2.0 * least_squares(lambda th: evaluate(th)[0], theta0, jac=lambda th: evaluate(th)[1],
+                                   method="lm", xtol=1e-15, ftol=1e-15, gtol=1e-15).cost
+               for theta0 in estimation._start_thetas(panel, None))
+    assert fit.rss <= (1.0 + 1e-12) * best
+
+
+def test_panels_up_to_the_threshold_are_fit_from_the_full_grid_unscreened():
+    # 32 days of 257 bars make 8,192 rows: one row more takes the screen.
+    panel = make_panel(n_days=33, bars_per_day=257, noise_sd=5e-4, seed=4003)
+    cut = estimation._SCREEN_ROWS
+    at = RegressionPanel(panel.r[:cut], panel.x[:cut], panel.x_prev[:cut])
+    with mock.patch.object(estimation, "_lm_starts", wraps=estimation._lm_starts) as lm_starts:
+        fit = fit_sshape(at)
+    assert lm_starts.call_count == 1
+    theta0s, starts = _run_starts(at, None)
+    best = estimation._best_start(starts)
+    a, u, p, v = starts.theta[best].tolist()
+    assert (fit.a_hat, fit.param_hats, fit.rss, fit.converged) == \
+        (a, {"ell": math.exp(u), "p": p, "q": math.exp(v)}, starts.rss[best], True)
+    above = RegressionPanel(panel.r[:cut + 1], panel.x[:cut + 1], panel.x_prev[:cut + 1])
+    with mock.patch.object(estimation, "_lm_starts", wraps=estimation._lm_starts) as lm_starts:
+        fit_sshape(above)
+    assert lm_starts.call_count == 2
+    assert lm_starts.call_args_list[0].args[2] == (cut + 1 + 7) // 8
+
+
+def _survivors(starts, n=104):
+    """The rows that the screen carries to the full panel; n = 104 as in _retire."""
+    return estimation._distinct_survivors(starts, n, rss_rtol=1e-12, grad_atol=1e-10).tolist()
+
+
+def test_screen_carries_one_start_per_optimum():
+    # The metric rule: start 0 lies within start 1's reach of 1, start 2 beyond
+    # both start 1's and start 0's (reach 2); a retired or infeasible start
+    # with the lowest RSS takes no part.
+    stopped = _starts([200.0, 100.0, 300.0, 50.0, 40.0], a=[0.5, 0.0, 3.0, 0.0, 0.0])
+    stopped.stop[:] = (estimation._FTOL, estimation._GTOL, estimation._MAX_ITER, estimation._MERGED,
+                       estimation._INFEASIBLE)
+    assert _survivors(stopped) == [1, 2]
+    # The RSS tie: with a metric too soft to absorb, a start whose RSS is
+    # within 1e-12 of a lower one is a duplicate however far away it lies, but
+    # only of a start carried itself.
+    tied = _starts([100.0, 100.0 + 5e-11, 100.0 + 1.4e-10, 100.0 + 1.9e-10], a=[0.0, 10.0, 20.0, 30.0])
+    tied.JtJ[:] = 1e-12 * np.eye(4)
+    tied.stop[:] = estimation._FTOL
+    assert _survivors(tied) == [0, 2]
+    # Zero RSS absorbs nothing by the metric; apart, the starts stay.
+    exact = _starts([0.0, 1e-30], a=[0.0, 0.0])
+    exact.stop[:] = estimation._FTOL
+    assert _survivors(exact) == [0, 1]
+
+
+CHILD_FITS = """
+from liqimpact.estimation import RegressionPanel, estimate_ou, fit_ols, fit_sshape
+from liqimpact.impact import SShapeParams
+from liqimpact.sde import OUParams, synth_regression_panel
+panel = RegressionPanel.from_synthetic(synth_regression_panel(
+    1e-6, SShapeParams(1e-5, -3e-3, 8e-5), OUParams(0.1, 5.0, 100.0), 100, 360, 5e-4, 1001))
+for fit in (fit_sshape(panel), fit_ols(panel, "linear"), fit_ols(panel, "sqrt"), estimate_ou(panel.x)):
+    print(repr(fit))
+"""
+
+
+def test_fits_of_a_large_panel_do_not_depend_on_the_blas_thread_count():
+    # OpenBLAS splits a dot product of more than 10,000 elements across its
+    # threads; summed whole, this panel's S-shape and linear RSS changed in the
+    # last bits between one thread and two.
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+        proc = subprocess.run([sys.executable, "-c", CHILD_FITS], env=env, capture_output=True, text=True,
+                              timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    # repr prints each float's shortest round-trip digits: equal text is equal bits.
+    assert outputs[0].count("FitResult(") == 3
+    assert outputs[0] == outputs[1]
+
+
+def test_long_panels_sum_their_products_in_chunks_as_the_oracle_does():
+    panel = make_panel(n_days=50, bars_per_day=360, noise_sd=5e-4, seed=4007)
+    assert panel.n > 2 * estimation._CHUNK
+    grid = scale_grid(panel)
+    theta0s = estimation._start_thetas(panel, grid)
+    _assert_evaluation_matches_oracle(panel, theta0s)
+    _, got = _run_starts(panel, grid)
+    _assert_same_outcomes(got, _lockstep_oracle(panel, theta0s))
 
 
 # ---------------------------------------------------------------------------

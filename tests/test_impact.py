@@ -11,15 +11,13 @@ from scipy import integrate
 from scipy.special import log_ndtr
 from scipy.stats import norm
 
+from ode_oracle import OdeBlowupError, OdeSpec, bernoulli_residual, solve_ode_numeric
 from liqimpact.impact import (
     LinearParams,
-    OdeBlowupError,
-    OdeSpec,
     ParameterError,
     SqrtParams,
     SShapeParams,
     StructuralParams,
-    bernoulli_residual,
     big_phi,
     curve_from_dict,
     curve_to_dict,
@@ -34,7 +32,6 @@ from liqimpact.impact import (
     mu_p,
     phi,
     sigma_p_squared,
-    solve_ode_numeric,
     structural_to_pq,
 )
 from liqimpact.impact import _SMALLQ_REL, _ell_phi, _ell_phi_float
