@@ -2,10 +2,12 @@
 
 The regression is r_t = a + f(x_t) - f(x_{t-1}) + eps_t over within-day bar
 pairs.  The linear and square-root curves are linear in their single slope, so
-ordinary least squares applies.  The S-shape curve is fit by damped
-Gauss-Newton (Levenberg-Marquardt) with the positivity constraints folded into
-the parameterization (ell = e^u, q = e^v) and the domain constraint enforced
-by rejecting trial steps whose feasibility margin drops below a safety floor.
+ordinary least squares applies: one centred line fit in chunked sums
+(``_line_fit``) serves them at every panel size, and the AR(1) flow regression.
+The S-shape curve is fit by damped Gauss-Newton (Levenberg-Marquardt) with the
+positivity constraints folded into the parameterization (ell = e^u, q = e^v)
+and the domain constraint enforced by rejecting trial steps whose feasibility
+margin drops below a safety floor.
 Searches start from a grid of (p, q) initial conditions scaled to the panel's
 flow dispersion, less two points that start on the no-impact plateau (see
 ``default_start_grid``), and the lowest-RSS converged optimum wins.  Each
@@ -25,8 +27,8 @@ rss_rtol in RSS of a lower-RSS survivor, and runs the rest on the full panel
 from where they stopped; panels of at most 8,192 rows are fit from the grid
 alone, exactly as before the screen.
 
-Every sum over a panel's rows (e'e, J'J and J'e, the covariances, the OLS fit
-and RSS) runs over chunks of at most 8,192 rows added in order, so no BLAS
+Every sum over a panel's rows (e'e, J'J and J'e, the covariances and the line
+fit's sums) runs over chunks of at most 8,192 rows added in order, so no BLAS
 thread count changes a fit; a panel of at most 8,192 rows is one chunk.
 
 Flow dynamics are estimated by AR(1) regression over day-contiguous segments,
@@ -184,8 +186,27 @@ def _selection_stats(r: np.ndarray, rss: float, n: int, k: int) -> tuple[float, 
     return adj, bic
 
 
+def _line_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float, float, float] | None:
+    """Least squares of y on (1, x) by the centred closed form, each sum over
+    chunks (``_tdot``): (intercept, slope, mean of x, Sxx, RSS).  None where x
+    is collinear with the intercept: as in LAPACK's rank test, where x's
+    spread about its mean is within n * eps of its size, at any column scale."""
+    n = len(x)
+    x_bar, y_bar = float(x.mean()), float(y.mean())
+    xc = x - x_bar
+    sxx = float(_tdot(xc, xc))
+    if sxx <= (n * np.finfo(float).eps) ** 2 * float(_tdot(x, x)):
+        return None
+    slope = float(_tdot(xc, y - y_bar)) / sxx
+    intercept = y_bar - slope * x_bar
+    resid = y - intercept - slope * x
+    return intercept, slope, x_bar, sxx, float(_tdot(resid, resid))
+
+
 def fit_ols(panel: RegressionPanel, model: str) -> FitResult:
-    """Least squares for the models linear in their slope: 'linear' or 'sqrt'."""
+    """Least squares for the models linear in their slope, 'linear' or 'sqrt', at
+    every panel size by the centred line fit in chunked sums that estimate_ou
+    shares (``_line_fit``), with variances s^2 / Sdd and s^2 (1/n + d_bar^2 / Sdd)."""
     if model == "linear":
         d = panel.x - panel.x_prev
     elif model == "sqrt":
@@ -195,37 +216,18 @@ def fit_ols(panel: RegressionPanel, model: str) -> FitResult:
     if np.ptp(d) == 0.0:
         raise EstimationError(f"design column delta_f({model}) is constant; slope not identified")
     n = panel.n
-    collinear = EstimationError(f"design column delta_f({model}) is collinear with the intercept")
-    A = np.column_stack([np.ones(n), d])
-    if n > _CHUNK:
-        # LAPACK's least squares sums over the whole panel: take the centred
-        # closed form in chunked sums instead, as estimate_ou does.  It holds no
-        # column scale; as in lstsq's rank test, the slope is unidentified where
-        # d's spread about its mean is within n * eps of its size.
-        d_bar, r_bar = float(d.mean()), float(panel.r.mean())
-        dc = d - d_bar
-        sdd = float(_tdot(dc, dc))
-        if sdd <= (n * np.finfo(float).eps) ** 2 * float(_tdot(d, d)):
-            raise collinear
-        slope = float(_tdot(dc, panel.r - r_bar)) / sdd
-        beta = np.array([r_bar - slope * d_bar, slope])
-        cov_diag = np.array([1.0 / n + d_bar * d_bar / sdd, 1.0 / sdd])
-    else:
-        beta, _, rank, _ = np.linalg.lstsq(A, panel.r, rcond=None)
-        if rank < 2:
-            raise collinear
-        cov_diag = np.diag(np.linalg.inv(A.T @ A))
-    resid = panel.r - A @ beta
-    rss = float(_tdot(resid, resid))
+    if (line := _line_fit(d, panel.r)) is None:
+        raise EstimationError(f"design column delta_f({model}) is collinear with the intercept")
+    a, slope, d_bar, sdd, rss = line
     s2 = rss / (n - 2)
-    se = np.sqrt(s2 * cov_diag)
+    se = np.sqrt(s2 * np.array([1.0 / n + d_bar * d_bar / sdd, 1.0 / sdd]))
     adj, bic = _selection_stats(panel.r, rss, n, 2)
     with np.errstate(divide="ignore", invalid="ignore"):
-        t = beta / se
+        t = np.array([a, slope]) / se
     return FitResult(
         model=model,
-        a_hat=float(beta[0]),
-        param_hats={"alpha": float(beta[1])},
+        a_hat=a,
+        param_hats={"alpha": slope},
         ses={"a": float(se[0]), "alpha": float(se[1])},
         t_stats={"a": float(t[0]), "alpha": float(t[1])},
         rss=rss,
@@ -888,7 +890,8 @@ def estimate_ou(flows, dt: float = 1.0) -> OUEstimate:
 
     ``flows`` is one series or a sequence of day-contiguous segments; the
     AR(1) regression X_t on X_{t-1} never pairs observations across segment
-    boundaries.  Requires at least 30 observations and nonzero variance.
+    boundaries.  Requires at least 30 observations, and lagged flows whose
+    spread is more than rounding (``_line_fit``'s rank test).
     """
     if not 0 < dt < math.inf:
         raise EstimationError(f"dt must be positive and finite, got {dt}")
@@ -904,17 +907,11 @@ def estimate_ou(flows, dt: float = 1.0) -> OUEstimate:
     y = np.concatenate([s[1:] for s in segs])
     xlag = np.concatenate([s[:-1] for s in segs])
     n = y.size
-    sxx = float(np.sum((xlag - xlag.mean()) ** 2))
-    if sxx == 0.0:
-        raise EstimationError("flow series has zero variance; dynamics not identified")
-
-    beta1 = float(np.sum((xlag - xlag.mean()) * (y - y.mean())) / sxx)
-    beta0 = float(y.mean() - beta1 * xlag.mean())
-    resid = y - beta0 - beta1 * xlag
-    rss = float(_tdot(resid, resid))
+    if (line := _line_fit(xlag, y)) is None:
+        raise EstimationError("flow series has no variance beyond rounding; dynamics not identified")
+    beta0, beta1, xbar, sxx, rss = line
     s2 = rss / (n - 2)
     se_b1 = math.sqrt(s2 / sxx)
-    xbar = float(xlag.mean())
     var_b0 = s2 * (1.0 / n + xbar * xbar / sxx)
     cov_b01 = -xbar * s2 / sxx
 
@@ -963,15 +960,23 @@ def fit_result_to_dict(fr: FitResult) -> dict:
 
 
 def _fit_row_fault(rec: dict, seen: set[tuple[str, str]]) -> str | None:
-    """Why read_daily_fits_csv refuses a row (date, model, converged and the
-    parameter columns of ``rec``) after the rows whose (date, model) are in
-    ``seen``, or None, adding the row's (date, model) to ``seen``."""
-    missing = [name for name in _MODEL_PARAMS.get(rec["model"], ()) if rec[name] is None]
-    if rec["converged"] and missing:
+    """Why read_daily_fits_csv refuses a row (``rec`` by DAILY_FIT_HEADER name,
+    converged as its cell) after the rows whose (date, model) are in ``seen``,
+    or None, adding the row's (date, model) to ``seen``: a converged cell other
+    than 0 or 1, or a converged row without its model's parameters, rss, adj_r2
+    or bic, with one not finite (a bic of -inf, at RSS 0, aside) or with an
+    S-shape ell or q that is not positive."""
+    if rec["converged"] not in ("0", "1"):
+        return f"converged must be 0 or 1, got {rec['converged']!r}"
+    required = (*_MODEL_PARAMS.get(rec["model"], ()), "rss", "adj_r2", "bic") if rec["converged"] == "1" else ()
+    if missing := [name for name in required if rec[name] is None]:
         return f"converged {rec['model']} fit lacks {', '.join(missing)}"
-    for name in ("ell", "q") if rec["converged"] and rec["model"] == "sshape" else ():
+    for name in ("ell", "q") if required and rec["model"] == "sshape" else ():
         if not rec[name] > 0:
             return f"{name} must be positive, got {rec[name]!r}"
+    for name in required:
+        if not (math.isfinite(rec[name]) or (name == "bic" and rec[name] == -math.inf)):
+            return f"{name} must be finite{' or -inf' if name == 'bic' else ''}, got {rec[name]!r}"
     if (key := (rec["date"], rec["model"])) in seen:
         return f"second {rec['model']} row for {rec['date']}"
     seen.add(key)
@@ -982,30 +987,25 @@ def write_daily_fits_csv(rows: list[tuple[str, FitResult]], dest: str | Path) ->
     """One row per (date, fit): shared columns plus the union of model parameters.
 
     Raises ValueError naming the date and model, before the file is opened,
-    for a row that read_daily_fits_csv would refuse: a second row for a date
-    and model, a converged row without its model's parameters, or a converged
-    S-shape row whose ell or q is not positive.
+    for a row that read_daily_fits_csv would refuse (``_fit_row_fault``).
     """
     seen: set[tuple[str, str]] = set()
+    recs = []
     for date, fr in rows:
-        rec = {"date": date, "model": fr.model, "converged": fr.converged,
-               **{name: fr.param_hats.get(name) for name in ("ell", "p", "q", "alpha")}}
+        rec = dict(zip(DAILY_FIT_HEADER, (
+            date, fr.model, "1" if fr.converged else "0", fr.n, fr.k, fr.a_hat,
+            *(fr.param_hats.get(name) for name in ("ell", "p", "q", "alpha")), fr.rss, fr.adj_r2, fr.bic)))
         if fault := _fit_row_fault(rec, seen):
             raise ValueError(f"{date} {fr.model}: {fault}: the fits file could not be read back")
-    write_table(dest, DAILY_FIT_HEADER, (
-        (date, fr.model, "1" if fr.converged else "0", fr.n, fr.k, fr.a_hat,
-         *(fr.param_hats.get(name) for name in ("ell", "p", "q", "alpha")), fr.rss, fr.adj_r2, fr.bic)
-        for date, fr in rows
-    ))
+        recs.append(rec.values())
+    write_table(dest, DAILY_FIT_HEADER, recs)
 
 
 def read_daily_fits_csv(path: str | Path) -> list[dict]:
     """Rows of the daily-fit CSV as dicts with floats parsed and '' -> None.
 
-    A bad header, row length, number or integer, a second row for a date and
-    model, a converged row without its model's parameters, or a converged
-    S-shape row whose ell or q is not positive raises ParseError with the file
-    and line.
+    A bad header, row length, number or integer, or a row that
+    ``_fit_row_fault`` refuses, raises ParseError with the file and line.
     """
     out: list[dict] = []
     seen: set[tuple[str, str]] = set()
@@ -1013,10 +1013,10 @@ def read_daily_fits_csv(path: str | Path) -> list[dict]:
         rec = dict(zip(DAILY_FIT_HEADER, row))
         for key in ("a_hat", "ell", "p", "q", "alpha", "rss", "adj_r2", "bic"):
             rec[key] = parse_float(rec[key], where=where)
-        rec["converged"] = rec["converged"] == "1"
         rec["n"] = parse_int(rec["n"], where=where)
         rec["k"] = parse_int(rec["k"], where=where)
         if fault := _fit_row_fault(rec, seen):
             raise ParseError(f"{where}: {fault}")
+        rec["converged"] = rec["converged"] == "1"
         out.append(rec)
     return out

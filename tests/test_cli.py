@@ -814,7 +814,11 @@ def test_compare_takes_panel_csv_as_bars_without_sizes(tmp_path, capsys):
     (lambda cells: cells[:6] + [""] + cells[7:], "converged sshape fit lacks ell"),
     (lambda cells: cells[:6] + ["-1e-05"] + cells[7:], "ell must be positive, got -1e-05"),
     (lambda cells: ["2024-02-01"] + cells[1:], "second sshape row for 2024-02-01"),
-], ids=["short-row", "bad-number", "sshape-without-ell", "sshape-negative-ell", "repeated-date-and-model"])
+    (lambda cells: cells[:2] + ["yes"] + cells[3:], "converged must be 0 or 1, got 'yes'"),
+    (lambda cells: cells[:10] + [""] + cells[11:], "converged sshape fit lacks rss"),
+    (lambda cells: cells[:7] + ["nan"] + cells[8:], "p must be finite, got nan"),
+], ids=["short-row", "bad-number", "sshape-without-ell", "sshape-negative-ell", "repeated-date-and-model",
+        "converged-yes", "sshape-without-rss", "sshape-nan-p"])
 def test_compare_malformed_fits_row(tmp_path, capsys, edit, hint):
     days = [f"2024-02-{i:02d}" for i in range(1, 4)]
     fits_csv = tmp_path / "cl.fits.csv"

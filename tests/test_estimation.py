@@ -235,9 +235,9 @@ def test_fit_ols_sqrt_exact_recovery():
 
 
 def test_fit_ols_matches_brute_force_stats():
-    # Above 8,192 rows the fit takes the centred closed form, summed in chunks.
-    # It holds no column scale: flows in large or small units fit alike.
-    for n, flow_sd in ((150, 100.0), (20_000, 100.0), (20_000, 1e8), (20_000, 1e-8)):
+    # One centred closed form, summed in chunks, at every size (one chunk at 150
+    # rows, three at 20,000).  It holds no column scale: flows in large or small units fit alike.
+    for n, flow_sd in ((150, 100.0), (150, 1e8), (150, 1e-8), (20_000, 100.0), (20_000, 1e8), (20_000, 1e-8)):
         rng = np.random.default_rng(33)
         x = rng.normal(0.0, flow_sd, n)
         x_prev = np.concatenate(([0.0], x[:-1]))
@@ -406,7 +406,7 @@ def test_fit_sshape_overflowing_covariance_gives_nan_ses_without_warnings():
 
 
 def test_fit_sshape_singular_covariance_names_its_nan_ses(caplog):
-    # On pure noise this start ends at q near 7e-16, where J'J has no positive variance for p or q.
+    # On pure noise this start ends at q near 7e-16, where J'J has no positive variance for ell, p or q.
     rng = np.random.default_rng(8)
     x = rng.normal(0.0, 50.0, 21)
     panel = RegressionPanel(r=rng.normal(0.0, 1e-4, 20), x=x[1:], x_prev=x[:-1])
@@ -414,13 +414,13 @@ def test_fit_sshape_singular_covariance_names_its_nan_ses(caplog):
     with caplog.at_level(logging.WARNING, logger="liqimpact.estimation"):
         fit = fit_sshape(panel, [(-3e-2 / s, 1e-1 / s ** 2)])
     assert fit.converged and fit.param_hats["q"] < 1e-12
-    assert fit.message == "J'J is singular at the optimum in p, q: their standard errors and t statistics are NaN"
+    assert fit.message == ("J'J is singular at the optimum in ell, p, q: "
+                           "their standard errors and t statistics are NaN")
     assert [r.getMessage() for r in caplog.records] == [f"fit_sshape: {fit.message}"]
-    for name in ("p", "q"):
+    for name in ("ell", "p", "q"):
         assert math.isnan(fit.ses[name]) and math.isnan(fit.t_stats[name])
-    for name, est in (("a", fit.a_hat), ("ell", fit.param_hats["ell"])):
-        assert fit.ses[name] > 0.0
-        assert fit.t_stats[name] == est / fit.ses[name]
+    assert fit.ses["a"] > 0.0
+    assert fit.t_stats["a"] == fit.a_hat / fit.ses["a"]
 
 
 def test_fit_sshape_bad_grids_raise():
@@ -1138,6 +1138,23 @@ def test_estimate_ou_day_segments_do_not_pair_across_days():
     assert flat.beta1 != by_rows.beta1
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(-1e6, 1e6), min_size=31, max_size=120).map(np.array)
+       | st.builds(lambda eta, seed: _exact_ou(0.2, 1e8, eta, 200, seed=seed),
+                   st.sampled_from([1e-6, 1e-5, 1.0]), st.integers(0, 2 ** 32 - 1)))
+def test_estimate_ou_regression_is_fit_ols_linear_bitwise(flows):
+    # One line fit serves both: X_t on X_{t-1} is fit_ols's linear model with x_prev = 0.
+    panel = RegressionPanel(flows[1:], flows[:-1], np.zeros(len(flows) - 1))
+    try:
+        fit = fit_ols(panel, "linear")
+    except EstimationError:
+        with pytest.raises(EstimationError):
+            estimate_ou(flows)
+        return
+    est = estimate_ou(flows)
+    assert (est.beta0, est.beta1) == (fit.a_hat, fit.param_hats["alpha"])
+
+
 def test_estimate_ou_negative_autocorrelation_flagged():
     flows = np.tile([1.5, -1.5], 100) + np.random.default_rng(53).normal(0, 0.01, 200)
     est = estimate_ou(flows)
@@ -1161,6 +1178,12 @@ def test_estimate_ou_validation():
         estimate_ou(np.zeros(29) + np.arange(29))  # too few observations
     with pytest.raises(EstimationError):
         estimate_ou(np.full(100, 3.0))  # no variance
+    # Flows that vary only in their last bits: the fit of that rounding noise is refused
+    # by the line fit's rank test, as fit_ols refuses a design collinear with the intercept.
+    near_constant = 1e8 + 1e-8 * np.random.default_rng(61).standard_normal(400)
+    assert np.ptp(near_constant) > 0.0
+    with pytest.raises(EstimationError, match="no variance beyond rounding"):
+        estimate_ou(near_constant)
     for dt in (0.0, math.nan, math.inf):  # nan gave NaN estimates and inf a c_hat of 0.0
         with pytest.raises(EstimationError, match=f"^dt must be positive and finite, got {dt}$"):
             estimate_ou(_exact_ou(0.2, 1.0, 30.0, 300, seed=59), dt=dt)

@@ -7,8 +7,10 @@ ParseError that names the file and line.  The one exception: a bar file's
 """
 
 import json
+import math
 import re
 import tempfile
+from dataclasses import replace
 from datetime import date
 from pathlib import Path
 
@@ -64,13 +66,17 @@ PARAMS = {"sshape": ("ell", "p", "q"), "linear": ("alpha",), "sqrt": ("alpha",)}
 def fit_rows(draw):
     model = draw(st.sampled_from(sorted(PARAMS)))
     converged = draw(st.booleans())
-    # A converged fit has all its parameters, and a converged S-shape a positive
-    # ell and q; an unconverged one may lack any.
+    # A converged fit has all its parameters, finite, a finite rss and adj_r2, a bic
+    # that is finite or -inf, and a converged S-shape a positive ell and q; an
+    # unconverged one may lack any parameter and hold any value.
     positive = {"ell", "q"} if converged and model == "sshape" else set()
-    hats = {name: draw(st.floats(min_value=0.0, exclude_min=True) if name in positive else st.floats())
+    value = st.floats(allow_nan=False, allow_infinity=False) if converged else st.floats()
+    hats = {name: draw(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False) if name in positive
+                       else value)
             for name in PARAMS[model] if converged or draw(st.booleans())}
+    bic = value | st.just(-math.inf) if converged else st.floats()
     fit = FitResult(model=model, a_hat=draw(st.floats()), param_hats=hats, ses={}, t_stats={},
-                    rss=draw(st.floats()), adj_r2=draw(st.floats()), bic=draw(st.floats()),
+                    rss=draw(value), adj_r2=draw(value), bic=draw(bic),
                     n=draw(st.integers(0, 10**6)), k=draw(st.integers(1, 4)), converged=converged)
     return draw(DAYS), fit
 
@@ -113,7 +119,8 @@ def _fit(model, converged=True, **hats):
     ([("d3", _fit("sqrt"))], "d3 sqrt: converged sqrt fit lacks alpha"),
     ([("d1", _fit("sshape", ell=-1e-5, p=-3e-3, q=8e-5))], "d1 sshape: ell must be positive, got -1e-05"),
     ([("d1", _fit("sshape", ell=1e-5, p=-3e-3, q=float("nan")))], "d1 sshape: q must be positive, got nan"),
-], ids=["repeated-date-and-model", "sshape-without-p", "sqrt-without-alpha", "negative-ell", "nan-q"])
+    ([("d2", replace(_fit("linear", alpha=1e-4), rss=float("nan")))], "d2 linear: rss must be finite, got nan"),
+], ids=["repeated-date-and-model", "sshape-without-p", "sqrt-without-alpha", "negative-ell", "nan-q", "nan-rss"])
 def test_daily_fits_writer_refuses_a_row_the_reader_refuses_before_writing(tmp_path, rows, message):
     # read_daily_fits_csv refuses these rows, so write_daily_fits_csv does not write them;
     # an unconverged row may lack its parameters.
@@ -141,8 +148,15 @@ LINEAR = "2024-01-02,linear,1,240,2,1e-06,,,,0.0001,2e-08,0.3,-2900.0"
     (f"{HEADER}\n{SSHAPE.replace('1.3e-05', '-1e-05')}\n", ":2: ell must be positive, got -1e-05"),
     (f"{HEADER}\n{SSHAPE.replace('8.15e-05', '0.0')}\n", ":2: q must be positive, got 0.0"),
     (f"{HEADER}\n{SSHAPE}\n{LINEAR}\n{SSHAPE}\n", ":4: second sshape row for 2024-01-02"),
+    (f"{HEADER}\n{SSHAPE}\n{SSHAPE.replace(',1,240,', ',yes,240,')}\n", ":3: converged must be 0 or 1, got 'yes'"),
+    (f"{HEADER}\n{LINEAR.replace(',2e-08,', ',,')}\n", ":2: converged linear fit lacks rss"),
+    (f"{HEADER}\n{SSHAPE.replace('-0.0034', 'nan')}\n", ":2: p must be finite, got nan"),
+    (f"{HEADER}\n{SSHAPE.replace('1.3e-05', 'inf')}\n", ":2: ell must be finite, got inf"),
+    (f"{HEADER}\n{LINEAR.replace(',0.3,', ',-inf,')}\n", ":2: adj_r2 must be finite, got -inf"),
+    (f"{HEADER}\n{LINEAR.replace('-2900.0', 'nan')}\n", ":2: bic must be finite or -inf, got nan"),
 ], ids=["header", "short-row", "bad-number", "bad-integer", "sshape-without-ell", "linear-without-alpha",
-        "sshape-negative-ell", "sshape-zero-q", "repeated-date-and-model"])
+        "sshape-negative-ell", "sshape-zero-q", "repeated-date-and-model", "converged-yes", "linear-without-rss",
+        "sshape-nan-p", "sshape-inf-ell", "linear-infinite-adj-r2", "linear-nan-bic"])
 def test_read_daily_fits_csv_bad_row_location(tmp_path, text, hint):
     path = tmp_path / "es.fits.csv"
     path.write_text(text, encoding="utf-8")
@@ -165,3 +179,13 @@ def test_newest_bench_file_records_the_src_line_count():
     newest = max(root.glob("BENCH_*.json"), key=lambda p: int(p.stem.split("_")[1]))
     lines = sum(p.read_bytes().count(b"\n") for p in (root / "src" / "liqimpact").glob("*.py"))
     assert json.loads(newest.read_text())["src_lines"]["change"] == lines, newest.name
+
+
+def test_bench_files_chain_their_src_line_counts():
+    """From BENCH_19.json on, each file's parent line count is the change count of the one before."""
+    root = Path(__file__).resolve().parent.parent
+    counts = {int(p.stem.split("_")[1]): json.loads(p.read_text())["src_lines"] for p in root.glob("BENCH_*.json")}
+    newest = max(counts)
+    assert set(range(18, newest + 1)) <= set(counts)
+    for n in range(19, newest + 1):
+        assert counts[n]["parent"] == counts[n - 1]["change"], f"BENCH_{n}.json"
