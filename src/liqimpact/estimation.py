@@ -14,9 +14,11 @@ flow dispersion, less two points that start on the no-impact plateau (see
 start's state is a row of arrays, and the starts advance in rounds, one
 iteration each: a round evaluates every live start's trial point together,
 on the flows in panel order (so that f(x_t) - f(x_{t-1}) is a difference of
-neighbours), forms J'J and J'e only for trials that lower their start's RSS,
-and steps the live rows with array operations, so each start's search is
-bitwise the one it would make alone.
+neighbours, put right where x_{t-1} is not the previous row's x; where more
+than half the rows are such seams, the flows are x then x_prev and the
+difference is of the two halves), forms J'J and J'e only for trials that
+lower their start's RSS, and steps the live rows with array operations, so
+each start's search is bitwise the one it would make alone.
 After each round a live start is retired when it lies within one standard
 error of a start with lower RSS, in that start's Gauss-Newton metric (J'J), if
 that J'J pins its optimum down to the stopping tolerances; short panels
@@ -247,6 +249,7 @@ def fit_ols(panel: RegressionPanel, model: str) -> FitResult:
 _MERGE_RADIUS = 1.0
 # An evaluation block holds max(1, _BLOCK_POINTS // n) rows on a panel of n
 # observations: larger blocks of continuous flows leave the cache and ran slower.
+# A row holds n flows plus one per seam, so up to 2n where every row is a seam.
 _BLOCK_POINTS = 16_384
 # A panel of more than _SCREEN_ROWS rows first runs its starts on every
 # _SCREEN_STRIDE-th row (see fit_sshape).
@@ -320,6 +323,12 @@ class _SShapeResiduals:
     x, then the "seam" x_prev that are not the previous x (the first one, day
     starts, skipped returns).  A difference f(x) - f(x_prev) is then one
     subtraction of neighbouring columns, with the seams put right after it.
+    Where more than half the rows are seams (the screen's every 8th row, where
+    no x_prev is the previous x), every row is taken as one: the flows are x
+    then x_prev, and a difference is one subtraction of the two halves.  A
+    flow point costs about as much to evaluate as a seam's gather and scatter
+    over the four differences, so the halves break even near n/2 seams and
+    evaluate no more points when every row is one.
     A flow that repeats (integer bar flows) is evaluated at each place it
     appears, to the same bits.  Evaluating each distinct flow once instead
     needs both terms of every difference gathered by index, two panel-sized
@@ -347,7 +356,9 @@ class _SShapeResiduals:
         self.n, self.r = n, panel.r
         self.block = max(1, min(max_rows, _BLOCK_POINTS // n))
         # Rows whose x_prev is not the previous row's x; row 0 always is one.
-        self.seams = np.flatnonzero(np.concatenate([[True], panel.x_prev[1:] != panel.x[:-1]]))
+        # Past half the rows, every row is taken as one (the x, x_prev halves).
+        seams = np.flatnonzero(np.concatenate([[True], panel.x_prev[1:] != panel.x[:-1]]))
+        self.seams = np.arange(n) if 2 * seams.size > n else seams
         self.flows = np.concatenate([panel.x, panel.x_prev[self.seams]])
         m = self.flows.size
         nonzero = np.abs(self.flows[self.flows != 0.0])
@@ -397,9 +408,12 @@ class _SShapeResiduals:
         return rss, JtJ, g
 
     def _difference(self, values: np.ndarray) -> np.ndarray:
-        """Each row's values at x less its values at x_prev, in g_cur: a
-        difference of neighbouring columns, put right at the seams."""
+        """Each row's values at x less its values at x_prev, in g_cur: the x
+        half less the x_prev half where every row is a seam, else a difference
+        of neighbouring columns, put right at the seams."""
         n, g_cur = self.n, self.g_cur[:len(values)]
+        if self.seams.size == n:
+            return np.subtract(values[:, :n], values[:, n:], out=g_cur)
         np.subtract(values[:, 1:n], values[:, :n - 1], out=g_cur[:, 1:])
         g_cur[:, self.seams] = values[:, self.seams] - values[:, n:]
         return g_cur
@@ -767,11 +781,13 @@ def fit_sshape(
     one or with an RSS within ``rss_rtol`` of its RSS is dropped (see
     :func:`_distinct_survivors`), and the rest run on the full panel from
     their endpoints.  On recovery panels of 100 days x 360 bars, one start was
-    left and the fit took about half the time.  Panels of at most 8,192 rows
-    are fit from the grid alone, as before.  Every sum over the panel's rows
-    runs over chunks of at most 8,192 rows in order, so the result does not
-    depend on the BLAS thread count.  Standard errors come from the full
-    panel's J at the optimum, and ``starts_tried`` counts the grid.
+    left and the fit took about half the time; with the strided rows laid out
+    as (x, x_prev) halves (see :class:`_SShapeResiduals`), it took a further
+    fifth less.  Panels of at most 8,192 rows are fit from the grid alone, as
+    before.  Every sum over the panel's rows runs over chunks of at most 8,192
+    rows in order, so the result does not depend on the BLAS thread count.
+    Standard errors come from the full panel's J at the optimum, and
+    ``starts_tried`` counts the grid.
     """
     d = panel.x - panel.x_prev
     if np.ptp(d) == 0.0:
@@ -962,13 +978,16 @@ def fit_result_to_dict(fr: FitResult) -> dict:
 def _fit_row_fault(rec: dict, seen: set[tuple[str, str]]) -> str | None:
     """Why read_daily_fits_csv refuses a row (``rec`` by DAILY_FIT_HEADER name,
     converged as its cell) after the rows whose (date, model) are in ``seen``,
-    or None, adding the row's (date, model) to ``seen``: a converged cell other
-    than 0 or 1, or a converged row without its model's parameters, rss, adj_r2
-    or bic, with one not finite (a bic of -inf, at RSS 0, aside) or with an
-    S-shape ell or q that is not positive."""
+    or None, adding the row's (date, model) to ``seen``: a model other than
+    _MODEL_PARAMS' names, a converged cell other than 0 or 1, or a converged
+    row without its model's parameters, rss, adj_r2 or bic, with one not finite
+    (a bic of -inf, at RSS 0, aside) or with an S-shape ell or q that is not
+    positive."""
+    if rec["model"] not in _MODEL_PARAMS:
+        return f"model must be one of {', '.join(_MODEL_PARAMS)}, got {rec['model']!r}"
     if rec["converged"] not in ("0", "1"):
         return f"converged must be 0 or 1, got {rec['converged']!r}"
-    required = (*_MODEL_PARAMS.get(rec["model"], ()), "rss", "adj_r2", "bic") if rec["converged"] == "1" else ()
+    required = (*_MODEL_PARAMS[rec["model"]], "rss", "adj_r2", "bic") if rec["converged"] == "1" else ()
     if missing := [name for name in required if rec[name] is None]:
         return f"converged {rec['model']} fit lacks {', '.join(missing)}"
     for name in ("ell", "q") if required and rec["model"] == "sshape" else ():

@@ -919,8 +919,39 @@ def test_panel_order_matches_the_oracle_bitwise_with_repeated_and_distinct_flows
     grid = [(-1e-2 / s * k, 1e-2 / s ** 2 * 10.0 ** j) for k in (-1, 0, 2) for j in (-1, 1)]
     residuals = _assert_evaluation_matches_oracle(panel, estimation._start_thetas(panel, grid))
     seam = np.concatenate([[True], panel.x_prev[1:] != panel.x[:-1]])
+    # Where more than half the rows are seams, every row is taken as one.
+    if 2 * seam.sum() > panel.n:
+        seam[:] = True
     assert np.array_equal(residuals.seams, np.flatnonzero(seam))
     assert np.array_equal(residuals.flows, np.concatenate([panel.x, panel.x_prev[seam]]))
+
+
+def _strided(panel, stride=estimation._SCREEN_STRIDE):
+    return RegressionPanel(*(column[::stride] for column in (panel.r, panel.x, panel.x_prev)))
+
+
+def _assert_pair_layout(panel):
+    residuals = _assert_evaluation_matches_oracle(panel, estimation._start_thetas(panel, None))
+    assert np.array_equal(residuals.seams, np.arange(panel.n))
+    assert np.array_equal(residuals.flows, np.concatenate([panel.x, panel.x_prev]))
+
+
+def test_screen_rows_are_laid_out_as_x_then_x_prev_and_match_the_oracle_bitwise():
+    # The screen's every 8th row of a recovery panel: no x_prev is the previous row's x.
+    sub = _strided(make_panel(n_days=100, bars_per_day=360, noise_sd=5e-4, seed=4009))
+    assert estimation._BLOCK_POINTS // sub.n > 1  # blocks of several rows
+    assert not (sub.x_prev[1:] == sub.x[:-1]).any()
+    _assert_pair_layout(sub)
+
+
+def test_strided_integer_flows_with_coincident_rows_take_the_pair_layout():
+    # Rounded flows sometimes coincide across the stride, so some rows are not
+    # seams; more than half still are, and every row is taken as one.
+    panel = make_panel(n_days=20, bars_per_day=360, noise_sd=5e-4, seed=4011)
+    sub = _strided(RegressionPanel(panel.r, np.rint(panel.x / 10.0), np.rint(panel.x_prev / 10.0)))
+    joined = int((sub.x_prev[1:] == sub.x[:-1]).sum())
+    assert 0 < joined < sub.n / 2
+    _assert_pair_layout(sub)
 
 
 @pytest.mark.parametrize("seed", [83, 89, 97])

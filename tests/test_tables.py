@@ -120,7 +120,10 @@ def _fit(model, converged=True, **hats):
     ([("d1", _fit("sshape", ell=-1e-5, p=-3e-3, q=8e-5))], "d1 sshape: ell must be positive, got -1e-05"),
     ([("d1", _fit("sshape", ell=1e-5, p=-3e-3, q=float("nan")))], "d1 sshape: q must be positive, got nan"),
     ([("d2", replace(_fit("linear", alpha=1e-4), rss=float("nan")))], "d2 linear: rss must be finite, got nan"),
-], ids=["repeated-date-and-model", "sshape-without-p", "sqrt-without-alpha", "negative-ell", "nan-q", "nan-rss"])
+    ([("d1", _fit("linear", alpha=1e-4)), ("d1", _fit("cubic", False))],
+     "d1 cubic: model must be one of sshape, linear, sqrt, got 'cubic'"),
+], ids=["repeated-date-and-model", "sshape-without-p", "sqrt-without-alpha", "negative-ell", "nan-q", "nan-rss",
+        "unknown-model"])
 def test_daily_fits_writer_refuses_a_row_the_reader_refuses_before_writing(tmp_path, rows, message):
     # read_daily_fits_csv refuses these rows, so write_daily_fits_csv does not write them;
     # an unconverged row may lack its parameters.
@@ -154,9 +157,11 @@ LINEAR = "2024-01-02,linear,1,240,2,1e-06,,,,0.0001,2e-08,0.3,-2900.0"
     (f"{HEADER}\n{SSHAPE.replace('1.3e-05', 'inf')}\n", ":2: ell must be finite, got inf"),
     (f"{HEADER}\n{LINEAR.replace(',0.3,', ',-inf,')}\n", ":2: adj_r2 must be finite, got -inf"),
     (f"{HEADER}\n{LINEAR.replace('-2900.0', 'nan')}\n", ":2: bic must be finite or -inf, got nan"),
+    (f"{HEADER}\n{LINEAR}\n{LINEAR.replace(',linear,', ',cubic,')}\n",
+     ":3: model must be one of sshape, linear, sqrt, got 'cubic'"),
 ], ids=["header", "short-row", "bad-number", "bad-integer", "sshape-without-ell", "linear-without-alpha",
         "sshape-negative-ell", "sshape-zero-q", "repeated-date-and-model", "converged-yes", "linear-without-rss",
-        "sshape-nan-p", "sshape-inf-ell", "linear-infinite-adj-r2", "linear-nan-bic"])
+        "sshape-nan-p", "sshape-inf-ell", "linear-infinite-adj-r2", "linear-nan-bic", "unknown-model"])
 def test_read_daily_fits_csv_bad_row_location(tmp_path, text, hint):
     path = tmp_path / "es.fits.csv"
     path.write_text(text, encoding="utf-8")
