@@ -23,11 +23,12 @@ After each round a live start is retired when it lies within one standard
 error of a start with lower RSS, in that start's Gauss-Newton metric (J'J), if
 that J'J pins its optimum down to the stopping tolerances; short panels
 therefore run every start to its end.
-A panel of more than 8,192 rows first runs every start on every 8th row (the
-screen), drops each surviving start within one standard error or within
-rss_rtol in RSS of a lower-RSS survivor, and runs the rest on the full panel
-from where they stopped; panels of at most 8,192 rows are fit from the grid
-alone, exactly as before the screen.
+A panel of more than 8,192 rows first runs every start on every 64th row,
+then on every 8th (the screen): after each level it drops each surviving start
+within one standard error or within rss_rtol in RSS of a lower-RSS survivor,
+and all but the lowest at an RSS of at most rss_rtol r'r (an exact fit), and
+runs the rest on the next level, the full panel last, from where they stopped;
+panels of at most 8,192 rows are fit from the grid alone, as before the screen.
 
 Every sum over a panel's rows (e'e, J'J and J'e, the covariances and the line
 fit's sums) runs over chunks of at most 8,192 rows added in order, so no BLAS
@@ -252,9 +253,9 @@ _MERGE_RADIUS = 1.0
 # A row holds n flows plus one per seam, so up to 2n where every row is a seam.
 _BLOCK_POINTS = 16_384
 # A panel of more than _SCREEN_ROWS rows first runs its starts on every
-# _SCREEN_STRIDE-th row (see fit_sshape).
+# 64th row, then the survivors on every 8th (see fit_sshape).
 _SCREEN_ROWS = _CHUNK
-_SCREEN_STRIDE = 8
+_SCREEN_STRIDES = (64, 8)
 
 
 def default_start_grid(flow_sd: float) -> list[tuple[float, float]]:
@@ -323,12 +324,12 @@ class _SShapeResiduals:
     x, then the "seam" x_prev that are not the previous x (the first one, day
     starts, skipped returns).  A difference f(x) - f(x_prev) is then one
     subtraction of neighbouring columns, with the seams put right after it.
-    Where more than half the rows are seams (the screen's every 8th row, where
-    no x_prev is the previous x), every row is taken as one: the flows are x
-    then x_prev, and a difference is one subtraction of the two halves.  A
-    flow point costs about as much to evaluate as a seam's gather and scatter
-    over the four differences, so the halves break even near n/2 seams and
-    evaluate no more points when every row is one.
+    Where more than half the rows are seams (the screen's every 64th and every
+    8th row, where no x_prev is the previous x), every row is taken as one:
+    the flows are x then x_prev, and a difference is one subtraction of the
+    two halves.  A flow point costs about as much to evaluate as a seam's
+    gather and scatter over the four differences, so the halves break even
+    near n/2 seams and evaluate no more points when every row is one.
     A flow that repeats (integer bar flows) is evaluated at each place it
     appears, to the same bits.  Evaluating each distinct flow once instead
     needs both terms of every difference gathered by index, two panel-sized
@@ -669,20 +670,25 @@ def _retire_merged(s: _Starts, n: int, rss_rtol: float, grad_atol: float) -> Non
         _merge(s, kept, near & (s.stop[kept] == _LIVE)[:, None])
 
 
-def _distinct_survivors(s: _Starts, n: int, rss_rtol: float, grad_atol: float) -> np.ndarray:
+def _distinct_survivors(s: _Starts, r: np.ndarray, rss_rtol: float, grad_atol: float) -> np.ndarray:
     """The rows of the stopped starts that are neither retired, infeasible nor
     a duplicate of a lower-RSS one, which is each start within _MERGE_RADIUS
     standard errors of it, as :func:`_retire_merged` takes them, or with an RSS
-    within rss_rtol of its RSS.
+    within rss_rtol of its RSS, or with an RSS of at most rss_rtol r'r (an
+    exact fit), on a panel of returns r.
 
     The RSS tie stands in where the metric is too soft to absorb: on the
     pooled panels of tick files every start reached one optimum by ftol, at
-    scattered points, and none absorbed another.
+    scattered points, and none absorbed another.  The floor stands in where
+    zero RSS absorbs nothing: on noise-free recovery panels every start
+    stopped by gtol at an RSS of 1e-24 to 2e-20, where r'r was 1.6e-4.
     """
+    n = len(r)
     kept = np.flatnonzero(s.stop < _MERGED)
     rss = s.rss[kept]
     rank = _rank(rss)
-    near = (rank[None, :] < rank[:, None]) & (rss[:, None] - rss[None, :] <= rss_rtol * rss[None, :])
+    tied = (rss[:, None] - rss[None, :] <= rss_rtol * rss[None, :]) | (rss[:, None] <= rss_rtol * _tdot(r, r))
+    near = (rank[None, :] < rank[:, None]) & tied
     if (within := _within_reach(s, kept, n, rss_rtol, grad_atol)) is not None:
         near |= within
     _merge(s, kept, near)
@@ -776,16 +782,19 @@ def fit_sshape(
     is retired and never chosen (see :func:`_retire_merged`); on short panels,
     and on a panel the model fits exactly (RSS 0), every start runs to its end.
 
-    On a panel of more than 8,192 rows the grid is first run on every 8th row;
-    of the starts that end there, each within one standard error of a lower-RSS
-    one or with an RSS within ``rss_rtol`` of its RSS is dropped (see
-    :func:`_distinct_survivors`), and the rest run on the full panel from
-    their endpoints.  On recovery panels of 100 days x 360 bars, one start was
-    left and the fit took about half the time; with the strided rows laid out
-    as (x, x_prev) halves (see :class:`_SShapeResiduals`), it took a further
-    fifth less.  Panels of at most 8,192 rows are fit from the grid alone, as
-    before.  Every sum over the panel's rows runs over chunks of at most 8,192
-    rows in order, so the result does not depend on the BLAS thread count.
+    On a panel of more than 8,192 rows the grid is first run on every 64th
+    row, then on every 8th.  At each level, of the starts that end there, each
+    within one standard error of a lower-RSS one or with an RSS within
+    ``rss_rtol`` of its RSS is dropped, and of those at an RSS of at most
+    ``rss_rtol`` times the level's sum of squared returns (an exact fit) only
+    the lowest is kept (see :func:`_distinct_survivors`); the rest run on the
+    next level, the full panel last, from their endpoints.  On recovery panels
+    of 100 days x 360 bars, one start was left after each level, and the fit
+    took about a third of the unscreened time (the strided rows are laid out
+    as (x, x_prev) halves, see :class:`_SShapeResiduals`).  Panels of at most
+    8,192 rows are fit from the grid alone, as before.  Every sum over the
+    panel's rows runs over chunks of at most 8,192 rows in order, so the
+    result does not depend on the BLAS thread count.
     Standard errors come from the full panel's J at the optimum, and
     ``starts_tried`` counts the grid.
     """
@@ -796,9 +805,10 @@ def fit_sshape(
     options = dict(margin_floor=margin_floor, max_iter=max_iter, rss_rtol=rss_rtol, grad_atol=grad_atol)
     thetas = theta0s
     if panel.n > _SCREEN_ROWS:
-        sub = RegressionPanel(*(column[::_SCREEN_STRIDE] for column in (panel.r, panel.x, panel.x_prev)))
-        screened = _lm_starts(theta0s, _SShapeResiduals(sub, len(theta0s)), sub.n, **options)
-        thetas = screened.theta[_distinct_survivors(screened, sub.n, rss_rtol, grad_atol)]
+        for stride in _SCREEN_STRIDES:
+            sub = RegressionPanel(*(column[::stride] for column in (panel.r, panel.x, panel.x_prev)))
+            screened = _lm_starts(thetas, _SShapeResiduals(sub, len(thetas)), sub.n, **options)
+            thetas = screened.theta[_distinct_survivors(screened, sub.r, rss_rtol, grad_atol)]
     residuals = _SShapeResiduals(panel, len(thetas))
     starts = _lm_starts(thetas, residuals, panel.n, **options)
     best = _best_start(starts)

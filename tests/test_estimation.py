@@ -688,7 +688,7 @@ def test_a_start_held_at_the_damping_limit_with_no_predicted_drop_has_converged(
     assert fit.converged and fit.rss == starts.rss[best]
     for name in ("ell", "p", "q"):
         assert abs(fit.param_hats[name] - TRUTH[name]) < 3.0 * fit.ses[name]
-    # Screened on every 8th row first, the fit polishes its survivor to the same optimum.
+    # Screened on every 64th row, then every 8th, the fit polishes its survivor to the same optimum.
     screened = fit_sshape(panel)
     assert screened.converged and screened.rss <= (1.0 + 1e-12) * starts.rss[best]
     want = estimation_oracle.run_lm(theta0s[best], panel, 1e-6, 500, 1e-12, 1e-10)
@@ -926,7 +926,7 @@ def test_panel_order_matches_the_oracle_bitwise_with_repeated_and_distinct_flows
     assert np.array_equal(residuals.flows, np.concatenate([panel.x, panel.x_prev[seam]]))
 
 
-def _strided(panel, stride=estimation._SCREEN_STRIDE):
+def _strided(panel, stride):
     return RegressionPanel(*(column[::stride] for column in (panel.r, panel.x, panel.x_prev)))
 
 
@@ -937,18 +937,20 @@ def _assert_pair_layout(panel):
 
 
 def test_screen_rows_are_laid_out_as_x_then_x_prev_and_match_the_oracle_bitwise():
-    # The screen's every 8th row of a recovery panel: no x_prev is the previous row's x.
-    sub = _strided(make_panel(n_days=100, bars_per_day=360, noise_sd=5e-4, seed=4009))
-    assert estimation._BLOCK_POINTS // sub.n > 1  # blocks of several rows
-    assert not (sub.x_prev[1:] == sub.x[:-1]).any()
-    _assert_pair_layout(sub)
+    # Each screen level's strided rows of a recovery panel: no x_prev is the previous row's x.
+    panel = make_panel(n_days=100, bars_per_day=360, noise_sd=5e-4, seed=4009)
+    for stride in estimation._SCREEN_STRIDES:
+        sub = _strided(panel, stride)
+        assert estimation._BLOCK_POINTS // sub.n > 1  # blocks of several rows
+        assert not (sub.x_prev[1:] == sub.x[:-1]).any()
+        _assert_pair_layout(sub)
 
 
 def test_strided_integer_flows_with_coincident_rows_take_the_pair_layout():
     # Rounded flows sometimes coincide across the stride, so some rows are not
     # seams; more than half still are, and every row is taken as one.
     panel = make_panel(n_days=20, bars_per_day=360, noise_sd=5e-4, seed=4011)
-    sub = _strided(RegressionPanel(panel.r, np.rint(panel.x / 10.0), np.rint(panel.x_prev / 10.0)))
+    sub = _strided(RegressionPanel(panel.r, np.rint(panel.x / 10.0), np.rint(panel.x_prev / 10.0)), 8)
     joined = int((sub.x_prev[1:] == sub.x[:-1]).sum())
     assert 0 < joined < sub.n / 2
     _assert_pair_layout(sub)
@@ -994,24 +996,37 @@ def _bench_ticks():
 @pytest.fixture(scope="module")
 def screened_panels(tmp_path_factory):
     """Panels above the screen's threshold: a recovery panel (100 days x 360
-    bars, continuous flows) and the pooled panel of a 60-day tick file from
-    the benchmark's generator (integer flows)."""
-    source = tmp_path_factory.mktemp("ticks") / "s15.csv.gz"
-    source.write_bytes(_bench_ticks().generate(15, 60, 35.0).data)
-    return {"recovery": make_panel(n_days=100, bars_per_day=360, noise_sd=5e-4, seed=4001),
-            "ticks": RegressionPanel.from_bars(build_bars(read_ticks(source)))}
+    bars, continuous flows) and the pooled panels of a 60-day and a 25-day
+    tick file from the benchmark's generator (integer flows)."""
+    ticks, panels = _bench_ticks(), {"recovery": make_panel(n_days=100, bars_per_day=360, noise_sd=5e-4, seed=4001)}
+    for kind, seed, days in (("ticks", 15, 60), ("ticks25", 11, 25)):
+        source = tmp_path_factory.mktemp("ticks") / f"s{seed}.csv.gz"
+        source.write_bytes(ticks.generate(seed, days, 35.0).data)
+        panels[kind] = RegressionPanel.from_bars(build_bars(read_ticks(source)))
+    return panels
 
 
-@pytest.mark.parametrize("kind", ["recovery", "ticks"])
+# Each screened panel's rows at every level (every 64th row, every 8th, all),
+# and the starts carried from each screen level; the 25-day tick panel has the
+# smallest coarse level of the three, where two optima stay apart.
+SCREEN_LEVELS = {"recovery": ([561, 4_488, 35_900], [1, 1]), "ticks": ([337, 2_693, 21_540], [1, 1]),
+                 "ticks25": ([141, 1_122, 8_975], [2, 1])}
+
+
+@pytest.mark.parametrize("kind", list(SCREEN_LEVELS))
 def test_screened_fit_reaches_the_best_minpack_optimum_from_the_same_starts(screened_panels, kind):
     panel = screened_panels[kind]
+    rows, survivors = SCREEN_LEVELS[kind]
     assert panel.n > estimation._SCREEN_ROWS
     carried = []
     collapse = estimation._distinct_survivors
-    with mock.patch.object(estimation, "_distinct_survivors", lambda *a: carried.append(collapse(*a)) or carried[-1]):
+    with mock.patch.object(estimation, "_distinct_survivors", lambda *a: carried.append(collapse(*a)) or carried[-1]), \
+            mock.patch.object(estimation, "_lm_starts", wraps=estimation._lm_starts) as lm_starts:
         fit = fit_sshape(panel)
-    # Every start reaches one optimum on the strided rows, and one is polished.
-    assert [len(rows) for rows in carried] == [1]
+    # Every 64th row, every 8th row, then the full panel: the starts left at
+    # each level's distinct optima are carried to the next.
+    assert [call.args[2] for call in lm_starts.call_args_list] == rows
+    assert [len(kept) for kept in carried] == survivors
     assert fit.converged and fit.starts_tried == 33
     evaluations = {}
 
@@ -1046,13 +1061,13 @@ def test_panels_up_to_the_threshold_are_fit_from_the_full_grid_unscreened():
     above = RegressionPanel(panel.r[:cut + 1], panel.x[:cut + 1], panel.x_prev[:cut + 1])
     with mock.patch.object(estimation, "_lm_starts", wraps=estimation._lm_starts) as lm_starts:
         fit_sshape(above)
-    assert lm_starts.call_count == 2
-    assert lm_starts.call_args_list[0].args[2] == (cut + 1 + 7) // 8
+    # Every 64th row, every 8th row, then the full panel.
+    assert [call.args[2] for call in lm_starts.call_args_list] == [129, 1_025, cut + 1]
 
 
-def _survivors(starts, n=104):
-    """The rows that the screen carries to the full panel; n = 104 as in _retire."""
-    return estimation._distinct_survivors(starts, n, rss_rtol=1e-12, grad_atol=1e-10).tolist()
+def _survivors(starts, r=np.ones(104)):
+    """The rows that a screen level carries to the next on returns r; 104 rows as in _retire."""
+    return estimation._distinct_survivors(starts, r, rss_rtol=1e-12, grad_atol=1e-10).tolist()
 
 
 def test_screen_carries_one_start_per_optimum():
@@ -1070,10 +1085,14 @@ def test_screen_carries_one_start_per_optimum():
     tied.JtJ[:] = 1e-12 * np.eye(4)
     tied.stop[:] = estimation._FTOL
     assert _survivors(tied) == [0, 2]
-    # Zero RSS absorbs nothing by the metric; apart, the starts stay.
-    exact = _starts([0.0, 1e-30], a=[0.0, 0.0])
-    exact.stop[:] = estimation._FTOL
-    assert _survivors(exact) == [0, 1]
+    # Zero RSS absorbs nothing by the metric, but every start with an RSS of
+    # at most 1e-12 r'r (here 104) is at one exact fit, whose lowest RSS stays;
+    # a start above that floor stays with it, and with r = 0 there is no floor.
+    for r, kept in ((np.ones(104), [1, 3]), (np.zeros(104), [0, 1, 2, 3])):
+        exact = _starts([1e-30, 0.0, 1e-10, 1.1e-10], a=[0.0, 10.0, 20.0, 30.0])
+        exact.JtJ[:] = 1e-12 * np.eye(4)
+        exact.stop[:] = estimation._FTOL
+        assert _survivors(exact, r) == kept
 
 
 CHILD_FITS = """
