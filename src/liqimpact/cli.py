@@ -8,7 +8,9 @@ given on the command line win over config values, and a config key the
 command does not read is an error.  Every output file gets a sibling
 ``.meta.json`` echoing the run's settings, or for ``simulate`` the library's
 metadata (schema versioned, no timestamps), so identical inputs produce
-byte-identical outputs.
+byte-identical outputs.  ``fit`` has no solver settings: every S-shape fit
+takes ``estimation``'s fixed tolerances.  ``compare`` takes one fits file,
+and at most one bars file, per contract.
 
 Every command runs in a single thread: files, days and fit starts are
 processed one after another.  ``simulate`` path mode takes the sshape and
@@ -169,12 +171,6 @@ PANEL = (
     ("noise_sd", 0.0, _real, "standard deviation of the return noise", None),
     ("flow", {}, OUParams, "OU flow parameters c, m and eta", None),
 )
-SOLVER = (
-    ("max_iter", None, _count, "LM iterations per start", None),
-    ("rss_rtol", None, _real, "relative RSS change that stops a start", None),
-    ("grad_atol", None, _real, "gradient size that stops a start", None),
-    ("margin_floor", None, _real, "least feasibility margin a trial step may keep", None),
-)
 OPTIONS = {
     "ingest": (
         OUT_DIR,
@@ -201,11 +197,10 @@ OPTIONS = {
         ("model", "all", _choice(*MODELS, "all"), "model to fit", "--model"),
         ("pooled", False, _boolean, "also fit the pooled panel across days", "--pooled"),
         ("grid", None, _grid, "start grid of [p, q] pairs", None),
-        *SOLVER,
     ),
     "curves": (
         OUT_DIR,
-        ("model", "sshape", _choice(*MODELS, "all"), "which model's fit to sample", "--model"),
+        ("model", "sshape", _choice(*MODELS), "which model's fit to sample", "--model"),
         ("x_min", -400.0, _real, "left end of the flow range", "--x-min"),
         ("x_max", 400.0, _real, "right end of the flow range", "--x-max"),
         ("n_points", 201, _count, "number of samples", "--n-points"),
@@ -259,8 +254,7 @@ def _inputs(paths) -> list[Path]:
 
 
 def _echo(args) -> dict:
-    """The run's settings: each option of the command as resolved (a solver option left at
-    fit_sshape's default is None) and its inputs as given, a Path as a str."""
+    """The run's settings: each option of the command as resolved and its inputs as given, a Path as a str."""
     return {key: str(value) if isinstance(value, Path) else value
             for key, value in vars(args).items() if key not in ("command", "config", "run")}
 
@@ -282,6 +276,16 @@ def _stem(path: Path) -> str:
 def _contract(path: Path) -> str:
     """Contract name of a fits or bars file: es.bars.fits.csv, es.fits.csv and es.bars.csv give es."""
     return _stem(path).removesuffix(".fits").removesuffix(".bars")
+
+
+def _by_contract(files: list[Path], flag: str) -> dict[str, Path]:
+    """Each file by its contract name; ValueError names two files of one contract."""
+    found: dict[str, Path] = {}
+    for f in files:
+        if (contract := _contract(f)) in found:
+            raise ValueError(f"{flag}: {found[contract]} and {f} are both contract {contract!r}")
+        found[contract] = f
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -332,15 +336,13 @@ def cmd_simulate(args) -> int:
 # fit
 
 
-def _fit_models(panel: RegressionPanel, models: list[str], grid, fit_kwargs: dict
-                ) -> tuple[list[tuple[str, FitResult]], str]:
+def _fit_models(panel: RegressionPanel, models: list[str], grid) -> tuple[list[tuple[str, FitResult]], str]:
     """Fit each model on its own: the fits that succeed, and the others' errors as one message."""
     fits = []
     errors = []
     for model in models:
         try:
-            fits.append((model, fit_sshape(panel, grid, **fit_kwargs) if model == "sshape"
-                                else fit_ols(panel, model)))
+            fits.append((model, fit_sshape(panel, grid) if model == "sshape" else fit_ols(panel, model)))
         except EstimationError as exc:
             errors.append(f"{model}: {exc}")
     return fits, "; ".join(errors)
@@ -348,8 +350,6 @@ def _fit_models(panel: RegressionPanel, models: list[str], grid, fit_kwargs: dic
 
 def cmd_fit(args) -> int:
     models = list(MODELS) if args.model == "all" else [args.model]
-    # Solver settings the config gives; the others keep fit_sshape's defaults.
-    fit_kwargs = {key: getattr(args, key) for key, *_ in SOLVER if getattr(args, key) is not None}
     total_days = 0
     failed_days = 0
     for f in _inputs(args.files):
@@ -367,7 +367,7 @@ def cmd_fit(args) -> int:
         failures: dict[str, str] = {}
         for label, bars in panels:
             try:
-                fits, errors = _fit_models(RegressionPanel.from_bars(bars), models, args.grid, fit_kwargs)
+                fits, errors = _fit_models(RegressionPanel.from_bars(bars), models, args.grid)
             except EstimationError as exc:
                 fits, errors = [], str(exc)
             if errors:
@@ -406,8 +406,6 @@ def cmd_fit(args) -> int:
 
 
 def cmd_curves(args) -> int:
-    if args.model == "all":
-        raise ValueError("curves needs a single --model")
     if args.n_points < 2 or not args.x_max > args.x_min:
         raise ValueError("need n_points >= 2 and x_max > x_min")
 
@@ -454,17 +452,17 @@ def _select_fit(doc, model: str, date: str | None) -> dict:
 
 
 def cmd_compare(args) -> int:
-    fit_files = _inputs(args.fits)
+    fit_files = _by_contract(_inputs(args.fits), "--fits")
 
     ttest_rows = []
     desc_rows = []
     depth_reports = []
     report: dict = {"schema_version": SCHEMA_VERSION, "contracts": {}}
 
-    bars_by_contract = {_contract(f): read_bars_csv(f) for f in _inputs(args.bars or [])}
+    bars_files = _by_contract(_inputs(args.bars or []), "--bars")
+    bars_by_contract = {contract: read_bars_csv(f) for contract, f in bars_files.items()}
 
-    for f in fit_files:
-        contract = _contract(f)
+    for contract, f in fit_files.items():
         rows = read_daily_fits_csv(f)
         models_present = sorted({r["model"] for r in rows})
         series = {m: DailyMetricSeries.from_fit_rows(contract, m, rows) for m in models_present}

@@ -25,8 +25,8 @@ that J'J pins its optimum down to the stopping tolerances; short panels
 therefore run every start to its end.
 A panel of more than 8,192 rows first runs every start on every 64th row,
 then on every 8th (the screen): after each level it drops each surviving start
-within one standard error or within rss_rtol in RSS of a lower-RSS survivor,
-and all but the lowest at an RSS of at most rss_rtol r'r (an exact fit), and
+within one standard error or within _RSS_RTOL in RSS of a lower-RSS survivor,
+and all but the lowest at an RSS of at most _RSS_RTOL r'r (an exact fit), and
 runs the rest on the next level, the full panel last, from where they stopped;
 panels of at most 8,192 rows are fit from the grid alone, as before the screen.
 
@@ -256,6 +256,12 @@ _BLOCK_POINTS = 16_384
 # 64th row, then the survivors on every 8th (see fit_sshape).
 _SCREEN_ROWS = _CHUNK
 _SCREEN_STRIDES = (64, 8)
+# Every fit's solver settings: a start's iteration limit, its ftol and gtol stops
+# (see _Starts), and the least feasibility margin a trial point may keep.
+_ITER_LIMIT = 500
+_RSS_RTOL = 1e-12
+_GRAD_ATOL = 1e-10
+_MARGIN_FLOOR = 1e-6
 
 
 def default_start_grid(flow_sd: float) -> list[tuple[float, float]]:
@@ -543,16 +549,15 @@ class _Starts:
     (residual/Jacobian evaluations, infeasible trial points included), stop,
     merged_into, and lam_min, lambda_min(J'J) unless ``stale``, which a row
     becomes when its start opens or accepts a step.  ``stop`` is ``ftol``
-    (relative RSS drop below rss_rtol: the actual drop of an accepted step, or
+    (relative RSS drop below _RSS_RTOL: the actual drop of an accepted step, or
     the drop the Gauss-Newton model predicts where the damping passes 1e15),
-    ``gtol`` (max |gradient| below grad_atol), ``max_iter``, ``lambda_limit``
-    (damping above 1e15 where the model predicts more), ``merged``
-    (retired into the start ``merged_into``, else -1) or ``infeasible`` (the
-    start point is; the row's other columns mean nothing).
+    ``gtol`` (max |gradient| below _GRAD_ATOL), ``max_iter`` (_ITER_LIMIT
+    iterations), ``lambda_limit`` (damping above 1e15 where the model predicts
+    more), ``merged`` (retired into the start ``merged_into``, else -1) or
+    ``infeasible`` (the start point is; the row's other columns mean nothing).
     """
 
-    def __init__(self, theta: np.ndarray, rss: np.ndarray, JtJ: np.ndarray, g: np.ndarray,
-                 max_iter: int, grad_atol: float):
+    def __init__(self, theta: np.ndarray, rss: np.ndarray, JtJ: np.ndarray, g: np.ndarray):
         """The starts at the rows of theta, from their :meth:`_SShapeResiduals.normal_equations`."""
         k = len(theta)
         self.theta, self.rss, self.JtJ, self.g = theta.copy(), rss, JtJ, g
@@ -561,9 +566,7 @@ class _Starts:
         self.nu, self.lam_min, self.stale = np.full(k, 2.0), np.zeros(k), np.ones(k, dtype=bool)
         self.iterations, self.evaluations, self.merged_into = np.zeros(k, int), np.ones(k, int), np.full(k, -1)
         self.stop = np.where(np.isnan(rss), _INFEASIBLE, _LIVE)  # a usable row's e'e is never NaN
-        self.stop[(self.stop == _LIVE) & (np.max(np.abs(g), axis=1) < grad_atol)] = _GTOL
-        if max_iter <= 0:
-            self.stop[self.stop == _LIVE] = _MAX_ITER
+        self.stop[(self.stop == _LIVE) & (np.max(np.abs(g), axis=1) < _GRAD_ATOL)] = _GTOL
 
 
 def _damped_steps(JtJ: np.ndarray, lam: np.ndarray, g: np.ndarray):
@@ -588,9 +591,9 @@ def _damped_steps(JtJ: np.ndarray, lam: np.ndarray, g: np.ndarray):
         return steps, solved, D
 
 
-def _predicts_no_drop(JtJ: np.ndarray, g: np.ndarray, rss: np.ndarray, rss_rtol: float) -> np.ndarray:
+def _predicts_no_drop(JtJ: np.ndarray, g: np.ndarray, rss: np.ndarray) -> np.ndarray:
     """Whether the Gauss-Newton model predicts each row's relative RSS drop,
-    g' (J'J)^-1 g / RSS, below rss_rtol (False where J'J is singular).
+    g' (J'J)^-1 g / RSS, below _RSS_RTOL (False where J'J is singular).
 
     MINPACK's ftol test takes the predicted drop as well as the actual one.
     A start whose trial steps are all rejected until the damping limit, at a
@@ -604,7 +607,7 @@ def _predicts_no_drop(JtJ: np.ndarray, g: np.ndarray, rss: np.ndarray, rss_rtol:
             drop = float(g_i @ np.linalg.solve(JtJ_i, g_i))
         except np.linalg.LinAlgError:
             continue
-        flat[i] = 0.0 <= drop / max(rss_i, 1e-300) < rss_rtol
+        flat[i] = 0.0 <= drop / max(rss_i, 1e-300) < _RSS_RTOL
     return flat
 
 
@@ -615,15 +618,15 @@ def _rank(rss: np.ndarray) -> np.ndarray:
     return rank
 
 
-def _within_reach(s: _Starts, kept: np.ndarray, n: int, rss_rtol: float, grad_atol: float) -> np.ndarray | None:
+def _within_reach(s: _Starts, kept: np.ndarray, n: int) -> np.ndarray | None:
     """near[i, j] over the starts ``kept``: j ranks below i in RSS, j's metric
     pins its optimum down, and (theta_i - theta_j)' JtJ_j (theta_i - theta_j)
     <= _MERGE_RADIUS^2 RSS_j / (n - 4); None where no start's metric does.
 
     A start with zero RSS (a noise-free panel) absorbs nothing, and neither
     does one whose metric is too soft.  Where the gradient test passes (|g|^2
-    <= 4 grad_atol^2) the RSS can still lie up to 4 grad_atol^2 /
-    lambda_min(JtJ) above the optimum; unless that is within rss_rtol of the
+    <= 4 _GRAD_ATOL^2) the RSS can still lie up to 4 _GRAD_ATOL^2 /
+    lambda_min(JtJ) above the optimum; unless that is within _RSS_RTOL of the
     RSS, searches into one basin stop at scattered points, and retiring one of
     them can drop the lowest.
     """
@@ -633,7 +636,7 @@ def _within_reach(s: _Starts, kept: np.ndarray, n: int, rss_rtol: float, grad_at
     s.lam_min[stale[finite]] = np.linalg.eigvalsh(s.JtJ[stale[finite]])[:, 0]
     s.stale[stale] = False
     rss = s.rss[kept]
-    absorbs = (rss > 0.0) & (4.0 * grad_atol ** 2 <= rss_rtol * rss * s.lam_min[kept])
+    absorbs = (rss > 0.0) & (4.0 * _GRAD_ATOL ** 2 <= _RSS_RTOL * rss * s.lam_min[kept])
     if not absorbs.any():
         return None
     theta = s.theta[kept]
@@ -658,23 +661,23 @@ def _merge(s: _Starts, kept: np.ndarray, near: np.ndarray) -> None:
     s.stop[kept] = stop
 
 
-def _retire_merged(s: _Starts, n: int, rss_rtol: float, grad_atol: float) -> None:
+def _retire_merged(s: _Starts, n: int) -> None:
     """Retire each live start that lies within _MERGE_RADIUS standard errors of
     a start with lower RSS that is kept this round, in that start's metric
     (see :func:`_within_reach`).  Short panels, whose J'J is nearly singular,
     therefore run every start to its end.
     """
     kept = np.flatnonzero(s.stop < _MERGED)
-    near = _within_reach(s, kept, n, rss_rtol, grad_atol)
+    near = _within_reach(s, kept, n)
     if near is not None:
         _merge(s, kept, near & (s.stop[kept] == _LIVE)[:, None])
 
 
-def _distinct_survivors(s: _Starts, r: np.ndarray, rss_rtol: float, grad_atol: float) -> np.ndarray:
+def _distinct_survivors(s: _Starts, r: np.ndarray) -> np.ndarray:
     """The rows of the stopped starts that are neither retired, infeasible nor
     a duplicate of a lower-RSS one, which is each start within _MERGE_RADIUS
     standard errors of it, as :func:`_retire_merged` takes them, or with an RSS
-    within rss_rtol of its RSS, or with an RSS of at most rss_rtol r'r (an
+    within _RSS_RTOL of its RSS, or with an RSS of at most _RSS_RTOL r'r (an
     exact fit), on a panel of returns r.
 
     The RSS tie stands in where the metric is too soft to absorb: on the
@@ -687,16 +690,15 @@ def _distinct_survivors(s: _Starts, r: np.ndarray, rss_rtol: float, grad_atol: f
     kept = np.flatnonzero(s.stop < _MERGED)
     rss = s.rss[kept]
     rank = _rank(rss)
-    tied = (rss[:, None] - rss[None, :] <= rss_rtol * rss[None, :]) | (rss[:, None] <= rss_rtol * _tdot(r, r))
+    tied = (rss[:, None] - rss[None, :] <= _RSS_RTOL * rss[None, :]) | (rss[:, None] <= _RSS_RTOL * _tdot(r, r))
     near = (rank[None, :] < rank[:, None]) & tied
-    if (within := _within_reach(s, kept, n, rss_rtol, grad_atol)) is not None:
+    if (within := _within_reach(s, kept, n)) is not None:
         near |= within
     _merge(s, kept, near)
     return kept[s.stop[kept] < _MERGED]
 
 
-def _lm_starts(theta0s: np.ndarray, residuals: _SShapeResiduals, n: int, *,
-               margin_floor: float, max_iter: int, rss_rtol: float, grad_atol: float) -> _Starts:
+def _lm_starts(theta0s: np.ndarray, residuals: _SShapeResiduals, n: int) -> _Starts:
     """Run every start in rounds, one Levenberg-Marquardt iteration per live start per round.
 
     A round solves the live starts' damped systems in one stacked call,
@@ -705,14 +707,14 @@ def _lm_starts(theta0s: np.ndarray, residuals: _SShapeResiduals, n: int, *,
     2004) as array operations on the live rows, each bitwise the float
     arithmetic of one start alone.  Then it retires merged starts.
     """
-    opening = residuals.normal_equations(theta0s, margin_floor, np.full(len(theta0s), np.inf))
-    s = _Starts(theta0s, *opening, max_iter, grad_atol)
+    opening = residuals.normal_equations(theta0s, _MARGIN_FLOOR, np.full(len(theta0s), np.inf))
+    s = _Starts(theta0s, *opening)
     while (live := np.flatnonzero(s.stop == _LIVE)).size:
         s.iterations[live] += 1
         delta, solved, D = _damped_steps(s.JtJ[live], s.lam[live], s.g[live])
         stepping, delta, D = live[solved], delta[solved], D[solved]
         trial = s.theta[stepping] + delta
-        rss_t, JtJ_t, g_t = residuals.normal_equations(trial, margin_floor, s.rss[stepping])
+        rss_t, JtJ_t, g_t = residuals.normal_equations(trial, _MARGIN_FLOOR, s.rss[stepping])
         s.evaluations[stepping] += 1
         better = rss_t < s.rss[stepping]  # never where the trial is unusable (NaN) or overflows
         # A rejected trial raises the damping, and so does a singular system, which stops nothing.
@@ -721,7 +723,7 @@ def _lm_starts(theta0s: np.ndarray, residuals: _SShapeResiduals, n: int, *,
         s.lam[raised] *= s.nu[raised]
         s.nu[raised] *= 2.0
         limited = rejected[s.lam[rejected] > 1e15]
-        s.stop[limited] = np.where(_predicts_no_drop(s.JtJ[limited], s.g[limited], s.rss[limited], rss_rtol),
+        s.stop[limited] = np.where(_predicts_no_drop(s.JtJ[limited], s.g[limited], s.rss[limited]),
                                    _FTOL, _LAMBDA_LIMIT)
 
         accepted, delta, rss_t, g_t = stepping[better], delta[better], rss_t[better], g_t[better]
@@ -734,15 +736,15 @@ def _lm_starts(theta0s: np.ndarray, residuals: _SShapeResiduals, n: int, *,
         # float_power's cube is the libm pow of Python's ** on each float; np.power's is not.
         s.lam[accepted] = lam * np.fmax(1.0 / 3.0, 1.0 - np.float_power(2.0 * ratio - 1.0, 3.0))
         s.nu[accepted] = 2.0
-        ftol = (rss - rss_t) / np.maximum(rss, 1e-300) < rss_rtol
+        ftol = (rss - rss_t) / np.maximum(rss, 1e-300) < _RSS_RTOL
         s.theta[accepted], s.rss[accepted], s.JtJ[accepted], s.g[accepted] = (
             trial[better], rss_t, JtJ_t[better], g_t)
         s.stale[accepted] = True
         s.stop[accepted[ftol]] = _FTOL
-        s.stop[accepted[~ftol & (np.max(np.abs(g_t), axis=1) < grad_atol)]] = _GTOL
+        s.stop[accepted[~ftol & (np.max(np.abs(g_t), axis=1) < _GRAD_ATOL)]] = _GTOL
 
-        s.stop[live[(s.stop[live] == _LIVE) & (s.iterations[live] >= max_iter)]] = _MAX_ITER
-        _retire_merged(s, n, rss_rtol, grad_atol)
+        s.stop[live[(s.stop[live] == _LIVE) & (s.iterations[live] >= _ITER_LIMIT)]] = _MAX_ITER
+        _retire_merged(s, n)
     return s
 
 
@@ -756,21 +758,15 @@ def _best_start(s: _Starts) -> int:
     return int(rows[np.argmin(s.rss[rows])])
 
 
-def fit_sshape(
-    panel: RegressionPanel,
-    grid: Sequence[tuple[float, float]] | None = None,
-    *,
-    max_iter: int = 500,
-    rss_rtol: float = 1e-12,
-    grad_atol: float = 1e-10,
-    margin_floor: float = 1e-6,
-) -> FitResult:
+def fit_sshape(panel: RegressionPanel, grid: Sequence[tuple[float, float]] | None = None) -> FitResult:
     """Constrained multi-start nonlinear least squares for the S-shape curve.
 
     Runs a Levenberg-Marquardt search from every (p0, q0) grid point (default:
     a grid scaled to the panel's flow sd), keeps iterates feasible (ell > 0,
-    q > 0, feasibility margin >= margin_floor), and returns the lowest-RSS
-    converged start.  If no start converges the best endpoint is returned with
+    q > 0, feasibility margin >= 1e-6), and returns the lowest-RSS converged
+    start, one stopped by a relative RSS drop below 1e-12 or a gradient below
+    1e-10 within 500 iterations; every fit takes these settings (see
+    ``_Starts``).  If no start converges the best endpoint is returned with
     ``converged`` False.  t statistics come from the Gauss-Newton covariance
     in the original (a, ell, p, q) parameterization; where J'J overflows or a
     parameter's variance is not positive (a degenerate optimum), those
@@ -784,11 +780,11 @@ def fit_sshape(
 
     On a panel of more than 8,192 rows the grid is first run on every 64th
     row, then on every 8th.  At each level, of the starts that end there, each
-    within one standard error of a lower-RSS one or with an RSS within
-    ``rss_rtol`` of its RSS is dropped, and of those at an RSS of at most
-    ``rss_rtol`` times the level's sum of squared returns (an exact fit) only
-    the lowest is kept (see :func:`_distinct_survivors`); the rest run on the
-    next level, the full panel last, from their endpoints.  On recovery panels
+    within one standard error of a lower-RSS one or with an RSS within 1e-12
+    relative of its RSS is dropped, and of those at an RSS of at most 1e-12
+    times the level's sum of squared returns (an exact fit) only the lowest
+    is kept (see :func:`_distinct_survivors`); the rest run on the next
+    level, the full panel last, from their endpoints.  On recovery panels
     of 100 days x 360 bars, one start was left after each level, and the fit
     took about a third of the unscreened time (the strided rows are laid out
     as (x, x_prev) halves, see :class:`_SShapeResiduals`).  Panels of at most
@@ -797,20 +793,24 @@ def fit_sshape(
     result does not depend on the BLAS thread count.
     Standard errors come from the full panel's J at the optimum, and
     ``starts_tried`` counts the grid.
+    On a panel the model fits exactly, the RSS (and so the BIC) is taken where
+    the winning start's gradient first fell below 1e-10, not at the optimum:
+    on noise-free recovery panels (seeds 1999, 2999, 3999) it is 8e-23 to
+    2.5e-22, where the best of the 33 starts run unscreened reaches 4e-24, and
+    the parameters agree within 2e-9.
     """
     d = panel.x - panel.x_prev
     if np.ptp(d) == 0.0:
         raise EstimationError("flow never changes between bars; impact slope not identified")
     theta0s = _start_thetas(panel, grid)
-    options = dict(margin_floor=margin_floor, max_iter=max_iter, rss_rtol=rss_rtol, grad_atol=grad_atol)
     thetas = theta0s
     if panel.n > _SCREEN_ROWS:
         for stride in _SCREEN_STRIDES:
             sub = RegressionPanel(*(column[::stride] for column in (panel.r, panel.x, panel.x_prev)))
-            screened = _lm_starts(thetas, _SShapeResiduals(sub, len(thetas)), sub.n, **options)
-            thetas = screened.theta[_distinct_survivors(screened, sub.r, rss_rtol, grad_atol)]
+            screened = _lm_starts(thetas, _SShapeResiduals(sub, len(thetas)), sub.n)
+            thetas = screened.theta[_distinct_survivors(screened, sub.r)]
     residuals = _SShapeResiduals(panel, len(thetas))
-    starts = _lm_starts(thetas, residuals, panel.n, **options)
+    starts = _lm_starts(thetas, residuals, panel.n)
     best = _best_start(starts)
     theta, rss = starts.theta[best], float(starts.rss[best])
     converged = starts.stop[best] in (_FTOL, _GTOL)

@@ -393,7 +393,7 @@ def test_fit_outputs(fitted):
     meta = json.loads((fitted / "nk.fits.meta.json").read_text())
     assert meta["command"] == "fit"
     assert meta["config"]["grid"] == [[-3e-3, 8e-5]]
-    assert meta["config"]["max_iter"] is None  # left at fit_sshape's default
+    assert sorted(meta["config"]) == ["files", "grid", "input", "model", "out_dir", "pooled"]
     assert doc["config"] == meta["config"]
 
 
@@ -441,7 +441,7 @@ def test_curves_single_day_and_errors(fitted, tmp_path, capsys):
     cfg = write_config(tmp_path, {"model": "all"})
     assert main(["curves", str(fitted / "nk.fits.json"), "--config", str(cfg),
                  "--out-dir", str(out)]) == 1
-    assert "single --model" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: model: expected one of sshape, linear, sqrt, got 'all'\n"
 
     bare = tmp_path / "bare.json"
     bare.write_text(json.dumps({"model": "sshape", "converged": True,
@@ -840,6 +840,37 @@ def test_compare_names_file_and_pair_without_shared_dates(tmp_path, capsys):
         f"error: {fits_csv}: linear vs sshape: need at least 2 shared dates, got 1\n")
 
 
+@pytest.mark.parametrize("flag, names", [("--fits", ("es.fits.csv", "es.bars.fits.csv")),
+                                         ("--bars", ("es.bars.csv", "es.csv"))])
+def test_compare_refuses_two_files_of_one_contract(tmp_path, capsys, flag, names):
+    fits_csv = tmp_path / "es.fits.csv"
+    write_daily_fits_csv([(f"2024-02-0{d}", make_fit(m)) for d in (1, 2) for m in ("sshape", "linear")], fits_csv)
+    bars = synth_regression_panel(a=1e-6, impact=SShapeParams(1.3e-5, -0.0034, 8.15e-5),
+                                  flow=OUParams(c=0.1, m=5.0, eta=100.0), n_days=2, bars_per_day=20, seed=3).bars
+    first, second = tmp_path / "a" / names[0], tmp_path / "b" / names[1]
+    for path in (first, second):
+        path.parent.mkdir()
+        if flag == "--fits":
+            shutil.copy(fits_csv, path)
+        else:
+            write_bars_csv(bars, path)
+    given = [str(first), str(second)]
+    args = ["--fits", *given] if flag == "--fits" else ["--fits", str(fits_csv), "--bars", *given]
+    assert main(["compare", *args, "--out-dir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: {flag}: {first} and {second} are both contract 'es'\n"
+    assert not any((tmp_path / "out").iterdir())
+
+
+def test_fit_has_no_solver_keys(tmp_path, capsys):
+    panel = synth_regression_panel(a=1e-6, impact=SShapeParams(1.3e-5, -0.0034, 8.15e-5),
+                                   flow=OUParams(c=0.1, m=5.0, eta=100.0), n_days=1, bars_per_day=20, seed=1)
+    panel.write_csv(tmp_path / "nk.csv")
+    for key in ("max_iter", "rss_rtol", "grad_atol", "margin_floor"):
+        cfg = write_config(tmp_path, {key: 100})
+        assert main(["fit", str(tmp_path / "nk.csv"), "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"error: {key}: unknown config key for fit\n"
+
+
 def test_compare_missing_file(tmp_path, capsys):
     assert main(["compare", "--fits", str(tmp_path / "nope.fits.csv"),
                  "--out-dir", str(tmp_path)]) == 1
@@ -908,7 +939,7 @@ def fuzz_inputs(tmp_path_factory):
                          root / "es.fits.csv")
     configs = {
         "ingest": {"session_start": "09:00", "session_end": "09:05", "bar_seconds": 60, "tick_size": 0.01},
-        "fit": {"model": "all", "pooled": True, "grid": [[-3e-3, 8e-5]], "max_iter": 100},
+        "fit": {"model": "all", "pooled": True, "grid": [[-3e-3, 8e-5]]},
         "simulate": SIM_CONFIG,
         "panel": {"mode": "panel", "seed": 5, "impact": SIM_CONFIG["impact"],
                   "panel": {"a": 1e-6, "flow": {"c": 0.1, "m": 5.0, "eta": 100.0}, "n_days": 2,

@@ -2,6 +2,7 @@
 
 import dataclasses
 import importlib.util
+import inspect
 import logging
 import math
 import os
@@ -366,8 +367,9 @@ def test_fit_sshape_more_noise_more_rss():
 
 def test_fit_sshape_max_iter_one_reports_unconverged(caplog):
     panel = make_panel(n_days=3, bars_per_day=60, noise_sd=2e-4, seed=71)
-    with caplog.at_level(logging.WARNING, logger="liqimpact.estimation"):
-        fit = fit_sshape(panel, scale_grid(panel), max_iter=1)
+    with caplog.at_level(logging.WARNING, logger="liqimpact.estimation"), \
+            mock.patch.object(estimation, "_ITER_LIMIT", 1):
+        fit = fit_sshape(panel, scale_grid(panel))
     assert not fit.converged
     assert fit.message == "no start converged within max_iter; best endpoint returned"
     assert fit.starts_tried == 9
@@ -386,7 +388,8 @@ def test_fit_sshape_unconverged_note_names_the_damping_limit(monkeypatch):
         return starts
 
     monkeypatch.setattr(estimation, "_lm_starts", damped_out)
-    fit = fit_sshape(panel, scale_grid(panel), max_iter=1)
+    monkeypatch.setattr(estimation, "_ITER_LIMIT", 1)
+    fit = fit_sshape(panel, scale_grid(panel))
     assert not fit.converged
     assert fit.message == "no start converged before the damping limit; best endpoint returned"
 
@@ -426,8 +429,9 @@ def test_fit_sshape_singular_covariance_names_its_nan_ses(caplog):
 def test_fit_sshape_bad_grids_raise():
     panel = make_panel(n_days=2, bars_per_day=40, noise_sd=2e-4, seed=73)
     # No start can clear a margin floor above the largest possible margin, 1.
-    with pytest.raises(EstimationError, match="no feasible start point"):
-        fit_sshape(panel, scale_grid(panel), margin_floor=2.0)
+    with pytest.raises(EstimationError, match="no feasible start point"), \
+            mock.patch.object(estimation, "_MARGIN_FLOOR", 2.0):
+        fit_sshape(panel, scale_grid(panel))
     with pytest.raises(EstimationError, match="empty start grid"):
         fit_sshape(panel, [])
     for q0 in (0.0, -1e-5):
@@ -462,12 +466,11 @@ def test_near_linear_curve_matches_linear_slope():
 # S-shape fit against the sequential reference and SciPy's MINPACK
 
 
-def _run_starts(panel, grid, margin_floor=1e-6, **kw):
+def _run_starts(panel, grid):
     """The start points, and the columns of every start's outcome from the library's round loop."""
     theta0s = estimation._start_thetas(panel, grid)
     residuals = estimation._SShapeResiduals(panel, len(theta0s))
-    opts = dict(max_iter=500, rss_rtol=1e-12, grad_atol=1e-10) | kw
-    return theta0s, estimation._lm_starts(theta0s, residuals, panel.n, margin_floor=margin_floor, **opts)
+    return theta0s, estimation._lm_starts(theta0s, residuals, panel.n)
 
 
 def _lockstep_oracle(panel, theta0s, margin_floor=1e-6, **kw):
@@ -514,6 +517,19 @@ def noisy_panels_and_grids(draw):
     grid = [(-1e-2 / s * k, 1e-2 / s ** 2 * 10.0 ** j)
             for k, j in draw(st.lists(points, min_size=1, max_size=8))]
     return panel, grid
+
+
+def test_oracle_defaults_are_the_library_constants():
+    # The oracles take the solver's settings as arguments; their defaults are the settings of every fit.
+    fixed = {"max_iter": estimation._ITER_LIMIT, "rss_rtol": estimation._RSS_RTOL,
+             "grad_atol": estimation._GRAD_ATOL, "margin_floor": estimation._MARGIN_FLOOR}
+    for oracle, names in ((estimation_oracle.fit_starts, ("max_iter", "rss_rtol", "grad_atol", "margin_floor")),
+                          (estimation_oracle.lockstep_starts, ("max_iter", "rss_rtol", "grad_atol"))):
+        defaults = {name: p.default for name, p in inspect.signature(oracle).parameters.items()
+                    if p.default is not p.empty}
+        assert defaults == {name: fixed[name] for name in names}
+    assert estimation_oracle.MERGE_RADIUS == estimation._MERGE_RADIUS
+    assert estimation_oracle.CHUNK == estimation._CHUNK
 
 
 @settings(max_examples=40, deadline=None)
@@ -592,8 +608,9 @@ def test_round_loop_equals_lockstep_oracle_when_trials_turn_infeasible():
         margins.append(feasibility_margin(params))
         return margins[-1]
 
-    with mock.patch.object(estimation, "feasibility_margin", recorded_margin):
-        _, got = _run_starts(panel, grid, margin_floor=0.2)
+    with mock.patch.object(estimation, "feasibility_margin", recorded_margin), \
+            mock.patch.object(estimation, "_MARGIN_FLOOR", 0.2):
+        _, got = _run_starts(panel, grid)
     # The first len(grid) margins open the starts; the rest are trial steps.
     assert min(margins[:len(grid)]) >= 0.2 and min(margins[len(grid):]) < 0.2
     _assert_same_outcomes(got, _lockstep_oracle(panel, theta0s, margin_floor=0.2))
@@ -665,7 +682,8 @@ def test_merged_starts_point_to_lower_rss_and_every_start_says_why_it_stopped():
     _assert_same_outcomes(columns, _lockstep_oracle(panel, theta0s))
 
     grid = scale_grid(panel)
-    _, capped = _run_starts(panel, grid, max_iter=1)
+    with mock.patch.object(estimation, "_ITER_LIMIT", 1):
+        _, capped = _run_starts(panel, grid)
     assert {s.stop for s in _outcomes(capped)} <= {"max_iter", "merged"}
     assert all(s.iterations == 1 for s in _outcomes(capped) if s.stop == "max_iter")
     _assert_same_outcomes(capped, _lockstep_oracle(panel, estimation._start_thetas(panel, grid), max_iter=1))
@@ -694,7 +712,7 @@ def test_a_start_held_at_the_damping_limit_with_no_predicted_drop_has_converged(
     want = estimation_oracle.run_lm(theta0s[best], panel, 1e-6, 500, 1e-12, 1e-10)
     assert want.converged and want.rss == starts.rss[best] and np.array_equal(want.theta, starts.theta[best])
     # A row whose J'J is singular predicts nothing.
-    assert not estimation._predicts_no_drop(np.zeros((1, 4, 4)), np.zeros((1, 4)), np.ones(1), 1e-12).any()
+    assert not estimation._predicts_no_drop(np.zeros((1, 4, 4)), np.zeros((1, 4)), np.ones(1)).any()
 
 
 def _grid_with_plateau_starts(flow_sd):
@@ -722,15 +740,14 @@ def _starts(rss, a=None):
     k = len(rss)
     theta = np.zeros((k, 4))
     theta[:, 0] = 0.0 if a is None else a
-    return estimation._Starts(theta, np.array(rss, dtype=float), np.tile(np.eye(4), (k, 1, 1)), np.ones((k, 4)),
-                              max_iter=500, grad_atol=1e-10)
+    return estimation._Starts(theta, np.array(rss, dtype=float), np.tile(np.eye(4), (k, 1, 1)), np.ones((k, 4)))
 
 
 def _retire(starts, n=104):
     """Each start's stop and merge target after one pass of the library's merge rule.
 
     n = 104 makes rss / (n - 4) the squared standard error, so RSS 100 reaches 1."""
-    estimation._retire_merged(starts, n, rss_rtol=1e-12, grad_atol=1e-10)
+    estimation._retire_merged(starts, n)
     return [estimation._STOPS[code] for code in starts.stop], starts.merged_into.tolist()
 
 
@@ -1067,7 +1084,7 @@ def test_panels_up_to_the_threshold_are_fit_from_the_full_grid_unscreened():
 
 def _survivors(starts, r=np.ones(104)):
     """The rows that a screen level carries to the next on returns r; 104 rows as in _retire."""
-    return estimation._distinct_survivors(starts, r, rss_rtol=1e-12, grad_atol=1e-10).tolist()
+    return estimation._distinct_survivors(starts, r).tolist()
 
 
 def test_screen_carries_one_start_per_optimum():
