@@ -408,6 +408,8 @@ def cmd_fit(args) -> int:
 def cmd_curves(args) -> int:
     if args.n_points < 2 or not args.x_max > args.x_min:
         raise ValueError("need n_points >= 2 and x_max > x_min")
+    if not math.isfinite(args.x_max - args.x_min):
+        raise ValueError(f"x_min, x_max: the range from {args.x_min} to {args.x_max} is wider than a float")
 
     (fit_path,) = _inputs([args.fit_json])
     hats = _select_fit(read_json(fit_path), args.model, args.date)

@@ -23,12 +23,11 @@ After each round a live start is retired when it lies within one standard
 error of a start with lower RSS, in that start's Gauss-Newton metric (J'J), if
 that J'J pins its optimum down to the stopping tolerances; short panels
 therefore run every start to its end.
-A panel of more than 8,192 rows first runs every start on every 64th row,
-then on every 8th (the screen): after each level it drops each surviving start
-within one standard error or within _RSS_RTOL in RSS of a lower-RSS survivor,
-and all but the lowest at an RSS of at most _RSS_RTOL r'r (an exact fit), and
-runs the rest on the next level, the full panel last, from where they stopped;
-panels of at most 8,192 rows are fit from the grid alone, as before the screen.
+A panel of more than 8,192 rows first runs every start on every 64th row (the
+screen) only to choose the grid points to run on the full panel: it drops each
+start that ends within one standard error or _RSS_RTOL in RSS of a lower-RSS
+survivor, and all but the lowest at an RSS of at most _RSS_RTOL r'r (an exact
+fit); the rest run from their grid points, each search as it runs unscreened.
 
 Every sum over a panel's rows (e'e, J'J and J'e, the covariances and the line
 fit's sums) runs over chunks of at most 8,192 rows added in order, so no BLAS
@@ -252,10 +251,10 @@ _MERGE_RADIUS = 1.0
 # observations: larger blocks of continuous flows leave the cache and ran slower.
 # A row holds n flows plus one per seam, so up to 2n where every row is a seam.
 _BLOCK_POINTS = 16_384
-# A panel of more than _SCREEN_ROWS rows first runs its starts on every
-# 64th row, then the survivors on every 8th (see fit_sshape).
+# A panel of more than _SCREEN_ROWS rows first runs its grid on every
+# _SCREEN_STRIDE-th row, to choose the grid points it runs (see fit_sshape).
 _SCREEN_ROWS = _CHUNK
-_SCREEN_STRIDES = (64, 8)
+_SCREEN_STRIDE = 64
 # Every fit's solver settings: a start's iteration limit, its ftol and gtol stops
 # (see _Starts), and the least feasibility margin a trial point may keep.
 _ITER_LIMIT = 500
@@ -330,8 +329,8 @@ class _SShapeResiduals:
     x, then the "seam" x_prev that are not the previous x (the first one, day
     starts, skipped returns).  A difference f(x) - f(x_prev) is then one
     subtraction of neighbouring columns, with the seams put right after it.
-    Where more than half the rows are seams (the screen's every 64th and every
-    8th row, where no x_prev is the previous x), every row is taken as one:
+    Where more than half the rows are seams (the screen's every 64th row,
+    where no x_prev is the previous x), every row is taken as one:
     the flows are x then x_prev, and a difference is one subtraction of the
     two halves.  A flow point costs about as much to evaluate as a seam's
     gather and scatter over the four differences, so the halves break even
@@ -779,25 +778,22 @@ def fit_sshape(panel: RegressionPanel, grid: Sequence[tuple[float, float]] | Non
     and on a panel the model fits exactly (RSS 0), every start runs to its end.
 
     On a panel of more than 8,192 rows the grid is first run on every 64th
-    row, then on every 8th.  At each level, of the starts that end there, each
-    within one standard error of a lower-RSS one or with an RSS within 1e-12
-    relative of its RSS is dropped, and of those at an RSS of at most 1e-12
-    times the level's sum of squared returns (an exact fit) only the lowest
-    is kept (see :func:`_distinct_survivors`); the rest run on the next
-    level, the full panel last, from their endpoints.  On recovery panels
-    of 100 days x 360 bars, one start was left after each level, and the fit
-    took about a third of the unscreened time (the strided rows are laid out
-    as (x, x_prev) halves, see :class:`_SShapeResiduals`).  Panels of at most
-    8,192 rows are fit from the grid alone, as before.  Every sum over the
-    panel's rows runs over chunks of at most 8,192 rows in order, so the
-    result does not depend on the BLAS thread count.
+    row (the screen), only to choose the grid points that run on the full
+    panel: it drops the starts that :func:`_distinct_survivors` finds to be
+    duplicates or exact fits there.  The rest run from their grid points, each
+    search the one it makes unscreened; resumed from screened endpoints, some
+    panels whose bend shows only in a few large-flow rows stayed in a wrong
+    basin, reported as converged.  On recovery panels of 100 days x 360 bars
+    one grid point was kept, and the fit took about a fifth of the unscreened
+    time.  Every sum over the panel's rows runs over chunks of at most 8,192
+    rows in order, so the result does not depend on the BLAS thread count.
     Standard errors come from the full panel's J at the optimum, and
     ``starts_tried`` counts the grid.
     On a panel the model fits exactly, the RSS (and so the BIC) is taken where
     the winning start's gradient first fell below 1e-10, not at the optimum:
-    on noise-free recovery panels (seeds 1999, 2999, 3999) it is 8e-23 to
-    2.5e-22, where the best of the 33 starts run unscreened reaches 4e-24, and
-    the parameters agree within 2e-9.
+    on noise-free recovery panels (seeds 1999, 2999, 3999) it is 5.6e-22 to
+    7.7e-22, where the 33 starts run unscreened reach 3.7e-24 to 5.0e-24, and
+    the parameters agree within 1e-9 relative.
     """
     d = panel.x - panel.x_prev
     if np.ptp(d) == 0.0:
@@ -805,10 +801,9 @@ def fit_sshape(panel: RegressionPanel, grid: Sequence[tuple[float, float]] | Non
     theta0s = _start_thetas(panel, grid)
     thetas = theta0s
     if panel.n > _SCREEN_ROWS:
-        for stride in _SCREEN_STRIDES:
-            sub = RegressionPanel(*(column[::stride] for column in (panel.r, panel.x, panel.x_prev)))
-            screened = _lm_starts(thetas, _SShapeResiduals(sub, len(thetas)), sub.n)
-            thetas = screened.theta[_distinct_survivors(screened, sub.r)]
+        sub = RegressionPanel(*(column[::_SCREEN_STRIDE] for column in (panel.r, panel.x, panel.x_prev)))
+        screened = _lm_starts(theta0s, _SShapeResiduals(sub, len(theta0s)), sub.n)
+        thetas = theta0s[_distinct_survivors(screened, sub.r)]
     residuals = _SShapeResiduals(panel, len(thetas))
     starts = _lm_starts(thetas, residuals, panel.n)
     best = _best_start(starts)

@@ -425,6 +425,16 @@ def test_curves_linear_antisymmetric(fitted, tmp_path):
         assert vals[i] == -vals[40 - i]
 
 
+def test_curves_refuses_a_range_wider_than_a_float(fitted, tmp_path, capsys):
+    # x_max - x_min overflows to inf, and np.linspace then wrote nan and inf rows.
+    out = tmp_path / "cur"
+    cfg = write_config(tmp_path, {"x_min": -1e308, "x_max": 1e308, "n_points": 3})
+    assert main(["curves", str(fitted / "nk.fits.json"), "--config", str(cfg), "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err == \
+        "error: x_min, x_max: the range from -1e+308 to 1e+308 is wider than a float\n"
+    assert not (out / "curve.csv").exists()
+
+
 def test_curves_single_day_and_errors(fitted, tmp_path, capsys):
     out = tmp_path / "cur"
     assert main(["curves", str(fitted / "nk.fits.json"), "--model", "linear",

@@ -25,6 +25,7 @@ from scipy.signal import lfilter
 
 import bars_oracle
 import estimation_oracle
+from heavy_tail import heavy_tail_panel
 from liqimpact import estimation
 from liqimpact.cli import main
 from liqimpact.estimation import (
@@ -706,7 +707,7 @@ def test_a_start_held_at_the_damping_limit_with_no_predicted_drop_has_converged(
     assert fit.converged and fit.rss == starts.rss[best]
     for name in ("ell", "p", "q"):
         assert abs(fit.param_hats[name] - TRUTH[name]) < 3.0 * fit.ses[name]
-    # Screened on every 64th row, then every 8th, the fit polishes its survivor to the same optimum.
+    # Screened on every 64th row, the fit runs its surviving grid point to the same optimum.
     screened = fit_sshape(panel)
     assert screened.converged and screened.rss <= (1.0 + 1e-12) * starts.rss[best]
     want = estimation_oracle.run_lm(theta0s[best], panel, 1e-6, 500, 1e-12, 1e-10)
@@ -954,13 +955,12 @@ def _assert_pair_layout(panel):
 
 
 def test_screen_rows_are_laid_out_as_x_then_x_prev_and_match_the_oracle_bitwise():
-    # Each screen level's strided rows of a recovery panel: no x_prev is the previous row's x.
+    # The screen's strided rows of a recovery panel: no x_prev is the previous row's x.
     panel = make_panel(n_days=100, bars_per_day=360, noise_sd=5e-4, seed=4009)
-    for stride in estimation._SCREEN_STRIDES:
-        sub = _strided(panel, stride)
-        assert estimation._BLOCK_POINTS // sub.n > 1  # blocks of several rows
-        assert not (sub.x_prev[1:] == sub.x[:-1]).any()
-        _assert_pair_layout(sub)
+    sub = _strided(panel, estimation._SCREEN_STRIDE)
+    assert estimation._BLOCK_POINTS // sub.n > 1  # blocks of several rows
+    assert not (sub.x_prev[1:] == sub.x[:-1]).any()
+    _assert_pair_layout(sub)
 
 
 def test_strided_integer_flows_with_coincident_rows_take_the_pair_layout():
@@ -1023,11 +1023,10 @@ def screened_panels(tmp_path_factory):
     return panels
 
 
-# Each screened panel's rows at every level (every 64th row, every 8th, all),
-# and the starts carried from each screen level; the 25-day tick panel has the
-# smallest coarse level of the three, where two optima stay apart.
-SCREEN_LEVELS = {"recovery": ([561, 4_488, 35_900], [1, 1]), "ticks": ([337, 2_693, 21_540], [1, 1]),
-                 "ticks25": ([141, 1_122, 8_975], [2, 1])}
+# Each screened panel's rows in the screen (every 64th row) and in full, and
+# the grid points the screen keeps; the 25-day tick panel has the smallest
+# screen of the three, where two optima stay apart.
+SCREEN_LEVELS = {"recovery": ([561, 35_900], [1]), "ticks": ([337, 21_540], [1]), "ticks25": ([141, 8_975], [2])}
 
 
 @pytest.mark.parametrize("kind", list(SCREEN_LEVELS))
@@ -1040,10 +1039,12 @@ def test_screened_fit_reaches_the_best_minpack_optimum_from_the_same_starts(scre
     with mock.patch.object(estimation, "_distinct_survivors", lambda *a: carried.append(collapse(*a)) or carried[-1]), \
             mock.patch.object(estimation, "_lm_starts", wraps=estimation._lm_starts) as lm_starts:
         fit = fit_sshape(panel)
-    # Every 64th row, every 8th row, then the full panel: the starts left at
-    # each level's distinct optima are carried to the next.
+    # Every 64th row, then the full panel from the grid points of the
+    # screen's distinct optima.
     assert [call.args[2] for call in lm_starts.call_args_list] == rows
     assert [len(kept) for kept in carried] == survivors
+    grid = estimation._start_thetas(panel, None)
+    assert all((grid == theta).all(axis=1).any() for theta in lm_starts.call_args_list[-1].args[0])
     assert fit.converged and fit.starts_tried == 33
     evaluations = {}
 
@@ -1058,8 +1059,23 @@ def test_screened_fit_reaches_the_best_minpack_optimum_from_the_same_starts(scre
 
     best = min(2.0 * least_squares(lambda th: evaluate(th)[0], theta0, jac=lambda th: evaluate(th)[1],
                                    method="lm", xtol=1e-15, ftol=1e-15, gtol=1e-15).cost
-               for theta0 in estimation._start_thetas(panel, None))
+               for theta0 in grid)
     assert fit.rss <= (1.0 + 1e-12) * best
+
+
+@pytest.mark.parametrize("seed, design", [(1, (0.002, 400, 11)), (2, (0.005, 500, 3))])
+def test_screened_fit_keeps_the_best_basin_when_few_rows_show_the_bend(seed, design):
+    # Only one or two of the rare large-flow rows that show the bend land on
+    # every 64th row.  Starts resumed from their screened endpoints stayed in a
+    # wrong basin and were reported converged, 4.8e-2 and 1.6e-2 above the
+    # unscreened RSS; run from their grid points, they end where they do unscreened.
+    panel = heavy_tail_panel(seed, *design)
+    assert panel.n > estimation._SCREEN_ROWS
+    fit = fit_sshape(panel)
+    with mock.patch.object(estimation, "_SCREEN_ROWS", panel.n):
+        full = fit_sshape(panel)
+    assert fit.converged and full.converged
+    assert fit.rss <= (1.0 + 1e-12) * full.rss
 
 
 def test_panels_up_to_the_threshold_are_fit_from_the_full_grid_unscreened():
@@ -1078,12 +1094,12 @@ def test_panels_up_to_the_threshold_are_fit_from_the_full_grid_unscreened():
     above = RegressionPanel(panel.r[:cut + 1], panel.x[:cut + 1], panel.x_prev[:cut + 1])
     with mock.patch.object(estimation, "_lm_starts", wraps=estimation._lm_starts) as lm_starts:
         fit_sshape(above)
-    # Every 64th row, every 8th row, then the full panel.
-    assert [call.args[2] for call in lm_starts.call_args_list] == [129, 1_025, cut + 1]
+    # Every 64th row, then the full panel.
+    assert [call.args[2] for call in lm_starts.call_args_list] == [129, cut + 1]
 
 
 def _survivors(starts, r=np.ones(104)):
-    """The rows that a screen level carries to the next on returns r; 104 rows as in _retire."""
+    """The rows whose grid points the screen keeps on returns r; 104 rows as in _retire."""
     return estimation._distinct_survivors(starts, r).tolist()
 
 
