@@ -568,15 +568,16 @@ def _session(session_start: str, session_end: str, bar_seconds: int) -> tuple[in
     end = time.fromisoformat(session_end)
     if start.tzinfo is not None or end.tzinfo is not None:
         raise ValueError("session times must be naive, like tick timestamps")
-    if bar_seconds <= 0:
-        raise ValueError("bar_seconds must be positive")
-    total_seconds = (end.hour - start.hour) * 3600 + (end.minute - start.minute) * 60 + end.second - start.second
-    if total_seconds <= 0:
+    if not 1e-6 <= bar_seconds < math.inf:
+        raise ValueError(f"bar_seconds must be finite and at least a microsecond, got {bar_seconds}")
+    bar_us = int(bar_seconds * 10**6)
+    open_us, close_us = (((t.hour * 60 + t.minute) * 60 + t.second) * 10**6 + t.microsecond for t in (start, end))
+    session_us = close_us - open_us
+    if session_us <= 0:
         raise ValueError("session_end must be after session_start")
-    if total_seconds % bar_seconds:
-        raise ValueError(f"bar width {bar_seconds}s does not divide the {total_seconds:.0f}s session")
-    open_us = ((start.hour * 60 + start.minute) * 60 + start.second) * 10**6 + start.microsecond
-    return open_us, int(bar_seconds * 10**6), int(total_seconds // bar_seconds)
+    if session_us % bar_us:
+        raise ValueError(f"bar width {bar_seconds}s does not divide the {session_us / 10**6:.12g}s session")
+    return open_us, bar_us, session_us // bar_us
 
 
 def build_bars(

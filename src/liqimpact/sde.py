@@ -82,7 +82,6 @@ RNG_ALGORITHM = "PCG64"
 
 PATH_HEADER = ["t", "s", "x", "p"]
 
-_FLOW_B = np.array([1.0])  # numerator of the flow filter; read, never written
 # Steps per block of a long path.  A block's dozen work arrays of this length
 # (128 KiB each) fit in a 2 MiB L2 cache; on 10**6-step paths, blocks of 2**13
 # to 2**16 steps timed alike and 2**12 was slower.
@@ -301,24 +300,21 @@ def _fill_blocks(config: SimConfig, rng: np.random.Generator, x: np.ndarray, s: 
     restarts from x[lo] as the whole path starts from x0, and the running
     log-sum of S is carried into the next block's first step.
     """
-    # The C kernel behind lfilter: the same recursion and rounding, without
-    # lfilter's argument handling, which costs several times a one-step path.
-    from scipy.signal._sigtools import _linear_filter
+    # lfilter's argument checks cost microseconds a block; one-step paths never come here.
+    from scipy.signal import lfilter
 
     sp = config.structural
     dt = config.dt
     coef, const = _flow_coefficients(config)
-    a = np.array([1.0, -coef])
     half_var = 0.5 * sp.sigma_s ** 2
     log_s = 0.0
     for lo in range(0, config.n_steps, _BLOCK_STEPS):
         hi = min(lo + _BLOCK_STEPS, config.n_steps)
         dz, dw = correlated_increments(sp.rho, dt, rng, size=hi - lo)
-        # x[k+1] = shocks[k] + coef * x[k] is the filter lfilter([1], [1, -coef]);
-        # its initial state coef * x[lo] is folded into the first shock.
+        # x[k+1] = shocks[k] + coef * x[k], the initial state coef * x[lo] folded into shocks[0].
         shocks = const + sp.eta * dw
         shocks[0] += coef * x[lo]
-        x[lo + 1:hi + 1] = _linear_filter(_FLOW_B, a, shocks, -1)
+        x[lo + 1:hi + 1] = lfilter([1.0], [1.0, -coef], shocks)
         mu = _s_drift(config, x[lo:hi])
         log_steps = s[lo + 1:hi + 1]
         np.add((mu - half_var) * dt, sp.sigma_s * dz, out=log_steps)

@@ -16,7 +16,7 @@ Both sum e'e, J'J and J'e over chunks of at most CHUNK rows, added in order
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -182,9 +182,7 @@ class _Start:
     :func:`predicts_no_drop`), ``gtol``, ``max_iter``, ``lambda_limit`` or
     ``merged`` (retired into the start ``merged_into``).
     ``evaluations`` counts residual/Jacobian evaluations, infeasible trial
-    points included.  ``lam_min`` is lambda_min(J'J) of the array
-    ``lam_min_of``; :func:`_retire_merged` recomputes it once ``JtJ`` is a new
-    array, which happens only when a step is accepted.
+    points included.
     """
 
     index: int
@@ -198,8 +196,6 @@ class _Start:
     evaluations: int = 1
     stop: str | None = None
     merged_into: int | None = None
-    lam_min: float = 0.0
-    lam_min_of: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def converged(self) -> bool:
@@ -214,20 +210,16 @@ def _retire_merged(kept: list[_Start], n: int, rss_rtol: float, grad_atol: float
     4 grad_atol^2 <= rss_rtol RSS_j lambda_min(JtJ_j).  Equal RSS goes to the
     lower index, and i goes into the lowest-RSS such j not retired this round.
     """
-    stale = [s for s in kept if s.lam_min_of is not s.JtJ]
-    if stale:
-        JtJ = np.array([s.JtJ for s in stale])
-        finite = np.isfinite(JtJ).all(axis=(1, 2))
-        lam_min = np.zeros(len(stale))
-        lam_min[finite] = np.linalg.eigvalsh(JtJ[finite])[:, 0]
-        for s, value in zip(stale, lam_min.tolist()):
-            s.lam_min, s.lam_min_of = value, s.JtJ
-    rss = np.array([s.rss for s in kept])
-    lam_min = np.array([s.lam_min for s in kept])
-    absorbs = (rss > 0.0) & (4.0 * grad_atol ** 2 <= rss_rtol * rss * lam_min)
-    if not absorbs.any():
+    if not kept:
         return
     JtJ = np.array([s.JtJ for s in kept])
+    finite = np.isfinite(JtJ).all(axis=(1, 2))
+    lowest_eig = np.zeros(len(kept))
+    lowest_eig[finite] = np.linalg.eigvalsh(JtJ[finite])[:, 0]
+    rss = np.array([s.rss for s in kept])
+    absorbs = (rss > 0.0) & (4.0 * grad_atol ** 2 <= rss_rtol * rss * lowest_eig)
+    if not absorbs.any():
+        return
     theta = np.array([s.theta for s in kept])
     diff = theta[:, None, :] - theta[None, :, :]
     d2 = np.einsum("ijk,jkl,ijl->ij", diff, JtJ, diff)

@@ -11,10 +11,9 @@ byte-identical to these.
 from __future__ import annotations
 
 import numpy as np
-from scipy.signal._sigtools import _linear_filter
+from scipy.signal import lfilter
 
 from liqimpact.sde import (
-    _FLOW_B,
     SimConfig,
     SimulationError,
     _flow_coefficients,
@@ -39,7 +38,7 @@ def simulate(config: SimConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # its initial state coef * x0 is folded into the first shock.
     shocks = const + sp.eta * dw
     shocks[0] += coef * config.x0
-    x[1:] = _linear_filter(_FLOW_B, np.array([1.0, -coef]), shocks, -1)
+    x[1:] = lfilter([1.0], [1.0, -coef], shocks)
     mu = _s_drift(config, x[:-1])
     np.add((mu - 0.5 * sp.sigma_s ** 2) * dt, sp.sigma_s * dz, out=s[1:])
     np.add.accumulate(s, out=s)

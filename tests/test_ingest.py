@@ -287,6 +287,19 @@ def test_bar_width_must_divide_session():
         build_bars(ticks, session_start="09:00", session_end="09:05", tick_size=0.0)
 
 
+@pytest.mark.parametrize("start, end, length", [
+    ("09:00:00.5", "15:00", "21599.5s"),        # 360 bars would end at 15:00:00.5, after the close
+    ("09:00:00.250", "09:01:00.750", "60.5s"),  # one 60 s bar would drop the last half second
+])
+def test_fractional_session_must_be_a_whole_number_of_bars(tmp_path, capsys, start, end, length):
+    assert main(["ingest", str(DATA / "golden_ticks.csv"), "--out-dir", str(tmp_path),
+                 "--session-start", start, "--session-end", end]) == 1
+    assert f"error: bar width 60s does not divide the {length} session" in capsys.readouterr().err
+    assert not (tmp_path / "golden_ticks.bars.csv").exists()
+    with pytest.raises(ValueError, match="at least a microsecond"):
+        build_bars(tick_table([]), session_start=start, session_end=end, bar_seconds=1e-7)
+
+
 # ---------------------------------------------------------------------------
 # tick file parsing
 

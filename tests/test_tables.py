@@ -6,6 +6,7 @@ ParseError that names the file and line.  The one exception: a bar file's
 ``nan`` price or quote size reads as missing and is written back empty.
 """
 
+import ast
 import json
 import math
 import re
@@ -194,3 +195,29 @@ def test_bench_files_chain_their_src_line_counts():
     assert set(range(18, newest + 1)) <= set(counts)
     for n in range(19, newest + 1):
         assert counts[n]["parent"] == counts[n - 1]["change"], f"BENCH_{n}.json"
+
+
+def _private_scipy_imports(source: str) -> list[str]:
+    """The scipy modules and names that ``source`` imports below ``scipy.`` with
+    a part that starts with an underscore."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level and node.module:
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        found += [name for name in names
+                  if name.split(".")[0] == "scipy" and any(part.startswith("_") for part in name.split(".")[1:])]
+    return found
+
+
+def test_src_imports_no_private_scipy_module():
+    """A private scipy module can change or vanish in any scipy release, so src uses public ones."""
+    assert _private_scipy_imports("from scipy.signal._signaltools import lfilter")
+    assert _private_scipy_imports("import scipy._lib.doccer as d\nfrom scipy.special import _ufuncs")
+    assert not _private_scipy_imports("from scipy.signal import lfilter\nimport scipy.special\nfrom ._common import x")
+    root = Path(__file__).resolve().parent.parent / "src" / "liqimpact"
+    found = {p.name: _private_scipy_imports(p.read_text(encoding="utf-8")) for p in sorted(root.glob("*.py"))}
+    assert not {name: imports for name, imports in found.items() if imports}
