@@ -18,8 +18,9 @@ is used only where it is well conditioned (``|p|/sqrt(q) <= 6`` and
 scaled complementary error functions and log-CDF differences, which keep
 full relative precision through the far tails. A separate small-q branch
 covers ``q x^2`` vanishing relative to ``|p x|``. The direct form's scalars
-(``_band_form``), its kernel and phi's exponent live here alone; f and g share
-one ell * Phi (``_ell_phi``), and the fitter calls the same kernels on columns.
+(``_band_form``), its kernel and phi's exponent live here alone, and the fitter
+calls the same kernels on columns.  f and g take ell * Phi from big_phi alone
+(``_ell_phi``), or for a Python float from its band route in floats.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ _LOG_2PI = math.log(2.0 * math.pi)
 _TAIL_Z = 6.0        # |p|/sqrt(q) beyond which the direct CDF difference degrades
 _TAIL_LOG = 300.0    # p^2/(2q) beyond which exp(p^2/2q) risks overflow
 _SMALLQ_REL = 1e-12  # q x^2 below this fraction of |p x| switches to the q->0 limit
-_DIRECT_CAP = 1e300  # bound on ell*K and ell*exp(b^2/2) for the unrouted direct form
+_DIRECT_CAP = 1e300  # bound on ell*K and ell*exp(b^2/2) under which ell*Phi and ell*phi cannot overflow
 _LOG_DBL_MAX = math.log(np.finfo(float).max)
 
 
@@ -245,8 +246,10 @@ def big_phi(x, params: SShapeParams):
     """
     p, q = params.p, params.q
     xv, scalar = _vec(x)
-    small = _small_q(xv, _SMALLQ_REL * abs(p) / q)
-    if not small.any():  # the usual case: no routing, no gather or scatter
+    threshold, a = _SMALLQ_REL * abs(p) / q, np.abs(xv)
+    # Points in the q -> 0 limit, x = 0 left out (Phi(0) = 0 either way).  The usual case has none,
+    # and the point nearest 0 says so before a mask is built.
+    if not (a.min(initial=math.inf) < threshold and (small := (a < threshold) & (a > 0.0)).any()):
         return _devec(_big_phi_gaussian(xv, p, q), scalar)
     out = np.empty(xv.shape)
     us = p * xv[small]
@@ -256,16 +259,6 @@ def big_phi(x, params: SShapeParams):
     if rest.any():
         out[rest] = _big_phi_gaussian(xv[rest], p, q)
     return _devec(out, scalar)
-
-
-def _small_q(xv: np.ndarray, threshold: float) -> np.ndarray:
-    """Points where q x^2 vanishes against |p x|, so Phi takes the q -> 0 limit.
-
-    For x != 0 that is |x| below threshold = _SMALLQ_REL |p| / q; x = 0 is left
-    out, as Phi(0) = 0 either way.
-    """
-    a = np.abs(xv)
-    return (a < threshold) & (a > 0.0)
 
 
 def _band_form(p: float, q: float) -> tuple[float, float, float, float, float] | None:
@@ -334,41 +327,26 @@ def _log1p_ell_phi(t: np.ndarray, xv: np.ndarray, params: SShapeParams) -> np.nd
 
 
 def _ell_phi(xv: np.ndarray, params: SShapeParams) -> tuple[np.ndarray, bool]:
-    """ell * Phi(x), and whether it came from the capped direct form alone.
-
-    That form (``params._direct_form``) serves where no point is in the
-    small-q limit and ell * Phi(x) > -1 everywhere (which also rules out NaN),
-    bit-identical to big_phi there; its cap rules out overflow in ell * Phi
-    and ell * phi.  Elsewhere ell * big_phi(x) may overflow to +inf, which f
-    and g take in log space.  Raises ParameterError where 1 + ell * Phi(x) <= 0.
+    """ell * big_phi(x), and whether ``params._direct_form`` is set, whose cap
+    rules out overflow of ell * Phi and ell * phi at every x.  Without it
+    ell * Phi may overflow to +inf, which f and g take in log space.  Raises
+    ParameterError where 1 + ell * Phi(x) <= 0.
     """
-    form = params._direct_form
-    if form is not None:
-        rq, b, k, ndtr_b, small_q = form
-        # The point nearest 0 clears every point in the usual case, in fewer calls.
-        nearest_small = np.minimum.reduce(np.abs(xv), axis=None, initial=math.inf) < small_q
-        if not (nearest_small and _small_q(xv, small_q).any()):
-            t = _direct_big_phi(xv, rq, b, k, ndtr_b)
-            t *= params.ell
-            if np.minimum.reduce(t, axis=None, initial=math.inf) > -1.0:
-                return t, True
     with np.errstate(over="ignore"):
         t = params.ell * big_phi(xv, params)
-    bad = t <= -1.0
-    if bad.any():
-        raise ParameterError(
-            f"impact curve undefined at x={float(xv[bad][0]):g}: 1 + ell*Phi(x) <= 0 for {params}"
-        )
-    return t, False
+    if (bad := t <= -1.0).any():
+        raise ParameterError(f"impact curve undefined at x={float(xv[bad][0]):g}: 1 + ell*Phi(x) <= 0 for {params}")
+    return t, params._direct_form is not None
 
 
 def _ell_phi_float(x: float, params: SShapeParams) -> float | None:
     """ell * Phi(x) at a Python float x by the direct form, in floats, or None
-    where _ell_phi would not take that form alone: no ``_direct_form``, x in the
-    small-q limit, or ell * Phi(x) not above -1.
+    where the array route is needed: no ``_direct_form``, x in the small-q
+    limit, or ell * Phi(x) not above -1.
 
-    The steps are _direct_big_phi's and _ell_phi's, one IEEE operation each on
-    floats and numpy's own ndtr, so the value is bitwise _ell_phi's on [x].
+    The steps are _direct_big_phi's (big_phi's band route) and the product
+    with ell, one IEEE operation each on floats and numpy's own ndtr, so the
+    value is bitwise _ell_phi's on [x].
     """
     form = params._direct_form
     if form is None:
@@ -386,10 +364,10 @@ def f_sshape(x, params: SShapeParams):
     Raises ParameterError if 1 + ell * Phi(x) <= 0 at an evaluated point
     (the parameters are infeasible there). Where ell * Phi overflows the
     float range the log is taken in log space instead, so finite x always
-    yields finite f for feasible parameters.  A Python float x that the
-    direct form serves is evaluated in floats (``_ell_phi_float``), bitwise
-    the array evaluation at a fraction of its cost; any other point takes the
-    array route.
+    yields finite f for feasible parameters (under the direct form's cap it
+    cannot overflow).  A Python float x that the direct form serves is
+    evaluated in floats (``_ell_phi_float``), bitwise the array evaluation at
+    a fraction of its cost; any other point takes ell * big_phi(x).
     """
     if isinstance(x, float) and (t := _ell_phi_float(x, params)) is not None:
         return float(np.log1p(t))

@@ -95,6 +95,8 @@ PANEL_HEADER = ["day", "bar", "x", "r"]
 DEFAULT_TICK_SIZE = 0.01
 
 _NUMERIC = tuple(TICK_HEADER[2:])
+_EXACT_TICKS = 2.0**53  # tick counts below this in magnitude are exact in float64
+_INEXACT = "puts the trade's price, bid or ask 2**53 ticks or more from zero, where tick counts are not exact"
 _EPOCH = datetime(1970, 1, 1)
 _ONE_US = timedelta(microseconds=1)
 _US_PER_DAY = 86_400 * 10**6
@@ -546,15 +548,16 @@ def sign_trade(
     The comparison runs on integer tick counts: 2*price vs bid+ask, so a trade
     exactly at the midpoint is unsigned without floating-point surprises.  A
     missing quote side leaves the trade unsigned.  ``build_bars`` applies the
-    same rule to whole columns.
+    same rule to whole columns.  A tick size too fine for exact counts is a ValueError.
     """
     if freshest_bid is None or freshest_ask is None:
         return 0
     if freshest_bid > freshest_ask:
         raise ValueError(f"crossed quote: bid {freshest_bid} > ask {freshest_ask}")
-    p = round(trade_price / tick_size)
-    b = round(freshest_bid / tick_size)
-    a = round(freshest_ask / tick_size)
+    counts = [value / tick_size for value in (trade_price, freshest_bid, freshest_ask)]
+    if not all(abs(c) < _EXACT_TICKS for c in counts):
+        raise ValueError(f"tick_size {tick_size} {_INEXACT}")
+    p, b, a = map(round, counts)
     if 2 * p > b + a:
         return 1
     if 2 * p < b + a:
@@ -594,7 +597,8 @@ def build_bars(
     the freshest-quote state, and trades in session hours are signed against
     it and summed into the bar their timestamp falls in, all as array
     operations over the whole stream.  Timestamps running backwards within a
-    day raise ParseError with the offending row's location.
+    day raise ParseError with the offending row's location, and a tick size
+    too fine for exact tick counts a ValueError with the first signed trade's.
 
     ``days`` lists the ISO day strings in order of first appearance.  A day
     with an in-session trade gets every bar of the session, in order; a day
@@ -637,9 +641,13 @@ def build_bars(
     quoted = q >= 0
     quote_rows = order[q[quoted]]
     # sign_trade on whole columns: tick counts rounded half to even, exact below 2**53.
+    with np.errstate(over="ignore"):  # a tick size this overflows is refused below
+        p, b, a = (np.rint(column / tick_size)
+                   for column in (ticks.price[rows[quoted]], ticks.bid[quote_rows], ticks.ask[quote_rows]))
+    if (inexact := ~((abs(p) < _EXACT_TICKS) & (abs(b) < _EXACT_TICKS) & (abs(a) < _EXACT_TICKS))).any():
+        raise ValueError(f"{ticks.where(rows[quoted][np.argmax(inexact)])}: tick_size {tick_size} {_INEXACT}")
     sign = np.zeros(live.size)
-    sign[quoted] = np.sign(2 * np.rint(ticks.price[rows[quoted]] / tick_size)
-                           - (np.rint(ticks.bid[quote_rows] / tick_size) + np.rint(ticks.ask[quote_rows] / tick_size)))
+    sign[quoted] = np.sign(2 * p - (b + a))
 
     slots = days.size * n_bars
     signed = sign != 0
@@ -705,6 +713,30 @@ def flow_descriptives(bars: BarTable) -> FlowDescriptives:
                             {bars.days[i]: neg[i] for i in present}, n)
 
 
+_MAY_BE_MISSING = ("last_price", "open_bid_size", "open_ask_size")  # bar-file columns where nan is missing
+
+
+def _bar_number(cell: str, name: str, where: str) -> float | None:
+    """A cell of bar-file column ``name``, None where empty; ParseError at ``where`` for a bad
+    number, a flow or return that is not finite, or an infinite price or quote size."""
+    value = parse_float(cell, where=where, required=name == "order_flow")
+    if value is not None and not (math.isfinite(value) or name in _MAY_BE_MISSING and math.isnan(value)):
+        raise ParseError(f"{where}: {name} must be finite, got {value}")
+    return value
+
+
+def _writable(bars: BarTable, names: tuple[str, ...]) -> None:
+    """ValueError at the first bar with a value in columns ``names`` that _bar_number would refuse."""
+    values = [getattr(bars, name) for name in names]
+    bad = np.array([np.isinf(v) if name in _MAY_BE_MISSING  # a row without a return writes none
+                    else ~np.isfinite(v) & (bars.has_return | (name != "log_return"))
+                    for name, v in zip(names, values)]).T
+    if bad.any():
+        i, j = divmod(int(np.argmax(bad)), len(names))
+        raise ValueError(f"bar {bars.days[bars.day[i]]} {bars.bar_index[i]}: {names[j]} must be finite, got "
+                         f"{values[j][i]}: the bar file could not be read back")
+
+
 def _no_repeat(day: list[str], bar: list[int]) -> None:
     """ValueError at the first day and bar given twice, a file that read_bars_csv would refuse."""
     seen: set[tuple[str, int]] = set()
@@ -718,15 +750,18 @@ def write_bars_csv(bars: BarTable, dest: str | Path) -> None:
     """Write bars as CSV with header day,bar,order_flow,last_price,log_return,open_bid_size,open_ask_size.
 
     Floats are written with repr so identical inputs produce byte-identical
-    files; trade counts are in-memory diagnostics and are not serialized.
+    files; trade counts are in-memory diagnostics and are not serialized.  A
+    bar that read_bars_csv would refuse is a ValueError before the file opens.
     """
+    _writable(bars, tuple(BAR_HEADER[2:]))
     day, bar, flow, last, ret, _, _, bid, ask = bars._fields()
     _no_repeat(day, bar)
     write_table(dest, BAR_HEADER, zip(day, bar, flow, last, ret, bid, ask))
 
 
 def write_panel_csv(bars: BarTable, dest: str | Path) -> None:
-    """Write a regression panel as CSV with header day,bar,x,r (empty r on bars without a return)."""
+    """Write a regression panel CSV, header day,bar,x,r (r empty without a return), with write_bars_csv's checks."""
+    _writable(bars, ("order_flow", "log_return"))
     day, bar, flow, _, ret, *_ = bars._fields()
     _no_repeat(day, bar)
     write_table(dest, PANEL_HEADER, zip(day, bar, flow, ret))
@@ -739,7 +774,8 @@ def read_bars_csv(path: str | Path) -> BarTable:
     panel row is a bar row with no price and no sizes; trade counts come back
     as 0.  An empty price or size cell, or a ``nan`` one, is missing (NaN).
     Any other header raises ParseError at line 1; a bad row length or number,
-    or a second row for the same day and bar, raises it with the file and line.
+    an order flow or return that is not finite, an infinite price or size, or
+    a second row for the same day and bar, raises it with the file and line.
     """
     path = Path(path)
     with path.open("rb") as fh:
@@ -756,11 +792,11 @@ def read_bars_csv(path: str | Path) -> BarTable:
     for where, (label, bar, x, price, r, bid_size, ask_size) in rows:
         day.append(codes.setdefault(label, len(codes)))
         bar_index.append(parse_int(bar, where=where))
-        order_flow.append(parse_float(x, where=where, required=True))
-        last_price.append(parse_float(price, where=where))
-        log_return.append(parse_float(r, where=where))
-        open_bid.append(parse_float(bid_size, where=where))
-        open_ask.append(parse_float(ask_size, where=where))
+        order_flow.append(_bar_number(x, "order_flow", where))
+        last_price.append(_bar_number(price, "last_price", where))
+        log_return.append(_bar_number(r, "log_return", where))
+        open_bid.append(_bar_number(bid_size, "open_bid_size", where))
+        open_ask.append(_bar_number(ask_size, "open_ask_size", where))
         key = (label, bar_index[-1])
         if key in seen:
             raise ParseError(f"{where}: repeated bar {label} {key[1]}")

@@ -339,9 +339,7 @@ def simulate_path(config: SimConfig) -> SimPath:
     as the array recursion would take it; a longer path is filled block by
     block (_BLOCK_STEPS steps each), bitwise as one whole-path pass would.
     """
-    seed_used = config.seed
-    if seed_used is None:
-        seed_used = int(np.random.SeedSequence().entropy)
+    seed_used = int(np.random.SeedSequence().entropy) if config.seed is None else config.seed
     rng = np.random.Generator(np.random.PCG64(seed_used))
 
     if config.n_steps == 1:
@@ -419,7 +417,7 @@ def synth_regression_panel(
     n_days: int,
     bars_per_day: int,
     noise_sd: float = 0.0,
-    seed: int = 0,
+    seed: int | None = 0,
 ) -> SyntheticPanel:
     """Generate n_days * bars_per_day bars with returns r = a + f(x_t) - f(x_prev) + eps.
 
@@ -427,7 +425,7 @@ def synth_regression_panel(
     stationary draw opening each day; eps is iid N(0, noise_sd^2).  Bar prices
     start each day at 100 and compound the generated returns, so last_price
     and log_return stay mutually consistent.  The first bar of a day has no
-    return.  Generating parameters (and the seed) are returned in ``truth``.
+    return.  Generating parameters (and the seed, drawn for None) are returned in ``truth``.
     A panel whose arrays cannot be allocated is a ParameterError.
     """
     _integer("n_days", n_days)
@@ -441,6 +439,7 @@ def synth_regression_panel(
         if not feasibility_margin(impact) > 0:
             raise ParameterError("infeasible impact parameters")
 
+    seed = int(np.random.SeedSequence().entropy) if seed is None else seed
     rng = np.random.Generator(np.random.PCG64(seed))
     decay, trans_sd = flow.transition(1.0)
     try:

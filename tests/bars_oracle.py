@@ -117,18 +117,29 @@ def _no_repeat(bars: list[MinuteBar], bar: MinuteBar, where: str) -> None:
         raise ParseError(f"{where}: repeated bar {bar.day} {bar.bar_index}")
 
 
+def _number(cell: str, name: str, where: str) -> float | None:
+    """A number cell, None where empty; a bar file holds a finite order flow and return, and a price
+    or quote size that is finite or nan (missing).  Anything else is a ParseError."""
+    value = parse_float(cell, where=where, required=name == "order_flow")
+    missing = name not in ("order_flow", "log_return") and value is not None and math.isnan(value)
+    if value is not None and not math.isfinite(value) and not missing:
+        raise ParseError(f"{where}: {name} must be finite, got {value}")
+    return value
+
+
 def read_bars_csv(path) -> dict[str, list[MinuteBar]]:
-    """A bar CSV as per-day MinuteBar lists (counts come back as 0); a repeated day and bar is a ParseError."""
+    """A bar CSV as per-day MinuteBar lists (counts come back as 0); a repeated day and bar, or a
+    cell ``_number`` refuses, is a ParseError."""
     out: dict[str, list[MinuteBar]] = {}
     for where, (day, bar, flow, last, ret, bid, ask) in read_table(path, BAR_HEADER):
         record = MinuteBar(
             day=day,
             bar_index=parse_int(bar, where=where),
-            order_flow=parse_float(flow, where=where, required=True),
-            last_price=parse_float(last, where=where),
-            log_return=parse_float(ret, where=where),
-            open_bid_size=parse_float(bid, where=where),
-            open_ask_size=parse_float(ask, where=where),
+            order_flow=_number(flow, "order_flow", where),
+            last_price=_number(last, "last_price", where),
+            log_return=_number(ret, "log_return", where),
+            open_bid_size=_number(bid, "open_bid_size", where),
+            open_ask_size=_number(ask, "open_ask_size", where),
         )
         _no_repeat(out.get(day, []), record, where)
         out.setdefault(day, []).append(record)
@@ -136,15 +147,16 @@ def read_bars_csv(path) -> dict[str, list[MinuteBar]]:
 
 
 def read_panel_csv(path) -> list[MinuteBar]:
-    """A day,bar,x,r panel CSV as MinuteBar records (no price fields); a repeated day and bar is a ParseError."""
+    """A day,bar,x,r panel CSV as MinuteBar records (no price fields); a repeated day and bar, or a
+    cell ``_number`` refuses, is a ParseError."""
     out: list[MinuteBar] = []
     for where, (day, bar, x, r) in read_table(path, PANEL_HEADER):
         record = MinuteBar(
             day=day,
             bar_index=parse_int(bar, where=where),
-            order_flow=parse_float(x, where=where, required=True),
+            order_flow=_number(x, "order_flow", where),
             last_price=None,
-            log_return=parse_float(r, where=where),
+            log_return=_number(r, "log_return", where),
         )
         _no_repeat(out, record, where)
         out.append(record)

@@ -17,6 +17,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -115,6 +116,48 @@ def test_ingest_bad_inputs(tmp_path, capsys):
     bad.write_text("time,type\n1,T\n", encoding="utf-8")
     assert main(["ingest", str(bad), "--out-dir", str(tmp_path)]) == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_ingest_names_bars_by_the_stem_of_an_unknown_suffix(tmp_path):
+    src = tmp_path / "es.ticks"
+    shutil.copy(DATA / "golden_ticks.csv", src)
+    assert main(["ingest", str(src), "--out-dir", str(tmp_path / "out"),
+                 "--session-start", "09:00", "--session-end", "09:05"]) == 0
+    assert (tmp_path / "out" / "es.bars.csv").read_bytes() == (DATA / "golden_bars.csv").read_bytes()
+
+
+def test_ingest_refuses_a_tick_size_too_fine_for_exact_counts(tmp_path, capsys):
+    # price / 1e-320 overflows: the bars held NaN flows, after numpy warnings, and exit was 0.
+    src, out = DATA / "golden_ticks.csv", tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["ingest", str(src), "--tick-size", "1e-320", "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err == (f"error: {src}:5: tick_size 1e-320 puts the trade's price, bid or ask "
+                                       "2**53 ticks or more from zero, where tick counts are not exact\n")
+    assert not (out / "golden_ticks.bars.csv").exists()
+
+
+def test_bar_files_with_non_finite_cells_fail_at_their_line(tmp_path, capsys):
+    # A nan flow and a -inf return fitted with exit 0, every panel failing with no file or line;
+    # an infinite quote size reached compare's depth.csv.
+    panel = synth_regression_panel(a=1e-6, impact=SShapeParams(1.3e-5, -0.0034, 8.15e-5),
+                                   flow=OUParams(c=0.1, m=5.0, eta=100.0), n_days=2, bars_per_day=20, seed=1)
+    src = tmp_path / "nk.csv"
+    panel.write_csv(src)
+    lines = src.read_text().splitlines()
+    for i, column, cell in ((3, 2, "nan"), (24, 3, "-inf")):
+        cells = lines[i].split(",")
+        cells[column] = cell
+        lines[i] = ",".join(cells)
+    src.write_text("\n".join(lines) + "\n")
+    assert main(["fit", str(src), "--pooled", "--out-dir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: {src}:4: order_flow must be finite, got nan\n"
+
+    bars = tmp_path / "es.bars.csv"
+    bars.write_text((DATA / "golden_bars.csv").read_text().replace(",20.0,35.0", ",inf,35.0"))
+    assert main(["compare", "--fits", str(_fits_csv(tmp_path)), "--bars", str(bars),
+                 "--out-dir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: {bars}:4: open_bid_size must be finite, got inf\n"
 
 
 def _truncated(gz: bytes) -> bytes:
@@ -313,9 +356,10 @@ def test_simulate_bad_configs(tmp_path, capsys):
         assert capsys.readouterr().err.startswith(hint)
 
     # Non-finite reals in a config, nested or not, name their key; so does a path too long for memory.
+    # The option table checks a block's keys in its own order, so panel.a comes before panel.noise_sd.
     for cfg, hint in (
             ({**SIM_CONFIG, "mode": "panel", "panel": {**panel, "noise_sd": math.nan, "a": math.inf}},
-             "error: panel.noise_sd: expected a finite number, got nan"),
+             "error: panel.a: expected a finite number, got inf"),
             ({**SIM_CONFIG, "structural": {**SIM_CONFIG["structural"], "m": -math.inf}},
              "error: structural.m: expected a finite number, got -inf"),
             ({**SIM_CONFIG, "n_steps": 10 ** 30},
@@ -395,6 +439,18 @@ def test_fit_outputs(fitted):
     assert meta["config"]["grid"] == [[-3e-3, 8e-5]]
     assert sorted(meta["config"]) == ["files", "grid", "input", "model", "out_dir", "pooled"]
     assert doc["config"] == meta["config"]
+
+
+def test_fit_takes_an_explicit_null_grid_as_the_default(tmp_path):
+    panel = synth_regression_panel(a=1e-6, impact=SShapeParams(1.3e-5, -0.0034, 8.15e-5),
+                                   flow=OUParams(c=0.1, m=5.0, eta=100.0), n_days=1, bars_per_day=60,
+                                   noise_sd=5e-4, seed=3)
+    panel.write_csv(tmp_path / "nk.csv")
+    for name, config in (("default", {}), ("null", {"grid": None})):
+        assert main(["fit", str(tmp_path / "nk.csv"), "--model", "sshape", "--config",
+                     str(write_config(tmp_path, config)), "--out-dir", str(tmp_path / name)]) == 0
+        assert json.loads((tmp_path / name / "nk.fits.meta.json").read_text())["config"]["grid"] is None
+    assert (tmp_path / "null" / "nk.fits.csv").read_bytes() == (tmp_path / "default" / "nk.fits.csv").read_bytes()
 
 
 def test_curves_from_pooled_sshape(fitted, tmp_path, capsys):
@@ -477,6 +533,8 @@ def test_curves_single_day_and_errors(fitted, tmp_path, capsys):
              "error: param_hats.p: expected a number, got 'x'"),
             ({"days": {"d": 5}}, ["--date", "d"], "error: fit JSON days.d must be a JSON object, got int"),
             ({"pooled": 5}, [], "error: fit JSON pooled must be a JSON object, got int"),
+            ({"pooled": {"sshape": {"param_hats": hats}}}, ["--n-points", "1"],
+             "error: need n_points >= 2 and x_max > x_min"),
             ({"pooled": {"sshape": {"param_hats": hats}}}, ["--n-points", str(10 ** 15)],
              f"error: n_points: {10 ** 15} points do not fit in memory (Unable to allocate"),
             ({"pooled": {"sshape": {"param_hats": hats}}}, ["--n-points", str(2 ** 63 - 1)],
@@ -612,6 +670,7 @@ def test_fit_pooled_tries_every_model_and_names_each_failure(tmp_path, capsys):
     ("simulate", "panel.flow.m", "5"),
     ("simulate", "impact.p", "x"),
     ("simulate", "impact.pp", 1.0),
+    ("fit", "grid", [[-3e-3, 8e-5, 1.0]]),
 ])
 def test_bad_config_value_names_its_key(tmp_path, capsys, command, key, value):
     panel = synth_regression_panel(a=1e-6, impact=SShapeParams(1.3e-5, -0.0034, 8.15e-5),

@@ -904,7 +904,8 @@ def test_flows_are_evaluated_in_panel_order_and_match_the_oracle_bitwise():
     has_return[40 + 20] = False
     panel = RegressionPanel.from_bars(dataclasses.replace(synth.bars, has_return=has_return))
     assert panel.n == 3 * 39 - 1
-    thetas = estimation._start_thetas(panel, None)
+    # A start with a NaN component is infeasible: no e or J, and NaN products.
+    thetas = np.vstack([estimation._start_thetas(panel, None), [0.0, math.nan, -3e-3, math.log(8e-5)]])
     residuals = _assert_evaluation_matches_oracle(panel, thetas)
     # Seams: the first row, the row after the skipped return and the two later day starts.
     assert residuals.seams.tolist() == [0, 39, 58, 77]
@@ -1267,6 +1268,14 @@ def test_estimate_ou_validation():
     assert np.ptp(near_constant) > 0.0
     with pytest.raises(EstimationError, match="no variance beyond rounding"):
         estimate_ou(near_constant)
+    for flows, message in ((np.zeros((2, 2, 40)), "flows must be 1-d, 2-d, or a sequence of 1-d arrays"),
+                           ([[1.0]] * 40, "need at least one segment with two observations"),
+                           (np.where(np.arange(300) == 7, math.nan, np.arange(300.0)), "flows contain non-finite")):
+        with pytest.raises(EstimationError, match=f"^{message}"):
+            estimate_ou(flows)
+    # A list of scalars is one series, as its array is.
+    flows = _exact_ou(0.2, 1.0, 30.0, 300, seed=59)
+    assert repr(estimate_ou(flows.tolist())) == repr(estimate_ou(flows))
     for dt in (0.0, math.nan, math.inf):  # nan gave NaN estimates and inf a c_hat of 0.0
         with pytest.raises(EstimationError, match=f"^dt must be positive and finite, got {dt}$"):
             estimate_ou(_exact_ou(0.2, 1.0, 30.0, 300, seed=59), dt=dt)

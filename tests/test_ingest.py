@@ -5,6 +5,7 @@ import logging
 import math
 import re
 import tempfile
+import warnings
 from datetime import datetime, time, timedelta
 from pathlib import Path
 from unittest import mock
@@ -91,6 +92,21 @@ def test_sign_trade_coarse_tick():
 def test_sign_trade_crossed_quote_rejected():
     with pytest.raises(ValueError):
         sign_trade(100.0, 100.02, 99.98)
+
+
+def test_tick_size_too_fine_for_exact_counts_is_refused():
+    # 1.5 / 1e-320 overflows to inf, where round() raised a bare OverflowError; a
+    # count of 2**53 ticks or more, of either sign, is no longer exact.
+    assert sign_trade(2.0**53 - 1, 1.0, 2.0**53 - 1, tick_size=1.0) == 1
+    for trade, bid, ask, tick in ((1.5, 1.0, 2.0, 1e-320), (2.0**53, 1.0, 2.0, 1.0), (1.0, -2.0**53, 2.0, 1.0)):
+        with pytest.raises(ValueError, match=re.escape(f"tick_size {tick} puts the trade's price, bid or ask 2**53")):
+            sign_trade(trade, bid, ask, tick_size=tick)
+    # build_bars made NaN flows there, with numpy warnings; it names the first signed trade.
+    path = DATA / "golden_ticks.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:5: tick_size 1e-320 puts the trade's price")):
+            build_bars(read_ticks(path), tick_size=1e-320)
 
 
 # ---------------------------------------------------------------------------
@@ -342,6 +358,35 @@ def test_read_ticks_error_carries_location(tmp_path):
         read_ticks(path)
 
 
+def test_read_ticks_without_a_final_newline(tmp_path):
+    path = tmp_path / "ticks.csv"
+    path.write_bytes((DATA / "golden_ticks.csv").read_bytes().rstrip(b"\n"))
+    for a, b in zip(read_ticks(path).columns(), read_ticks(DATA / "golden_ticks.csv").columns()):
+        np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("rows, plain, hint", [
+    # Fourteen commas over two lines, but eight on the first and six on the second.
+    (["2024-05-06 09:00:00,Q,,,99.99,100.01,10.0,12.0,", "2024-05-06 09:00:05,T,100.01,3.0,,,"], False,
+     "2: expected 8 fields, got 9"),
+    (["2024-05-06 09:00:05,TT,100.01,3.0,,,,"], False, "2: kind must be T or Q, got 'TT'"),
+    # Plain, with every numeric cell empty: the byte kernel reads it, and the trade rule refuses it.
+    (["2024-05-06 09:00:00,Q,,,,,,", "2024-05-06 09:00:05,T,,,,,,"], True, "2: quote needs bid and ask"),
+], ids=["commas-across-lines", "wide-kind", "numbers-all-empty"])
+def test_byte_kernel_chunks_give_the_row_readers_error(tmp_path, rows, plain, hint):
+    path = _write_tick_file(tmp_path, rows)
+    want = f"{path}:{hint}"
+    with pytest.raises(ParseError, match=f"^{re.escape(want)}$"):
+        ingest._parse_lines(rows, 2, str(path))
+    if plain:
+        with pytest.raises(ParseError, match=f"^{re.escape(want)}$"):
+            ingest._plain_table("\n".join(rows), 2, str(path))
+    else:
+        assert ingest._plain_table("\n".join(rows), 2, str(path)) is None
+    with pytest.raises(ParseError, match=f"^{re.escape(want)}$"):
+        read_ticks(path)
+
+
 def test_read_ticks_rejects_bad_header(tmp_path):
     path = _write_tick_file(tmp_path, ["2024-05-06 09:00:05,T,100.0,3.0,,,,"],
                             header=["time", "what", "px", "sz", "b", "a", "bs", "as"])
@@ -391,6 +436,11 @@ def test_flow_descriptives_unsigned_share():
     ]
     desc = flow_descriptives(bars_oracle.bar_table(bars))
     assert desc.unsigned_pct == pytest.approx(100.0 * 5.0 / 8.0, rel=1e-12)
+
+
+def test_flow_descriptives_of_no_bars_is_refused():
+    with pytest.raises(ValueError, match="^empty bar panel$"):
+        flow_descriptives(bars_oracle.bar_table([]))
 
 
 def test_flow_descriptives_of_built_bars():
@@ -853,6 +903,14 @@ BAR_CASES = [
     ("2024-01-02,0,1.0,1o0,,,", "bad number '1o0'"),
     ("2024-01-02,9223372036854775808,1.0,100.0,,,", "integer out of range '9223372036854775808'"),
     ("2024-01-02,00,5.0,99.0,,,", "repeated bar 2024-01-02 0"),
+    # A flow or return must be finite; a price or size may be nan (missing) but not infinite.
+    ("2024-01-02,1,nan,100.0,,,", "order_flow must be finite, got nan"),
+    ("2024-01-02,1,-inf,100.0,,,", "order_flow must be finite, got -inf"),
+    ("2024-01-02,1,1.0,inf,,,", "last_price must be finite, got inf"),
+    ("2024-01-02,1,1.0,100.0,nan,,", "log_return must be finite, got nan"),
+    ("2024-01-02,1,1.0,100.0,-inf,,", "log_return must be finite, got -inf"),
+    ("2024-01-02,1,1.0,nan,,inf,", "open_bid_size must be finite, got inf"),
+    ("2024-01-02,1,1.0,100.0,,nan,-inf", "open_ask_size must be finite, got -inf"),
 ]
 PANEL_CASES = [
     ("0,0,abc,", "bad number 'abc'"),
@@ -861,6 +919,8 @@ PANEL_CASES = [
     ("0,1,1.0", "expected 4 fields"),
     ("0,-9223372036854775809,1.0,", "integer out of range '-9223372036854775809'"),
     ("0,0,2.0,1e-3", "repeated bar 0 0"),
+    ("0,1,nan,", "order_flow must be finite, got nan"),
+    ("0,1,1.0,-inf", "log_return must be finite, got -inf"),
 ]
 UNRECOGNIZED = (f"unrecognized header 'day,bar,flow,r'; expected {','.join(BAR_HEADER)} "
                 f"or {','.join(PANEL_HEADER)}")
@@ -895,7 +955,8 @@ def test_read_bars_csv_header_only_is_empty(tmp_path, header):
 
 
 # Cells the per-row readers parse alike: empty (missing), finite, signed
-# infinities and nan.  An order flow cell may not be empty.
+# infinities and nan.  An order flow cell may not be empty, and both readers
+# refuse a flow or return that is not finite and an infinite price or size.
 NUMBER_CELL = st.sampled_from(["", "1.5", "-2", "0", "1e-300", "inf", "-inf", "nan", "100.25"])
 FLOW_CELL = st.sampled_from(["1.5", "-2", "0", "5.0", "inf", "nan"])
 BAD_CELL = st.sampled_from(["abc", "1o0", " ", "1.0.0", ""])

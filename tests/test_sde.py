@@ -260,8 +260,9 @@ def test_blocked_path_is_bitwise_the_whole_path_oracle(monkeypatch, block, measu
 
 
 def test_blocked_path_routes_big_phi_in_its_first_block_only(monkeypatch):
-    """x0 in big_phi's small-q limit: f (and g) of the first block take the
-    routed branch, those of the later blocks the direct one."""
+    """x0 in big_phi's small-q limit: big_phi routes the points of f's (and g's)
+    first block one by one, and takes those of the later blocks, none of them
+    near 0, by its band form at once."""
     monkeypatch.setattr(sde, "_BLOCK_STEPS", 7)
     cfg = make_config(structural=RN_SP, measure="risk-neutral", x0=1e-12, n_steps=3 * 7 + 5, dt=1e-3)
     small_q = _SMALLQ_REL * abs(NK.p) / NK.q
@@ -646,8 +647,6 @@ def test_panel_validation():
     for value, message in ((2.5, "seed must be an integer, got 2.5"), (-1, "seed must be non-negative, got -1")):
         with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
             synth_regression_panel(a=0.0, impact=NK, flow=flow, n_days=1, bars_per_day=10, seed=value)
-    drawn = synth_regression_panel(a=0.0, impact=NK, flow=flow, n_days=1, bars_per_day=10, seed=None)
-    assert drawn.truth["rng"]["seed"] is None
     # 10**15 bars (7 PiB) lie past a 47-bit address space, so the allocation fails at once.
     with pytest.raises(ParameterError, match=r"^n_days x bars_per_day: 1 x 1000000000000000 bars do not fit \(Unable"):
         synth_regression_panel(a=0.0, impact=NK, flow=flow, n_days=1, bars_per_day=10 ** 15)
@@ -672,3 +671,16 @@ def test_ou_params_helpers():
     for nan in ({"c": math.nan}, {"eta": math.nan}):
         with pytest.raises(ParameterError):
             OUParams(**{"c": 0.1, "m": 0.0, "eta": 1.0, **nan})
+
+
+def test_synthetic_panel_without_a_seed_records_the_one_it_drew():
+    # seed=None drew fresh entropy each call and recorded "seed": None, so the panel could not be rebuilt.
+    kwargs = dict(a=1e-6, impact=NK, flow=OUParams(c=0.1, m=5.0, eta=100.0), n_days=2, bars_per_day=30,
+                  noise_sd=5e-4)
+    panel = synth_regression_panel(**kwargs, seed=None)
+    seed = panel.truth["rng"]["seed"]
+    assert isinstance(seed, int) and seed >= 0
+    again = synth_regression_panel(**kwargs, seed=seed)
+    assert again.truth == panel.truth
+    for name in ("day", "bar_index", "order_flow", "last_price", "log_return", "has_return"):
+        assert getattr(again.bars, name).tobytes() == getattr(panel.bars, name).tobytes(), name

@@ -15,6 +15,7 @@ from dataclasses import replace
 from datetime import date
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,8 +25,13 @@ from liqimpact.estimation import DAILY_FIT_HEADER, FitResult, read_daily_fits_cs
 from liqimpact.ingest import MinuteBar, ParseError, read_bars_csv, write_bars_csv, write_panel_csv
 
 DAYS = st.dates().map(date.isoformat)
-CELL = st.none() | st.floats()  # empty, finite, inf or nan
-FLOW = st.integers(-10**6, 10**6) | st.floats()  # integer flows are written as floats
+# The cells a bar file holds: a flow is finite, a return empty or finite, and a
+# price or quote size empty, finite or nan (missing); test_bar_writers_refuse_non_finite_cells
+# and test_read_bars_csv_bad_cell_location cover the others.
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+FLOW = st.integers(-10**6, 10**6) | FINITE  # integer flows are written as floats
+RETURN = st.none() | FINITE
+CELL = st.none() | st.floats(allow_infinity=False)
 
 
 def _rewrites_identically(write, read, value, rebuild=lambda rows: rows):
@@ -40,7 +46,7 @@ def _rewrites_identically(write, read, value, rebuild=lambda rows: rows):
 def _bar(day: str):
     """A bar of ``day``; a file holds each day and bar index at most once, so callers draw them unique."""
     return st.builds(MinuteBar, day=st.just(day), bar_index=st.integers(0, 10**6), order_flow=FLOW,
-                     last_price=CELL, log_return=CELL, open_bid_size=CELL, open_ask_size=CELL)
+                     last_price=CELL, log_return=RETURN, open_bid_size=CELL, open_ask_size=CELL)
 
 
 @settings(max_examples=150, deadline=None)
@@ -49,8 +55,7 @@ def _bar(day: str):
                                         for d in days})))
 def test_bars_csv_rewrites_identically(bars):
     # A BarTable holds a missing price or quote size as NaN, so a nan in those
-    # three columns is written as an empty cell; every other cell, nan in the
-    # flow and return columns and inf anywhere included, comes back as written.
+    # three columns is written as an empty cell; every other cell comes back as written.
     _rewrites_identically(write_bars_csv, read_bars_csv, bar_table(bars))
 
 
@@ -105,6 +110,35 @@ def test_bar_writers_refuse_a_repeated_bar_before_writing(tmp_path, write):
     with pytest.raises(ValueError, match="^repeated bar b 0"):
         write(bar_table(bars), dest)
     assert not dest.exists()
+
+
+NON_FINITE = [("order_flow", math.nan), ("order_flow", math.inf), ("log_return", math.nan), ("log_return", -math.inf),
+              ("last_price", math.inf), ("open_bid_size", -math.inf), ("open_ask_size", math.inf)]
+
+
+@pytest.mark.parametrize("write, field, value", [(write_bars_csv, *cell) for cell in NON_FINITE]
+                         + [(write_panel_csv, *cell) for cell in NON_FINITE[:4]])
+def test_bar_writers_refuse_non_finite_cells(tmp_path, write, field, value):
+    # What read_bars_csv refuses, neither writer writes: a flow or a given return that is not
+    # finite, or an infinite price or size.
+    bars = [MinuteBar("a", 0, 1.0, 100.0, None), replace(MinuteBar("a", 1, 2.0, 101.0, 0.01), **{field: value})]
+    dest = tmp_path / "bars.csv"
+    with pytest.raises(ValueError, match=re.escape(
+            f"bar a 1: {field} must be finite, got {value}: the bar file could not be read back")):
+        write(bar_table(bars), dest)
+    assert not dest.exists()
+
+
+@pytest.mark.parametrize("write", [write_bars_csv, write_panel_csv])
+def test_bar_writers_pass_values_they_never_write(tmp_path, write):
+    # A nan return on a bar without one is written as an empty cell, and a panel file has no
+    # price or size columns.
+    bars = replace(bar_table([MinuteBar("a", 0, 1.0, 100.0, None), MinuteBar("a", 1, 2.0, 101.0, 0.01)]),
+                   log_return=np.array([math.nan, 0.01]))
+    if write is write_panel_csv:
+        bars = replace(bars, last_price=np.array([math.inf, 1.0]), open_bid_size=np.array([-math.inf, 1.0]))
+    write(bars, tmp_path / "bars.csv")
+    assert read_bars_csv(tmp_path / "bars.csv").has_return.tolist() == [False, True]
 
 
 def _fit(model, converged=True, **hats):
