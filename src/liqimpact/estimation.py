@@ -53,7 +53,6 @@ from ._common import ParseError, parse_float, parse_int, read_table, write_table
 from .impact import (
     SqrtParams,
     SShapeParams,
-    _band_form,
     _direct_big_phi,
     _exponent,
     big_phi,
@@ -344,12 +343,11 @@ class _SShapeResiduals:
 
     The rows of a block, at most ``max_rows`` and max(1, _BLOCK_POINTS // n),
     are evaluated in one pass over (rows, flows) arrays, Phi and phi included
-    for a row in the band of big_phi's direct form (``impact._band_form``)
-    with no flow in its small-q limit, by impact's ``_direct_big_phi`` and
-    ``_exponent`` on (rows, 1) columns; any other row takes them from big_phi
-    and phi.  Every array step is the ufunc of a one-row evaluation, in the
-    same order, with each row's scalars in a column, so each row is bitwise
-    what it would be alone.
+    for a row in big_phi's direct band with no flow in its small-q limit, by
+    impact's ``_direct_big_phi`` and ``_exponent`` on (rows, 1) columns of the
+    trial curves' ``_phi_constants``; any other row takes them from big_phi and
+    phi.  Each array step is a one-row evaluation's ufunc, in its order, on
+    columns of the rows' scalars, so each row is bitwise what it would be alone.
 
     Every evaluation writes into work arrays allocated here once per panel
     (the e and J of :meth:`one` last until the next).  Fresh panel-sized
@@ -443,8 +441,8 @@ class _SShapeResiduals:
             params = SShapeParams(ell, p, q)
             if feasibility_margin(params) < margin_floor:
                 continue
-            form = None if routed else _band_form(p, q)
-            if form is None or self.min_abs_flow < form[4]:
+            form = params._phi_constants
+            if routed or form[2] is None or self.min_abs_flow < form[4]:
                 other.append((i, a, params, None))
             else:
                 direct.append((i, a, params, form))
@@ -783,9 +781,7 @@ def fit_sshape(panel: RegressionPanel, grid: Sequence[tuple[float, float]] | Non
     row (the screen), only to choose the grid points that run on the full
     panel: it drops the starts that :func:`_distinct_survivors` finds to be
     duplicates or exact fits there.  The rest run from their grid points, each
-    search the one it makes unscreened; resumed from screened endpoints, some
-    panels whose bend shows only in a few large-flow rows stayed in a wrong
-    basin, reported as converged.  On recovery panels of 100 days x 360 bars
+    search the one it makes unscreened.  On 100-day x 360-bar recovery panels
     one grid point was kept, and the fit took about a fifth of the unscreened
     time.  Every sum over the panel's rows runs over chunks of at most 8,192
     rows in order, so the result does not depend on the BLAS thread count.

@@ -17,10 +17,10 @@ is used only where it is well conditioned (``|p|/sqrt(q) <= 6`` and
 ``p^2/2q <= 300``). Outside that band the same quantity is computed from
 scaled complementary error functions and log-CDF differences, which keep
 full relative precision through the far tails. A separate small-q branch
-covers ``q x^2`` vanishing relative to ``|p x|``. The direct form's scalars
-(``_band_form``), its kernel and phi's exponent live here alone, and the fitter
-calls the same kernels on columns.  f and g take ell * Phi from big_phi alone
-(``_ell_phi``), or for a Python float from its band route in floats.
+covers ``q x^2`` vanishing relative to ``|p x|``. Phi's constants (once per
+curve, ``SShapeParams._phi_constants``), the direct form's kernel and phi's
+exponent live here alone; the fitter calls the kernels on columns.  f and g take
+ell * Phi from big_phi alone (``_ell_phi``), or for a Python float by its band route in floats.
 """
 
 from __future__ import annotations
@@ -97,12 +97,23 @@ class SShapeParams:
             raise ParameterError(f"q must be positive, got {self.q!r}")
 
     @cached_property
+    def _phi_constants(self) -> tuple[float, float, float | None, float | None, float]:
+        """(sqrt(q), b, k, N(b), small-q threshold) of Phi's direct form k (N(sqrt(q) x + b) - N(b)),
+        b = p / sqrt(q), k = sqrt(2 pi / q) exp(b^2 / 2), with k and N(b) None outside the band where
+        it is well conditioned; a point x != 0 with |x| below the threshold is in the small-q limit."""
+        rq = math.sqrt(self.q)
+        b = self.p / rq
+        k = ndtr_b = None
+        if abs(b) <= _TAIL_Z and 0.5 * b * b <= _TAIL_LOG:
+            k, ndtr_b = math.sqrt(2.0 * math.pi / self.q) * math.exp(0.5 * b * b), float(ndtr(b))
+        return rq, b, k, ndtr_b, _SMALLQ_REL * abs(self.p) / self.q
+
+    @cached_property
     def _direct_form(self) -> tuple[float, float, float, float, float] | None:
-        """_band_form of (p, q), or None where ell * K or ell * exp(b^2 / 2),
-        the bounds of |ell * Phi| and ell * phi, exceeds _DIRECT_CAP; computed
-        once per instance, as the simulator's one-step calls reuse one."""
-        form = _band_form(self.p, self.q)
-        if form is None or not self.ell * max(form[2], math.exp(0.5 * form[1] * form[1])) <= _DIRECT_CAP:
+        """_phi_constants where the direct form applies, or None outside its band or where
+        ell * K or ell * exp(b^2 / 2), the bounds of |ell * Phi| and ell * phi, exceeds _DIRECT_CAP."""
+        form = self._phi_constants
+        if form[2] is None or not self.ell * max(form[2], math.exp(0.5 * form[1] * form[1])) <= _DIRECT_CAP:
             return None
         return form
 
@@ -244,37 +255,25 @@ def big_phi(x, params: SShapeParams):
     tail-stable form built on erfcx / log_ndtr, and the q -> 0 limit
     (1 - exp(-p x)) / p; see the module docstring.
     """
-    p, q = params.p, params.q
     xv, scalar = _vec(x)
-    threshold, a = _SMALLQ_REL * abs(p) / q, np.abs(xv)
+    threshold, a = params._phi_constants[4], np.abs(xv)
     # Points in the q -> 0 limit, x = 0 left out (Phi(0) = 0 either way).  The usual case has none,
     # and the point nearest 0 says so before a mask is built.
     if not (a.min(initial=math.inf) < threshold and (small := (a < threshold) & (a > 0.0)).any()):
-        return _devec(_big_phi_gaussian(xv, p, q), scalar)
+        return _devec(_big_phi_gaussian(xv, params), scalar)
     out = np.empty(xv.shape)
-    us = p * xv[small]
-    lim = -np.expm1(-us) / p
+    us = params.p * xv[small]
+    lim = -np.expm1(-us) / params.p
     out[small] = np.where(np.abs(us) < 1e-12, xv[small], lim)
     rest = ~small
     if rest.any():
-        out[rest] = _big_phi_gaussian(xv[rest], p, q)
+        out[rest] = _big_phi_gaussian(xv[rest], params)
     return _devec(out, scalar)
 
 
-def _band_form(p: float, q: float) -> tuple[float, float, float, float, float] | None:
-    """(sqrt(q), b, k, N(b), small-q threshold) of Phi's direct form k (N(sqrt(q) x + b) - N(b)),
-    b = p / sqrt(q), k = sqrt(2 pi / q) exp(b^2 / 2), or None outside the band where it is well
-    conditioned.  A point x != 0 with |x| below the threshold is in the small-q limit."""
-    rq = math.sqrt(q)
-    b = p / rq
-    if not (abs(b) <= _TAIL_Z and 0.5 * b * b <= _TAIL_LOG):
-        return None
-    return rq, b, math.sqrt(2.0 * math.pi / q) * math.exp(0.5 * b * b), float(ndtr(b)), _SMALLQ_REL * abs(p) / q
-
-
 def _direct_big_phi(xv: np.ndarray, rq, b, k, ndtr_b, out=None) -> np.ndarray:
-    """Phi's direct form k (N(rq x + b) - N(b)) at xv, in out, from the scalars of
-    _band_form or (rows, 1) columns of them, each row bitwise the scalar evaluation."""
+    """Phi's direct form k (N(rq x + b) - N(b)) at xv, in out, from a curve's _phi_constants
+    or (rows, 1) columns of them, each row bitwise the scalar evaluation."""
     out = np.multiply(rq, xv, out=out)
     out += b
     ndtr(out, out=out)
@@ -283,13 +282,11 @@ def _direct_big_phi(xv: np.ndarray, rq, b, k, ndtr_b, out=None) -> np.ndarray:
     return out
 
 
-def _big_phi_gaussian(xv: np.ndarray, p: float, q: float) -> np.ndarray:
-    form = _band_form(p, q)
-    if form is not None:
-        return _direct_big_phi(xv, *form[:4])
-    rq = math.sqrt(q)
-    b = p / rq
-    c_half = 0.5 * math.sqrt(2.0 * math.pi / q)
+def _big_phi_gaussian(xv: np.ndarray, params: SShapeParams) -> np.ndarray:
+    rq, b, k, ndtr_b, _ = params._phi_constants
+    if k is not None:
+        return _direct_big_phi(xv, rq, b, k, ndtr_b)
+    c_half = 0.5 * math.sqrt(2.0 * math.pi / params.q)
     a = rq * xv + b
     with np.errstate(over="ignore"):
         if b >= 0.0:
@@ -301,12 +298,10 @@ def _big_phi_gaussian(xv: np.ndarray, p: float, q: float) -> np.ndarray:
 
 def _log_ell_phi_huge(xv: np.ndarray, params: SShapeParams) -> np.ndarray:
     """log(ell * Phi(x)) where Phi overflowed to +inf (reachable only for p < 0)."""
-    p, q = params.p, params.q
-    rq = math.sqrt(q)
-    b = p / rq
+    rq, b, *_ = params._phi_constants
     a = rq * xv + b
     delta = log_ndtr(a) - log_ndtr(b)
-    log_c_half = math.log(0.5) + 0.5 * math.log(2.0 * math.pi / q)
+    log_c_half = math.log(0.5) + 0.5 * math.log(2.0 * math.pi / params.q)
     return (
         math.log(params.ell)
         + log_c_half

@@ -426,7 +426,8 @@ def synth_regression_panel(
     start each day at 100 and compound the generated returns, so last_price
     and log_return stay mutually consistent.  The first bar of a day has no
     return.  Generating parameters (and the seed, drawn for None) are returned in ``truth``.
-    A panel whose arrays cannot be allocated is a ParameterError.
+    A panel whose arrays cannot be allocated is a ParameterError, and a non-finite flow or
+    return a SimulationError at its first day and bar (``step`` is that bar's row).
     """
     _integer("n_days", n_days)
     _integer("bars_per_day", bars_per_day)
@@ -457,6 +458,12 @@ def synth_regression_panel(
 
     fx = _impact_f(impact, x)
     r = a + fx[:, 1:] - fx[:, :-1] + eps
+    bad = ~np.isfinite(x)
+    bad[:, 1:] |= ~np.isfinite(r)
+    if bad.any():
+        day, bar = divmod(step := int(np.argmax(bad)), bars_per_day)
+        name = "log_return" if math.isfinite(x[day, bar]) else "order_flow"
+        raise SimulationError(f"non-finite {name} at day {day} bar {bar}", step=step)
     log_p = math.log(100.0) + np.concatenate(
         [np.zeros((n_days, 1)), np.cumsum(r, axis=1)], axis=1
     )

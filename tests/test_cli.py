@@ -357,6 +357,7 @@ def test_simulate_bad_configs(tmp_path, capsys):
 
     # Non-finite reals in a config, nested or not, name their key; so does a path too long for memory.
     # The option table checks a block's keys in its own order, so panel.a comes before panel.noise_sd.
+    # A panel return that overflows names its day and bar (it used to name a bar file never given).
     for cfg, hint in (
             ({**SIM_CONFIG, "mode": "panel", "panel": {**panel, "noise_sd": math.nan, "a": math.inf}},
              "error: panel.a: expected a finite number, got inf"),
@@ -367,9 +368,13 @@ def test_simulate_bad_configs(tmp_path, capsys):
             ({**SIM_CONFIG, "n_steps": 2 ** 62},
              f"error: n_steps: {2 ** 62} steps do not fit in memory (array is too big"),
             ({**SIM_CONFIG, "mode": "panel", "panel": {**panel, "bars_per_day": 10 ** 15}},
-             f"error: n_days x bars_per_day: 1 x {10 ** 15} bars do not fit (Unable to allocate")):
-        assert main(["simulate", "--config", str(write_config(tmp_path, cfg, "big.json")),
-                     "--out-dir", str(tmp_path)]) == 1
+             f"error: n_days x bars_per_day: 1 x {10 ** 15} bars do not fit (Unable to allocate"),
+            ({**SIM_CONFIG, "mode": "panel", "seed": 1,
+              "panel": {**panel, "n_days": 2, "bars_per_day": 30, "noise_sd": 1e308}},
+             "error: non-finite log_return at day 1 bar 7\n")):
+        with np.errstate(over="ignore"):
+            assert main(["simulate", "--config", str(write_config(tmp_path, cfg, "big.json")),
+                         "--out-dir", str(tmp_path)]) == 1
         assert capsys.readouterr().err.startswith(hint)
 
 

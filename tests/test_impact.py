@@ -1,5 +1,6 @@
 """Tests for the closed-form impact curves and their supporting identities."""
 
+import dataclasses
 import math
 import warnings
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
-from scipy.special import log_ndtr
+from scipy.special import log_ndtr, ndtr
 from scipy.stats import norm
 
 from ode_oracle import OdeBlowupError, OdeSpec, bernoulli_residual, solve_ode_numeric
@@ -423,16 +424,35 @@ def test_direct_path_takes_zero_and_integer_flows():
 
 
 def test_direct_form_is_kept_per_instance_without_changing_its_value():
-    # The simulator's one-step calls reuse one instance; its cached constants
-    # stay out of equality, hashing and the curve's dict, and change no bit.
+    # The simulator's one-step calls and a long path's blocks reuse one instance; its
+    # cached constants stay out of equality, hashing and the curve's dict, and change no bit.
     params = SShapeParams(NK.ell, NK.p, NK.q)
     xs = np.array([0.0, -2.5, 40.0])
     f, g = f_sshape(xs, params), g_sshape(xs, params)
-    assert "_direct_form" in vars(params)
+    assert "_phi_constants" in vars(params) and "_direct_form" in vars(params)
+    rq, b, k, ndtr_b, small_q = params._direct_form
+    assert params._direct_form is params._phi_constants
+    assert (rq, b, small_q) == (math.sqrt(NK.q), NK.p / math.sqrt(NK.q), _SMALLQ_REL * abs(NK.p) / NK.q)
+    assert (k, ndtr_b) == (math.sqrt(2.0 * math.pi / NK.q) * math.exp(0.5 * b * b), float(ndtr(b)))
     assert params == NK and hash(params) == hash(NK) and curve_to_dict(params) == curve_to_dict(NK)
     fresh = SShapeParams(NK.ell, NK.p, NK.q)
     assert f.tobytes() == f_sshape(xs, params).tobytes() == f_sshape(xs, fresh).tobytes()
     assert g.tobytes() == g_sshape(xs, params).tobytes() == g_sshape(xs, fresh).tobytes()
+    for x in xs.tolist():  # the float route reads the same constants
+        assert np.array([f_sshape(x, params), g_sshape(x, params)]).tobytes() == \
+            np.array([f_sshape(x, fresh), g_sshape(x, fresh)]).tobytes()
+    # A replaced curve starts with its own constants.
+    wider = dataclasses.replace(params, q=2.0 * NK.q)
+    assert "_phi_constants" not in vars(wider)
+    assert wider._phi_constants[0] == math.sqrt(2.0 * NK.q) and wider._phi_constants != params._phi_constants
+    same = SShapeParams(NK.ell, NK.p, 2.0 * NK.q)
+    assert f_sshape(xs, wider).tobytes() == f_sshape(xs, same).tobytes()
+    assert big_phi(xs, wider).tobytes() == big_phi(xs, same).tobytes()
+    # Off the band k and N(b) are None; past the cap the constants are kept but the direct form is not.
+    tail = SShapeParams(ell=1e-3, p=-0.5, q=1e-3)
+    assert tail._phi_constants[2:4] == (None, None) and tail._direct_form is None
+    capped = SShapeParams(ell=1.7e308, p=0.0, q=1.0)
+    assert capped._phi_constants[2] is not None and capped._direct_form is None
 
 
 def test_linear_alpha_identity():

@@ -7,6 +7,7 @@ import re
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 import bars_oracle
 import sim_oracle
@@ -269,6 +270,26 @@ def test_blocked_path_routes_big_phi_in_its_first_block_only(monkeypatch):
     assert 0.0 < cfg.x0 < small_q
     assert _assert_same_as_oracle(cfg) is None
     assert np.abs(simulate_path(cfg).x[1:]).min() > small_q
+
+
+def test_long_path_computes_its_curves_phi_constants_once(monkeypatch):
+    """A risk-neutral path of three blocks evaluates f and g on each block; the
+    curve's Phi constants, the only scalar ndtr call, are computed once for all six."""
+    scalar_calls = []
+
+    def spy(*args, **kwargs):
+        if np.ndim(args[0]) == 0:
+            scalar_calls.append(args[0])
+        return ndtr(*args, **kwargs)
+
+    monkeypatch.setattr("liqimpact.impact.ndtr", spy)
+    curve = SShapeParams(NK.ell, NK.p, NK.q)
+    cfg = make_config(structural=RN_SP, impact=curve, measure="risk-neutral", n_steps=3 * sde._BLOCK_STEPS,
+                      dt=1e-3)
+    path = simulate_path(cfg)
+    assert len(scalar_calls) == 1 and scalar_calls[0] == curve._phi_constants[1], scalar_calls
+    monkeypatch.undo()
+    assert path.p.tobytes() == simulate_path(dataclasses.replace(cfg, impact=NK)).p.tobytes()
 
 
 def test_simulation_error_across_block_seams(monkeypatch):
@@ -654,6 +675,24 @@ def test_panel_validation():
         synth_regression_panel(a=0.0, impact=SShapeParams(ell=1.0, p=0.0, q=1e-8),
                                flow=flow, n_days=1, bars_per_day=10)
 
+
+
+@pytest.mark.parametrize("overrides, where", [
+    ({"noise_sd": 1e308}, "log_return at day 1 bar 7"),  # one noise draw overflows
+    ({"noise_sd": math.inf}, "log_return at day 0 bar 1"),
+    ({"a": math.nan}, "log_return at day 0 bar 1"),
+    ({"flow": OUParams(c=0.1, m=math.nan, eta=100.0)}, "order_flow at day 0 bar 0"),
+])
+def test_panel_with_a_non_finite_flow_or_return_names_its_first_day_and_bar(overrides, where):
+    # These panels came back with non-finite cells and only numpy warnings, and
+    # RegressionPanel.from_synthetic then failed naming no day or bar.
+    kwargs = dict(a=1e-6, impact=NK, flow=OUParams(c=0.1, m=5.0, eta=100.0), n_days=2, bars_per_day=30,
+                  noise_sd=5e-4, seed=1)
+    day, bar = map(int, re.findall(r"\d+", where))
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(SimulationError, match=f"^non-finite {where}$") as caught:
+        synth_regression_panel(**{**kwargs, **overrides})
+    assert caught.value.step == day * 30 + bar
 
 
 def test_ou_params_helpers():
